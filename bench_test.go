@@ -18,7 +18,6 @@ package repro_test
 
 import (
 	"context"
-	"flag"
 	"sync"
 	"testing"
 
@@ -32,12 +31,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vsm"
 )
-
-// benchWorkers selects the parallel-replay shard count for the
-// */arbalest-replay cells of BenchmarkFig8 (pass after -args, e.g.
-// `go test -bench Fig8 -args -workers 4`). The cells produce identical
-// reports at any setting; only wall clock changes.
-var benchWorkers = flag.Int("workers", 1, "parallel-replay shard count for the arbalest-replay benchmark cells")
 
 // BenchmarkTable3 runs the 16 buggy DRACC benchmarks under each tool: the
 // per-tool analysis cost of regenerating Table III.
@@ -78,9 +71,7 @@ func BenchmarkFig8(b *testing.B) {
 		}
 		w := w
 		// Offline-analysis cell: replay a recorded trace of the workload
-		// through ARBALEST with -workers analysis shards. Comparing this
-		// cell across -workers settings measures the parallel replay
-		// engine's speedup (reports are identical by construction).
+		// through ARBALEST, as a daemon job does.
 		b.Run(w.Name+"/arbalest-replay", func(b *testing.B) {
 			tr := recordBenchTrace(b, w)
 			b.ReportAllocs()
@@ -91,7 +82,7 @@ func BenchmarkFig8(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := tools.NewArbalestFull(nil)
-				if _, err := tr.ReplayParallel(context.Background(), *benchWorkers, a); err != nil {
+				if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{}, a); err != nil {
 					b.Fatal(err)
 				}
 				// Lease the shadow planes back, as the service does between

@@ -10,7 +10,9 @@
 //	benchgate -baseline BENCH_fig8_w1.json -fresh /tmp/fresh_w1.json [-threshold 0.05]
 //
 // Exit status 0 when every shared benchmark is within threshold, 1 on any
-// regression, 2 on usage or decode errors.
+// regression, 2 on usage or decode errors or when the two documents share
+// no benchmark (entries match on name and GOMAXPROCS, so a baseline taken
+// at another -cpu setting compares nothing).
 //
 // Overrides:
 //
@@ -63,9 +65,10 @@ func (r Regression) String() string {
 }
 
 // Compare diffs fresh against baseline at the given threshold (0.05 =
-// fail on >5% mean ns/op growth). It returns the regressions plus
-// informational notes (benchmarks present in only one document).
-func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes []string) {
+// fail on >5% mean ns/op growth). It returns the regressions, informational
+// notes (benchmarks present in only one document), and the number of
+// benchmarks the two documents share.
+func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes []string, shared int) {
 	key := func(e *Entry) string { return e.Name + "\x00" + strconv.Itoa(e.Procs) }
 	base := make(map[string]*Entry, len(baseline.Benchmarks))
 	for i := range baseline.Benchmarks {
@@ -81,6 +84,7 @@ func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes 
 			notes = append(notes, fmt.Sprintf("%s: no baseline entry (new benchmark?)", f.Name))
 			continue
 		}
+		shared++
 		bn, fn := b.Metrics["ns/op"], f.Metrics["ns/op"]
 		if bn <= 0 || fn <= 0 {
 			notes = append(notes, fmt.Sprintf("%s: missing ns/op (baseline %v, fresh %v)", f.Name, bn, fn))
@@ -97,7 +101,7 @@ func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes 
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio() > regs[j].Ratio() })
 	sort.Strings(notes)
-	return regs, notes
+	return regs, notes, shared
 }
 
 func load(path string) (*Doc, error) {
@@ -148,9 +152,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	regs, notes := Compare(baseline, fresh, *threshold)
+	regs, notes, shared := Compare(baseline, fresh, *threshold)
 	for _, n := range notes {
 		fmt.Println("note:", n)
+	}
+	if shared == 0 {
+		fmt.Fprintln(os.Stderr, "benchgate: baseline and fresh run share no benchmark (same names and -cpu?); nothing compared")
+		os.Exit(2)
 	}
 	if len(regs) == 0 {
 		fmt.Printf("benchgate: OK — no benchmark regressed past %.0f%%\n", *threshold*100)

@@ -4,12 +4,13 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench Fig8 -benchtime 1x . | benchjson -label workers=1 -o BENCH_fig8.json
+//	go test -run xxx -bench Fig8 -benchtime 1x -cpu 1 . | benchjson -o BENCH_fig8.json
 //
 // Non-benchmark lines (goos/goarch headers, PASS/ok trailers, test chatter)
 // are ignored. Each benchmark line contributes one entry with its iteration
 // count, every reported metric (ns/op, B/op, allocs/op, and custom metrics
-// like peak-bytes), and the GOMAXPROCS suffix parsed off the name.
+// like peak-bytes), and the GOMAXPROCS suffix parsed off the name. The
+// document is labeled with the machine's core count (cpus).
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,7 +47,8 @@ type Entry struct {
 
 // Doc is the emitted document.
 type Doc struct {
-	// Labels carries caller-provided key=value context (e.g. workers=4).
+	// Labels carries key=value context: cpus (the core count of the
+	// machine that ran the benchmarks) plus any caller-provided labels.
 	Labels map[string]string `json:"labels,omitempty"`
 	// Benchmarks holds one entry per benchmark line, input order preserved.
 	Benchmarks []Entry `json:"benchmarks"`
@@ -67,7 +70,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	doc.Labels = labels.m
+	doc.Labels = withCPUs(labels.m, runtime.NumCPU())
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -83,6 +86,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// withCPUs adds the cpus label to labels unless the caller set one.
+func withCPUs(labels map[string]string, cpus int) map[string]string {
+	if labels == nil {
+		labels = make(map[string]string)
+	}
+	if _, ok := labels["cpus"]; !ok {
+		labels["cpus"] = strconv.Itoa(cpus)
+	}
+	return labels
 }
 
 // labelFlags accumulates repeated -label key=value flags.

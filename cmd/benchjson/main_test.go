@@ -90,6 +90,15 @@ func TestLabelFlags(t *testing.T) {
 	}
 }
 
+func TestCPUsLabel(t *testing.T) {
+	if got := withCPUs(nil, 2); got["cpus"] != "2" {
+		t.Errorf("withCPUs(nil, 2) = %v", got)
+	}
+	if got := withCPUs(map[string]string{"cpus": "64", "commit": "abc"}, 2); got["cpus"] != "64" || got["commit"] != "abc" {
+		t.Errorf("caller labels not kept: %v", got)
+	}
+}
+
 // countSample is -count 3 output: three lines per benchmark that must fold
 // into one entry with mean metrics.
 const countSample = `goos: linux

@@ -100,7 +100,7 @@ type Arbalest struct {
 	// cvSnap is an immutable snapshot of the live CV ranges, rebuilt and
 	// atomically published on every mapping mutation (OnDataOp). The access
 	// hot path resolves CV -> OV against the snapshot with two binary
-	// searches and no lock, so concurrent replay workers never serialize on
+	// searches and no lock, so concurrent runtime threads never serialize on
 	// resolution (paper §IV-C's lock-free claim, extended to the lookup
 	// structure). cvTree remains the mutation-side source of truth (overlap
 	// checking, repair's Each traversal).
@@ -133,9 +133,9 @@ type Arbalest struct {
 
 	// mode is the dispatch regime announced by the event source (replay
 	// driver, stream session). It selects the shadow update discipline:
-	// CAS under shared dispatch, plain stores when an epoch shard or a
-	// single goroutine owns its words exclusively (Theorem 1). Written
-	// only before dispatch begins, read on the hot path.
+	// CAS under shared dispatch, plain stores when a single goroutine owns
+	// every word exclusively (Theorem 1). Written only before dispatch
+	// begins, read on the hot path.
 	mode ompt.DispatchMode
 
 	// stats, when non-nil, collects analyzer-level telemetry. Set at
@@ -226,17 +226,13 @@ func (a *Arbalest) AnalyzerStats() *telemetry.AnalyzerStats { return a.stats }
 // SetDispatchMode implements ompt.ModalTool: the event source announces
 // its concurrency regime before dispatch starts, and the detector relaxes
 // the shadow-word discipline to match — plain stores plus the compact tag
-// plane under exclusive sequential ownership, plain stores under epoch
-// sharding, lock-free CAS (the paper's §IV-C design) otherwise. Never
-// called concurrently with event callbacks.
+// plane under exclusive sequential ownership, lock-free CAS (the paper's
+// §IV-C design) otherwise. Never called concurrently with event callbacks.
 func (a *Arbalest) SetDispatchMode(m ompt.DispatchMode) {
 	a.mode = m
-	switch m {
-	case ompt.DispatchSequential:
+	if m == ompt.DispatchSequential {
 		a.shadowMem.SetMode(shadow.ModeSeq)
-	case ompt.DispatchEpochSharded:
-		a.shadowMem.SetMode(shadow.ModeEpoch)
-	default:
+	} else {
 		a.shadowMem.SetMode(shadow.ModeShared)
 	}
 }
@@ -357,17 +353,6 @@ func (a *Arbalest) clockFor(e ompt.AccessEvent) uint64 {
 		return e.Clock
 	}
 	return a.nextClock(e.Thread)
-}
-
-// RequiresSequentialReplay reports whether the detector's configuration
-// rules out parallel access dispatch. Word granularity keys every shadow
-// slot by the access's canonical aligned word, which is exactly what the
-// replay engine shards by, so accesses to the same slot stay ordered. Region
-// granularity folds a whole mapped variable into one slot and byte
-// granularity lets one access span two canonical words — either way a slot
-// can be shared across shards, so those modes force sequential replay.
-func (a *Arbalest) RequiresSequentialReplay() bool {
-	return a.opts.Granularity != GranularityWord
 }
 
 // OnAccess implements ompt.Tool: the per-access analysis (paper §IV).
@@ -560,7 +545,7 @@ func (a *Arbalest) OnAccessBatch(b *ompt.AccessBatch) {
 // true when the access escaped its mapping: its address stabs no interval,
 // or a different interval than the base pointer it was issued against
 // (paper §IV-D). Resolution reads the immutable CV snapshot — no lock, no
-// shared cache line — so concurrent replay workers never serialize here.
+// shared cache line — so concurrent runtime threads never serialize here.
 func (a *Arbalest) resolveDevice(e ompt.AccessEvent) (*cvEntry, bool) {
 	return a.resolveDeviceAddr(e.Addr, e.Base)
 }
@@ -664,15 +649,6 @@ func (a *Arbalest) apply(ovAddr mem.Addr, size uint64, dev ompt.DeviceID, devLoc
 		r.StoreSeq(wi, meta|shadow.Word(newTag))
 		a.recordTagTransition(oldTag, newTag)
 		return issue, prior
-	case ompt.DispatchEpochSharded:
-		// This shard owns the word for the whole epoch (Theorem 1): plain
-		// load/store, published by the epoch barrier.
-		old := r.LoadPlain(wi)
-		newTag, issue := vsm.TransitionTag(old.Tag(), op)
-		nw := meta | shadow.Word(newTag)
-		r.StorePlain(wi, nw)
-		vsm.RecordTransition(a.stats, old, nw)
-		return issue, old
 	default:
 		slot := r.Slot(wi)
 		for {
@@ -816,11 +792,6 @@ func (a *Arbalest) applyOne(ovAddr mem.Addr, devLoc int, op vsm.Op) {
 		old := r.LoadPlain(wi)
 		nw, _ := vsm.Transition(old, op)
 		r.StoreSeq(wi, nw)
-		vsm.RecordTransition(a.stats, old, nw)
-	case ompt.DispatchEpochSharded:
-		old := r.LoadPlain(wi)
-		nw, _ := vsm.Transition(old, op)
-		r.StorePlain(wi, nw)
 		vsm.RecordTransition(a.stats, old, nw)
 	default:
 		slot := r.Slot(wi)

@@ -30,8 +30,6 @@ type WorkerConfig struct {
 	CoordinatorURL string
 	// PollWait is the lease long-poll duration (default 5s).
 	PollWait time.Duration
-	// ReplayWorkers is the per-job analysis fan-out (default 1).
-	ReplayWorkers int
 	// CheckpointEvery asks the replay to stream a checkpoint to the
 	// coordinator roughly every this many events, at epoch boundaries
 	// (default 4096; 0 keeps the default, negative disables).
@@ -60,9 +58,6 @@ type WorkerConfig struct {
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.PollWait <= 0 {
 		c.PollWait = 5 * time.Second
-	}
-	if c.ReplayWorkers == 0 {
-		c.ReplayWorkers = 1
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 4096
@@ -338,7 +333,6 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	wt.end(restoreSpan, nil)
 
 	opts := trace.DurableOptions{
-		Workers:    w.cfg.ReplayWorkers,
 		StartEvent: start,
 		Progress:   trace.NewReplayProgress(),
 	}

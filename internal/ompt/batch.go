@@ -14,11 +14,6 @@ const (
 	// goroutines with no per-word ownership. Tools must use their fully
 	// synchronized (CAS/locked) paths.
 	DispatchShared DispatchMode = iota
-	// DispatchEpochSharded: epoch-parallel replay. Within an epoch each
-	// worker owns its shard's words exclusively; the epoch barrier is the
-	// publication fence. Tools may drop per-word CAS but must keep any
-	// cross-shard structures synchronized.
-	DispatchEpochSharded
 	// DispatchSequential: a single goroutine delivers every callback.
 	// Tools may drop all synchronization and enable single-threaded
 	// accelerator structures (tag planes, lookup memos).
@@ -48,10 +43,9 @@ func (d *Dispatcher) SetDispatchMode(m DispatchMode) {
 // fields (Tag, Loc) stay in the original event payloads, reached through
 // Events only on slow paths. Copying strings per event would cost a GC
 // write barrier each; aliasing the payload costs nothing. Batches are
-// built by the trace layer from maximal runs of consecutive access events
-// and consumed whole by tools that implement BatchTool. The aliased
-// payloads must stay alive until the batch is dispatched — the trace
-// layer flushes every batch before recycling or discarding its events.
+// built by the trace layer as views of a trace's decode-once access
+// columns, bounded by barrier events, and consumed whole by tools that
+// implement BatchTool.
 type AccessBatch struct {
 	Events  []*AccessEvent
 	Addrs   []mem.Addr
@@ -79,36 +73,6 @@ type AccessBatch struct {
 
 // Len returns the number of events in the batch.
 func (b *AccessBatch) Len() int { return len(b.Addrs) }
-
-// Reset empties the batch, keeping capacity for reuse. The Events column
-// is cleared so the batch does not pin dispatched payloads.
-func (b *AccessBatch) Reset() {
-	clear(b.Events)
-	b.Events = b.Events[:0]
-	b.Addrs = b.Addrs[:0]
-	b.Sizes = b.Sizes[:0]
-	b.Writes = b.Writes[:0]
-	b.Devices = b.Devices[:0]
-	b.Tasks = b.Tasks[:0]
-	b.Threads = b.Threads[:0]
-	b.Bases = b.Bases[:0]
-	b.Clocks = b.Clocks[:0]
-	b.Sites, b.SiteTags, b.SiteLocs = nil, nil, nil
-}
-
-// Append adds one event to the batch. clock overrides e.Clock (the trace
-// layer stamps the replay clock here, mirroring its per-event path).
-func (b *AccessBatch) Append(e *AccessEvent, clock uint64) {
-	b.Events = append(b.Events, e)
-	b.Addrs = append(b.Addrs, e.Addr)
-	b.Sizes = append(b.Sizes, e.Size)
-	b.Writes = append(b.Writes, e.Write)
-	b.Devices = append(b.Devices, e.Device)
-	b.Tasks = append(b.Tasks, e.Task)
-	b.Threads = append(b.Threads, e.Thread)
-	b.Bases = append(b.Bases, e.Base)
-	b.Clocks = append(b.Clocks, clock)
-}
 
 // At reconstructs event i as a plain AccessEvent (slow paths, reports),
 // with the batch's replay clock stamped in.

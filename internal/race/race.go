@@ -219,7 +219,7 @@ type accessRecord struct {
 // read that superseded it, so no race is lost), and the backing array is
 // reused across the write that clears the set. That keeps the per-access
 // hot path free of map assignments and map churn — allocation pressure
-// here is what bounds parallel replay scaling.
+// here is what bounds concurrent analysis scaling.
 type cell struct {
 	write accessRecord
 	// read0 inlines the first entry of the concurrent read set (task 0 =
@@ -298,7 +298,7 @@ type Detector struct {
 	// live maps task id -> *taskClock. A sync.Map keeps the per-access
 	// clock lookup lock-free: taskClockOf is on the hot path of every
 	// instrumented access, and a plain mutex-guarded map serializes all
-	// replay workers through one cache line.
+	// concurrent runtime threads through one cache line.
 	live sync.Map
 
 	mu    sync.Mutex // serializes OnSync and guards ended
@@ -359,10 +359,8 @@ func New(sink *report.Sink) *Detector {
 // Name implements ompt.Tool.
 func (d *Detector) Name() string { return "Archer" }
 
-// SetDispatchMode implements ompt.ModalTool. Only DispatchSequential
-// relaxes locking: epoch-sharded replay shards accesses by the VSM's
-// canonical-word hash, which does not coincide with this detector's
-// shard function, so concurrent workers may still collide on a shard.
+// SetDispatchMode implements ompt.ModalTool. DispatchSequential relaxes
+// locking; any other mode keeps it.
 func (d *Detector) SetDispatchMode(m ompt.DispatchMode) {
 	d.seqMode = m == ompt.DispatchSequential
 	d.memoTC = nil
@@ -653,7 +651,7 @@ func (d *Detector) OnDataOp(e ompt.DataOpEvent) {
 //
 // In sequential mode the task clock and cell page are tracked in locals
 // rather than through the detector's one-entry memos: a batch holds only
-// access events (barriers flush the batcher first), so no OnSync can swap
+// access events (barrier events bound it), so no OnSync can swap
 // a clock object and no clearRange can recycle a page mid-batch, and the
 // loop touches detector state only on an actual task or page switch.
 func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {

@@ -186,9 +186,8 @@ func (s *Sink) Add(r *Report) bool {
 // "no clock", Add's behavior). When a report with the same key already
 // exists and both carry clocks, the smaller clock wins — duplicate keys keep
 // the report of the earliest access in trace order regardless of the order
-// the sink saw them, which makes parallel replay's surviving reports
-// identical to sequential replay's. It reports whether r is now the kept
-// report for its key.
+// the sink saw them, so the surviving reports depend on the trace alone. It
+// reports whether r is now the kept report for its key.
 func (s *Sink) AddAt(seq uint64, r *Report) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,8 +210,8 @@ func (s *Sink) AddAt(seq uint64, r *Report) bool {
 }
 
 // Reports returns the recorded reports. Reports carrying replay clocks come
-// back in trace order (insertion order otherwise), so sequential and
-// parallel replays of one trace render identical listings.
+// back in trace order (insertion order otherwise), so every replay of one
+// trace renders an identical listing.
 func (s *Sink) Reports() []*Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,10 +7,6 @@ import (
 	"repro/internal/tools"
 )
 
-// ShardBuckets is the bucket layout for the replay-shard histogram:
-// powers of two spanning 1 (sequential) through a large worker pool.
-var ShardBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // Metrics is the service's metric surface, backed by a telemetry.Registry
 // rendered at GET /metrics in the Prometheus text exposition format (with
 // # HELP/# TYPE lines). Counter and gauge updates are single atomic
@@ -48,7 +44,6 @@ type Metrics struct {
 	parseSeconds    *telemetry.Histogram
 	replaySeconds   *telemetry.Histogram
 	jobSeconds      *telemetry.Histogram
-	replayShards    *telemetry.Histogram
 	checkpointBytes *telemetry.Histogram
 
 	vsmTransitions  *telemetry.CounterVec
@@ -104,8 +99,6 @@ func newMetrics() *Metrics {
 			"Replay wall time per job.", telemetry.DurationBuckets),
 		jobSeconds: reg.Histogram("arbalestd_job_duration_seconds",
 			"End-to-end job time from accept to terminal state.", telemetry.DurationBuckets),
-		replayShards: reg.Histogram("arbalestd_replay_shards",
-			"Replay analysis shards (worker goroutines) used per job; 1 means sequential dispatch.", ShardBuckets),
 		checkpointBytes: reg.Histogram("arbalestd_checkpoint_bytes",
 			"Serialized analyzer-state size per checkpoint, in bytes.", telemetry.SizeBuckets),
 

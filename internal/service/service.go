@@ -78,12 +78,6 @@ type Config struct {
 	// Workers is the replay worker-pool size — how many jobs analyze
 	// concurrently (default GOMAXPROCS).
 	Workers int
-	// ReplayWorkers is the per-job analysis fan-out: each replay shards
-	// its access events across this many goroutines (epoch-sharded, see
-	// trace.ReplayParallel). 0 defaults to 1 (sequential dispatch, the
-	// historical behavior); negative means GOMAXPROCS. Findings are
-	// identical to sequential replay regardless of the setting.
-	ReplayWorkers int
 	// QueueSize bounds the number of queued-but-not-running jobs
 	// (default 64). A full queue rejects submissions rather than blocking.
 	QueueSize int
@@ -96,11 +90,11 @@ type Config struct {
 	ReplayTimeout time.Duration
 	// CheckpointEvery, when positive and a Journal is configured, asks
 	// each replay to checkpoint the analyzer's state roughly every this
-	// many events (taken at the next epoch boundary, where the analysis
-	// pool is drained). After a crash, Recover resumes such jobs from
-	// their freshest checkpoint instead of replaying from scratch. Only
-	// analyzers implementing tools.Checkpointer participate; the rest
-	// re-run from the start as before. 0 disables checkpointing.
+	// many events (taken at the next epoch boundary). After a crash,
+	// Recover resumes such jobs from their freshest checkpoint instead of
+	// replaying from scratch. Only analyzers implementing
+	// tools.Checkpointer participate; the rest re-run from the start as
+	// before. 0 disables checkpointing.
 	CheckpointEvery uint64
 	// StallTimeout, when positive, arms a per-job watchdog: a replay
 	// whose progress heartbeats stop advancing for this long is canceled
@@ -188,9 +182,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ReplayWorkers == 0 {
-		c.ReplayWorkers = 1
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
@@ -685,6 +676,9 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		ps := j.span.StartChild("parse", opts.Start)
 		ps.EndAt(opts.Start.Add(opts.ParseDuration))
 	}
+	// Validation, deduplication and tenant admission ran between the parse
+	// and here.
+	j.span.StartChild("admit", opts.Start.Add(opts.ParseDuration)).EndAt(time.Time{})
 	if s.cfg.Journal != nil {
 		// Write-ahead: the job is journaled (trace + pending mark,
 		// fsynced) before it is acknowledged or enqueued, so a crash
@@ -927,8 +921,8 @@ func (s *Service) mark(j *job, status, errMsg string, result json.RawMessage) {
 }
 
 // errStalled marks a replay whose progress heartbeats stopped advancing for
-// longer than Config.StallTimeout. runJob retries such a job once,
-// sequentially, from its freshest checkpoint.
+// longer than Config.StallTimeout. runJob retries such a job once, from
+// its freshest checkpoint.
 var errStalled = errors.New("service: replay stalled: no progress within the stall timeout")
 
 // runJob replays one job's trace through a fresh analyzer and records the
@@ -937,7 +931,7 @@ var errStalled = errors.New("service: replay stalled: no progress within the sta
 // a stack fragment, and the worker goes on to its next job. A job carrying
 // a checkpoint (from a previous life of the daemon) resumes from it; with
 // Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
-// and retries them once sequentially.
+// and retries them once.
 func (s *Service) runJob(j *job) {
 	s.mu.Lock()
 	j.status = StatusRunning
@@ -952,7 +946,9 @@ func (s *Service) runJob(j *job) {
 	ckpt := j.ckpt
 	hook := s.testHookRunning
 	s.mu.Unlock()
+	markStart := time.Now()
 	s.mark(j, journal.StatusRunning, "", nil)
+	markEnd := time.Now()
 	if hook != nil {
 		hook(j.id)
 	}
@@ -965,7 +961,7 @@ func (s *Service) runJob(j *job) {
 		summary     *tools.Summary
 		rstats      trace.ReplayStats
 	)
-	attempt := func(workers int, ck *trace.Checkpoint) (err error) {
+	attempt := func(ck *trace.Checkpoint) (err error) {
 		// Each attempt gets its own replay span, closed in the deferred
 		// epilogue below no matter how the attempt ends — success, failure,
 		// watchdog cancellation, or panic. A job retried after a stall thus
@@ -994,7 +990,6 @@ func (s *Service) runJob(j *job) {
 			s.mu.Lock()
 			if rs != nil {
 				rs.SetCount("events", int64(j.events))
-				rs.SetCount("shards", int64(rstats.Workers))
 				rs.SetCount("epochs", int64(rstats.Epochs))
 				rs.SetCount("maxEpochAccesses", int64(rstats.MaxEpochAccesses))
 				if err != nil {
@@ -1070,7 +1065,6 @@ func (s *Service) runJob(j *job) {
 		defer cancel(nil)
 
 		opts := trace.DurableOptions{
-			Workers:    workers,
 			StartEvent: start,
 			Progress:   trace.NewReplayProgress(),
 		}
@@ -1087,7 +1081,6 @@ func (s *Service) runJob(j *job) {
 		}
 		wall = time.Since(replayStart)
 		s.metrics.replaySeconds.ObserveDuration(wall)
-		s.metrics.replayShards.Observe(float64(rstats.Workers))
 		if err != nil {
 			return err
 		}
@@ -1104,7 +1097,7 @@ func (s *Service) runJob(j *job) {
 		return nil
 	}
 
-	err := attempt(s.cfg.ReplayWorkers, ckpt)
+	err := attempt(ckpt)
 	if errors.Is(err, errStalled) {
 		s.metrics.watchdogRetries.Inc()
 		s.mu.Lock()
@@ -1115,17 +1108,21 @@ func (s *Service) runJob(j *job) {
 			resume = retryCkpt.NextEvent
 		}
 		delay := watchdogRetryDelay(s.cfg.StallTimeout)
-		s.jobLogger(j).Warn("retrying stalled replay sequentially",
+		s.jobLogger(j).Warn("retrying stalled replay",
 			"phase", "replay", "resume_event", resume, "delay", delay)
 		time.Sleep(delay)
-		err = attempt(1, retryCkpt)
+		err = attempt(retryCkpt)
 	}
 
 	var resultJSON json.RawMessage
+	var encStart time.Time
+	var encDur time.Duration
 	if err == nil && summary != nil {
+		encStart = time.Now()
 		if b, merr := json.Marshal(summary); merr == nil {
 			resultJSON = b
 		}
+		encDur = time.Since(encStart)
 	}
 
 	s.mu.Lock()
@@ -1141,12 +1138,18 @@ func (s *Service) runJob(j *job) {
 		j.result = summary
 	}
 	if j.span != nil {
+		if s.cfg.Journal != nil {
+			j.span.StartChild("mark", markStart).EndAt(markEnd)
+		}
 		if !sumStart.IsZero() {
 			ss := j.span.StartChild("summarize", sumStart)
 			ss.EndAt(sumStart.Add(sumDur))
 			if summary != nil {
 				ss.SetCount("issues", int64(summary.Issues))
 			}
+		}
+		if !encStart.IsZero() {
+			j.span.StartChild("encode", encStart).EndAt(encStart.Add(encDur))
 		}
 		if err != nil {
 			j.span.SetError(err.Error())
@@ -1178,7 +1181,7 @@ func (s *Service) runJob(j *job) {
 }
 
 // watchdogRetryDelay is the full-jitter pause before a stalled replay's
-// sequential retry: uniform in [0, StallTimeout/2]. Stalls usually share a
+// retry: uniform in [0, StallTimeout/2]. Stalls usually share a
 // cause (an overloaded disk, a CPU-starved host, a slow shared dependency),
 // so a fleet of jobs whose watchdogs all fired together must not retry in
 // lockstep and re-create the very contention that stalled them.
@@ -1190,8 +1193,8 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 }
 
 // checkpointFunc builds the ReplayDurable checkpoint callback for one job:
-// serialize the analyzer at the (drained) epoch boundary, write the frame
-// into the spool, and remember the checkpoint on the job so a watchdog
+// serialize the analyzer at the epoch boundary, write the frame into the
+// spool, and remember the checkpoint on the job so a watchdog
 // retry resumes from it. Serialization and spool failures are counted and
 // logged but never fail the replay — a checkpoint is an optimization. A
 // canceled context (watchdog, timeout) aborts the replay instead of
@@ -1291,8 +1294,7 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 			if time.Since(lastBeat) < s.cfg.StallTimeout {
 				continue
 			}
-			// Stalled: no event was dispatched anywhere in the engine for a
-			// full stall timeout.
+			// Stalled: no event was dispatched for a full stall timeout.
 			s.metrics.jobsStalled.Inc()
 			s.jobLogger(j).Warn("replay made no progress; canceling",
 				"phase", "replay", "events_done", lastSum, "stall_timeout", s.cfg.StallTimeout)
@@ -1308,7 +1310,7 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 				}
 				return res.stats, fmt.Errorf("%w (%v)", errStalled, res.err)
 			case <-time.After(s.cfg.StallTimeout):
-				// The replay never reached a cancellation check: a worker is
+				// The replay never reached a cancellation check: it is
 				// wedged inside analyzer code. Abandon the goroutine — the
 				// buffered channel lets it exit whenever it wakes up.
 				s.jobLogger(j).Error("stalled replay did not acknowledge cancellation; abandoning it",

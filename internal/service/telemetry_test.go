@@ -18,7 +18,7 @@ import (
 func TestEndToEndTelemetry(t *testing.T) {
 	tr := recordTrace(t, 22)
 
-	s := New(Config{Workers: 2, AnalyzerStats: true})
+	s := New(Config{Workers: 2, AnalyzerStats: true, Journal: newJournal(t)})
 	s.Start()
 	defer shutdownOrFail(t, s)
 	srv := httptest.NewServer(s.Handler())
@@ -53,7 +53,7 @@ func TestEndToEndTelemetry(t *testing.T) {
 	if span.Name != "job" || span.DurationNanos <= 0 {
 		t.Fatalf("bad root span: %+v", span)
 	}
-	for _, phase := range []string{"parse", "queue", "replay", "summarize"} {
+	for _, phase := range []string{"parse", "admit", "journal", "queue", "mark", "replay", "summarize", "encode"} {
 		if span.Child(phase) == nil {
 			t.Errorf("span tree missing %q child: %+v", phase, span.Children)
 		}
@@ -112,8 +112,8 @@ func TestEndToEndTelemetry(t *testing.T) {
 	if _, ok := promtest.Find(fams, "arbalestd_replay_nanoseconds_total", nil); ok {
 		t.Error("deprecated replay_nanoseconds_total still exposed after its removal release")
 	}
-	if s, ok := promtest.Find(fams, "arbalestd_replay_shards_count", nil); !ok || s.Value != 1 {
-		t.Errorf("replay_shards_count = %+v (found %v), want 1", s, ok)
+	if s, ok := promtest.Find(fams, "arbalestd_replay_duration_seconds_count", nil); !ok || s.Value != 1 {
+		t.Errorf("replay_duration_seconds_count = %+v (found %v), want 1", s, ok)
 	}
 	bi := telemetry.Version()
 	if _, ok := promtest.Find(fams, "arbalestd_build_info",

@@ -18,20 +18,15 @@ import (
 //   - ModeShared (the zero value) is the paper's §IV-C lock-free design:
 //     every word update is an atomic compare-and-swap, safe for genuinely
 //     concurrent callers (online OpenMP runtimes, shared stream sessions).
-//   - ModeEpoch is for epoch-sharded parallel replay: within an epoch each
-//     worker owns its words exclusively, so updates are plain load/store;
-//     the epoch barrier's channel/WaitGroup handoff is the publication
-//     fence that makes them visible across workers.
-//   - ModeSeq is for single-goroutine dispatch (sequential replay,
-//     exclusive stream sessions). On top of plain load/store it maintains
-//     the nibble-per-word tag plane, so state-only checks read 16 words of
+//   - ModeSeq is for single-goroutine dispatch (replay, exclusive stream
+//     sessions). Updates are plain load/store, and it maintains the
+//     nibble-per-word tag plane, so state-only checks read 16 words of
 //     VSM state per cache line and transitions run off a table.
 type Mode uint8
 
 // The shadow update modes.
 const (
 	ModeShared Mode = iota
-	ModeEpoch
 	ModeSeq
 )
 
@@ -128,12 +123,8 @@ func (r *Region) Slot(wi int) *uint64 { return &r.words[wi] }
 // Load atomically reads word wi (ModeShared readers).
 func (r *Region) Load(wi int) Word { return Word(atomic.LoadUint64(&r.words[wi])) }
 
-// LoadPlain reads word wi without synchronization (exclusive modes).
+// LoadPlain reads word wi without synchronization (ModeSeq).
 func (r *Region) LoadPlain(wi int) Word { return Word(r.words[wi]) }
-
-// StorePlain writes word wi without synchronization and without touching
-// the tag plane (ModeEpoch: tags are not maintained there).
-func (r *Region) StorePlain(wi int, w Word) { r.words[wi] = uint64(w) }
 
 // StoreSeq writes word wi and mirrors its low nibble into the tag plane
 // (ModeSeq only — single-goroutine callers).
@@ -404,7 +395,7 @@ func (m *Memory) PeakBytes() uint64 { return m.peak.Load() }
 
 // Update atomically applies fn to the shadow word in slot until the CAS
 // succeeds, returning the old and new values. fn must be pure. This is the
-// ModeShared discipline; exclusive modes write through StorePlain/StoreSeq.
+// ModeShared discipline; ModeSeq writes through StoreSeq.
 func Update(slot *uint64, fn func(Word) Word) (old, new Word) {
 	for {
 		o := Word(atomic.LoadUint64(slot))

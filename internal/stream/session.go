@@ -58,9 +58,15 @@ type Session struct {
 	tquota    *tenant.Tenant
 	quotaHeld bool
 	reserved  int64
-	analyzer  tools.Analyzer // nil for sessions recovered as history
-	cp        tools.Checkpointer
-	d         ompt.Dispatcher
+	// analyzer, cp and d are the live analysis state. They are dropped when
+	// the session goes terminal, and are nil for sessions recovered as
+	// history.
+	analyzer tools.Analyzer
+	cp       tools.Checkpointer
+	d        ompt.Dispatcher
+	// reports holds a failed or evicted session's findings once its
+	// analyzer is dropped.
+	reports []report.Report
 	// dec decodes the current ingest request's body; each request carries a
 	// complete framed stream (header plus frames), so every request gets a
 	// fresh decoder and duplicate events are skipped by sequence number.
@@ -279,21 +285,39 @@ func (s *Session) viewLocked() View {
 // reportsLocked returns the session's findings in replay-clock order. Live
 // sessions read the analyzer's sink — in online mode events dispatch
 // sequentially with increasing clocks, so the list only ever appends and an
-// integer cursor into it is stable. History sessions serve the journaled
-// summary's reports.
+// integer cursor into it is stable. Terminal sessions serve what was kept
+// when the analyzer was dropped: the summary's reports for a done session,
+// the copied reports for a failed or evicted one.
 func (s *Session) reportsLocked() []report.Report {
-	if s.analyzer != nil {
+	switch {
+	case s.analyzer != nil:
 		rs := s.analyzer.Sink().Reports()
 		out := make([]report.Report, len(rs))
 		for i, r := range rs {
 			out[i] = *r
 		}
 		return out
-	}
-	if s.summary != nil {
+	case s.reports != nil:
+		return s.reports
+	case s.summary != nil:
 		return s.summary.Reports
 	}
 	return nil
+}
+
+// dropAnalyzerLocked lets go of the session's analysis state, shadow slabs
+// and race state included, so a finished session costs only its findings
+// until retention GC. release returns the slabs to the arena; only the clean
+// path passes it, since a failed analyzer may be mid-callback or corrupt.
+// The caller holds s.mu.
+func (s *Session) dropAnalyzerLocked(release bool) {
+	if s.analyzer == nil {
+		return
+	}
+	if rel, ok := s.analyzer.(tools.Releaser); ok && release {
+		rel.Release()
+	}
+	s.analyzer, s.cp, s.d = nil, nil, ompt.Dispatcher{}
 }
 
 // notifyLocked wakes every long-poller; the caller must hold s.mu.
@@ -472,14 +496,10 @@ func (s *Session) applyEvent(dec *trace.PushDecoder, e *trace.Event) error {
 			return fmt.Errorf("stream: spool append: %w", err)
 		}
 	}
-	// The same index-only barrier rule as trace.ReplayDurable: after a
-	// non-access event, checkpoint once CheckpointEvery events have passed
-	// since the last cut. Indices only — no wall clock, no worker count — so
-	// a stream and a durable batch replay checkpoint at identical
-	// boundaries.
-	if e.Kind != trace.KindAccess && !s.recovering && s.cp != nil &&
-		s.hub.cfg.Journal != nil && s.hub.cfg.CheckpointEvery > 0 &&
-		boundary-s.lastCkpt >= s.hub.cfg.CheckpointEvery {
+	// The durable replay's rule, so a stream and a batch replay checkpoint
+	// at identical boundaries.
+	if !s.recovering && s.cp != nil && s.hub.cfg.Journal != nil &&
+		trace.CheckpointDue(e.Kind, boundary, s.lastCkpt, s.hub.cfg.CheckpointEvery) {
 		s.checkpointLocked(boundary)
 	}
 	return nil
@@ -579,7 +599,13 @@ func (s *Session) Finalize() (View, error) {
 		return View{}, ErrBusy
 	}
 	sum := tools.Summarize(s.analyzer)
+	if sum.Reports == nil {
+		// The findings page of a session without findings lists [], not
+		// null, as it did while the session was live.
+		sum.Reports = []report.Report{}
+	}
 	s.summary = sum
+	s.dropAnalyzerLocked(true)
 	s.status = StatusDone
 	s.finished = time.Now()
 	s.endTraceLocked()
@@ -600,7 +626,7 @@ func (s *Session) Finalize() (View, error) {
 // journal state entirely: an aborted stream is not worth recovering.
 // Reports whether this call performed the transition.
 func (s *Session) Abort() bool {
-	if !s.finish(StatusFailed, "aborted by client", nil) {
+	if !s.finish(StatusFailed, "aborted by client") {
 		return false
 	}
 	if s.hub.cfg.Journal != nil {
@@ -615,7 +641,7 @@ func (s *Session) Abort() bool {
 // fail moves the session to failed exactly once, counting corruption and
 // journaling the error.
 func (s *Session) fail(err error) {
-	if !s.finish(StatusFailed, err.Error(), nil) {
+	if !s.finish(StatusFailed, err.Error()) {
 		return
 	}
 	var ce *trace.CorruptionError
@@ -627,10 +653,11 @@ func (s *Session) fail(err error) {
 	s.hub.dropCheckpoint(s)
 }
 
-// finish performs the exactly-once live → terminal transition, waking
-// long-pollers, releasing the spool, and settling hub accounting. Reports
+// finish performs the exactly-once live → terminal transition for the
+// failed and evicted paths: keep the findings so far, drop the analyzer,
+// wake long-pollers, release the spool, and settle hub accounting. Reports
 // whether this call won the transition. Never called with s.mu held.
-func (s *Session) finish(status Status, errMsg string, sum *tools.Summary) bool {
+func (s *Session) finish(status Status, errMsg string) bool {
 	s.mu.Lock()
 	if s.status != StatusLive {
 		s.mu.Unlock()
@@ -638,7 +665,10 @@ func (s *Session) finish(status Status, errMsg string, sum *tools.Summary) bool 
 	}
 	s.status = status
 	s.errMsg = errMsg
-	s.summary = sum
+	if s.analyzer != nil {
+		s.reports = s.reportsLocked()
+	}
+	s.dropAnalyzerLocked(false)
 	s.finished = time.Now()
 	s.endTraceLocked()
 	s.notifyLocked()

@@ -9,7 +9,7 @@
 // each chunk is decoded incrementally (trace.PushDecoder), every completed
 // event advances the VSM through the same dispatch path batch replay uses —
 // with the same Seq-derived replay clocks — so the findings a session
-// accumulates are byte-identical to trace.ReplayParallel over the same
+// accumulates are byte-identical to trace.ReplayDurable over the same
 // events. Findings are readable mid-stream with a long-poll cursor; the
 // min-seq dedup in report.Sink makes the stream's incremental report list
 // append-only, so a plain integer cursor is a stable resume token.
@@ -18,8 +18,9 @@
 //
 // With a journal configured, every applied event is re-framed into the
 // session's spool (<id>.sbytes) and the analyzer checkpoints at the same
-// index-only barrier rule as trace.ReplayDurable: after a non-access event,
-// once CheckpointEvery events have passed since the last checkpoint. The
+// index-only barrier rule as trace.ReplayDurable (trace.CheckpointDue):
+// after a non-access event, once CheckpointEvery events have passed since
+// the last checkpoint. The
 // spool is fsynced before each checkpoint, so checkpointed progress never
 // outruns replayable bytes. After a crash, Recover restores each live
 // session from its freshest checkpoint, re-feeds the spooled suffix, and
@@ -368,7 +369,7 @@ func (h *Hub) janitor(stop <-chan struct{}, done chan<- struct{}) {
 // ("idle", "slow", "budget") in the eviction metrics and the journal. It
 // reports whether this call performed the transition.
 func (h *Hub) Evict(s *Session, reason string) bool {
-	if !s.finish(StatusEvicted, "evicted: "+reason, nil) {
+	if !s.finish(StatusEvicted, "evicted: "+reason) {
 		return false
 	}
 	h.metrics.evicted.With(reason).Inc()

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,17 +32,17 @@ func recordDRACC(t testing.TB, b *dracc.Benchmark) *trace.Trace {
 	return rec.Trace()
 }
 
-// batchReports replays tr through trace.ReplayParallel at the given worker
-// count and renders every report to its full string form — the baseline a
-// streamed session must match byte for byte.
-func batchReports(t testing.TB, tr *trace.Trace, toolName string, workers int) []string {
+// batchReports replays tr through trace.ReplayDurable and renders every
+// report to its full string form — the baseline a streamed session must
+// match byte for byte.
+func batchReports(t testing.TB, tr *trace.Trace, toolName string) []string {
 	t.Helper()
 	a, err := tools.New(toolName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.ReplayParallel(context.Background(), workers, a); err != nil {
-		t.Fatalf("batch replay (workers=%d): %v", workers, err)
+	if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{}, a); err != nil {
+		t.Fatalf("batch replay: %v", err)
 	}
 	reports := a.Sink().Reports()
 	out := make([]string, len(reports))
@@ -210,13 +212,13 @@ func assertSameReports(t *testing.T, label string, got, want []string) {
 // TestStreamEquivalenceDRACC is the subsystem's correctness anchor: for
 // every DRACC benchmark, the findings of a streamed session — at several
 // chunk shapes, including 1-event chunks and byte-at-a-time feeds — are
-// byte-identical (content and order) to trace.ReplayParallel over the same
+// byte-identical (content and order) to trace.ReplayDurable over the same
 // events.
 func TestStreamEquivalenceDRACC(t *testing.T) {
 	h := newTestHub(t, func(c *Config) { c.MaxFinished = -1; c.MaxStreams = -1 })
 	for _, b := range dracc.All() {
 		tr := recordDRACC(t, b)
-		want := batchReports(t, tr, "arbalest", 1)
+		want := batchReports(t, tr, "arbalest")
 		if b.Defect == dracc.DefectNone && len(want) != 0 {
 			t.Fatalf("%s: batch replay reported on a correct benchmark: %q", b.Name(), want)
 		}
@@ -231,11 +233,6 @@ func TestStreamEquivalenceDRACC(t *testing.T) {
 			got := streamedReports(t, h, tr, "arbalest", shape.chunkEvents)
 			assertSameReports(t, b.Name()+"/"+shape.label, got, want)
 		}
-		// The parallel batch engine must agree too: stream == sequential ==
-		// sharded, the tier-1 equivalence chain.
-		if b.Defect != dracc.DefectNone {
-			assertSameReports(t, b.Name()+"/parallel-batch", batchReports(t, tr, "arbalest", 4), want)
-		}
 	}
 }
 
@@ -247,7 +244,7 @@ func TestStreamEquivalenceRequestShapes(t *testing.T) {
 	h := newTestHub(t, nil)
 	b := dracc.ByID(22)
 	tr := recordDRACC(t, b)
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	assertSameReports(t, "request-per-event", streamedReports(t, h, tr, "arbalest", -1), want)
 	assertSameReports(t, "byte-at-a-time", streamedReports(t, h, tr, "arbalest", -2), want)
 }
@@ -258,7 +255,7 @@ func TestStreamEquivalenceRequestShapes(t *testing.T) {
 func TestStreamDuplicatesSkipped(t *testing.T) {
 	h := newTestHub(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	s := openSession(t, h, "arbalest")
 
 	half := len(tr.Events) / 2
@@ -443,7 +440,7 @@ func TestStreamLimits(t *testing.T) {
 func TestStreamFindingsCursor(t *testing.T) {
 	h := newTestHub(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	if len(want) == 0 {
 		t.Fatal("benchmark 22 produced no batch findings")
 	}
@@ -511,7 +508,7 @@ func TestStreamRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 
 	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: 4})
 	s1 := openSession(t, h1, "arbalest")
@@ -610,7 +607,7 @@ func TestStreamRecoveryUncheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordDRACC(t, dracc.ByID(26))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 
 	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
 	s1 := openSession(t, h1, "arbalest")
@@ -842,4 +839,74 @@ func TestStreamTraceContinuity(t *testing.T) {
 	if traces2.Get(client.TraceID) != nil {
 		t.Fatal("session evicted but its trace leaked in the store")
 	}
+}
+
+// TestSessionDropsAnalyzerWhenTerminal: a session that goes terminal lets
+// go of its analyzer (shadow slabs, race state), yet its view and findings
+// read the same as just before, on the clean close path and the failure
+// path alike.
+func TestSessionDropsAnalyzerWhenTerminal(t *testing.T) {
+	h := newTestHub(t, nil)
+	type snapshot struct {
+		findings int
+		events   uint64
+		page     string
+	}
+	snap := func(s *Session) snapshot {
+		v := s.View()
+		fv := s.Findings(0)
+		page, err := json.Marshal(struct {
+			Next    int
+			Reports any
+		}{fv.Next, fv.Reports})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshot{v.Findings, v.Events, string(page)}
+	}
+	check := func(label string, s *Session, before snapshot, want Status) {
+		t.Helper()
+		if got := s.View().Status; got != want {
+			t.Fatalf("%s: status %s, want %s", label, got, want)
+		}
+		if after := snap(s); after != before {
+			t.Errorf("%s: before the drop %+v, after %+v", label, before, after)
+		}
+		s.mu.Lock()
+		gone := s.analyzer == nil && s.cp == nil
+		s.mu.Unlock()
+		if !gone {
+			t.Errorf("%s: terminal session still holds its analyzer", label)
+		}
+	}
+
+	for _, id := range []int{22, 1} { // one with findings, one without
+		tr := recordDRACC(t, dracc.ByID(id))
+		s := openSession(t, h, "arbalest")
+		feedChunks(t, s, frameEvents(t, tr, 0), 0)
+		before := snap(s)
+		if _, err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("done DRACC %d", id), s, before, StatusDone)
+	}
+
+	tr := recordDRACC(t, dracc.ByID(22))
+	s := openSession(t, h, "arbalest")
+	feedChunks(t, s, frameEvents(t, tr, 0), 0)
+	before := snap(s)
+	if before.findings == 0 {
+		t.Fatal("DRACC 22 produced no findings to keep")
+	}
+	// A corrupt frame (payload byte flipped under its CRC) fails the session.
+	bad := frameEvents(t, tr, len(tr.Events)-1)
+	bad[len(bad)-1] ^= 0xFF
+	if err := s.StartIngest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Feed(bad); err == nil {
+		t.Fatal("corrupt frame accepted")
+	}
+	s.EndIngest()
+	check("failed", s, before, StatusFailed)
 }

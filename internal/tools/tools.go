@@ -6,7 +6,6 @@
 package tools
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/baselines"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/race"
 	"repro/internal/report"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Analyzer is the common surface of every analysis tool in this repository.
@@ -41,16 +39,11 @@ func Names() []string {
 	return []string{"arbalest", "valgrind", "archer", "asan", "msan"}
 }
 
-// Options configures analyzer construction and replay.
+// Options configures analyzer construction.
 type Options struct {
 	// Stats enables analyzer-level telemetry collection (StatsProvider
 	// analyzers only; ignored for the rest).
 	Stats bool
-	// Parallelism is the replay worker count: 1 dispatches sequentially,
-	// n > 1 fans access analysis out across n goroutines, and 0 means
-	// GOMAXPROCS. Analyzers that require sequential replay (e.g. ARBALEST
-	// in region or byte granularity) force 1 regardless.
-	Parallelism int
 }
 
 // NewWithOptions creates the named tool and applies opts.
@@ -65,13 +58,6 @@ func NewWithOptions(name string, opts Options) (Analyzer, error) {
 		}
 	}
 	return a, nil
-}
-
-// Replay drives tr through a with opts.Parallelism workers, returning the
-// engine's statistics. The findings are identical to sequential replay; see
-// trace.ReplayParallel.
-func Replay(ctx context.Context, tr *trace.Trace, a Analyzer, opts Options) (trace.ReplayStats, error) {
-	return tr.ReplayParallel(ctx, opts.Parallelism, a)
 }
 
 // New creates the named tool. Valid names are "arbalest" (VSM detector plus
@@ -119,11 +105,6 @@ func NewArbalestFull(sink *report.Sink) *ArbalestFull {
 
 // VSM returns the embedded mapping-issue detector.
 func (a *ArbalestFull) VSM() *core.Arbalest { return a.vsm }
-
-// RequiresSequentialReplay forwards the VSM component's constraint (region
-// and byte granularity cannot take parallel dispatch; the race detector has
-// no such modes).
-func (a *ArbalestFull) RequiresSequentialReplay() bool { return a.vsm.RequiresSequentialReplay() }
 
 // EnableStats implements StatsProvider by enabling collection on the VSM
 // component (the race detector is not instrumented).

@@ -1,26 +1,17 @@
-// Columnar access dispatch for sequential replay.
+// Columnar access dispatch for replay.
 //
-// The sequential replay loops spend most of their time handing access
-// events to the dispatcher one pointer-chase at a time. Two mechanisms
-// avoid that:
-//
-// A static trace (ReplayContext, replayDurableSeq) is decoded ONCE into a
-// structure-of-arrays column set (accessCols): one entry per access event,
-// in trace order, with the replay clock pre-stamped. Each replay then
-// dispatches zero-copy slice views of those columns — no per-event, per-
-// replay repacking at all. Barrier (non-access) events bound the views, so
-// the set of dispatched events at any observable point matches the
-// per-event loop exactly, and so do the findings and checkpoint states.
-//
-// A live stream (the workers==1 arm of ReplayStream) has no static event
-// array to pre-decode, so it collects runs of consecutive access events
-// into one reusable columnar batch via accessBatcher, with a flush before
-// every barrier event, cancellation check, and early return.
+// A replay loop that hands access events to the dispatcher one
+// pointer-chase at a time spends most of its time doing so. Instead, a
+// trace is decoded ONCE into a structure-of-arrays column set (accessCols):
+// one entry per access event, in trace order, with the replay clock
+// pre-stamped. Each replay then dispatches zero-copy slice views of those
+// columns — no per-event, per-replay repacking at all. Barrier (non-access)
+// events bound the views, so the set of dispatched events at any observable
+// point matches a per-event loop exactly, and so do the findings and
+// checkpoint states.
 package trace
 
 import (
-	"sync"
-
 	"repro/internal/mem"
 	"repro/internal/ompt"
 )
@@ -142,52 +133,3 @@ func (c *accessCols) view(lo, hi int) ompt.AccessBatch {
 // dispatch indirection, small enough that the batch's columns stay resident
 // in L1/L2 while the analyzer streams them.
 const accessBatchCap = 1024
-
-// batchPool recycles fully-grown column sets across replays, so a replay
-// job starts with capacity instead of re-growing nine columns from nil.
-var batchPool = sync.Pool{New: func() any { return new(ompt.AccessBatch) }}
-
-// accessBatcher accumulates consecutive access events and flushes them to
-// the dispatcher as columnar batches. prog (nil-safe) receives one Add per
-// dispatched event, at flush time, mirroring the per-event Progress beats.
-// Callers must defer release().
-type accessBatcher struct {
-	d    *ompt.Dispatcher
-	prog *ReplayProgress
-	b    *ompt.AccessBatch
-}
-
-// newAccessBatcher leases a pooled column set. prog may be nil.
-func newAccessBatcher(d *ompt.Dispatcher, prog *ReplayProgress) accessBatcher {
-	return accessBatcher{d: d, prog: prog, b: batchPool.Get().(*ompt.AccessBatch)}
-}
-
-// add appends one access event (payload must be non-nil), stamping the
-// replay clock exactly as accessWithClock does. Full batches self-flush.
-func (ab *accessBatcher) add(e *Event) {
-	ab.b.Append(e.Access, e.Seq+1)
-	if ab.b.Len() >= accessBatchCap {
-		ab.flush()
-	}
-}
-
-// flush dispatches and resets the pending batch. No-op when empty.
-func (ab *accessBatcher) flush() {
-	n := ab.b.Len()
-	if n == 0 {
-		return
-	}
-	ab.d.AccessBatch(ab.b)
-	ab.b.Reset()
-	ab.prog.Add(uint64(n))
-}
-
-// release returns the (already reset) columns to the pool. The batcher
-// must not be used afterwards.
-func (ab *accessBatcher) release() {
-	if b := ab.b; b != nil {
-		ab.b = nil
-		b.Reset()
-		batchPool.Put(b)
-	}
-}

@@ -10,10 +10,49 @@ import (
 
 	"repro/internal/dracc"
 	"repro/internal/mem"
+	"repro/internal/omp"
 	"repro/internal/ompt"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
+
+// recordDRACC records benchmark b on a multi-threaded runtime with the same
+// forced-synchronous configuration an online ARBALEST run uses.
+func recordDRACC(t *testing.T, b *dracc.Benchmark) *trace.Trace {
+	t.Helper()
+	rec := trace.NewRecorder()
+	rt := omp.NewRuntime(omp.Config{NumThreads: 4, ForceSync: true}, rec)
+	_ = rt.Run(func(c *omp.Context) error {
+		b.Run(c)
+		return nil
+	})
+	return rec.Trace()
+}
+
+// renderedReports replays tr into a fresh instance of the named tool and
+// returns every report rendered to its full string form (kind, variable,
+// location, detail) in sink order.
+func renderedReports(t *testing.T, tr *trace.Trace, toolName string) []string {
+	t.Helper()
+	a, err := tools.New(toolName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{}, a); err != nil {
+		t.Fatal(err)
+	}
+	return render(a)
+}
+
+// render returns a's reports rendered to strings, in sink order.
+func render(a tools.Analyzer) []string {
+	reports := a.Sink().Reports()
+	out := make([]string, len(reports))
+	for i, r := range reports {
+		out[i] = r.String()
+	}
+	return out
+}
 
 // savedCkpt is one checkpoint captured during a durable replay: the resume
 // index plus the serialized analyzer state at that boundary.
@@ -25,7 +64,7 @@ type savedCkpt struct {
 // collectCheckpoints replays tr through a fresh arbalest analyzer with
 // checkpointing every `every` events and returns every checkpoint taken plus
 // the run's rendered reports.
-func collectCheckpoints(t *testing.T, tr *trace.Trace, workers int, every uint64) ([]savedCkpt, []string) {
+func collectCheckpoints(t *testing.T, tr *trace.Trace, every uint64) ([]savedCkpt, []string) {
 	t.Helper()
 	a, err := tools.New("arbalest")
 	if err != nil {
@@ -37,7 +76,6 @@ func collectCheckpoints(t *testing.T, tr *trace.Trace, workers int, every uint64
 	}
 	var ckpts []savedCkpt
 	opts := trace.DurableOptions{
-		Workers:         workers,
 		CheckpointEvery: every,
 		Checkpoint: func(next uint64) error {
 			raw, err := ck.CheckpointState()
@@ -49,20 +87,15 @@ func collectCheckpoints(t *testing.T, tr *trace.Trace, workers int, every uint64
 		},
 	}
 	if _, err := tr.ReplayDurable(context.Background(), opts, a); err != nil {
-		t.Fatalf("workers=%d every=%d: %v", workers, every, err)
+		t.Fatalf("every=%d: %v", every, err)
 	}
-	reports := a.Sink().Reports()
-	out := make([]string, len(reports))
-	for i, r := range reports {
-		out[i] = r.String()
-	}
-	return ckpts, out
+	return ckpts, render(a)
 }
 
 // resumeFrom restores ck into a fresh analyzer and replays the rest of tr
 // from the checkpoint boundary, returning the rendered reports — exactly the
 // crash-recovery path the service takes.
-func resumeFrom(t *testing.T, tr *trace.Trace, ck savedCkpt, workers int) []string {
+func resumeFrom(t *testing.T, tr *trace.Trace, ck savedCkpt) []string {
 	t.Helper()
 	a, err := tools.New("arbalest")
 	if err != nil {
@@ -71,16 +104,11 @@ func resumeFrom(t *testing.T, tr *trace.Trace, ck savedCkpt, workers int) []stri
 	if err := a.(tools.Checkpointer).RestoreState(ck.state); err != nil {
 		t.Fatalf("restore at event %d: %v", ck.next, err)
 	}
-	opts := trace.DurableOptions{Workers: workers, StartEvent: ck.next}
+	opts := trace.DurableOptions{StartEvent: ck.next}
 	if _, err := tr.ReplayDurable(context.Background(), opts, a); err != nil {
-		t.Fatalf("resume at event %d workers=%d: %v", ck.next, workers, err)
+		t.Fatalf("resume at event %d: %v", ck.next, err)
 	}
-	reports := a.Sink().Reports()
-	out := make([]string, len(reports))
-	for i, r := range reports {
-		out[i] = r.String()
-	}
-	return out
+	return render(a)
 }
 
 func assertSameReports(t *testing.T, label string, got, want []string) {
@@ -98,17 +126,16 @@ func assertSameReports(t *testing.T, label string, got, want []string) {
 // TestCheckpointResumeEquivalenceDRACC is the crash/resume sweep: for every
 // DRACC benchmark, checkpoint at every epoch boundary, then simulate a crash
 // at each one — restore into a fresh analyzer, resume, and require the
-// findings to be byte-identical to an uninterrupted sequential replay. Both
-// sequential and parallel resumes are covered.
+// findings to be byte-identical to an uninterrupted replay.
 func TestCheckpointResumeEquivalenceDRACC(t *testing.T) {
 	for _, b := range dracc.All() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			t.Parallel()
 			tr := recordDRACC(t, b)
-			want := renderedReports(t, tr, "arbalest", 1)
+			want := renderedReports(t, tr, "arbalest")
 
-			ckpts, full := collectCheckpoints(t, tr, 1, 1)
+			ckpts, full := collectCheckpoints(t, tr, 1)
 			assertSameReports(t, "checkpointing run", full, want)
 			if len(ckpts) == 0 {
 				t.Fatalf("no checkpoints taken over %d events", len(tr.Events))
@@ -121,68 +148,34 @@ func TestCheckpointResumeEquivalenceDRACC(t *testing.T) {
 			}
 			for i := 0; i < len(ckpts); i += step {
 				ck := ckpts[i]
-				for _, workers := range []int{1, 4} {
-					got := resumeFrom(t, tr, ck, workers)
-					assertSameReports(t, fmt.Sprintf("resume@%d workers=%d", ck.next, workers), got, want)
-				}
+				assertSameReports(t, fmt.Sprintf("resume@%d", ck.next), resumeFrom(t, tr, ck), want)
 			}
 			last := ckpts[len(ckpts)-1]
-			got := resumeFrom(t, tr, last, 4)
+			got := resumeFrom(t, tr, last)
 			assertSameReports(t, fmt.Sprintf("resume@%d (last)", last.next), got, want)
 		})
 	}
 }
 
-// TestCheckpointWorkerCountPortability: the boundary rule must not depend on
-// the worker count, so a checkpoint taken by a parallel replay restores into
-// a sequential one and vice versa.
-func TestCheckpointWorkerCountPortability(t *testing.T) {
-	b := dracc.ByID(22)
-	if b == nil {
-		t.Fatal("DRACC_OMP_022 missing")
-	}
-	tr := recordDRACC(t, b)
-	want := renderedReports(t, tr, "arbalest", 1)
-
-	seqCk, _ := collectCheckpoints(t, tr, 1, 1)
-	parCk, _ := collectCheckpoints(t, tr, 4, 1)
-	if len(seqCk) != len(parCk) {
-		t.Fatalf("sequential took %d checkpoints, parallel took %d", len(seqCk), len(parCk))
-	}
-	for i := range seqCk {
-		if seqCk[i].next != parCk[i].next {
-			t.Fatalf("checkpoint %d: sequential boundary %d, parallel boundary %d", i, seqCk[i].next, parCk[i].next)
-		}
-	}
-	// Cross-resume: parallel-taken checkpoint into a sequential replay and
-	// the other way around. State bytes may differ benignly (map iteration
-	// order), so the assertion is on findings, not on the serialized form.
-	mid := len(seqCk) / 2
-	assertSameReports(t, "par-checkpoint into seq-resume", resumeFrom(t, tr, parCk[mid], 1), want)
-	assertSameReports(t, "seq-checkpoint into par-resume", resumeFrom(t, tr, seqCk[mid], 4), want)
-}
-
 // TestReplayProgressCountsEveryEvent: after a completed replay the heartbeat
-// total equals the event count regardless of fan-out, so a watchdog can use
-// Sum() as a dispatch odometer.
+// total equals the event count, so a watchdog can use Sum() as a dispatch
+// odometer.
 func TestReplayProgressCountsEveryEvent(t *testing.T) {
 	b := dracc.ByID(22)
 	if b == nil {
 		t.Fatal("DRACC_OMP_022 missing")
 	}
 	tr := recordDRACC(t, b)
-	for _, workers := range []int{1, 4} {
-		a, err := tools.New("arbalest")
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog := trace.NewReplayProgress()
-		if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{Workers: workers, Progress: prog}, a); err != nil {
-			t.Fatal(err)
-		}
-		if got := prog.Sum(); got != uint64(len(tr.Events)) {
-			t.Errorf("workers=%d: progress sum %d, want %d", workers, got, len(tr.Events))
-		}
+	a, err := tools.New("arbalest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := trace.NewReplayProgress()
+	if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{Progress: prog}, a); err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.Sum(); got != uint64(len(tr.Events)) {
+		t.Errorf("progress sum %d, want %d", got, len(tr.Events))
 	}
 }
 
@@ -221,7 +214,7 @@ func syntheticAccessTrace(n int) *trace.Trace {
 
 // TestDurableReplayCancellation covers both cancellation shapes the service
 // relies on: a context canceled before the replay starts, and one canceled
-// while workers are mid-flight (the watchdog's stall path).
+// while the replay is mid-flight (the watchdog's stall path).
 func TestDurableReplayCancellation(t *testing.T) {
 	tr := syntheticAccessTrace(200_000)
 
@@ -232,32 +225,30 @@ func TestDurableReplayCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{Workers: 4}, a)
+		_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{}, a)
 		if rerr == nil || !strings.Contains(rerr.Error(), "canceled") {
 			t.Fatalf("pre-canceled replay: err %v, want cancellation", rerr)
 		}
 	})
 
 	t.Run("mid-replay", func(t *testing.T) {
-		for _, workers := range []int{1, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			a, err := tools.New("arbalest")
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog := trace.NewReplayProgress()
-			done := make(chan error, 1)
-			go func() {
-				_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{Workers: workers, Progress: prog}, a)
-				done <- rerr
-			}()
-			for prog.Sum() == 0 {
-				time.Sleep(50 * time.Microsecond)
-			}
-			cancel()
-			if rerr := <-done; rerr != nil && !strings.Contains(rerr.Error(), "canceled") {
-				t.Fatalf("workers=%d: err %v, want cancellation or clean finish", workers, rerr)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		a, err := tools.New("arbalest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := trace.NewReplayProgress()
+		done := make(chan error, 1)
+		go func() {
+			_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{Progress: prog}, a)
+			done <- rerr
+		}()
+		for prog.Sum() == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+		if rerr := <-done; rerr != nil && !strings.Contains(rerr.Error(), "canceled") {
+			t.Fatalf("err %v, want cancellation or clean finish", rerr)
 		}
 	})
 }

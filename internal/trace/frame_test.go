@@ -37,7 +37,7 @@ func richTrace(t *testing.T) *trace.Trace {
 // same events, same findings — with readers auto-detecting the format.
 func TestFramedRoundTrip(t *testing.T) {
 	tr := richTrace(t)
-	want := renderedReports(t, tr, "arbalest", 1)
+	want := renderedReports(t, tr, "arbalest")
 
 	got, err := trace.Load(bytes.NewReader(framedBytes(t, tr)))
 	if err != nil {
@@ -46,7 +46,7 @@ func TestFramedRoundTrip(t *testing.T) {
 	if len(got.Events) != len(tr.Events) {
 		t.Fatalf("round-tripped %d events, want %d", len(got.Events), len(tr.Events))
 	}
-	reports := renderedReports(t, got, "arbalest", 1)
+	reports := renderedReports(t, got, "arbalest")
 	if len(reports) != len(want) {
 		t.Fatalf("framed trace produced %d reports, want %d", len(reports), len(want))
 	}

@@ -1,32 +1,17 @@
-// Pipelined streaming decode: JSON parsing and analysis overlap instead of
-// materializing the whole []Event before the first tool callback fires.
+// Incremental decode of both trace encodings, in batches.
 package trace
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/ompt"
 )
 
 // streamBatchSize is how many decoded events accumulate before the batch is
 // emitted downstream.
 const streamBatchSize = 256
-
-// streamChanCap bounds how many decoded batches may sit between the decode
-// producer and the replay consumer, capping memory at
-// streamChanCap*streamBatchSize events plus one batch in flight on each
-// side.
-const streamChanCap = 4
-
-// streamEpochChunk is how many accesses of one epoch accumulate before the
-// partial epoch is fanned out to the analysis pool (large epochs overlap
-// decode and analysis instead of waiting for the next barrier).
-const streamEpochChunk = 4096
 
 // Stream incrementally decodes a trace, calling emit with each batch of
 // fully validated events. Events passed to emit are never touched again by
@@ -94,151 +79,4 @@ func streamJSONLines(br *bufio.Reader, lim Limits, emit func(batch []Event) erro
 			return fmt.Errorf("trace: line %d: %w", line, err)
 		}
 	}
-}
-
-// ReplayStream decodes the JSON-lines trace from r in a producer goroutine
-// and replays it into the given tools as batches arrive, so parse and
-// analysis overlap. workers selects the analysis fan-out exactly as in
-// ReplayParallel (1 = sequential dispatch, 0 = GOMAXPROCS); events are
-// validated once at decode time.
-func ReplayStream(ctx context.Context, r io.Reader, lim Limits, workers int, toolList ...ompt.Tool) (ReplayStats, error) {
-	workers = EffectiveWorkers(workers, toolList...)
-	var d ompt.Dispatcher
-	for _, tool := range toolList {
-		d.Register(tool)
-	}
-
-	type result struct{ err error }
-	batches := make(chan []Event, streamChanCap)
-	done := make(chan struct{})
-	decodeErr := make(chan result, 1)
-	go func() {
-		err := Stream(r, lim, func(batch []Event) error {
-			select {
-			case batches <- batch:
-				return nil
-			case <-done:
-				// Consumer bailed (cancellation, dispatch error, panic);
-				// stop decoding without blocking forever.
-				return context.Canceled
-			}
-		})
-		close(batches)
-		decodeErr <- result{err: err}
-	}()
-	defer close(done)
-
-	var stats ReplayStats
-	var consumeErr error
-	if workers == 1 {
-		// All dispatch happens on this goroutine (decode runs concurrently
-		// but only produces), so sequential-mode accelerators are safe.
-		d.SetDispatchMode(ompt.DispatchSequential)
-		stats.Workers = 1
-		var epoch uint64
-		ab := newAccessBatcher(&d, nil)
-		defer ab.release()
-		n := 0
-	seq:
-		for batch := range batches {
-			for i := range batch {
-				if n%replayCheckInterval == 0 {
-					ab.flush()
-					if err := ctx.Err(); err != nil {
-						consumeErr = fmt.Errorf("trace: replay canceled at event %d: %w", n, err)
-						break seq
-					}
-				}
-				n++
-				e := &batch[i]
-				if e.Kind == KindAccess {
-					if e.Access == nil {
-						consumeErr = payloadErr(e)
-						break seq
-					}
-					stats.Accesses++
-					epoch++
-					stats.Events++
-					ab.add(e)
-					continue
-				}
-				if epoch > 0 {
-					stats.Epochs++
-					if epoch > stats.MaxEpochAccesses {
-						stats.MaxEpochAccesses = epoch
-					}
-					epoch = 0
-				}
-				ab.flush()
-				if err := dispatchEvent(&d, e); err != nil {
-					consumeErr = err
-					break seq
-				}
-				stats.Events++
-			}
-		}
-		ab.flush()
-		if epoch > 0 {
-			stats.Epochs++
-			if epoch > stats.MaxEpochAccesses {
-				stats.MaxEpochAccesses = epoch
-			}
-		}
-	} else {
-		d.SetDispatchMode(ompt.DispatchEpochSharded)
-		eng := newReplayEngine(ctx, &d, workers, nil)
-		// Access runs are copied out of the decoder's batches into an epoch
-		// chunk buffer, since one epoch usually spans many decode batches.
-		// Full chunks fan out to the pool immediately — analysis overlaps
-		// decode even inside a large epoch — and the remainder is flushed at
-		// the next barrier event.
-		epochBuf := make([]Event, 0, streamEpochChunk)
-		n := 0
-	par:
-		for batch := range batches {
-			for i := range batch {
-				if n%replayCheckInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						consumeErr = fmt.Errorf("trace: replay canceled at event %d: %w", n, err)
-						break par
-					}
-				}
-				n++
-				e := &batch[i]
-				if e.Kind == KindAccess {
-					epochBuf = append(epochBuf, *e)
-					if len(epochBuf) >= streamEpochChunk {
-						eng.dispatchRun(epochBuf, true)
-						// The pool owns that buffer now; start a fresh one.
-						epochBuf = make([]Event, 0, streamEpochChunk)
-					}
-					continue
-				}
-				eng.dispatchRun(epochBuf, false)
-				eng.barrier()
-				epochBuf = epochBuf[:0] // pool drained; the chunk buffer is free again
-				eng.observe(e)
-				if err := dispatchEvent(eng.d, e); err != nil {
-					consumeErr = err
-					break par
-				}
-				eng.stats.Events++
-			}
-		}
-		func() {
-			defer eng.stop()
-			if consumeErr == nil {
-				eng.dispatchRun(epochBuf, false)
-			}
-			eng.barrier() // may re-raise a worker panic; stop still runs
-		}()
-		stats = eng.stats
-	}
-
-	if consumeErr != nil {
-		// The deferred close(done) unblocks the producer; its error is moot.
-		return stats, consumeErr
-	}
-	res := <-decodeErr
-	return stats, res.err
 }

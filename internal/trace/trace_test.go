@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dracc"
 	"repro/internal/omp"
+	"repro/internal/specaccel"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
@@ -33,27 +34,92 @@ func record(t *testing.T, id int, online tools.Analyzer) *trace.Trace {
 	return rec.Trace()
 }
 
-// TestReplayMatchesOnlineAnalysis: replaying a recorded trace into a fresh
-// ARBALEST produces the same reports as the online run.
+// assertReplayMatchesOnline replays tr into offline and requires the same
+// report kinds and count as online, which analyzed the recorded execution
+// live. The live runtime is an independent path: it dispatches callbacks one
+// at a time with live clocks, where replay dispatches column batches with
+// replay clocks.
+func assertReplayMatchesOnline(t *testing.T, tr *trace.Trace, online, offline tools.Analyzer) {
+	t.Helper()
+	if err := tr.Replay(offline); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	onKinds := online.Sink().Kinds()
+	offKinds := offline.Sink().Kinds()
+	if !reflect.DeepEqual(onKinds, offKinds) {
+		t.Errorf("online kinds %v, offline kinds %v", onKinds, offKinds)
+	}
+	if online.Sink().Count() != offline.Sink().Count() {
+		t.Errorf("online %d reports, offline %d", online.Sink().Count(), offline.Sink().Count())
+	}
+}
+
+// TestReplayMatchesOnlineAnalysis: for every DRACC benchmark, replaying the
+// recorded trace into a fresh ARBALEST produces the same reports as the
+// online run.
 func TestReplayMatchesOnlineAnalysis(t *testing.T) {
-	for _, id := range []int{22, 26, 23, 1, 44} {
+	for _, b := range dracc.All() {
+		b := b
+		t.Run(b.Name(), func(t *testing.T) {
+			t.Parallel()
+			online := tools.NewArbalestFull(nil)
+			tr := record(t, b.ID, online)
+			assertReplayMatchesOnline(t, tr, online, tools.NewArbalestFull(nil))
+		})
+	}
+}
+
+// TestReplayMatchesOnlineSPEC does the same for the SPEC ACCEL proxy
+// workloads (correct programs: zero reports both ways) and the buggy
+// postencil case study, which reports one stale access.
+func TestReplayMatchesOnlineSPEC(t *testing.T) {
+	run := func(t *testing.T, body func(c *omp.Context) error) int {
 		online := tools.NewArbalestFull(nil)
-		tr := record(t, id, online)
+		rec := trace.NewRecorder()
+		rt := omp.NewRuntime(omp.Config{NumThreads: 1, HostMem: 8 << 20, DeviceMem: 8 << 20}, rec, online)
+		if err := rt.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		assertReplayMatchesOnline(t, rec.Trace(), online, tools.NewArbalestFull(nil))
+		return online.Sink().Count()
+	}
+	for _, w := range specaccel.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			if n := run(t, func(c *omp.Context) error { return w.Run(c, 1) }); n != 0 {
+				t.Errorf("%d reports on a correct workload", n)
+			}
+		})
+	}
+	t.Run("postencil-buggy", func(t *testing.T) {
+		t.Parallel()
+		n := run(t, func(c *omp.Context) error {
+			specaccel.RunPostencilBuggy(c, 1)
+			return nil
+		})
+		if n == 0 {
+			t.Error("the stale access went unreported")
+		}
+	})
+}
 
-		offline := tools.NewArbalestFull(nil)
-		if err := tr.Replay(offline); err != nil {
-			t.Fatalf("benchmark %d: replay: %v", id, err)
-		}
-
-		onKinds := online.Sink().Kinds()
-		offKinds := offline.Sink().Kinds()
-		if !reflect.DeepEqual(onKinds, offKinds) {
-			t.Errorf("benchmark %d: online kinds %v, offline kinds %v", id, onKinds, offKinds)
-		}
-		if online.Sink().Count() != offline.Sink().Count() {
-			t.Errorf("benchmark %d: online %d reports, offline %d",
-				id, online.Sink().Count(), offline.Sink().Count())
-		}
+// TestReplayMatchesOnlineAllTools runs one report-rich benchmark through
+// every registered tool: the baselines and the standalone race detector
+// must replay to their online verdicts too, not just ARBALEST.
+func TestReplayMatchesOnlineAllTools(t *testing.T) {
+	for _, name := range tools.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			online, err := tools.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offline, _ := tools.New(name)
+			tr := record(t, 22, online)
+			assertReplayMatchesOnline(t, tr, online, offline)
+		})
 	}
 }
 
