@@ -2,8 +2,6 @@ package trace_test
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/dracc"
@@ -13,70 +11,42 @@ import (
 	"repro/internal/trace"
 )
 
-// equivalenceWorkers are the fan-out settings the equivalence sweep covers:
-// sequential plus three parallel shard counts.
-var equivalenceWorkers = []int{1, 2, 4, 8}
-
-// renderedReports runs one replay of tr into a fresh instance of the named
-// tool with the given worker count and returns every report rendered to its
-// full string form (kind, variable, location, detail) in sink order.
-func renderedReports(t *testing.T, tr *trace.Trace, toolName string, workers int) []string {
-	t.Helper()
-	a, err := tools.New(toolName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.ReplayParallel(context.Background(), workers, a); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	reports := a.Sink().Reports()
-	out := make([]string, len(reports))
-	for i, r := range reports {
-		out[i] = r.String()
-	}
-	return out
-}
-
-// assertEquivalent replays tr at every worker count and requires each run's
-// rendered reports to be byte-identical to the sequential run's — content
-// AND order, which is stronger than set equality: the sink orders reports
-// by replay clock, so parallel dispatch must converge to the exact
-// sequential rendering.
+// assertEquivalent replays tr, recorded from a multi-threaded run, into the
+// named tool three ways — from memory, and after a round trip through each
+// on-disk encoding (JSON lines and framed) — and requires byte-identical
+// rendered reports, content AND order. The reloaded replays are the
+// load-then-replay path that `arbalest -replay-trace` and the daemon take, so
+// no encoding can perturb a finding.
 func assertEquivalent(t *testing.T, tr *trace.Trace, toolName string) {
 	t.Helper()
-	want := renderedReports(t, tr, toolName, 1)
-	for _, workers := range equivalenceWorkers[1:] {
-		got := renderedReports(t, tr, toolName, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d reports, sequential produced %d\nparallel: %q\nsequential: %q",
-				workers, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: report %d differs\nparallel:   %s\nsequential: %s",
-					workers, i, got[i], want[i])
-			}
-		}
+	want := renderedReports(t, tr, toolName)
+	encodings := []struct {
+		name string
+		save func(*bytes.Buffer) error
+	}{
+		{"json-lines", func(b *bytes.Buffer) error { return tr.Save(b) }},
+		{"framed", func(b *bytes.Buffer) error { return tr.SaveFramed(b) }},
 	}
-}
-
-// recordDRACC records benchmark b on a multi-threaded runtime with the same
-// forced-synchronous configuration an online ARBALEST run uses.
-func recordDRACC(t *testing.T, b *dracc.Benchmark) *trace.Trace {
-	t.Helper()
-	rec := trace.NewRecorder()
-	rt := omp.NewRuntime(omp.Config{NumThreads: 4, ForceSync: true}, rec)
-	_ = rt.Run(func(c *omp.Context) error {
-		b.Run(c)
-		return nil
-	})
-	return rec.Trace()
+	for _, enc := range encodings {
+		var buf bytes.Buffer
+		if err := enc.save(&buf); err != nil {
+			t.Fatalf("%s: save: %v", enc.name, err)
+		}
+		loaded, err := trace.Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: load: %v", enc.name, err)
+		}
+		if len(loaded.Events) != len(tr.Events) {
+			t.Fatalf("%s: reloaded %d events, recorded %d", enc.name, len(loaded.Events), len(tr.Events))
+		}
+		assertSameReports(t, enc.name, renderedReports(t, loaded, toolName), want)
+	}
 }
 
 // TestParallelReplayEquivalenceDRACC sweeps the whole DRACC suite — every
-// buggy and every correct benchmark — through ARBALEST at each worker count
-// and requires byte-identical reports. Run under -race this also exercises
-// the engine's sharding and the analyzers' lock-free hot paths.
+// buggy and every correct benchmark, recorded on a four-thread runtime —
+// through ARBALEST and requires byte-identical reports from every replay
+// front.
 func TestParallelReplayEquivalenceDRACC(t *testing.T) {
 	for _, b := range dracc.All() {
 		b := b
@@ -87,10 +57,10 @@ func TestParallelReplayEquivalenceDRACC(t *testing.T) {
 	}
 }
 
-// TestParallelReplayEquivalenceSPEC covers both SPEC ACCEL proxy workloads
-// (correct programs: the equivalence assertion is "still zero reports at
-// every fan-out") plus the buggy postencil case study, which produces
-// reports whose rendering must survive parallel dispatch.
+// TestParallelReplayEquivalenceSPEC covers the SPEC ACCEL proxy workloads
+// (correct programs: the assertion is "still zero reports from every front")
+// plus the buggy postencil case study, whose reports must survive every
+// encoding.
 func TestParallelReplayEquivalenceSPEC(t *testing.T) {
 	cfg := omp.Config{NumThreads: 4, HostMem: 8 << 20, DeviceMem: 8 << 20}
 	for _, w := range specaccel.All() {
@@ -118,8 +88,8 @@ func TestParallelReplayEquivalenceSPEC(t *testing.T) {
 }
 
 // TestParallelReplayEquivalenceAllTools runs one report-rich benchmark
-// through every registered tool at every worker count: the baselines and the
-// standalone race detector must be shard-safe too, not just ARBALEST.
+// through every registered tool: the baselines and the standalone race
+// detector must replay identically from every front too, not just ARBALEST.
 func TestParallelReplayEquivalenceAllTools(t *testing.T) {
 	b := dracc.ByID(22)
 	if b == nil {
@@ -131,47 +101,6 @@ func TestParallelReplayEquivalenceAllTools(t *testing.T) {
 		t.Run(toolName, func(t *testing.T) {
 			t.Parallel()
 			assertEquivalent(t, tr, toolName)
-		})
-	}
-}
-
-// TestReplayStreamMatchesReplayParallel pipes a saved trace through the
-// streaming decoder at each worker count and requires the same reports as
-// the in-memory engine, so the two replay fronts cannot drift.
-func TestReplayStreamMatchesReplayParallel(t *testing.T) {
-	b := dracc.ByID(22)
-	if b == nil {
-		t.Fatal("DRACC_OMP_022 missing")
-	}
-	tr := recordDRACC(t, b)
-	want := renderedReports(t, tr, "arbalest", 1)
-	for _, workers := range equivalenceWorkers {
-		workers := workers
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := tr.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			a, err := tools.New("arbalest")
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := trace.ReplayStream(context.Background(), &buf, trace.Limits{}, workers, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Events != uint64(len(tr.Events)) {
-				t.Fatalf("streamed %d events, trace has %d", stats.Events, len(tr.Events))
-			}
-			reports := a.Sink().Reports()
-			if len(reports) != len(want) {
-				t.Fatalf("workers=%d: %d reports, want %d", workers, len(reports), len(want))
-			}
-			for i, r := range reports {
-				if r.String() != want[i] {
-					t.Fatalf("workers=%d: report %d differs\nstream: %s\nwant:   %s", workers, i, r, want[i])
-				}
-			}
 		})
 	}
 }
