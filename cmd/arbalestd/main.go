@@ -18,14 +18,17 @@
 //	          [-shed-target DUR] [-shed-interval DUR] [-gc-interval DUR]
 //	          [-breaker-threshold N] [-breaker-cooldown DUR]
 //
-// -workers sizes the job pool (how many traces analyze concurrently); each
-// job replays on one goroutine.
+// -workers sizes the job pool (how many traces analyze concurrently in this
+// process), in the standalone and coordinator roles alike; each job replays
+// on one goroutine.
 //
 // # Distributed operation
 //
-// -role coordinator serves the normal API plus /v1/fleet/, leasing each
-// accepted job to a registered analysis worker; with zero live workers it
-// degrades to inline execution, so a coordinator alone behaves like a
+// -role coordinator serves the normal API plus /v1/fleet/ and leases
+// accepted jobs to registered analysis workers as they poll. Jobs wait in
+// the same bounded queue as in standalone mode: each -workers pool
+// goroutine holds one for the next lease poll while a worker is live, and
+// runs it itself when none is, so a coordinator alone behaves like a
 // standalone daemon. Leases last -lease-ttl without a heartbeat, then the
 // job is rescheduled from its freshest streamed checkpoint; every lease
 // carries a fencing token so a partitioned worker that comes back cannot
@@ -45,12 +48,12 @@
 //	-tenants 'alice:weight=4,rate=50,jobs=16;bob:rate=5,burst=10,bytes=67108864'
 //
 // -tenant-defaults sets the limits unknown tenants start with (same
-// key=value grammar, no name). Dispatch is weighted-fair per tenant — in
-// the job queue and, under -role coordinator, in lease grants — so one
-// tenant's backlog cannot starve another's. -shed-target arms CoDel-style
-// overload shedding: when queue delay stays above the target for a full
-// interval, the newest queued job of the heaviest-backlogged tenant is
-// shed before replay. A client X-Arbalest-Deadline header ("30s" or
+// key=value grammar, no name). Dispatch is weighted-fair per tenant — one
+// job queue feeds local runs and, under -role coordinator, lease grants —
+// so one tenant's backlog cannot starve another's. -shed-target arms
+// CoDel-style overload shedding: when queue delay stays above the target
+// for a full interval, the newest queued job of the heaviest-backlogged
+// tenant is shed before replay. A client X-Arbalest-Deadline header ("30s" or
 // RFC 3339; `arbalest -deadline`) likewise sheds jobs whose deadline
 // already passed when they reach the front of the queue. Limits are
 // live-tunable (GET /v1/tenants, PUT /v1/tenants/<name>), journaled with
@@ -75,7 +78,9 @@
 //
 // API:
 //
-//	POST /v1/jobs?tool=arbalest   body: JSON-lines trace (trace.Save format)
+//	POST /v1/jobs?tool=arbalest   body: a trace in either encoding, JSON
+//	                              lines (trace.Save) or CRC-framed
+//	                              (trace.SaveFramed)
 //	GET  /v1/jobs                 list jobs
 //	GET  /v1/jobs/<id>            job status + result
 //	GET  /v1/jobs/<id>/trace      per-job span tree (also at /jobs/<id>/trace)
@@ -86,7 +91,7 @@
 //	GET  /v1/fleet/status         federated fleet status (worker liveness,
 //	                              lease/fencing counters, queue depths,
 //	                              span-derived job latencies); standalone
-//	                              daemons report the inline pool as one
+//	                              daemons report the worker pool as one
 //	                              synthetic worker
 //	GET  /v1/tenants              every tracked tenant's usage and limits
 //	PUT  /v1/tenants/<name>       tune one tenant's limits live (journaled)
@@ -131,7 +136,9 @@
 // serves net/http/pprof under /debug/pprof/ and expvar under /debug/vars.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, accepted
-// jobs drain, then the process exits.
+// jobs drain, then the process exits. A coordinator with a live worker does
+// not wait for its workers: jobs not yet leased stay in the spool for the
+// next start.
 package main
 
 import (
@@ -268,8 +275,6 @@ func main() {
 		ShedTarget:     *shedTarget,
 		ShedInterval:   *shedInterval,
 		GCInterval:     *gcInterval,
-
-		ExternalDispatch: *role == "coordinator",
 	}
 	if *checkpointEvery > 0 && *spool == "" {
 		fatal("-checkpoint-every requires -spool (checkpoints live in the spool directory)")
@@ -289,7 +294,6 @@ func main() {
 		}
 		logger.Info("spool recovered", "spool", *spool, "requeued", requeued)
 	}
-	svc.Start()
 
 	var coord *dist.Coordinator
 	handler := http.Handler(svc.Handler())
@@ -308,8 +312,10 @@ func main() {
 		if err != nil {
 			fatal("coordinator init failed", "err", err)
 		}
+		// Attached before Start, so recovered jobs wait out the reconnect
+		// grace for a lease instead of running in the pool at once.
+		svc.AttachCoordinator(coord)
 		coord.Start()
-		svc.SetFleetSource(coord)
 		mux := http.NewServeMux()
 		mux.Handle("/v1/fleet/", coord.Handler())
 		// /v1/fleet/status is the service's federated view, not a fleet
@@ -320,6 +326,7 @@ func main() {
 		handler = mux
 		logger.Info("fleet coordinator up", "lease_ttl", *leaseTTL)
 	}
+	svc.Start()
 
 	if *debugAddr != "" {
 		go func() {

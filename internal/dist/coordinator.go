@@ -4,7 +4,7 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -12,7 +12,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -25,12 +24,9 @@ type CoordinatorConfig struct {
 	// heartbeats before the job is rescheduled.
 	LeaseTTL time.Duration
 	// WorkerTTL is how long a registered worker stays "live" without any
-	// contact (default 3×LeaseTTL). With zero live workers the coordinator
-	// runs jobs inline.
+	// contact (default 3×LeaseTTL). With no live worker, Handoff declines
+	// every job and the service's pool runs it.
 	WorkerTTL time.Duration
-	// InlineWorkers bounds concurrent inline (degraded-mode) replays
-	// (default GOMAXPROCS).
-	InlineWorkers int
 	// Registry receives the fleet metric families; pass the service's so
 	// one scrape covers both (nil = private registry).
 	Registry *telemetry.Registry
@@ -48,9 +44,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.WorkerTTL <= 0 {
 		c.WorkerTTL = 3 * c.LeaseTTL
-	}
-	if c.InlineWorkers <= 0 {
-		c.InlineWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -78,33 +71,42 @@ type LeaseGrant struct {
 	Traceparent string `json:"traceparent,omitempty"`
 }
 
-// Coordinator owns the lease table and dispatch policy for a worker fleet.
-// Create with NewCoordinator, launch with Start, stop with Shutdown.
+// handoff is one job a pool worker of the service holds for the next lease
+// poll (Handoff).
+type handoff struct {
+	spec JobSpec
+	// done is closed once a lease poll has dealt with the job: leased,
+	// found already terminal, or requeued after a failed token write.
+	done chan struct{}
+}
+
+// Coordinator owns the lease table for a worker fleet. It keeps no job
+// queue: jobs wait in the service's fair queue until a pool worker hands
+// one over (Handoff). Create with NewCoordinator, attach it to the service,
+// launch with Start, stop with Shutdown.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	m   *fleetMetrics
 
 	mu sync.Mutex
-	// pending holds jobs awaiting a lease, grouped by tenant and granted
-	// weighted-fair: each grant pops under the same weighted round-robin the
-	// service queue uses, so one tenant's burst of accepted jobs cannot
-	// monopolize the fleet's workers any more than it can the inline pool.
-	pending *tenant.FairQueue[JobSpec]
+	// held lists the jobs pool workers hold for the next lease poll, in the
+	// order they left the service's weighted-fair queue; grants take the
+	// oldest first and so keep that order.
+	held    []*handoff
 	leases  map[string]*lease    // job id -> active lease
 	tokens  map[string]uint64    // job id -> newest issued fencing token
 	workers map[string]time.Time // worker id -> last contact
-	notify  chan struct{}        // closed and replaced when pending gains work
-	closed  bool
-	// graceUntil holds recovered jobs for re-lease (instead of running them
-	// inline) until previously-registered workers have had time to
-	// reconnect after a coordinator restart.
+	// notify is closed and replaced when a job is held or the fleet
+	// changes, waking lease polls and the Handoff calls waiting for them.
+	notify chan struct{}
+	closed bool
+	// graceUntil keeps jobs held for re-lease (instead of run inline) until
+	// previously-registered workers have had time to reconnect after a
+	// coordinator restart.
 	graceUntil time.Time
 
-	stop           chan struct{}
-	cancelDispatch context.CancelFunc
-	loopWG         sync.WaitGroup
-	inlineWG       sync.WaitGroup
-	inlineSem      chan struct{}
+	stop   chan struct{}
+	loopWG sync.WaitGroup
 }
 
 // NewCoordinator builds a Coordinator. With cfg.Fleet set, the fencing
@@ -115,15 +117,13 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:       cfg,
-		m:         newFleetMetrics(cfg.Registry),
-		pending:   tenant.NewFairQueue[JobSpec](),
-		leases:    make(map[string]*lease),
-		tokens:    make(map[string]uint64),
-		workers:   make(map[string]time.Time),
-		notify:    make(chan struct{}),
-		stop:      make(chan struct{}),
-		inlineSem: make(chan struct{}, cfg.InlineWorkers),
+		cfg:     cfg,
+		m:       newFleetMetrics(cfg.Registry),
+		leases:  make(map[string]*lease),
+		tokens:  make(map[string]uint64),
+		workers: make(map[string]time.Time),
+		notify:  make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
 	if cfg.Fleet != nil {
 		st, err := cfg.Fleet.RecoverFleet(nil)
@@ -140,19 +140,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Start launches the dispatch and janitor loops.
+// Start launches the janitor loop.
 func (c *Coordinator) Start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancelDispatch = cancel
-	c.loopWG.Add(2)
-	go c.dispatchLoop(ctx)
+	c.loopWG.Add(1)
 	go c.janitorLoop()
 }
 
-// Shutdown stops dispatch and waits for inline jobs to finish. Jobs leased
-// to remote workers are NOT waited for: they are journaled on the
-// coordinator and either complete against the next coordinator life or are
-// recovered by it.
+// Shutdown answers pending lease polls, stops the janitor and waits for it.
+// Jobs leased to remote workers are NOT waited for: they are journaled on
+// the coordinator and either complete against the next coordinator life or
+// are recovered by it. After Shutdown, Handoff declines every job.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	if !c.closed {
@@ -161,13 +158,9 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		c.wakeLocked()
 	}
 	c.mu.Unlock()
-	if c.cancelDispatch != nil {
-		c.cancelDispatch()
-	}
 	done := make(chan struct{})
 	go func() {
 		c.loopWG.Wait()
-		c.inlineWG.Wait()
 		close(done)
 	}()
 	select {
@@ -194,44 +187,11 @@ func (c *Coordinator) wakeLocked() {
 	c.notify = make(chan struct{})
 }
 
-// dispatchLoop pulls accepted jobs off the backend queue and routes each:
-// to the pending list (for a worker lease) when the fleet has live workers,
-// inline otherwise.
-func (c *Coordinator) dispatchLoop(ctx context.Context) {
-	defer c.loopWG.Done()
-	for {
-		spec, ok := c.cfg.Backend.DequeueJob(ctx)
-		if !ok {
-			return
-		}
-		c.offer(spec)
-	}
-}
-
-// specTenant and specWeight normalize a JobSpec's fair-queue key: specs
-// from older coordinators (or tests) without tenant fields land under the
-// default tenant at weight 1.
-func specTenant(spec JobSpec) string { return tenant.Canonical(spec.Tenant) }
-
-func specWeight(spec JobSpec) int {
-	if spec.Weight < 1 {
-		return 1
-	}
-	return spec.Weight
-}
-
-// offer routes one dequeued job.
-func (c *Coordinator) offer(spec JobSpec) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.liveWorkersLocked(now) > 0 || now.Before(c.graceUntil) {
-		c.pending.Push(specTenant(spec), specWeight(spec), spec)
-		c.wakeLocked()
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	c.runInline(spec)
+// leasingLocked reports whether jobs should wait for a lease: a worker is
+// live, or the reconnect grace after a restart is still running. Callers
+// hold c.mu.
+func (c *Coordinator) leasingLocked(now time.Time) bool {
+	return !c.closed && (c.liveWorkersLocked(now) > 0 || now.Before(c.graceUntil))
 }
 
 // liveWorkersLocked counts workers seen within WorkerTTL. Callers hold c.mu.
@@ -245,17 +205,52 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	return n
 }
 
-// runInline executes one job through the backend's single-process path,
-// bounded by the inline semaphore.
-func (c *Coordinator) runInline(spec JobSpec) {
+// Handoff is called by a pool worker of the service for each job it
+// dequeues. While the fleet is leasing it holds the job for the next lease
+// poll, so jobs leave the service's queue no faster than workers ask for
+// them, and returns true once a poll has dealt with it: leased, found
+// already terminal, or requeued because its fencing token could not be
+// written. It returns false, and counts the job in
+// arbalestd_fleet_jobs_inline_total, when the caller should run the job
+// itself: no worker is live and no restart grace is running, from the start
+// or after the last worker expired while the job waited. Canceling ctx (the
+// service shutting down) withdraws a held job and returns true, leaving it
+// journaled for the next life, unless the fleet is gone too; then the
+// caller runs it.
+func (c *Coordinator) Handoff(ctx context.Context, spec JobSpec) bool {
+	c.mu.Lock()
+	leasing := c.leasingLocked(time.Now())
+	if leasing && ctx.Err() == nil {
+		h := &handoff{spec: spec, done: make(chan struct{})}
+		c.held = append(c.held, h)
+		c.wakeLocked()
+		for leasing && ctx.Err() == nil {
+			ch := c.notify
+			c.mu.Unlock()
+			select {
+			case <-h.done:
+				return true
+			case <-ch:
+			case <-ctx.Done():
+			}
+			c.mu.Lock()
+			leasing = c.leasingLocked(time.Now())
+		}
+		i := slices.Index(c.held, h)
+		if i < 0 {
+			// A lease poll took the job meanwhile; it settles it.
+			c.mu.Unlock()
+			<-h.done
+			return true
+		}
+		c.held = slices.Delete(c.held, i, i+1)
+	}
+	c.mu.Unlock()
+	if leasing {
+		return true // shutting down with workers live: the job waits for the next life
+	}
 	c.m.jobsInline.Inc()
-	c.inlineWG.Add(1)
-	go func() {
-		defer c.inlineWG.Done()
-		c.inlineSem <- struct{}{}
-		defer func() { <-c.inlineSem }()
-		c.cfg.Backend.RunJobInline(spec.ID)
-	}()
+	return false
 }
 
 // Register records a worker, durably when a fleet log is configured, and
@@ -278,7 +273,7 @@ func (c *Coordinator) Register(workerID string) (time.Duration, error) {
 	return c.cfg.LeaseTTL, nil
 }
 
-// Lease long-polls for the next pending job on behalf of workerID, waiting
+// Lease long-polls for the next held job on behalf of workerID, waiting
 // up to wait before answering (nil, nil) — "nothing yet, poll again". A
 // grant's fencing token is write-ahead persisted before the grant returns.
 func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Duration) (*LeaseGrant, error) {
@@ -319,17 +314,15 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 	}
 }
 
-// grantLocked tries to lease the next pending job — weighted-fair across
-// tenants — to workerID. It returns (nil, nil) when no job is pending.
-// Callers hold c.mu; the lock is released around the fleet-log fsync and
-// re-acquired (safe because the popped job is owned by this call: it is in
-// neither pending nor leases).
+// grantLocked leases the longest-held job to workerID. It returns (nil,
+// nil) when no job is held. Callers hold c.mu; the lock is released around
+// the fleet-log fsync and re-acquired (safe because the taken job is owned
+// by this call: it is in neither held nor leases).
 func (c *Coordinator) grantLocked(workerID string) (*LeaseGrant, error) {
-	for c.pending.Len() > 0 {
-		tname, spec, ok := c.pending.Pop()
-		if !ok {
-			break
-		}
+	for len(c.held) > 0 {
+		h := c.held[0]
+		c.held = slices.Delete(c.held, 0, 1)
+		spec := h.spec
 		token := c.tokens[spec.ID] + 1
 		if c.cfg.Fleet != nil {
 			c.mu.Unlock()
@@ -339,13 +332,16 @@ func (c *Coordinator) grantLocked(workerID string) (*LeaseGrant, error) {
 				// Without the durable token the grant is unsafe; put the job
 				// back at the head of its tenant's line and surface the spool
 				// failure to the worker (503).
-				c.pending.PushFront(tname, specWeight(spec), spec)
+				c.cfg.Backend.Requeue(spec.ID)
+				close(h.done)
 				return nil, err
 			}
 		}
-		if !c.cfg.Backend.MarkJobRunning(spec.ID, workerID) {
-			// The job reached a terminal state or was evicted while queued
-			// (e.g. completed by a previous lease); nothing to lease.
+		running := c.cfg.Backend.MarkJobRunning(spec.ID, workerID)
+		close(h.done)
+		if !running {
+			// The job reached a terminal state or was evicted while held;
+			// nothing to lease.
 			continue
 		}
 		c.tokens[spec.ID] = token
@@ -501,22 +497,20 @@ func (c *Coordinator) janitorLoop() {
 	}
 }
 
-// janitorOnce expires leases whose heartbeats lapsed (rescheduling their
-// jobs at the head of their tenant's line, so a crash-looping job is
-// retried before the tenant's fresh work without jumping other tenants),
-// prunes workers past the worker TTL, and — when the fleet has no live
-// workers and the reconnect grace is over — drains the pending queue
-// through the inline path so jobs never starve.
+// janitorOnce expires leases whose heartbeats lapsed, putting their jobs
+// back at the head of their tenant's line in the service's queue (so a
+// crash-looping job is retried before the tenant's fresh work without
+// jumping other tenants), and prunes workers past the worker TTL. When the
+// last worker goes or the reconnect grace ends it wakes the Handoff calls
+// holding jobs, which then give them back to their pool workers to run.
 func (c *Coordinator) janitorOnce(now time.Time) {
 	c.mu.Lock()
-	var resched []JobSpec
 	var expired []*lease
 	for id, l := range c.leases {
 		if now.After(l.deadline) {
 			delete(c.leases, id)
 			c.m.leasesExpired.Inc()
 			c.m.jobsRescheduled.Inc()
-			resched = append(resched, l.spec)
 			expired = append(expired, l)
 			resume := uint64(0)
 			if ck := c.cfg.Backend.FreshCheckpoint(id); ck != nil {
@@ -526,54 +520,32 @@ func (c *Coordinator) janitorOnce(now time.Time) {
 				"job_id", id, "worker", l.worker, "token", l.token, "resume_event", resume)
 		}
 	}
-	if len(resched) > 0 {
-		for _, spec := range resched {
-			c.pending.PushFront(specTenant(spec), specWeight(spec), spec)
-		}
-		c.wakeLocked()
-	}
+	changed := false
 	for w, seen := range c.workers {
 		if now.Sub(seen) > c.cfg.WorkerTTL {
 			delete(c.workers, w)
+			changed = true
 			c.cfg.Logger.Warn("worker expired", "worker", w)
 		}
 	}
-	c.m.workers.Set(int64(len(c.workers)))
-	var inline []JobSpec
-	if len(c.workers) == 0 && now.After(c.graceUntil) && c.pending.Len() > 0 {
-		inline = c.pending.Drain()
-		c.cfg.Logger.Warn("no live workers; draining pending jobs inline", "jobs", len(inline))
+	if !c.graceUntil.IsZero() && now.After(c.graceUntil) {
+		c.graceUntil = time.Time{}
+		changed = true
 	}
+	if changed {
+		c.wakeLocked()
+	}
+	c.m.workers.Set(int64(len(c.workers)))
 	c.mu.Unlock()
-	if sink := c.traceSink(); sink != nil {
-		// Close expired leases' spans with an error so a rescheduled job's
-		// trace shows the failed attempt, not a silently vanished subtree.
-		for _, l := range expired {
+	sink := c.traceSink()
+	for _, l := range expired {
+		if sink != nil {
+			// Close the expired lease's span with an error so a rescheduled
+			// job's trace shows the failed attempt, not a silently vanished
+			// subtree.
 			sink.CloseLeaseSpan(l.spec.ID, l.token, "lease expired: heartbeats stopped")
 		}
-	}
-	for _, spec := range inline {
-		c.runInline(spec)
-	}
-}
-
-// Stats is a point-in-time view of the fleet for tests and the stats
-// endpoint.
-type Stats struct {
-	LiveWorkers int `json:"liveWorkers"`
-	Pending     int `json:"pending"`
-	Leased      int `json:"leased"`
-}
-
-// Stats snapshots the lease table.
-func (c *Coordinator) Stats() Stats {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		LiveWorkers: c.liveWorkersLocked(now),
-		Pending:     c.pending.Len(),
-		Leased:      len(c.leases),
+		c.cfg.Backend.Requeue(l.spec.ID)
 	}
 }
 
@@ -589,7 +561,7 @@ func (c *Coordinator) FleetSnapshot() FleetSnapshot {
 	}
 	snap := FleetSnapshot{
 		Workers: make([]WorkerInfo, 0, len(c.workers)),
-		Pending: c.pending.Len(),
+		Pending: len(c.held),
 		Leased:  len(c.leases),
 	}
 	for id, seen := range c.workers {

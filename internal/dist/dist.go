@@ -29,14 +29,16 @@
 //
 // # Degradation
 //
-// With zero live workers the coordinator runs jobs inline through the same
-// service engine, so a standalone arbalestd (or a fleet that lost every
-// worker) keeps working — distribution is an optimization, never a
-// requirement.
+// The coordinator keeps no queue of its own. Jobs wait in the service's
+// weighted-fair queue, under its bound, shedding and deadlines, and a pool
+// worker of the service hands each one it dequeues to the next lease poll
+// (Coordinator.Handoff). With no live worker and no restart grace running,
+// the pool worker runs the job itself instead, so a coordinator whose fleet
+// is gone keeps working like a standalone arbalestd: distribution is an
+// optimization, never a requirement.
 package dist
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"time"
@@ -53,25 +55,16 @@ type JobSpec struct {
 	Tool string `json:"tool"`
 	// Events is the trace length, for progress accounting.
 	Events int `json:"events"`
-	// Tenant is the identity the job was admitted under; the coordinator's
-	// pending table grants leases weighted-fair across tenants.
-	Tenant string `json:"tenant,omitempty"`
-	// Weight is the tenant's WFQ weight at dequeue time (>= 1).
-	Weight int `json:"weight,omitempty"`
+	// Stats asks the worker to collect analyzer-level telemetry, the
+	// daemon's -analyzer-stats setting, so a remote result carries the same
+	// stats block as an inline one.
+	Stats bool `json:"stats,omitempty"`
 }
 
 // Backend is the coordinator's seam into the job engine; *service.Service
-// implements it. The coordinator owns dispatch policy (lease vs inline) and
-// the lease table; the backend owns the job store, the journal, and the
-// metrics the single-process daemon already had.
+// implements it. The coordinator owns the lease table; the backend owns the
+// job queue, the job store, the journal, and the metrics.
 type Backend interface {
-	// DequeueJob blocks for the next accepted job, returning ok=false when
-	// ctx is canceled or the queue is closed and drained.
-	DequeueJob(ctx context.Context) (JobSpec, bool)
-	// RunJobInline analyzes the job on the calling goroutine using the
-	// single-process replay path (panic confinement, watchdog, local
-	// checkpoints included).
-	RunJobInline(id string)
 	// MarkJobRunning transitions the job to running state on behalf of a
 	// remote worker, journaling the transition. It returns false if the job
 	// no longer exists or is already terminal (the lease should be
@@ -85,6 +78,10 @@ type Backend interface {
 	// errMsg=="" means done with the given summary JSON, otherwise failed.
 	// A job already terminal returns an error (the write lost the race).
 	CompleteRemote(id, errMsg string, result json.RawMessage) error
+	// Requeue puts a job whose lease ended without a result — it expired,
+	// or its fencing token could not be written — back at the head of its
+	// tenant's line in the job queue.
+	Requeue(id string)
 	// FreshCheckpoint returns the job's newest ingested checkpoint, nil if
 	// none — what a rescheduled worker resumes from.
 	FreshCheckpoint(id string) *trace.Checkpoint
@@ -150,7 +147,9 @@ type FleetCounters struct {
 // GET /v1/fleet/status: the worker table, lease pressure, and counters.
 // The service adds queue depth and span-derived latencies on top.
 type FleetSnapshot struct {
-	Workers  []WorkerInfo  `json:"workers"`
+	Workers []WorkerInfo `json:"workers"`
+	// Pending is how many jobs pool workers hold for the next lease poll
+	// (at most the service's -workers); the rest wait in the job queue.
 	Pending  int           `json:"pending"`
 	Leased   int           `json:"leased"`
 	Counters FleetCounters `json:"counters"`

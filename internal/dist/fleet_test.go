@@ -90,40 +90,43 @@ type fleet struct {
 	once  sync.Once
 }
 
-// newFleet builds a service in external-dispatch mode, a coordinator on top
-// of it, and serves both APIs from one httptest listener — the same topology
-// `arbalestd -role coordinator` runs.
+// newFleet builds a service, a coordinator attached to it, and serves both
+// APIs from one httptest listener — the same topology `arbalestd -role
+// coordinator` runs.
 func newFleet(t *testing.T, jnl *journal.Journal, leaseTTL, workerTTL time.Duration, doRecover bool) *fleet {
 	t.Helper()
-	svc := service.New(service.Config{
-		Workers:          2,
-		QueueSize:        64,
-		Journal:          jnl,
-		CheckpointEvery:  1,
-		ExternalDispatch: true,
-	})
+	return startFleet(t, service.Config{
+		Workers:         2,
+		QueueSize:       64,
+		Journal:         jnl,
+		CheckpointEvery: 1,
+	}, dist.CoordinatorConfig{LeaseTTL: leaseTTL, WorkerTTL: workerTTL}, doRecover)
+}
+
+// startFleet is newFleet with the caller's service and coordinator
+// settings. As in arbalestd, the coordinator is attached before the service
+// starts, so recovered jobs wait out its reconnect grace.
+func startFleet(t *testing.T, cfg service.Config, ccfg dist.CoordinatorConfig, doRecover bool) *fleet {
+	t.Helper()
+	svc := service.New(cfg)
 	if doRecover {
 		if _, err := svc.Recover(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc.Start()
-	ccfg := dist.CoordinatorConfig{
-		Backend:   svc,
-		LeaseTTL:  leaseTTL,
-		WorkerTTL: workerTTL,
-		Registry:  svc.Metrics().Registry(),
-		Logger:    debugLogger(),
-	}
-	if jnl != nil {
-		ccfg.Fleet = jnl.Fleet()
+	ccfg.Backend = svc
+	ccfg.Registry = svc.Metrics().Registry()
+	ccfg.Logger = debugLogger()
+	if cfg.Journal != nil {
+		ccfg.Fleet = cfg.Journal.Fleet()
 	}
 	coord, err := dist.NewCoordinator(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.AttachCoordinator(coord)
+	svc.Start()
 	coord.Start()
-	svc.SetFleetSource(coord)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/fleet/", coord.Handler())
 	// Exact pattern outranks the prefix mount — same routing as arbalestd.

@@ -35,9 +35,9 @@ func newFleetMetrics(reg *telemetry.Registry) *fleetMetrics {
 		checkpointsReceived: reg.Counter("arbalestd_fleet_checkpoints_received_total",
 			"Epoch-barrier checkpoints streamed back by workers and ingested."),
 		jobsRescheduled: reg.Counter("arbalestd_fleet_jobs_rescheduled_total",
-			"Jobs requeued for a new lease after their holder's lease expired."),
+			"Jobs put back in the job queue after their holder's lease expired."),
 		jobsInline: reg.Counter("arbalestd_fleet_jobs_inline_total",
-			"Jobs run inline by the coordinator because no live workers were registered."),
+			"Jobs a coordinator's pool ran itself because no worker was live and no restart grace was running."),
 		results: reg.CounterVec("arbalestd_fleet_results_total",
 			"Remote job results accepted, by terminal status.", "status"),
 	}

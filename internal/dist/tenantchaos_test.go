@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strconv"
 	"sync/atomic"
@@ -48,37 +47,17 @@ func tenantChaosDuration() time.Duration {
 // the fair-share weights.
 func newTenantFleet(t *testing.T) *fleet {
 	t.Helper()
-	svc := service.New(service.Config{
-		Workers:          2,
-		QueueSize:        64,
-		MaxStreams:       32,
-		CheckpointEvery:  1,
-		ExternalDispatch: true,
+	return startFleet(t, service.Config{
+		Workers:         2,
+		QueueSize:       64,
+		MaxStreams:      32,
+		CheckpointEvery: 1,
 		TenantLimits: map[string]tenant.Limits{
 			"mallory": {Weight: 1, Rate: 25, Burst: 5, MaxJobs: 4},
 			"alice":   {Weight: 2},
 			"bob":     {Weight: 1},
 		},
-	})
-	svc.Start()
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{
-		Backend:  svc,
-		LeaseTTL: 150 * time.Millisecond,
-		Registry: svc.Metrics().Registry(),
-		Logger:   debugLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Start()
-	svc.SetFleetSource(coord)
-	mux := http.NewServeMux()
-	mux.Handle("/v1/fleet/", coord.Handler())
-	mux.Handle("GET /v1/fleet/status", svc.Handler())
-	mux.Handle("/", svc.Handler())
-	f := &fleet{t: t, svc: svc, coord: coord, srv: httptest.NewServer(mux)}
-	t.Cleanup(f.close)
-	return f
+	}, dist.CoordinatorConfig{LeaseTTL: 150 * time.Millisecond}, false)
 }
 
 // submitAs POSTs tr under tenantName, returning the response status and

@@ -309,26 +309,17 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 		log.Warn("checkpoint fetch failed; replaying from scratch", "err", err)
 	}
 
-	a, err := tools.New(grant.Job.Tool)
+	a, start, restoreErr, err := tools.Resume(grant.Job.Tool, tools.Options{Stats: grant.Job.Stats}, ck)
 	if err != nil {
 		wt.end(restoreSpan, err)
 		return postFinal(err.Error(), nil)
 	}
-	var start uint64
-	cp, canCheckpoint := a.(tools.Checkpointer)
-	if ck != nil && canCheckpoint && ck.Tool == grant.Job.Tool && ck.NextEvent <= uint64(len(tr.Events)) {
-		if rerr := cp.RestoreState(ck.State); rerr != nil {
-			log.Error("checkpoint restore failed; replaying from scratch", "err", rerr)
-			if a, err = tools.New(grant.Job.Tool); err != nil {
-				wt.end(restoreSpan, err)
-				return postFinal(err.Error(), nil)
-			}
-			cp, canCheckpoint = a.(tools.Checkpointer)
-		} else {
-			start = ck.NextEvent
-			log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", len(tr.Events))
-		}
+	if restoreErr != nil {
+		log.Error("checkpoint restore failed; replaying from scratch", "err", restoreErr)
+	} else if start > 0 {
+		log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", len(tr.Events))
 	}
+	cp, canCheckpoint := a.(tools.Checkpointer)
 	wt.setCount(restoreSpan, "resume_event", int64(start))
 	wt.end(restoreSpan, nil)
 
@@ -383,7 +374,7 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 
 	replaySpan = wt.begin("replay")
 	wt.setCount(replaySpan, "start_event", int64(start))
-	_, rerr := tr.ReplayDurable(rctx, opts, a)
+	summary, rerr := analyze(rctx, tr, opts, a)
 	cancel(nil)
 	<-hbDone
 	if crashed || errors.Is(rerr, errWorkerCrash) {
@@ -405,7 +396,6 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 		}
 		return nil
 	}
-	summary := tools.Summarize(a)
 	resultJSON, merr := json.Marshal(summary)
 	if merr != nil {
 		resultJSON = nil
@@ -417,6 +407,29 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	}
 	log.Info("job completed", "issues", summary.Issues)
 	return nil
+}
+
+// analyze replays one leased job and summarizes it, then returns the
+// analyzer's shadow slabs to the arena for the next lease. An analyzer
+// panic is confined to the job as the service's pool confines it: it comes
+// back as the job's failure, and the worker goes on to its next lease.
+func analyze(ctx context.Context, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (summary *tools.Summary, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = tools.PanicError(r)
+		}
+	}()
+	if err := faultinject.Fire("worker.replay"); err != nil {
+		return nil, err
+	}
+	if _, err := tr.ReplayDurable(ctx, opts, a); err != nil {
+		return nil, err
+	}
+	summary = tools.Summarize(a)
+	if rel, ok := a.(tools.Releaser); ok {
+		rel.Release()
+	}
+	return summary, nil
 }
 
 // heartbeatLoop extends the lease every TTL/3, beating once immediately on

@@ -13,9 +13,11 @@
 //	journal.checkpoint  error or delay on an analyzer-state checkpoint write
 //	                    (full-disk or slow-disk simulation; a delay here also
 //	                    wedges the replay for stall-watchdog scenarios)
-//	worker.slow         delay before a worker starts its replay
-//	worker.replay       panic or delay inside a worker's replay (analyzer
-//	                    crash, slow worker)
+//	worker.slow         delay before a pool worker of the service starts
+//	                    its replay
+//	worker.replay       panic or delay inside a replay, on the service's pool
+//	                    and on a fleet worker alike (analyzer crash, slow
+//	                    worker)
 //	worker.crash        fired after a checkpoint is durably written; an
 //	                    armed error simulates a hard crash (the worker
 //	                    goroutine exits without unwinding, leaving the job

@@ -1,87 +1,41 @@
 // Fleet backend: the dist.Backend seam the coordinator drives.
 //
-// With Config.ExternalDispatch set, Start launches no inline workers and
-// the coordinator (internal/dist) becomes the only consumer of the job
-// queue. The methods here give it exactly the pieces runJob owns in the
-// single-process daemon — the running transition, checkpoint custody, and
-// the terminal bookkeeping — so a job finished by a remote worker is
-// indistinguishable (journal marks, metrics, retention, span-free like a
-// recovered job) from one finished inline.
+// A coordinator attached with AttachCoordinator is offered every job the
+// pool dequeues (Coordinator.Handoff). The methods here give a lease the
+// same lifecycle steps a pool worker's own run takes — the running
+// transition, checkpoint custody, the terminal bookkeeping (lifecycle.go) —
+// plus Requeue, which puts the job of a lease that ended without a result
+// back at the head of its tenant's line.
 package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/journal"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
 
-// DequeueJob hands the next accepted job to the coordinator, blocking until
-// one arrives. Jobs surface in weighted-fair order with deadline and
-// overload shedding applied at the pop, exactly as for inline workers.
-// ok=false means ctx was canceled or the service is shutting down with the
-// queue drained.
-func (s *Service) DequeueJob(ctx context.Context) (dist.JobSpec, bool) {
-	j, ok := s.dequeue(ctx)
-	if !ok {
-		return dist.JobSpec{}, false
-	}
-	weight := s.tenants.Get(j.tenant).Weight()
+// lookup returns the identified job.
+func (s *Service) lookup(id string) (*job, bool) {
 	s.mu.Lock()
-	spec := dist.JobSpec{ID: j.id, Tool: j.tool, Events: j.events, Tenant: j.tenant, Weight: weight}
-	s.mu.Unlock()
-	return spec, true
-}
-
-// RunJobInline analyzes the job on the calling goroutine through the
-// single-process path (degraded mode: zero live workers).
-func (s *Service) RunJobInline(id string) {
-	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok || j.status == StatusDone || j.status == StatusFailed {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	s.runJob(j)
+	return j, ok
 }
 
 // MarkJobRunning transitions the job to running for a remote lease holder,
 // journaling the transition. False means the job is gone or already
 // terminal and the lease must not be granted.
 func (s *Service) MarkJobRunning(id, worker string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.status == StatusDone || j.status == StatusFailed {
-		s.mu.Unlock()
+	j, ok := s.lookup(id)
+	if !ok {
 		return false
 	}
-	// A re-lease after expiry arrives with the job already running; keep
-	// the original start time so queue-wait isn't counted twice.
-	if j.status != StatusRunning {
-		j.status = StatusRunning
-		j.started = time.Now()
-		if qs := j.span.Child("queue"); qs != nil {
-			qs.EndAt(j.started)
-		}
-		if !j.enqueued.IsZero() {
-			s.metrics.queueWait.ObserveDuration(j.started.Sub(j.enqueued))
-		}
-	}
-	s.publishTraceLocked(j)
-	hook := s.testHookRunning
-	s.mu.Unlock()
-	s.mark(j, journal.StatusRunning, "", nil)
-	if hook != nil {
-		hook(id)
-	}
-	return true
+	_, _, running := s.startRunning(j)
+	return running
 }
 
 // StoreRemoteCheckpoint ingests a worker's epoch-barrier checkpoint:
@@ -89,104 +43,63 @@ func (s *Service) MarkJobRunning(id, worker string) bool {
 // on) and spooled through the journal so a coordinator restart resumes
 // remote jobs from it.
 func (s *Service) StoreRemoteCheckpoint(ck *trace.Checkpoint) error {
-	s.mu.Lock()
-	j, ok := s.jobs[ck.JobID]
+	j, ok := s.lookup(ck.JobID)
 	if !ok {
-		s.mu.Unlock()
 		return dist.ErrNoJob
 	}
-	if j.status == StatusDone || j.status == StatusFailed {
-		s.mu.Unlock()
-		return nil // terminal: the checkpoint is obsolete, not an error
-	}
-	if j.ckpt != nil && ck.NextEvent < j.ckpt.NextEvent {
-		s.mu.Unlock()
-		return nil
-	}
-	j.ckpt = ck
-	s.mu.Unlock()
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.WriteCheckpoint(ck); err != nil {
-			// The in-memory copy still serves rescheduling within this
-			// coordinator life; only restart durability is degraded.
-			s.metrics.checkpointErrors.Inc()
-			s.metrics.journalError("checkpoint")
-			s.jobLogger(j).Error("remote checkpoint spool failed", "phase", "fleet", "err", err)
-		}
-	}
-	s.metrics.checkpointsWritten.Inc()
-	s.metrics.checkpointBytes.Observe(float64(len(ck.State)))
+	s.storeCheckpoint(j, ck)
 	return nil
 }
 
-// CompleteRemote records a remote job's terminal state exactly once,
-// mirroring runJob's epilogue: result/error, journal mark, metrics,
-// retention GC, checkpoint removal. A second completion (a zombie's result
-// racing the rescheduled run) fails with an error instead of overwriting.
+// CompleteRemote records a remote job's terminal state exactly once. A
+// second completion (a zombie's result racing the rescheduled run) fails
+// with an error instead of overwriting.
 func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	var started time.Time
+	if ok {
+		started = j.started
+	}
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return dist.ErrNoJob
 	}
-	if j.status == StatusDone || j.status == StatusFailed {
-		s.mu.Unlock()
-		return fmt.Errorf("dist backend: job %s already terminal (%s)", id, j.status)
+	o := outcome{err: errMsg}
+	if !started.IsZero() {
+		o.wall = time.Since(started)
 	}
-	j.finished = time.Now()
-	if !j.started.IsZero() {
-		j.wall = j.finished.Sub(j.started)
-	}
-	events := j.events
-	j.tr = nil
-	j.ckpt = nil
-	var summary *tools.Summary
-	if errMsg != "" {
-		j.status = StatusFailed
-		j.errMsg = errMsg
-	} else {
-		j.status = StatusDone
-		if len(result) > 0 {
-			var sum tools.Summary
-			if err := json.Unmarshal(result, &sum); err == nil {
-				summary = &sum
-				j.result = summary
-			} else {
-				s.jobLogger(j).Error("remote result unmarshal failed", "phase", "fleet", "err", err)
-			}
+	if errMsg == "" {
+		o.result = result
+		var sum tools.Summary
+		if err := json.Unmarshal(result, &sum); err == nil {
+			o.summary = &sum
+		} else if len(result) > 0 {
+			s.jobLogger(j).Error("remote result unmarshal failed", "phase", "fleet", "err", err)
 		}
 	}
-	if j.span != nil {
-		if errMsg != "" {
-			j.span.SetError(errMsg)
-		}
-		j.span.EndAt(j.finished)
+	if err := s.finish(j, o, nil); err != nil {
+		return err
 	}
-	s.releaseQuotaLocked(j)
-	s.publishTraceLocked(j)
-	s.metrics.jobSeconds.ObserveDuration(j.finished.Sub(j.submitted))
-	s.gcLocked(j.finished)
-	s.mu.Unlock()
-
-	if errMsg != "" {
-		s.metrics.jobsFailed.Inc()
-		s.mark(j, journal.StatusFailed, errMsg, nil)
-	} else {
-		s.metrics.jobsCompleted.Inc()
-		s.metrics.eventsReplayed.Add(uint64(events))
-		if summary != nil {
-			s.metrics.recordJobStats(summary.Stats)
-		}
-		s.mark(j, journal.StatusDone, "", result)
-	}
-	if s.cfg.Journal != nil {
-		if rerr := s.cfg.Journal.RemoveCheckpoint(id); rerr != nil {
-			s.metrics.journalError("remove")
-			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", rerr)
-		}
+	if errMsg == "" {
+		s.metrics.eventsReplayed.Add(uint64(j.events))
 	}
 	return nil
+}
+
+// Requeue puts a job whose lease ended without a result back at the head of
+// its tenant's line, where the pool offers it to the fleet again or runs
+// it. The job keeps its running status and start time; only its queue
+// sojourn restarts. Unknown and terminal jobs are ignored.
+func (s *Service) Requeue(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok || j.terminal() {
+		return
+	}
+	j.enqueued = time.Now()
+	s.pushLocked(j, s.tenants.Get(j.tenant).Weight(), true)
 }
 
 // FreshCheckpoint returns the job's newest checkpoint, nil when it must

@@ -1,13 +1,13 @@
 // Federated fleet status: GET /v1/fleet/status aggregates per-worker
 // liveness, lease and fencing counters, queue depths, and span-derived job
 // latencies into one view. In coordinator mode the worker table comes from
-// the coordinator (SetFleetSource); in standalone mode the endpoint
-// degrades gracefully by reporting the inline worker pool as one synthetic
-// worker, so dashboards and the arbalest -fleet-status client work against
-// any role.
+// the attached coordinator; in standalone mode the endpoint degrades
+// gracefully by reporting the worker pool as one synthetic worker, so
+// dashboards and the arbalest -fleet-status client work against any role.
 package service
 
 import (
+	"context"
 	"net/http"
 	"sort"
 	"time"
@@ -15,18 +15,23 @@ import (
 	"repro/internal/dist"
 )
 
-// FleetSource supplies the coordinator's point-in-time fleet view;
-// *dist.Coordinator implements it.
-type FleetSource interface {
+// Coordinator is the fleet seam of the service; *dist.Coordinator
+// implements it.
+type Coordinator interface {
+	// Handoff offers a job the pool dequeued to the fleet. True means the
+	// fleet dealt with it; false means the pool worker runs it (see
+	// dist.Coordinator.Handoff). ctx is canceled when Shutdown begins.
+	Handoff(ctx context.Context, spec dist.JobSpec) bool
+	// FleetSnapshot supplies the worker table for GET /v1/fleet/status.
 	FleetSnapshot() dist.FleetSnapshot
 }
 
-// SetFleetSource wires the coordinator into GET /v1/fleet/status. Call it
-// before serving traffic (the daemon does, right after building the
-// coordinator); nil keeps the standalone synthesis.
-func (s *Service) SetFleetSource(src FleetSource) {
+// AttachCoordinator makes the pool offer every job it dequeues to c and
+// wires c into GET /v1/fleet/status. Call it before Start (the daemon does,
+// right after building the coordinator).
+func (s *Service) AttachCoordinator(c Coordinator) {
 	s.mu.Lock()
-	s.fleetSource = src
+	s.coord = c
 	s.mu.Unlock()
 }
 
@@ -43,10 +48,11 @@ type FleetStatus struct {
 	// Role is "coordinator" when a fleet source is wired, else "standalone".
 	Role string `json:"role"`
 	// Workers is the fleet's worker table. Standalone daemons report one
-	// synthetic "inline-pool" worker covering the in-process replay pool.
+	// synthetic "inline-pool" worker covering the in-process worker pool.
 	Workers []dist.WorkerInfo `json:"workers"`
-	// Pending and Leased are fleet queue pressure (standalone: Pending is
-	// the job queue depth, Leased the jobs currently running inline).
+	// Pending and Leased are fleet queue pressure (coordinator: the jobs
+	// pool workers hold for a lease, and the leased ones; standalone:
+	// Pending is the job queue depth, Leased the jobs currently running).
 	Pending int `json:"pending"`
 	Leased  int `json:"leased"`
 	// QueueDepth/QueueCapacity are the service's admission queue.
@@ -65,7 +71,7 @@ type FleetStatus struct {
 // FleetStatus assembles the federated status view.
 func (s *Service) FleetStatus() FleetStatus {
 	s.mu.Lock()
-	src := s.fleetSource
+	src := s.coord
 	depth, capacity := s.fq.Len(), s.cfg.QueueSize
 	running := 0
 	for _, j := range s.jobs {
@@ -90,9 +96,9 @@ func (s *Service) FleetStatus() FleetStatus {
 		st.Counters = snap.Counters
 		return st
 	}
-	// Standalone: no coordinator, no lease table — report the inline replay
-	// pool as one synthetic always-live worker so fleet tooling sees the
-	// same shape everywhere.
+	// Standalone: no coordinator, no lease table — report the worker pool
+	// as one synthetic always-live worker so fleet tooling sees the same
+	// shape everywhere.
 	st.Role = "standalone"
 	st.Workers = []dist.WorkerInfo{{
 		ID:       "inline-pool",

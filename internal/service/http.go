@@ -16,7 +16,8 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /v1/jobs?tool=<name>  submit a JSON-lines trace; 202 + job JSON.
+//	POST /v1/jobs?tool=<name>  submit a trace (JSON lines or CRC-framed);
+//	                           202 + job JSON.
 //	                           An Idempotency-Key header makes retried
 //	                           uploads safe: a duplicate returns the
 //	                           original job (200) instead of re-analyzing.
@@ -33,7 +34,7 @@ import (
 //	GET  /v1/fleet/status      federated fleet status: worker liveness,
 //	                           lease/fencing counters, queue depths, and
 //	                           span-derived job latencies; standalone
-//	                           daemons report the inline pool as one
+//	                           daemons report the worker pool as one
 //	                           synthetic worker
 //	POST   /v1/streams                 open a live ingestion session;
 //	                                   201 + session JSON, 429 at the cap

@@ -51,6 +51,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/stream"
@@ -75,8 +76,10 @@ var (
 
 // Config parameterizes a Service. Zero fields take the documented defaults.
 type Config struct {
-	// Workers is the replay worker-pool size — how many jobs analyze
-	// concurrently (default GOMAXPROCS).
+	// Workers sizes the pool that takes jobs off the queue — how many jobs
+	// analyze concurrently in this process (default GOMAXPROCS). With a
+	// coordinator attached, each pool worker instead holds at most one job
+	// for a lease while the fleet has a live worker.
 	Workers int
 	// QueueSize bounds the number of queued-but-not-running jobs
 	// (default 64). A full queue rejects submissions rather than blocking.
@@ -137,13 +140,6 @@ type Config struct {
 	// between body chunks before the session is evicted as a slow consumer
 	// (default 1m, negative disables).
 	StreamReadTimeout time.Duration
-	// ExternalDispatch, when true, keeps Start from launching the inline
-	// worker pool: accepted jobs stay on the queue for an external
-	// dispatcher (the fleet coordinator, via dist.Backend) that decides
-	// per job whether to lease it to a remote worker or run it inline.
-	// Everything else — admission, journaling, recovery, retention — is
-	// unchanged.
-	ExternalDispatch bool
 	// TraceCapacity bounds the in-memory distributed-trace store served at
 	// GET /v1/traces (0 = telemetry.DefaultTraceCapacity). Negative
 	// disables distributed tracing entirely: jobs and streams get no trace
@@ -215,23 +211,22 @@ type Service struct {
 	// traces is the bounded distributed-trace store (nil when
 	// Config.TraceCapacity is negative: tracing disabled).
 	traces *telemetry.TraceStore
-	// fleetSource, when set (SetFleetSource), contributes the coordinator's
-	// worker table to GET /v1/fleet/status; nil means standalone mode and
-	// the handler synthesizes the inline pool as one worker.
-	fleetSource FleetSource
+	// coord, when attached (AttachCoordinator), is offered every job the
+	// pool dequeues and contributes its worker table to GET
+	// /v1/fleet/status; nil means standalone mode.
+	coord Coordinator
 
 	// tenants is the tenant registry: identity, rate limits, quotas, and
 	// WFQ weights. It has its own lock, always acquired after s.mu.
 	tenants *tenant.Registry
 
 	mu sync.Mutex
-	// fq is the weighted-fair job queue, guarded by s.mu. ready is its
-	// wake-up channel: one buffered token per push (best effort — a shed
-	// leaves an orphan token, a full buffer drops the send), so tokens >=
-	// queued items always holds and dequeue treats an empty pop as a
-	// spurious wake-up. Shutdown closes ready.
+	// fq is the weighted-fair job queue, guarded by s.mu: the only job
+	// queue in either role, feeding the pool's own runs and, through an
+	// attached coordinator, lease grants. queued wakes one waiting pool
+	// worker per push and all of them at Shutdown.
 	fq        *tenant.FairQueue[*job]
-	ready     chan struct{}
+	queued    *sync.Cond
 	codel     tenant.CoDel
 	jobs      map[string]*job
 	order     []string
@@ -242,11 +237,13 @@ type Service struct {
 
 	wg      sync.WaitGroup
 	started bool
-	gcStop  chan struct{}
+	// stopping is canceled when Shutdown begins.
+	stopping context.Context
+	stop     context.CancelFunc
 
-	// testHookRunning, when set before Start, is called by a worker after
-	// its job enters StatusRunning and before the replay begins. Tests use
-	// it to hold workers in a known state.
+	// testHookRunning, when set before Start, is called after a job enters
+	// StatusRunning, by its pool worker before the replay begins or by the
+	// lease grant. Tests use it to hold workers in a known state.
 	testHookRunning func(id string)
 }
 
@@ -259,12 +256,12 @@ func New(cfg Config) *Service {
 		metrics: newMetrics(),
 		tenants: tenant.NewRegistry(cfg.TenantDefaults),
 		fq:      tenant.NewFairQueue[*job](),
-		ready:   make(chan struct{}, cfg.QueueSize),
 		codel:   tenant.CoDel{Target: cfg.ShedTarget, Interval: cfg.ShedInterval},
 		jobs:    make(map[string]*job),
 		keys:    make(map[string]string),
-		gcStop:  make(chan struct{}),
 	}
+	svc.queued = sync.NewCond(&svc.mu)
+	svc.stopping, svc.stop = context.WithCancel(context.Background())
 	// Flag-seeded limits go through Apply, not Set: only live tuning is
 	// journaled, so recovery (which runs after this) can overlay newer
 	// journaled limits on top.
@@ -407,24 +404,6 @@ func (s *Service) Recover() (int, error) {
 		l.Error("journal recovery error", "err", err)
 	}
 
-	// Grow the wake-up channel if the backlog from the previous life
-	// exceeds the configured capacity: recovery must never drop an accepted
-	// job. The fresh channel gets exactly one token per job already queued
-	// (orphan tokens from pre-recovery sheds are not carried over).
-	pending := 0
-	for _, rj := range recovered {
-		if rj.Status == journal.StatusPending || rj.Status == journal.StatusRunning {
-			pending++
-		}
-	}
-	if need := s.fq.Len() + pending; need > cap(s.ready) {
-		fresh := make(chan struct{}, need)
-		for i := 0; i < s.fq.Len(); i++ {
-			fresh <- struct{}{}
-		}
-		s.ready = fresh
-	}
-
 	requeued := 0
 	for _, rj := range recovered {
 		if _, exists := s.jobs[rj.ID]; exists {
@@ -464,21 +443,15 @@ func (s *Service) Recover() (int, error) {
 			j.ckpt = rj.Checkpoint
 			j.enqueued = time.Now()
 			// Re-attribute the job to its tenant without quota enforcement
-			// (an accepted job must never be dropped at restart); the spool
-			// does not record upload sizes, so recovered jobs hold a slot
-			// but no bytes.
+			// (an accepted job must never be dropped at restart, even past
+			// the queue bound); the spool does not record upload sizes, so
+			// recovered jobs hold a slot but no bytes.
 			t := s.tenants.Get(j.tenant)
 			t.Adopt(0)
 			j.quotaHeld = true
-			s.fq.Push(j.tenant, t.Weight(), j)
-			s.metrics.tenantQueueDepth.With(j.tenant).Set(int64(s.fq.TenantLen(j.tenant)))
-			select {
-			case s.ready <- struct{}{}:
-			default:
-			}
+			s.pushLocked(j, t.Weight(), false)
 			requeued++
 			s.metrics.jobsRecovered.Inc()
-			s.metrics.queueDepth.Add(1)
 			if j.ckpt != nil {
 				s.jobLogger(j).Info("job re-enqueued from journal with checkpoint",
 					"phase", "recovery", "resume_event", j.ckpt.NextEvent)
@@ -498,7 +471,9 @@ func (s *Service) Recover() (int, error) {
 	return requeued, nil
 }
 
-// Start launches the worker pool. It is a no-op if already started.
+// Start launches the worker pool. It is a no-op if already started. A
+// coordinator must be attached before Start, so that recovered jobs wait
+// out its reconnect grace instead of running here.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,11 +481,9 @@ func (s *Service) Start() {
 		return
 	}
 	s.started = true
-	if !s.cfg.ExternalDispatch {
-		s.wg.Add(s.cfg.Workers)
-		for i := 0; i < s.cfg.Workers; i++ {
-			go s.worker()
-		}
+	s.wg.Add(s.cfg.Workers)
+	for i := 0; i < s.cfg.Workers; i++ {
+		go s.worker(s.coord)
 	}
 	if s.cfg.GCInterval > 0 {
 		s.wg.Add(1)
@@ -529,7 +502,7 @@ func (s *Service) gcLoop() {
 	defer timer.Stop()
 	for {
 		select {
-		case <-s.gcStop:
+		case <-s.stopping.Done():
 			return
 		case <-timer.C:
 			s.GC()
@@ -704,17 +677,9 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 	}
 	j.enqueued = time.Now()
 	j.span.StartChild("queue", j.enqueued)
-	s.fq.Push(j.tenant, tn.Weight(), j)
-	s.metrics.tenantQueueDepth.With(j.tenant).Set(int64(s.fq.TenantLen(j.tenant)))
-	select {
-	case s.ready <- struct{}{}:
-	default:
-		// The buffer already holds at least QueueSize tokens — more than
-		// the items now queued — so a worker is guaranteed to wake for j.
-	}
+	s.pushLocked(j, tn.Weight(), false)
 	s.metrics.jobsAccepted.Inc()
 	s.metrics.tenantAdmitted.With(j.tenant).Inc()
-	s.metrics.queueDepth.Add(1)
 	s.gcLocked(time.Now())
 	s.publishTraceLocked(j)
 	return j.viewLocked(), false, nil
@@ -762,13 +727,16 @@ func (s *Service) Jobs() []JobView {
 
 // Shutdown stops accepting new jobs, drains every already-accepted job
 // (queued and in-flight), and waits for the workers to exit. It returns
-// ctx's error if the drain does not finish in time.
+// ctx's error if the drain does not finish in time. With a coordinator
+// attached whose fleet has a live worker, jobs not yet leased are not
+// drained: they stay journaled for the next life, and leased ones are left
+// to their workers.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		close(s.ready)
-		close(s.gcStop)
+		s.stop()
+		s.queued.Broadcast()
 	}
 	started := s.started
 	s.mu.Unlock()
@@ -791,16 +759,39 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker pulls jobs until the queue is closed and drained.
-func (s *Service) worker() {
+// worker is one goroutine of the pool, the only local pool in either role.
+// It takes jobs off the fair queue until the queue is closed and drained.
+// With a coordinator attached it first offers each job to the fleet; a job
+// the fleet does not take (no live worker, no restart grace) runs here,
+// exactly as in standalone mode.
+func (s *Service) worker(coord Coordinator) {
 	defer s.wg.Done()
 	for {
-		j, ok := s.dequeue(context.Background())
+		j, ok := s.dequeue()
 		if !ok {
 			return
 		}
+		if coord != nil && coord.Handoff(s.stopping, dist.JobSpec{
+			ID: j.id, Tool: j.tool, Events: j.events, Stats: s.cfg.AnalyzerStats,
+		}) {
+			continue
+		}
 		s.runJob(j)
 	}
+}
+
+// pushLocked queues j — at the head of its tenant's line when front is set
+// — and wakes one waiting pool worker, so every queued job has a worker
+// woken for it. The caller holds s.mu.
+func (s *Service) pushLocked(j *job, weight int, front bool) {
+	if front {
+		s.fq.PushFront(j.tenant, weight, j)
+	} else {
+		s.fq.Push(j.tenant, weight, j)
+	}
+	s.metrics.queueDepth.Add(1)
+	s.metrics.tenantQueueDepth.With(j.tenant).Set(int64(s.fq.TenantLen(j.tenant)))
+	s.queued.Signal()
 }
 
 // dequeue blocks for the next job under weighted-fair order. At each pop it
@@ -809,32 +800,19 @@ func (s *Service) worker() {
 // the queue delay has stayed above target — sheds the newest queued job of
 // the heaviest-backlogged tenant, the work whose loss costs the least sunk
 // investment and whose owner contributes most to the backlog. ok=false
-// means ctx was canceled or the service is shutting down with the queue
-// drained; tokens without items (left by sheds) are consumed silently.
-func (s *Service) dequeue(ctx context.Context) (*job, bool) {
+// means the service is shutting down with the queue drained.
+func (s *Service) dequeue() (*job, bool) {
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		ready := s.ready
-		s.mu.Unlock()
-		select {
-		case _, ok := <-ready:
-			if !ok {
-				// Closed and drained: every push's token was consumed, and
-				// tokens >= items always holds, so the queue is empty.
+		for s.fq.Len() == 0 {
+			if s.closed {
+				s.mu.Unlock()
 				return nil, false
 			}
-		case <-ctx.Done():
-			return nil, false
+			s.queued.Wait()
 		}
-
 		now := time.Now()
-		s.mu.Lock()
-		tname, j, ok := s.fq.Pop()
-		if !ok {
-			// Orphan token from a shed; the item is already gone.
-			s.mu.Unlock()
-			continue
-		}
+		tname, j, _ := s.fq.Pop()
 		s.metrics.queueDepth.Add(-1)
 		s.metrics.tenantQueueDepth.With(tname).Set(int64(s.fq.TenantLen(tname)))
 		sojourn := now.Sub(j.enqueued)
@@ -856,45 +834,27 @@ func (s *Service) dequeue(ctx context.Context) (*job, bool) {
 			s.failShed(shed, "overload",
 				"service: shed under overload: queue delay above target")
 		}
-		if expired {
-			s.failShed(j, "deadline", "service: client deadline expired before replay started")
-			continue
+		if !expired {
+			return j, true
 		}
-		return j, true
+		s.failShed(j, "deadline", "service: client deadline expired before replay started")
+		s.mu.Lock()
 	}
 }
 
-// failShed records a queued job's terminal failure without running it:
-// span, journal mark, quota release, and the per-tenant shed counter. The
-// job's token (if any remains) is consumed as an orphan by a later dequeue.
+// failShed ends a queued job without running it: the terminal bookkeeping
+// of finish, plus the per-tenant shed counter.
 func (s *Service) failShed(j *job, reason, msg string) {
-	s.mu.Lock()
-	j.finished = time.Now()
-	j.status = StatusFailed
-	j.errMsg = msg
-	j.tr = nil
-	j.ckpt = nil
-	if j.span != nil {
-		if qs := j.span.Child("queue"); qs != nil {
-			qs.EndAt(j.finished)
+	closeQueue := func(root *telemetry.Span) {
+		if qs := root.Child("queue"); qs != nil {
+			qs.EndAt(time.Time{})
 		}
-		j.span.SetError(msg)
-		j.span.EndAt(j.finished)
 	}
-	s.releaseQuotaLocked(j)
-	s.publishTraceLocked(j)
+	if s.finish(j, outcome{err: msg}, closeQueue) != nil {
+		return
+	}
 	s.metrics.tenantShed.With(j.tenant, reason).Inc()
-	s.gcLocked(j.finished)
-	s.mu.Unlock()
-	s.metrics.jobsFailed.Inc()
 	s.jobLogger(j).Warn("job shed before replay", "phase", "shed", "reason", reason, "tenant", j.tenant)
-	s.mark(j, journal.StatusFailed, msg, nil)
-	if s.cfg.Journal != nil {
-		if rerr := s.cfg.Journal.RemoveCheckpoint(j.id); rerr != nil {
-			s.metrics.journalError("remove")
-			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", rerr)
-		}
-	}
 }
 
 // releaseQuotaLocked returns the job's tenant quota (slot + bytes) exactly
@@ -933,24 +893,9 @@ var errStalled = errors.New("service: replay stalled: no progress within the sta
 // Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
 // and retries them once.
 func (s *Service) runJob(j *job) {
-	s.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	if qs := j.span.Child("queue"); qs != nil {
-		qs.EndAt(j.started)
-	}
-	if !j.enqueued.IsZero() {
-		s.metrics.queueWait.ObserveDuration(j.started.Sub(j.enqueued))
-	}
-	tr := j.tr
-	ckpt := j.ckpt
-	hook := s.testHookRunning
-	s.mu.Unlock()
-	markStart := time.Now()
-	s.mark(j, journal.StatusRunning, "", nil)
-	markEnd := time.Now()
-	if hook != nil {
-		hook(j.id)
+	markStart, markEnd, ok := s.startRunning(j)
+	if !ok {
+		return
 	}
 
 	var (
@@ -961,15 +906,17 @@ func (s *Service) runJob(j *job) {
 		summary     *tools.Summary
 		rstats      trace.ReplayStats
 	)
-	attempt := func(ck *trace.Checkpoint) (err error) {
+	attempt := func() (err error) {
 		// Each attempt gets its own replay span, closed in the deferred
 		// epilogue below no matter how the attempt ends — success, failure,
 		// watchdog cancellation, or panic. A job retried after a stall thus
 		// shows one failed replay span per lost attempt instead of silently
-		// dropping them from the tree.
+		// dropping them from the tree. Each attempt resumes from the
+		// freshest checkpoint: a stalled attempt may have advanced it.
 		attemptStart := time.Now()
 		var rs *telemetry.Span
 		s.mu.Lock()
+		tr, ck := j.tr, j.ckpt
 		if j.span != nil {
 			rs = j.span.StartChild("replay", attemptStart)
 		}
@@ -978,7 +925,7 @@ func (s *Service) runJob(j *job) {
 			if r := recover(); r != nil {
 				s.metrics.jobsPanicked.Inc()
 				s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "panic", fmt.Sprint(r))
-				err = fmt.Errorf("analyzer panicked: %v\n%s", r, stackFragment())
+				err = tools.PanicError(r)
 				// The panic skipped the wall measurement; take it here so the
 				// job view doesn't report zero replay time. A replayStart left
 				// over from an earlier attempt is stale — re-anchor.
@@ -1016,43 +963,18 @@ func (s *Service) runJob(j *job) {
 		if err := faultinject.Fire("worker.replay"); err != nil {
 			return err
 		}
-		a, err := tools.New(j.tool)
+		a, start, restoreErr, err := tools.Resume(j.tool, tools.Options{Stats: s.cfg.AnalyzerStats}, ck)
 		if err != nil {
 			return err
 		}
-		if s.cfg.AnalyzerStats {
-			if sp, ok := a.(tools.StatsProvider); ok {
-				sp.EnableStats()
-			}
-		}
-
-		// Resume from the checkpoint when the analyzer supports it and the
-		// checkpoint matches this job's trace. A checkpoint that fails
-		// validation or restore is discarded and the replay starts from
-		// scratch: a checkpoint is an optimization, never a requirement.
-		var start uint64
-		if ck != nil && ck.Tool == j.tool && ck.NextEvent <= uint64(len(tr.Events)) {
-			if cp, ok := a.(tools.Checkpointer); ok {
-				if rerr := cp.RestoreState(ck.State); rerr != nil {
-					s.metrics.checkpointErrors.Inc()
-					s.jobLogger(j).Error("checkpoint restore failed; replaying from scratch",
-						"phase", "replay", "err", rerr)
-					// The failed restore may have half-applied; start clean.
-					if a, err = tools.New(j.tool); err != nil {
-						return err
-					}
-					if s.cfg.AnalyzerStats {
-						if sp, ok := a.(tools.StatsProvider); ok {
-							sp.EnableStats()
-						}
-					}
-				} else {
-					start = ck.NextEvent
-					s.metrics.checkpointsRestored.Inc()
-					s.jobLogger(j).Info("resuming from checkpoint",
-						"phase", "replay", "resume_event", start, "events", len(tr.Events))
-				}
-			}
+		if restoreErr != nil {
+			s.metrics.checkpointErrors.Inc()
+			s.jobLogger(j).Error("checkpoint restore failed; replaying from scratch",
+				"phase", "replay", "err", restoreErr)
+		} else if start > 0 {
+			s.metrics.checkpointsRestored.Inc()
+			s.jobLogger(j).Info("resuming from checkpoint",
+				"phase", "replay", "resume_event", start, "events", len(tr.Events))
 		}
 
 		base := context.Background()
@@ -1097,11 +1019,11 @@ func (s *Service) runJob(j *job) {
 		return nil
 	}
 
-	err := attempt(ckpt)
+	err := attempt()
 	if errors.Is(err, errStalled) {
 		s.metrics.watchdogRetries.Inc()
 		s.mu.Lock()
-		retryCkpt := j.ckpt // freshest: the stalled attempt may have advanced it
+		retryCkpt := j.ckpt
 		s.mu.Unlock()
 		var resume uint64
 		if retryCkpt != nil {
@@ -1111,73 +1033,37 @@ func (s *Service) runJob(j *job) {
 		s.jobLogger(j).Warn("retrying stalled replay",
 			"phase", "replay", "resume_event", resume, "delay", delay)
 		time.Sleep(delay)
-		err = attempt(retryCkpt)
+		err = attempt()
 	}
 
-	var resultJSON json.RawMessage
+	o := outcome{wall: wall}
 	var encStart time.Time
 	var encDur time.Duration
-	if err == nil && summary != nil {
+	if err != nil {
+		o.err = err.Error()
+	} else {
+		o.summary = summary
 		encStart = time.Now()
 		if b, merr := json.Marshal(summary); merr == nil {
-			resultJSON = b
+			o.result = b
 		}
 		encDur = time.Since(encStart)
 	}
-
-	s.mu.Lock()
-	j.finished = time.Now()
-	j.wall = wall
-	j.tr = nil   // release the trace's memory; only the summary is kept
-	j.ckpt = nil // terminal: the checkpoint (and its spool file) are obsolete
-	if err != nil {
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	} else {
-		j.status = StatusDone
-		j.result = summary
-	}
-	if j.span != nil {
-		if s.cfg.Journal != nil {
-			j.span.StartChild("mark", markStart).EndAt(markEnd)
+	s.finish(j, o, func(root *telemetry.Span) {
+		if !markStart.IsZero() {
+			root.StartChild("mark", markStart).EndAt(markEnd)
 		}
 		if !sumStart.IsZero() {
-			ss := j.span.StartChild("summarize", sumStart)
+			ss := root.StartChild("summarize", sumStart)
 			ss.EndAt(sumStart.Add(sumDur))
 			if summary != nil {
 				ss.SetCount("issues", int64(summary.Issues))
 			}
 		}
 		if !encStart.IsZero() {
-			j.span.StartChild("encode", encStart).EndAt(encStart.Add(encDur))
+			root.StartChild("encode", encStart).EndAt(encStart.Add(encDur))
 		}
-		if err != nil {
-			j.span.SetError(err.Error())
-		}
-		j.span.EndAt(j.finished)
-	}
-	s.releaseQuotaLocked(j)
-	s.publishTraceLocked(j)
-	s.metrics.jobSeconds.ObserveDuration(j.finished.Sub(j.submitted))
-	now := j.finished
-	s.gcLocked(now)
-	s.mu.Unlock()
-	if err != nil {
-		s.metrics.jobsFailed.Inc()
-		s.mark(j, journal.StatusFailed, err.Error(), nil)
-	} else {
-		s.metrics.jobsCompleted.Inc()
-		if summary != nil {
-			s.metrics.recordJobStats(summary.Stats)
-		}
-		s.mark(j, journal.StatusDone, "", resultJSON)
-	}
-	if s.cfg.Journal != nil {
-		if rerr := s.cfg.Journal.RemoveCheckpoint(j.id); rerr != nil {
-			s.metrics.journalError("remove")
-			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", rerr)
-		}
-	}
+	})
 }
 
 // watchdogRetryDelay is the full-jitter pause before a stalled replay's
@@ -1193,12 +1079,12 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 }
 
 // checkpointFunc builds the ReplayDurable checkpoint callback for one job:
-// serialize the analyzer at the epoch boundary, write the frame into the
-// spool, and remember the checkpoint on the job so a watchdog
-// retry resumes from it. Serialization and spool failures are counted and
-// logged but never fail the replay — a checkpoint is an optimization. A
-// canceled context (watchdog, timeout) aborts the replay instead of
-// writing a checkpoint the cancellation has already outdated.
+// serialize the analyzer at the epoch boundary and hand the checkpoint to
+// storeCheckpoint, which keeps it for a watchdog retry and spools it.
+// Serialization and spool failures are counted and logged but never fail
+// the replay — a checkpoint is an optimization. A canceled context
+// (watchdog, timeout) aborts the replay instead of writing a checkpoint the
+// cancellation has already outdated.
 func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpointer, events uint64) func(uint64) error {
 	return func(next uint64) error {
 		if cause := context.Cause(ctx); cause != nil {
@@ -1210,29 +1096,16 @@ func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpoin
 			s.jobLogger(j).Error("checkpoint serialize failed", "phase", "replay", "err", err)
 			return nil
 		}
-		ck := &trace.Checkpoint{
+		if !s.storeCheckpoint(j, &trace.Checkpoint{
 			JobID:     j.id,
 			Tool:      j.tool,
 			NextEvent: next,
 			Events:    events,
 			Created:   time.Now(),
 			State:     raw,
-		}
-		if err := s.cfg.Journal.WriteCheckpoint(ck); err != nil {
-			s.metrics.checkpointErrors.Inc()
-			s.metrics.journalError("checkpoint")
-			s.jobLogger(j).Error("checkpoint write failed", "phase", "replay", "err", err)
+		}) {
 			return nil
 		}
-		s.metrics.checkpointsWritten.Inc()
-		s.metrics.checkpointBytes.Observe(float64(len(raw)))
-		s.mu.Lock()
-		// Monotone: an abandoned (stalled) attempt racing a watchdog retry
-		// must never regress the freshest checkpoint.
-		if j.ckpt == nil || ck.NextEvent >= j.ckpt.NextEvent {
-			j.ckpt = ck
-		}
-		s.mu.Unlock()
 		if err := faultinject.Fire("worker.crash"); err != nil {
 			// Simulated hard crash: exit the goroutine without unwinding, so
 			// the journal keeps the job "running" exactly as SIGKILL would
@@ -1321,20 +1194,6 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 	}
 }
 
-// stackFragment captures a bounded slice of the panicking goroutine's
-// stack for the job's error message.
-func stackFragment() string {
-	buf := make([]byte, 4096)
-	n := runtime.Stack(buf, false)
-	frag := string(buf[:n])
-	// Keep the panic site readable without shipping pages of runtime
-	// frames into every job view.
-	if lines := strings.SplitAfter(frag, "\n"); len(lines) > 12 {
-		frag = strings.Join(lines[:12], "") + "\t...\n"
-	}
-	return frag
-}
-
 // GC applies the retention policy immediately (it also runs as jobs
 // finish and on submissions). It reports how many jobs were evicted.
 func (s *Service) GC() int {
@@ -1353,7 +1212,7 @@ func (s *Service) gcLocked(now time.Time) int {
 	}
 	finished := 0
 	for _, id := range s.order {
-		if j := s.jobs[id]; j.status == StatusDone || j.status == StatusFailed {
+		if s.jobs[id].terminal() {
 			finished++
 		}
 	}
@@ -1370,7 +1229,7 @@ func (s *Service) gcLocked(now time.Time) int {
 	keep := s.order[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
-		terminal := j.status == StatusDone || j.status == StatusFailed
+		terminal := j.terminal()
 		evict := false
 		if terminal {
 			if excess > 0 {

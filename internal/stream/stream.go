@@ -195,14 +195,9 @@ func (h *Hub) Open(tool, traceparent string) (View, error) {
 // write-ahead (Record.Key), so a daemon crash and recovery resumes the SAME
 // trace — chunked uploads, the crash, and the resumed feed read as one tree.
 func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
-	a, err := tools.New(tool)
+	a, err := tools.NewWithOptions(tool, tools.Options{Stats: h.cfg.AnalyzerStats})
 	if err != nil {
 		return View{}, err
-	}
-	if h.cfg.AnalyzerStats {
-		if sp, ok := a.(tools.StatsProvider); ok {
-			sp.EnableStats()
-		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -561,52 +556,27 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 		return s
 	}
 
-	a, err := tools.New(rs.Tool)
+	// Restore the freshest checkpoint when the analyzer supports it; a
+	// failed restore falls back to a clean analyzer and a full re-feed.
+	a, start, restoreErr, err := tools.Resume(rs.Tool, tools.Options{Stats: h.cfg.AnalyzerStats}, rs.Checkpoint)
 	if err != nil {
 		h.cfg.Logger.Error("recovered session names unknown tool; marking failed",
 			"phase", "recovery", "stream_id", rs.ID, "tool", rs.Tool, "err", err)
 		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, err.Error(), nil)
 		return nil
 	}
-	if h.cfg.AnalyzerStats {
-		if sp, ok := a.(tools.StatsProvider); ok {
-			sp.EnableStats()
-		}
-	}
 	s := newSession(h, rs.ID, rs.Tool, a)
 	s.created = rs.Submitted
 	s.tenant = tenant.Canonical(rs.Tenant)
 	s.restoreTrace(rs.Key)
-
-	// Restore the freshest checkpoint when the analyzer supports it; a
-	// failed restore falls back to a clean analyzer and a full re-feed — a
-	// checkpoint is an optimization, never a requirement.
-	if rs.Checkpoint != nil && rs.Checkpoint.Tool == rs.Tool {
-		if cp, ok := a.(tools.Checkpointer); ok {
-			if rerr := cp.RestoreState(rs.Checkpoint.State); rerr != nil {
-				h.metrics.ckptErrors.Inc()
-				h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
-					"phase", "recovery", "err", rerr)
-				if a, err = tools.New(rs.Tool); err != nil {
-					return nil
-				}
-				if h.cfg.AnalyzerStats {
-					if sp, ok := a.(tools.StatsProvider); ok {
-						sp.EnableStats()
-					}
-				}
-				s = newSession(h, rs.ID, rs.Tool, a)
-				s.created = rs.Submitted
-				s.tenant = tenant.Canonical(rs.Tenant)
-				s.restoreTrace(rs.Key)
-			} else {
-				s.events = rs.Checkpoint.NextEvent
-				s.lastCkpt = rs.Checkpoint.NextEvent
-				s.resumedFrom = rs.Checkpoint.NextEvent
-				h.sessionLogger(s).Info("resuming stream from checkpoint",
-					"phase", "recovery", "resume_event", s.events)
-			}
-		}
+	if restoreErr != nil {
+		h.metrics.ckptErrors.Inc()
+		h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
+			"phase", "recovery", "err", restoreErr)
+	} else if start > 0 {
+		s.events, s.lastCkpt, s.resumedFrom = start, start, start
+		h.sessionLogger(s).Info("resuming stream from checkpoint",
+			"phase", "recovery", "resume_event", s.events)
 	}
 
 	// The recovery work is itself a span on the resumed trace: where the

@@ -6,10 +6,10 @@ package tenant
 // weight-2 tenant receives two slots per cycle interleaved with everyone
 // else's — no tenant can starve another no matter how deep its backlog.
 //
-// FairQueue is NOT safe for concurrent use: callers (the service queue,
-// the coordinator's pending table) already serialize access under their
-// own mutex, and keeping the queue lock-free lets them compose operations
-// (pop + shed + journal) atomically.
+// FairQueue is NOT safe for concurrent use: its one caller, the service's
+// job queue, already serializes access under its own mutex, and keeping the
+// queue lock-free lets it compose operations (pop + shed + journal)
+// atomically.
 type FairQueue[T any] struct {
 	queues  map[string][]T
 	weights map[string]int
@@ -35,9 +35,9 @@ func (q *FairQueue[T]) Push(tenant string, weight int, v T) {
 	q.pushDir(tenant, weight, v, false)
 }
 
-// PushFront prepends v to tenant's backlog — the coordinator reschedules an
-// expired lease's job at the head of its tenant's line, preserving the old
-// "expired jobs run next" behavior without letting them jump other tenants.
+// PushFront prepends v to tenant's backlog — a job whose lease expired goes
+// back at the head of its tenant's line, so it runs next without jumping
+// other tenants.
 func (q *FairQueue[T]) PushFront(tenant string, weight int, v T) {
 	q.pushDir(tenant, weight, v, true)
 }
@@ -159,21 +159,3 @@ func (q *FairQueue[T]) Len() int { return q.size }
 
 // TenantLen returns one tenant's backlog depth.
 func (q *FairQueue[T]) TenantLen(tenant string) int { return len(q.queues[tenant]) }
-
-// Tenants returns the active (backlogged) tenants in ring order.
-func (q *FairQueue[T]) Tenants() []string {
-	return append([]string(nil), q.ring...)
-}
-
-// Drain removes and returns every queued item in weighted round-robin
-// order — shutdown and inline-drain paths use it to empty the queue.
-func (q *FairQueue[T]) Drain() []T {
-	out := make([]T, 0, q.size)
-	for {
-		_, v, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}

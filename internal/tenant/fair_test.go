@@ -106,18 +106,6 @@ func TestFairQueuePopNewestAndHeaviest(t *testing.T) {
 	}
 }
 
-func TestFairQueueDrain(t *testing.T) {
-	q := NewFairQueue[int]()
-	for i := 0; i < 3; i++ {
-		q.Push("a", 1, i)
-		q.Push("b", 1, 10+i)
-	}
-	got := q.Drain()
-	if len(got) != 6 || q.Len() != 0 {
-		t.Fatalf("drain = %v (len %d)", got, q.Len())
-	}
-}
-
 func TestFairQueueDeactivateKeepsCursorSane(t *testing.T) {
 	q := NewFairQueue[int]()
 	// Interleave pushes and pops across tenants that come and go, checking
