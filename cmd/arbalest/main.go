@@ -59,7 +59,7 @@ func main() {
 	theorem1 := flag.Bool("theorem1", false, "run the paper's Theorem 1 procedure (race check on the async schedule + VSM with forced-synchronous kernels)")
 	repairFlag := flag.Bool("repair", false, "repair stale accesses on the fly (paper §III-C); implies -tool arbalest-vsm")
 	saveTrace := flag.String("save-trace", "", "record the execution's tool-interface events to this JSON-lines file")
-	framed := flag.Bool("framed", false, "write -save-trace in the CRC32C-framed binary format (corruption-detecting; replay and submit auto-detect either format)")
+	framed := flag.Bool("framed", false, "write -save-trace in the CRC32C-framed binary format (about a quarter of the JSON size, checksummed, ~10x faster to load; replay and submit read either format, and -submit always uploads framed)")
 	replayTrace := flag.String("replay-trace", "", "skip execution: replay a recorded trace file into the chosen tool")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON (the same summary schema arbalestd serves)")
 	submit := flag.String("submit", "", "arbalestd base URL (e.g. http://localhost:8321): record the program's trace and submit it for remote analysis instead of analyzing locally")
@@ -302,8 +302,9 @@ func submitTraceFile(baseURL, path, toolName string, jsonOut bool) int {
 // of analyzed twice.
 func submitTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool) int {
 	baseURL = strings.TrimSuffix(baseURL, "/")
+	// Framed bytes: the daemon's fastest parse, CRC-checked in transit.
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	if err := tr.SaveFramed(&buf); err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
 	}
@@ -322,7 +323,7 @@ func submitTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		if err != nil {
 			return retry.Permanent(err)
 		}
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set(retry.IdempotencyHeader, key)
 		tc.Inject(req.Header)
 		tenantHeaders(req.Header)

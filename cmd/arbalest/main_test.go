@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -16,7 +19,8 @@ import (
 
 // TestSubmitRetriesFlakyServer: the -submit client survives a daemon that
 // answers 429 (with Retry-After) before accepting, resends the same
-// idempotency key on every attempt, and settles on the job's result.
+// idempotency key and the same framed trace on every attempt, and settles
+// on the job's result.
 func TestSubmitRetriesFlakyServer(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.OnDeviceInit(ompt.DeviceInitEvent{Device: 1, Name: "gpu0"})
@@ -25,9 +29,12 @@ func TestSubmitRetriesFlakyServer(t *testing.T) {
 
 	var posts atomic.Int32
 	var keys []string
+	var bodies [][]byte
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		keys = append(keys, r.Header.Get(retry.IdempotencyHeader))
+		body, _ := io.ReadAll(r.Body)
+		bodies = append(bodies, body)
 		if posts.Add(1) == 1 {
 			w.Header().Set("Retry-After", "0")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -54,6 +61,19 @@ func TestSubmitRetriesFlakyServer(t *testing.T) {
 	}
 	if len(keys) != 2 || keys[0] == "" || keys[0] != keys[1] {
 		t.Errorf("idempotency keys across retries: %q, want the same non-empty key twice", keys)
+	}
+	// Every attempt uploads the framed version-2 encoding of the trace.
+	for i, body := range bodies {
+		if !bytes.HasPrefix(body, []byte("ARBT\x02")) {
+			t.Fatalf("attempt %d body opens with %q, want a version-2 framed header", i, body[:min(len(body), 5)])
+		}
+		got, err := trace.Load(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("attempt %d body: %v", i, err)
+		}
+		if !reflect.DeepEqual(got.Events, tr.Events) {
+			t.Fatalf("attempt %d body decodes to other events than were submitted", i)
+		}
 	}
 }
 

@@ -78,9 +78,11 @@
 //
 // API:
 //
-//	POST /v1/jobs?tool=arbalest   body: a trace in either encoding, JSON
-//	                              lines (trace.Save) or CRC-framed
-//	                              (trace.SaveFramed)
+//	POST /v1/jobs?tool=arbalest   body: a trace in either encoding:
+//	                              CRC-framed (trace.SaveFramed; version 2,
+//	                              binary payloads, parses ~10x faster; a
+//	                              version-1 JSON-payload body still loads)
+//	                              or JSON lines (trace.Save)
 //	GET  /v1/jobs                 list jobs
 //	GET  /v1/jobs/<id>            job status + result
 //	GET  /v1/jobs/<id>/trace      per-job span tree (also at /jobs/<id>/trace)
@@ -116,9 +118,10 @@
 // spooled bytes (and checkpoint, with -checkpoint-every) and the client
 // resumes from the acknowledged event count.
 //
-// Traces are produced by `arbalest -save-trace out.jsonl <program>` and can
-// be pushed directly with `arbalest -submit http://host:8321 <program>` or
-// `curl --data-binary @out.jsonl`.
+// Traces are produced by `arbalest -save-trace out.jsonl <program>` (add
+// -framed for the compact framed encoding) and can be pushed directly with
+// `arbalest -submit http://host:8321 <program>`, which uploads framed
+// bytes, or `curl --data-binary @out.jsonl`.
 //
 // With -spool DIR, every accepted job is write-ahead journaled to DIR
 // before it is acknowledged; on startup the spool is recovered and any

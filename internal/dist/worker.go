@@ -136,6 +136,8 @@ func (w *Worker) guard(fn func() error) error {
 type workerTrace struct {
 	mu   sync.Mutex
 	root *telemetry.Span
+	// ship admits one heartbeat at a time (see Worker.beat).
+	ship sync.Mutex
 }
 
 // newWorkerTrace builds the tree from a grant's traceparent, nil (tracing
@@ -361,8 +363,8 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 			// worker dies after this point (the very next statement in the
 			// fault-injected case), the trace already shows how far it got.
 			wt.setCount(replaySpan, "checkpoint_event", int64(next))
-			if hb := wt.snapshot(); hb != nil {
-				_ = w.postHeartbeat(rctx, jobID, token, hb)
+			if wt != nil {
+				_ = w.beat(rctx, jobID, token, wt)
 			}
 			if err := faultinject.Fire("dist.worker.crash"); err != nil {
 				crashed = true
@@ -452,7 +454,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelCauseFu
 	for {
 		err := faultinject.Fire("dist.heartbeat")
 		if err == nil {
-			err = w.postHeartbeat(ctx, jobID, token, wt.snapshot())
+			err = w.beat(ctx, jobID, token, wt)
 		}
 		switch {
 		case err == nil:
@@ -647,6 +649,19 @@ func (w *Worker) fetchCheckpoint(ctx context.Context, jobID string, token uint64
 		})
 	})
 	return ck, err
+}
+
+// beat posts a heartbeat carrying a fresh snapshot of wt (nil when tracing
+// is off). The heartbeat loop and the post-checkpoint beat run on different
+// goroutines, and the coordinator keeps whichever snapshot arrives last, so
+// each snapshot is taken and posted under wt.ship: an older one still in
+// flight can never land after, and overwrite, a newer one.
+func (w *Worker) beat(ctx context.Context, jobID string, token uint64, wt *workerTrace) error {
+	if wt != nil {
+		wt.ship.Lock()
+		defer wt.ship.Unlock()
+	}
+	return w.postHeartbeat(ctx, jobID, token, wt.snapshot())
 }
 
 func (w *Worker) postHeartbeat(ctx context.Context, jobID string, token uint64, spans []*telemetry.Span) error {

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -295,5 +297,54 @@ func TestCorruptSpoolSurvivesRecovery(t *testing.T) {
 		t.Fatalf("healthy job status %q (err %q), want done", got.Status, got.Error)
 	}
 	assertSameFindings(t, "healthy job", got.Result, want)
+	shutdownOrFail(t, s2)
+}
+
+// TestV1SpooledJobRecovers: a pending job whose trace was spooled in the
+// version-1 framed format (JSON payloads) by an older daemon recovers
+// through the journal and completes with the findings of a one-shot run.
+func TestV1SpooledJobRecovers(t *testing.T) {
+	tr := recordTrace(t, 22)
+	want := oneShot(t, tr, "arbalest")
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never started, so the job stays pending in the spool.
+	v, err := New(Config{Workers: 1, QueueSize: 8, Journal: jnl}).Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	v1 := []byte("ARBT\x01\x00\x00\x00")
+	for i := range tr.Events {
+		p, err := json.Marshal(&tr.Events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(p)))
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(p, castagnoli))
+		v1 = append(v1, p...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, v.ID+".trace"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, QueueSize: 8, Journal: jnl2})
+	if requeued, err := s2.Recover(); err != nil || requeued != 1 {
+		t.Fatalf("recovered %d jobs (err %v), want 1", requeued, err)
+	}
+	s2.Start()
+	got := waitSettled(t, s2, v.ID)
+	if got.Status != StatusDone {
+		t.Fatalf("version-1 job status %q (err %q), want done", got.Status, got.Error)
+	}
+	assertSameFindings(t, "version-1 job", got.Result, want)
 	shutdownOrFail(t, s2)
 }

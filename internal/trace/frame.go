@@ -15,16 +15,38 @@
 //	header   "ARBT" | version (1 byte) | 3 reserved zero bytes
 //	frame*   u32 LE payload length | u32 LE crc32c(payload) | payload
 //
-// where each payload is the JSON encoding of one Event. Readers never need
-// to choose a format: Stream sniffs the magic and dispatches, so every
-// existing Load/Replay path accepts both encodings transparently.
+// Version 2 makes each payload a compact binary encoding of one Event: a
+// kind code byte, the sequence number, then the kind's fields in this
+// order, where loc is file, line, func:
+//
+//	1 device-init   device, name, unified
+//	2 target-begin  kind, device, task, target, async, loc
+//	3 target-end    kind, device, task, target, async, loc
+//	4 data-op       kind, device, task, tag, host addr, dev addr, bytes, implicit, loc
+//	5 access        addr, size, write, device, task, thread, base, tag, loc
+//	6 sync          kind, task, child, thread, loc
+//	7 alloc         free, addr, bytes, tag, task, loc
+//
+// Device IDs and line numbers are zig-zag varints; enum kinds are one byte
+// and bools one byte, 0 or 1; strings are a uvarint length and the raw
+// bytes; every other number is a uvarint. A payload must be consumed
+// exactly. Every frame stays self-contained, with no string table shared
+// across frames, because resuming by sequence number and truncating a torn
+// tail restart decoding at an arbitrary frame.
+//
+// Version 1 payloads were the JSON encoding of one Event. A payload whose
+// first byte is '{', which no kind code is, is still decoded as one under
+// either header version: old spools and uploads load, and so does a
+// version-1 spool that had version-2 frames appended after recovery. Writers
+// emit version 2 only. Readers never need to choose an encoding:
+// LoadLimited sniffs the magic and dispatches, so every Load/Replay path
+// accepts JSON lines and both framed versions transparently.
 package trace
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -33,8 +55,9 @@ import (
 // traceMagic opens a framed trace file.
 var traceMagic = []byte("ARBT")
 
-// traceVersion is the current framed-format version.
-const traceVersion = 1
+// traceVersion is the framed-format version writers emit; readers also
+// accept version 1.
+const traceVersion = 2
 
 // frameHeaderSize is the per-frame prefix: u32 length + u32 crc32c.
 const frameHeaderSize = 8
@@ -58,7 +81,8 @@ type CorruptionError struct {
 	Offset int64
 	// Reason is a short machine-independent description of the failure.
 	Reason string
-	// Err is the underlying cause, when one exists (an io or json error).
+	// Err is the underlying cause, when one exists (an io or payload
+	// decode error).
 	Err error
 }
 
@@ -78,101 +102,71 @@ func (e *CorruptionError) Unwrap() error { return e.Err }
 // reader can detect — and localize — any later corruption.
 func (t *Trace) SaveFramed(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	hdr := make([]byte, len(traceMagic)+4)
-	copy(hdr, traceMagic)
-	hdr[4] = traceVersion
-	if _, err := bw.Write(hdr); err != nil {
+	if _, err := bw.Write(StreamHeader()); err != nil {
 		return err
 	}
-	var prefix [frameHeaderSize]byte
+	var frame []byte
 	for i := range t.Events {
-		payload, err := json.Marshal(&t.Events[i])
-		if err != nil {
+		var err error
+		if frame, err = AppendEventFrame(frame[:0], &t.Events[i]); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint32(prefix[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(prefix[4:8], crc32.Checksum(payload, castagnoli))
-		if _, err := bw.Write(prefix[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
+		if _, err := bw.Write(frame); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// decodeFramed decodes a framed trace from br, whose next bytes must be the
-// "ARBT" header, emitting validated events in batches exactly like the
-// JSON-lines path. All corruption is reported as a *CorruptionError carrying
-// the byte offset; limits are enforced with the same sentinel errors as
-// Stream.
-func decodeFramed(br *bufio.Reader, lim Limits, emit func(batch []Event) error) error {
-	var off int64
-	hdr := make([]byte, len(traceMagic)+4)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return &CorruptionError{Offset: off, Reason: "short header", Err: err}
+// checkHeader validates the 8-byte header that opens a framed stream.
+func checkHeader(hdr []byte) error {
+	if !bytes.Equal(hdr[:len(traceMagic)], traceMagic) {
+		return &CorruptionError{Reason: fmt.Sprintf("bad magic %q", hdr[:len(traceMagic)])}
 	}
-	if !bytes.Equal(hdr[:4], traceMagic) {
-		return &CorruptionError{Offset: off, Reason: fmt.Sprintf("bad magic %q", hdr[:4])}
+	if v := hdr[len(traceMagic)]; v < 1 || v > traceVersion {
+		return &CorruptionError{Reason: fmt.Sprintf("unsupported version %d (reads 1 to %d)", v, traceVersion)}
 	}
-	if hdr[4] != traceVersion {
-		return &CorruptionError{Offset: off, Reason: fmt.Sprintf("unsupported version %d (have %d)", hdr[4], traceVersion)}
-	}
-	off += int64(len(hdr))
+	return nil
+}
 
-	count := 0
-	batch := make([]Event, 0, streamBatchSize)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		out := batch
-		batch = make([]Event, 0, streamBatchSize)
-		return emit(out)
-	}
-	var prefix [frameHeaderSize]byte
+// decodeFramed decodes a framed trace from r, whose next bytes must be the
+// "ARBT" header, appending validated events to t.Events. It pushes the
+// input through a PushDecoder, so files and live streams share one frame
+// loop, its *CorruptionError reports and its limits; only a torn end is
+// worded for a file, naming the part of the header or frame that is
+// missing.
+func (t *Trace) decodeFramed(r io.Reader, lim Limits) error {
+	d := &PushDecoder{lim: lim, into: t}
+	keep := func(*Event) error { return nil }
+	buf := make([]byte, 64<<10)
 	for {
-		n, err := io.ReadFull(br, prefix[:])
+		n, err := r.Read(buf)
+		if perr := d.Push(buf[:n], keep); perr != nil {
+			return perr
+		}
 		if err == io.EOF {
-			// Clean end: the previous frame was the last one.
-			return flush()
+			if d.headerDone && len(d.tail) == 0 {
+				return nil // the last frame ended where the input did
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("torn frame header (%d of %d bytes)", n, frameHeaderSize), Err: err}
-		}
-		length := binary.LittleEndian.Uint32(prefix[0:4])
-		sum := binary.LittleEndian.Uint32(prefix[4:8])
-		if length > MaxFramePayload {
-			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds limit %d", length, MaxFramePayload)}
-		}
-		if lim.MaxBytes > 0 && off+frameHeaderSize+int64(length) > lim.MaxBytes {
-			return fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, lim.MaxBytes)
-		}
-		if lim.MaxEvents > 0 && count >= lim.MaxEvents {
-			return fmt.Errorf("%w: more than %d events (byte %d)", ErrTooManyEvents, lim.MaxEvents, off)
-		}
-		payload := make([]byte, length)
-		if n, err := io.ReadFull(br, payload); err != nil {
-			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("torn frame payload (%d of %d bytes)", n, length), Err: err}
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)}
-		}
-		var e Event
-		if jerr := json.Unmarshal(payload, &e); jerr != nil {
-			return &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: jerr}
-		}
-		if verr := e.validate(); verr != nil {
-			return &CorruptionError{Offset: off, Reason: "frame payload fails event validation", Err: verr}
-		}
-		batch = append(batch, e)
-		count++
-		off += frameHeaderSize + int64(length)
-		if len(batch) == streamBatchSize {
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
+			return d.tornEnd(err)
 		}
 	}
+}
+
+// tornEnd reports an input that stopped, with cause, inside the header or
+// the frame at d.off.
+func (d *PushDecoder) tornEnd(cause error) error {
+	var reason string
+	switch {
+	case !d.headerDone:
+		reason = fmt.Sprintf("short header (%d of %d bytes)", len(d.tail), len(traceMagic)+4)
+	case len(d.tail) < frameHeaderSize:
+		reason = fmt.Sprintf("torn frame header (%d of %d bytes)", len(d.tail), frameHeaderSize)
+	default:
+		reason = fmt.Sprintf("torn frame payload (%d of %d bytes)", len(d.tail)-frameHeaderSize, binary.LittleEndian.Uint32(d.tail))
+	}
+	return &CorruptionError{Offset: d.off, Reason: reason, Err: cause}
 }

@@ -77,6 +77,21 @@ func TestFramedCorruptionTable(t *testing.T) {
 		return append(out, payload...)
 	}
 
+	// access builds a version-2 access payload with tag "x" and an empty
+	// source location. Its arguments let a row damage the write bool, the
+	// thread ID or the tag's length; the header's version does not matter,
+	// since each payload is decoded by its first byte.
+	access := func(write byte, thread uint64, tagLen uint64) []byte {
+		p := []byte{5, 0, 0x10, 8, write, 1, 1} // kind, seq, addr, size, write, device -1, task
+		p = binary.AppendUvarint(p, thread)
+		p = append(p, 0x10) // base
+		p = binary.AppendUvarint(p, tagLen)
+		return append(p, 'x', 0, 0, 0) // tag, file "", line 0, func ""
+	}
+	if _, err := trace.Load(bytes.NewReader(garbageFrame(access(1, 0, 1)))); err != nil {
+		t.Fatalf("the undamaged binary row does not decode: %v", err)
+	}
+
 	cases := []struct {
 		name       string
 		input      func() []byte
@@ -109,6 +124,33 @@ func TestFramedCorruptionTable(t *testing.T) {
 		{"payload-fails-validation", func() []byte {
 			return garbageFrame([]byte(`{"kind":"nope"}`))
 		}, "fails event validation"},
+		{"binary-truncated-varint", func() []byte {
+			return garbageFrame([]byte{5, 0x80})
+		}, "not a valid event"},
+		{"binary-trailing-bytes", func() []byte {
+			return garbageFrame(append(access(1, 0, 1), 0))
+		}, "not a valid event"},
+		{"binary-unknown-kind-code", func() []byte {
+			return garbageFrame([]byte{9, 0})
+		}, "not a valid event"},
+		{"binary-bool-byte-2", func() []byte {
+			return garbageFrame(access(2, 0, 1))
+		}, "not a valid event"},
+		{"binary-thread-id-over-32-bits", func() []byte {
+			return garbageFrame(access(1, 1<<32, 1))
+		}, "not a valid event"},
+		{"binary-string-past-payload-end", func() []byte {
+			return garbageFrame(access(1, 0, 50))
+		}, "not a valid event"},
+	}
+	// The binary rows must each fail on the field they damage.
+	causes := map[string]string{
+		"binary-truncated-varint":        "varint",
+		"binary-trailing-bytes":          "1 trailing bytes",
+		"binary-unknown-kind-code":       "unknown kind code 9",
+		"binary-bool-byte-2":             "bool byte 2",
+		"binary-thread-id-over-32-bits":  "exceeds 32 bits",
+		"binary-string-past-payload-end": "past payload end",
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -126,6 +168,9 @@ func TestFramedCorruptionTable(t *testing.T) {
 			}
 			if !strings.Contains(ce.Reason, tc.wantReason) {
 				t.Errorf("reason %q does not mention %q", ce.Reason, tc.wantReason)
+			}
+			if cause, ok := causes[tc.name]; ok && (ce.Err == nil || !strings.Contains(ce.Err.Error(), cause)) {
+				t.Errorf("cause %v does not mention %q", ce.Err, cause)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -21,7 +22,7 @@ func fuzzSeedTrace() *trace.Trace {
 
 // FuzzDecodeTrace throws arbitrary bytes at the auto-detecting trace decoder.
 // The decoder must never panic, and any input it accepts must survive a
-// framed re-encode/re-decode round trip with the same event count.
+// framed re-encode/re-decode round trip with deeply equal events.
 func FuzzDecodeTrace(f *testing.F) {
 	tr := fuzzSeedTrace()
 	var framed, lines bytes.Buffer
@@ -40,6 +41,7 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add([]byte("ARBT\x01\x00\x00\x00")) // bare header, zero frames
 	f.Add([]byte(`{"kind":"sync","seq":0,"sync":{"task":1}}` + "\n"))
 	f.Add([]byte{})
+	f.Add(v1Framed(f, tr)) // JSON payloads behind a version-1 header
 
 	lim := trace.Limits{MaxEvents: 4096, MaxBytes: 1 << 20}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -55,8 +57,8 @@ func FuzzDecodeTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded trace failed: %v", err)
 		}
-		if len(again.Events) != len(got.Events) {
-			t.Fatalf("round trip changed event count: %d -> %d", len(got.Events), len(again.Events))
+		if !reflect.DeepEqual(again.Events, got.Events) {
+			t.Fatalf("round trip changed the events (%d decoded, %d after re-encoding)", len(got.Events), len(again.Events))
 		}
 	})
 }

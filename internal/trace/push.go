@@ -1,24 +1,21 @@
-// Push-based framed decode: the wire-protocol half of the CRC32C format.
+// Push-based framed decode: the one frame loop of the CRC32C format.
 //
-// decodeFramed (frame.go) pulls from an io.Reader, which fits batch files
-// but not a live network session: there the transport hands the decoder
-// arbitrary byte chunks as they arrive, and blocking for "the rest of the
-// frame" would wedge the accept loop. PushDecoder inverts the control flow —
-// callers Push chunks, the decoder buffers the incomplete tail and emits
-// every event whose frame has fully arrived and passed its CRC. Chunk
-// boundaries are completely decoupled from frame boundaries: a frame may
-// arrive split across a dozen chunks or bundled with a hundred others.
+// A live network session cannot pull from an io.Reader: the transport hands
+// the decoder arbitrary byte chunks as they arrive, and blocking for "the
+// rest of the frame" would wedge the accept loop. PushDecoder inverts the
+// control flow — callers Push chunks, the decoder buffers the incomplete
+// tail and emits every event whose frame has fully arrived and passed its
+// CRC. Chunk boundaries are completely decoupled from frame boundaries: a
+// frame may arrive split across a dozen chunks or bundled with a hundred
+// others. LoadLimited pushes a file through the same loop (decodeFramed).
 //
-// All corruption is reported with the same *CorruptionError (absolute byte
-// offset + reason) as the pull decoder, and a decoder that has reported an
-// error stays failed: the byte position is unrecoverable, so feeding more
-// bytes cannot resynchronize.
+// All corruption is reported as a *CorruptionError (absolute byte offset +
+// reason), and a decoder that has reported an error stays failed: the byte
+// position is unrecoverable, so feeding more bytes cannot resynchronize.
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -30,12 +27,18 @@ import (
 // concurrent use; a streaming session owns one decoder.
 type PushDecoder struct {
 	lim Limits
+	dec payloadDecoder
+	// into, when set, receives every event as the next element of its
+	// Events (LoadLimited); otherwise events are carved from evs.
+	into *Trace
+	evs  slab[Event]
 
-	// buf holds bytes not yet consumed by a complete header or frame.
-	buf []byte
-	// off is the absolute stream offset of buf[0] — the offset of the next
-	// frame (or the header) to decode, and the position corruption errors
-	// report.
+	// tail holds the bytes of an incomplete header or frame, carried over
+	// to the next Push in the decoder's own buffer.
+	tail []byte
+	// off is the absolute stream offset of the first byte not yet consumed
+	// by a complete header or frame — the offset of the next frame (or the
+	// header) to decode, and the position corruption errors report.
 	off int64
 	// headerDone flips once the "ARBT" header has been validated.
 	headerDone bool
@@ -46,7 +49,7 @@ type PushDecoder struct {
 }
 
 // NewPushDecoder returns a decoder enforcing lim (zero = unlimited) with the
-// same sentinel errors as Stream.
+// same sentinel errors as LoadLimited.
 func NewPushDecoder(lim Limits) *PushDecoder {
 	return &PushDecoder{lim: lim}
 }
@@ -59,7 +62,7 @@ func (d *PushDecoder) Offset() int64 { return d.off }
 
 // Pending returns how many buffered bytes await the rest of their frame. A
 // nonzero value at end-of-stream means the final frame is torn.
-func (d *PushDecoder) Pending() int { return len(d.buf) }
+func (d *PushDecoder) Pending() int { return len(d.tail) }
 
 // Events returns the number of events decoded so far.
 func (d *PushDecoder) Events() int { return d.events }
@@ -70,78 +73,95 @@ func (d *PushDecoder) fail(err error) error {
 	return err
 }
 
-// Push appends chunk to the decode buffer and emits every event whose frame
-// is now complete and CRC-valid, in stream order. emit may retain the event.
-// A non-nil error — corruption, a limit breach, or an emit failure — is
-// terminal: the decoder stays failed and later calls return the same error
-// (emit errors are returned as-is but still poison the decoder, since an
-// unknown number of events were already consumed).
+// Push decodes chunk, after any tail left by earlier pushes, and emits
+// every event whose frame is now complete and CRC-valid, in stream order.
+// emit may retain the event. A non-nil error — corruption, a limit breach,
+// or an emit failure — is terminal: the decoder stays failed and later
+// calls return the same error (emit errors are returned as-is but still
+// poison the decoder, since an unknown number of events were already
+// consumed).
 func (d *PushDecoder) Push(chunk []byte, emit func(e *Event) error) error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if len(d.buf) == 0 {
-		d.buf = append(d.buf[:0], chunk...)
-	} else {
-		d.buf = append(d.buf, chunk...)
+	buf := chunk
+	if len(d.tail) > 0 {
+		d.tail = append(d.tail, chunk...)
+		buf = d.tail
 	}
+	n, err := d.decode(buf, emit)
+	if err != nil {
+		return d.fail(err)
+	}
+	// Keep the unconsumed rest in the decoder's own buffer: buf may be the
+	// caller's chunk. The copy may overlap when buf is the tail itself.
+	d.tail = append(d.tail[:0], buf[n:]...)
+	return nil
+}
+
+// decode consumes the header, if still due, and every complete frame at the
+// front of buf, returning how many bytes it consumed.
+func (d *PushDecoder) decode(buf []byte, emit func(e *Event) error) (int, error) {
+	pos := 0
 	if !d.headerDone {
 		hdrLen := len(traceMagic) + 4
-		if len(d.buf) < hdrLen {
-			return nil
+		if len(buf) < hdrLen {
+			return 0, nil
 		}
-		if !bytes.Equal(d.buf[:len(traceMagic)], traceMagic) {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("bad magic %q", d.buf[:len(traceMagic)])})
+		if err := checkHeader(buf[:hdrLen]); err != nil {
+			return 0, err
 		}
-		if v := d.buf[len(traceMagic)]; v != traceVersion {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("unsupported version %d (have %d)", v, traceVersion)})
-		}
-		d.buf = d.buf[hdrLen:]
+		pos = hdrLen
 		d.off += int64(hdrLen)
 		d.headerDone = true
 	}
-	for len(d.buf) >= frameHeaderSize {
-		length := binary.LittleEndian.Uint32(d.buf[0:4])
-		sum := binary.LittleEndian.Uint32(d.buf[4:8])
+	for len(buf)-pos >= frameHeaderSize {
+		frame := buf[pos:]
+		length := binary.LittleEndian.Uint32(frame[0:4])
+		sum := binary.LittleEndian.Uint32(frame[4:8])
 		if length > MaxFramePayload {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("frame length %d exceeds limit %d", length, MaxFramePayload)})
+			return pos, &CorruptionError{Offset: d.off, Reason: fmt.Sprintf("frame length %d exceeds limit %d", length, MaxFramePayload)}
 		}
 		if d.lim.MaxBytes > 0 && d.off+frameHeaderSize+int64(length) > d.lim.MaxBytes {
-			return d.fail(fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, d.lim.MaxBytes))
+			return pos, fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, d.lim.MaxBytes)
 		}
-		if len(d.buf) < frameHeaderSize+int(length) {
+		if len(frame) < frameHeaderSize+int(length) {
 			break // frame not complete yet; wait for the next chunk
 		}
 		if d.lim.MaxEvents > 0 && d.events >= d.lim.MaxEvents {
-			return d.fail(fmt.Errorf("%w: more than %d events (byte %d)", ErrTooManyEvents, d.lim.MaxEvents, d.off))
+			return pos, fmt.Errorf("%w: more than %d events (byte %d)", ErrTooManyEvents, d.lim.MaxEvents, d.off)
 		}
-		payload := d.buf[frameHeaderSize : frameHeaderSize+int(length)]
+		payload := frame[frameHeaderSize : frameHeaderSize+int(length)]
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)})
+			return pos, &CorruptionError{Offset: d.off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)}
 		}
-		e := new(Event)
-		if jerr := json.Unmarshal(payload, e); jerr != nil {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: "frame payload is not a valid event", Err: jerr})
+		e := d.next()
+		if err := d.dec.decodeFrame(d.off, payload, e); err != nil {
+			return pos, err
 		}
-		if verr := e.validate(); verr != nil {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: "frame payload fails event validation", Err: verr})
-		}
-		d.buf = d.buf[frameHeaderSize+int(length):]
+		pos += frameHeaderSize + int(length)
 		d.off += frameHeaderSize + int64(length)
 		d.events++
 		if err := emit(e); err != nil {
-			d.failed = err
-			return err
+			return pos, err
 		}
 	}
-	// Compact: the consumed prefix above still pins the backing array, and a
-	// mid-frame tail must not alias bytes from the caller's chunk.
-	if len(d.buf) > 0 {
-		d.buf = append(make([]byte, 0, len(d.buf)), d.buf...)
-	} else {
-		d.buf = nil
+	return pos, nil
+}
+
+// next returns the event the next frame decodes into.
+func (d *PushDecoder) next() *Event {
+	if d.into == nil {
+		return d.evs.get()
 	}
-	return nil
+	evs := d.into.Events
+	if len(evs) == cap(evs) {
+		// Double, where append would grow a large slice by a quarter and
+		// copy the events over about four times in all.
+		evs = append(make([]Event, 0, max(2*cap(evs), 256)), evs...)
+	}
+	d.into.Events = evs[:len(evs)+1]
+	return &d.into.Events[len(evs)]
 }
 
 // Finish declares end-of-stream. Buffered bytes that never completed a frame
@@ -152,10 +172,10 @@ func (d *PushDecoder) Finish() error {
 		return d.failed
 	}
 	if !d.headerDone {
-		return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("short header (%d of %d bytes)", len(d.buf), len(traceMagic)+4)})
+		return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("short header (%d of %d bytes)", len(d.tail), len(traceMagic)+4)})
 	}
-	if len(d.buf) > 0 {
-		return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("torn final frame (%d buffered bytes)", len(d.buf))})
+	if len(d.tail) > 0 {
+		return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("torn final frame (%d buffered bytes)", len(d.tail))})
 	}
 	return nil
 }
@@ -170,19 +190,23 @@ func StreamHeader() []byte {
 	return hdr
 }
 
-// AppendEventFrame appends e's CRC32C frame (length, checksum, JSON payload)
-// to dst and returns the extended slice — the append-style counterpart of
-// SaveFramed's per-event encoding, for spools built one event at a time.
+// AppendEventFrame appends e's CRC32C frame (length, checksum, version-2
+// payload) to dst and returns the extended slice — the append-style
+// counterpart of SaveFramed's per-event encoding, for spools built one event
+// at a time.
 func AppendEventFrame(dst []byte, e *Event) ([]byte, error) {
-	payload, err := json.Marshal(e)
+	start := len(dst)
+	out, err := appendPayload(append(dst, make([]byte, frameHeaderSize)...), e)
 	if err != nil {
 		return dst, err
 	}
-	var prefix [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(prefix[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(prefix[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, prefix[:]...)
-	return append(dst, payload...), nil
+	payload := out[start+frameHeaderSize:]
+	if len(payload) > MaxFramePayload {
+		return dst, fmt.Errorf("trace: event %d: payload of %d bytes exceeds limit %d", e.Seq, len(payload), MaxFramePayload)
+	}
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[start+4:], crc32.Checksum(payload, castagnoli))
+	return out, nil
 }
 
 // Dispatch sends the event through the dispatcher exactly as a batch replay

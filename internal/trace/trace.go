@@ -2,16 +2,18 @@
 // replays it offline.
 //
 // A Recorder is itself an ompt.Tool: registered with a runtime, it captures
-// every event in order. The trace can be serialized to JSON lines, loaded
-// back, and replayed into any set of tools — so a single (possibly
-// expensive) execution can be analyzed by ARBALEST, the race detector, and
-// the baselines afterwards, or shipped elsewhere for inspection. Replaying
-// the same trace is deterministic: the same reports come out every time,
-// which the tests use to cross-check online and offline analysis.
+// every event in order. The trace can be serialized (as readable JSON lines
+// or in the compact, checksummed framed format), loaded back, and replayed
+// into any set of tools — so a single (possibly expensive) execution can be
+// analyzed by ARBALEST, the race detector, and the baselines afterwards, or
+// shipped elsewhere for inspection. Replaying the same trace is
+// deterministic: the same reports come out every time, which the tests use
+// to cross-check online and offline analysis.
 package trace
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -231,7 +233,8 @@ func accessWithClock(e *Event) ompt.AccessEvent {
 	return a
 }
 
-// validate checks that the event's kind is known and its payload is present.
+// validate checks that the event's kind is known and that its payload, and
+// no other, is set.
 func (e *Event) validate() error {
 	ok := false
 	switch e.Kind {
@@ -254,6 +257,16 @@ func (e *Event) validate() error {
 	}
 	if !ok {
 		return fmt.Errorf("missing payload for kind %q", e.Kind)
+	}
+	set := 0
+	for _, p := range [...]bool{e.DeviceInit != nil, e.TargetBegin != nil, e.TargetEnd != nil,
+		e.DataOp != nil, e.Access != nil, e.Sync != nil, e.Alloc != nil} {
+		if p {
+			set++
+		}
+	}
+	if set > 1 {
+		return fmt.Errorf("kind %q carries %d payloads", e.Kind, set)
 	}
 	return nil
 }
@@ -287,23 +300,64 @@ var ErrTooManyEvents = fmt.Errorf("trace: too many events")
 // Limits.MaxBytes.
 var ErrTooManyBytes = fmt.Errorf("trace: input too large")
 
-// Load reads a JSON-lines trace without size limits.
+// Load reads a trace in either encoding without size limits.
 func Load(r io.Reader) (*Trace, error) {
 	return LoadLimited(r, Limits{})
 }
 
-// LoadLimited reads a JSON-lines trace, validating each event as it is
-// decoded (see Stream). Malformed input fails with the offending line
-// number; inputs exceeding the limits fail with ErrTooManyEvents or
-// ErrTooManyBytes. Blank lines are skipped.
+// LoadLimited reads a trace, validating each event as it is decoded. Both
+// encodings are accepted: the decoder sniffs the first bytes and reads the
+// framed format (SaveFramed's output, failures reported as
+// *CorruptionError with a byte offset) or JSON lines (Save's output,
+// failures reported with the offending line number; blank lines are
+// skipped). Inputs exceeding the limits fail with ErrTooManyEvents or
+// ErrTooManyBytes.
 func LoadLimited(r io.Reader, lim Limits) (*Trace, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	t := &Trace{}
-	err := Stream(r, lim, func(batch []Event) error {
-		t.Events = append(t.Events, batch...)
-		return nil
-	})
+	var err error
+	// A JSON line opens with '{' (or whitespace), so the magic is an
+	// unambiguous discriminator. Peek errors (including an input shorter
+	// than the magic) fall through to the JSON-lines path, which handles
+	// empty and truncated input with its historical errors.
+	if head, perr := br.Peek(len(traceMagic)); perr == nil && bytes.Equal(head, traceMagic) {
+		err = t.decodeFramed(br, lim)
+	} else {
+		err = t.decodeJSONLines(br, lim)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// decodeJSONLines appends the events of a JSON-lines trace to t.Events.
+func (t *Trace) decodeJSONLines(br *bufio.Reader, lim Limits) error {
+	var read int64
+	for line := 1; ; line++ {
+		raw, err := br.ReadBytes('\n')
+		read += int64(len(raw))
+		if lim.MaxBytes > 0 && read > lim.MaxBytes {
+			return fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, lim.MaxBytes)
+		}
+		if trimmed := bytes.TrimSpace(raw); len(trimmed) > 0 {
+			if lim.MaxEvents > 0 && len(t.Events) >= lim.MaxEvents {
+				return fmt.Errorf("%w: more than %d events (line %d)", ErrTooManyEvents, lim.MaxEvents, line)
+			}
+			var e Event
+			if jerr := json.Unmarshal(trimmed, &e); jerr != nil {
+				return fmt.Errorf("trace: line %d: %w", line, jerr)
+			}
+			if verr := e.validate(); verr != nil {
+				return fmt.Errorf("trace: line %d: %w", line, verr)
+			}
+			t.Events = append(t.Events, e)
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("trace: line %d: %w", line, err)
+		}
+	}
 }
