@@ -169,6 +169,39 @@ func TestCoordinatorShedsExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestCoordinatorShedsDeadlineAtGrant: a job whose client deadline passes
+// while a pool worker holds it for a lease is shed when a worker polls,
+// exactly as dequeue sheds it, and never leased.
+func TestCoordinatorShedsDeadlineAtGrant(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := recordTrace(t, 22)
+	f := startFleet(t, service.Config{Workers: 1, QueueSize: 8},
+		dist.CoordinatorConfig{LeaseTTL: 5 * time.Second, WorkerTTL: 30 * time.Second}, false)
+	rawRegister(t, f.srv.URL, "silent")
+
+	// The pool worker is free, so it takes the job at once and holds it
+	// for a lease; the deadline passes while it is held.
+	late, _, err := f.svc.SubmitTrace(service.SubmitOptions{
+		Tool: "arbalest", Deadline: time.Now().Add(20 * time.Millisecond),
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+
+	if grant := rawLease(t, f.srv.URL, "silent", 200*time.Millisecond); grant != nil {
+		t.Fatalf("job %s leased after its deadline passed while held", grant.Job.ID)
+	}
+	got := f.waitSettled(late.ID)
+	if got.Status != service.StatusFailed || !strings.Contains(got.Error, "deadline expired") {
+		t.Fatalf("late job: status %s (%s), want failed with the deadline message", got.Status, got.Error)
+	}
+	if n := f.metric(`arbalestd_tenant_shed_total{tenant="default",reason="deadline"}`); n != 1 {
+		t.Fatalf("deadline sheds = %v, want 1", n)
+	}
+}
+
 // TestFleetWorkerRunsLikeInline: a leased run gets what an inline run gets.
 // The lease carries the daemon's analyzer-stats setting, so the remote
 // result has a stats block that feeds the /metrics VSM counters; and an

@@ -77,29 +77,12 @@ func (f *FleetLog) RecordWorker(id string) error {
 	return f.append(FleetEntry{Kind: "worker", Worker: id, Time: time.Now()})
 }
 
-func (f *FleetLog) append(e FleetEntry) (err error) {
+func (f *FleetLog) append(e FleetEntry) error {
 	if err := faultinject.Fire("journal.fleet"); err != nil {
 		f.j.noteWrite(err)
 		return err
 	}
-	defer func() { f.j.noteWrite(err) }()
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	fl, err := os.OpenFile(f.path(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fl.Write(frameMetaLine(payload)); err != nil {
-		fl.Close()
-		return err
-	}
-	if err := f.j.sync(fl); err != nil {
-		fl.Close()
-		return err
-	}
-	return fl.Close()
+	return f.j.appendRecord(f.path(), e)
 }
 
 // RecoverFleet reads the fleet log, folds it into the max token per job and
@@ -109,34 +92,11 @@ func (f *FleetLog) append(e FleetEntry) (err error) {
 // empty state, not an error.
 func (f *FleetLog) RecoverFleet(stats *RecoverStats) (FleetState, error) {
 	st := FleetState{Tokens: map[string]uint64{}}
-	data, err := os.ReadFile(f.path())
-	if os.IsNotExist(err) {
-		return st, nil
-	}
-	if err != nil {
-		return st, fmt.Errorf("journal: fleet log: %w", err)
-	}
 	workers := map[string]bool{}
-	dropped := 0
-	for len(data) > 0 {
-		var raw []byte
-		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
-			raw, data = data, nil
-		} else {
-			raw, data = data[:nl], data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		payload, ok := parseFramedPayload(raw)
-		if !ok {
-			dropped++
-			continue
-		}
+	_, err := scanLog(f.path(), false, stats, func(payload []byte) bool {
 		var e FleetEntry
 		if json.Unmarshal(payload, &e) != nil {
-			dropped++
-			continue
+			return false
 		}
 		switch e.Kind {
 		case "token":
@@ -146,9 +106,13 @@ func (f *FleetLog) RecoverFleet(stats *RecoverStats) (FleetState, error) {
 		case "worker":
 			workers[e.Worker] = true
 		}
+		return true
+	})
+	if os.IsNotExist(err) {
+		return st, nil
 	}
-	if stats != nil {
-		stats.TruncatedRecords += dropped
+	if err != nil {
+		return st, fmt.Errorf("journal: fleet log: %w", err)
 	}
 	for w := range workers {
 		st.Workers = append(st.Workers, w)
@@ -183,24 +147,5 @@ func (f *FleetLog) compact(st FleetState) error {
 		}
 		buf.Write(frameMetaLine(payload))
 	}
-	tmp, err := os.CreateTemp(f.j.dir, fleetFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, f.path())
+	return writeFileAtomic(f.path(), buf.Bytes())
 }

@@ -269,7 +269,10 @@ func (j *Journal) WriteCheckpoint(ck *trace.Checkpoint) error {
 		j.noteWrite(err)
 		return err
 	}
-	err := ck.WriteFile(j.ckptPath(ck.JobID))
+	encoded, err := ck.Encode()
+	if err == nil {
+		err = writeFileAtomic(j.ckptPath(ck.JobID), encoded)
+	}
 	j.noteWrite(err)
 	return err
 }
@@ -277,7 +280,11 @@ func (j *Journal) WriteCheckpoint(ck *trace.Checkpoint) error {
 // ReadCheckpoint loads the job's checkpoint. os.ErrNotExist when none was
 // written; *trace.CorruptionError when the file fails its CRC check.
 func (j *Journal) ReadCheckpoint(id string) (*trace.Checkpoint, error) {
-	return trace.ReadCheckpointFile(j.ckptPath(id))
+	data, err := os.ReadFile(j.ckptPath(id))
+	if err != nil {
+		return nil, err
+	}
+	return trace.DecodeCheckpoint(data)
 }
 
 // RemoveCheckpoint deletes the job's checkpoint file, if any (terminal
@@ -408,76 +415,26 @@ func parseFramedPayload(raw []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// parseMetaLine decodes one meta line into an Entry. CRC-framed lines are
-// verified; bare JSON lines (the pre-framing format) are accepted as-is. A
-// false result means the line is torn or corrupt.
-func parseMetaLine(raw []byte) (Entry, bool) {
-	payload, ok := parseFramedPayload(raw)
-	if !ok {
-		return Entry{}, false
-	}
-	var e Entry
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return Entry{}, false
-	}
-	return e, true
-}
-
 // readMetaLog reads and repairs one meta log, returning its valid entries
-// in order. Torn or corrupt lines are repaired in place: a bad trailing
-// line (crash mid-append) is truncated off the file, and a bad mid-file
-// line is skipped so the entries after it still apply — both are counted
-// in stats.TruncatedRecords. Only an unreadable first line is fatal, since
-// without it the record has no identity. Shared by job (.meta) and stream
-// (.smeta) recovery.
+// in order, with scanLog's repairs: a bad trailing line (crash mid-append)
+// is truncated off the file, and a bad mid-file line is skipped so the
+// entries after it still apply. Only an unreadable first line is fatal,
+// since without it the record has no identity. Shared by job (.meta) and
+// stream (.smeta) recovery.
 func readMetaLog(path string, stats *RecoverStats) ([]Entry, error) {
-	data, err := os.ReadFile(path)
+	var entries []Entry
+	lines, err := scanLog(path, true, stats, func(payload []byte) bool {
+		var e Entry
+		if json.Unmarshal(payload, &e) != nil {
+			return false
+		}
+		entries = append(entries, e)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	var entries []Entry
-	line := 0
-	var off int64 // byte offset of the line being parsed
-	for len(data) > 0 {
-		var raw []byte
-		nl := bytes.IndexByte(data, '\n')
-		lineLen := int64(nl) + 1
-		if nl < 0 {
-			raw, data = data, nil
-			lineLen = int64(len(raw))
-		} else {
-			raw, data = data[:nl], data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			off += lineLen
-			continue
-		}
-		line++
-		e, ok := parseMetaLine(raw)
-		if !ok {
-			if line == 1 {
-				return nil, fmt.Errorf("meta line 1 is torn or corrupt")
-			}
-			stats.TruncatedRecords++
-			if len(bytes.TrimSpace(data)) == 0 {
-				// Torn trailing record (crash mid-append): cut it off so the
-				// next recovery — and any other reader — sees a clean log.
-				if terr := os.Truncate(path, off); terr != nil {
-					return nil, fmt.Errorf("truncating torn meta record: %w", terr)
-				}
-				break
-			}
-			// Corrupt line with valid records after it (bit rot): skip it
-			// but keep applying the later transitions, so a corrupt
-			// mid-file line cannot silently resurrect an already-finished
-			// record.
-			off += lineLen
-			continue
-		}
-		off += lineLen
-		entries = append(entries, e)
-	}
-	if line == 0 {
+	if lines == 0 {
 		return nil, errors.New("empty meta file")
 	}
 	return entries, nil
@@ -559,24 +516,23 @@ func (j *Journal) writeTrace(id string, tr *trace.Trace) (err error) {
 // appendMeta appends one fsynced CRC-framed entry line to the job's meta
 // log.
 func (j *Journal) appendMeta(id string, e Entry) error {
-	return j.appendMetaFile(j.metaPath(id), e)
+	return j.appendRecord(j.metaPath(id), e)
 }
 
-// appendMetaFile appends one fsynced CRC-framed entry line to the given
-// meta log (job .meta or stream .smeta).
-func (j *Journal) appendMetaFile(path string, e Entry) (err error) {
+// appendRecord appends v, JSON-encoded, as one fsynced CRC-framed line to
+// the log at path — a job or stream meta log, the fleet log or the tenant
+// log — and records the outcome in the writable flag.
+func (j *Journal) appendRecord(path string, v any) (err error) {
 	defer func() { j.noteWrite(err) }()
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	b = frameMetaLine(b)
-	if _, err := f.Write(b); err != nil {
+	if _, err := f.Write(frameMetaLine(payload)); err != nil {
 		f.Close()
 		return err
 	}
@@ -585,6 +541,95 @@ func (j *Journal) appendMetaFile(path string, e Entry) (err error) {
 		return err
 	}
 	return f.Close()
+}
+
+// scanLog reads the CRC-framed line log at path and hands decode the
+// payload of each nonblank line, in order; decode reports whether the
+// payload parsed. A line failing its frame or decode is skipped and
+// counted in stats.TruncatedRecords (stats may be nil), and when only
+// blank space follows it — a torn append — the file is truncated to drop
+// it. With firstFatal a bad first line is an error instead. scanLog
+// returns the number of nonblank lines; a missing file is the ReadFile
+// error.
+func scanLog(path string, firstFatal bool, stats *RecoverStats, decode func(payload []byte) bool) (int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	lines := 0
+	var off int64 // byte offset of the line being parsed
+	for len(data) > 0 {
+		raw := data
+		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
+			data = nil
+		} else {
+			raw, data = data[:nl], data[nl+1:]
+		}
+		lineOff := off
+		off += int64(len(raw)) + 1
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue
+		}
+		lines++
+		if payload, ok := parseFramedPayload(raw); ok && decode(payload) {
+			continue
+		}
+		if lines == 1 && firstFatal {
+			return 0, fmt.Errorf("meta line 1 is torn or corrupt")
+		}
+		if stats != nil {
+			stats.TruncatedRecords++
+		}
+		if len(bytes.TrimSpace(data)) == 0 {
+			// Torn trailing record (crash mid-append): cut it off so the
+			// next recovery — and any other reader — sees a clean log.
+			if err := os.Truncate(path, lineOff); err != nil {
+				return lines, fmt.Errorf("truncating torn meta record: %w", err)
+			}
+			break
+		}
+		// Corrupt line with valid records after it (bit rot): skip it but
+		// keep applying the later ones, so a corrupt mid-file line cannot
+		// silently resurrect an already-finished record.
+	}
+	return lines, nil
+}
+
+// writeFileAtomic durably replaces path with data: temp file in the same
+// directory, fsync, atomic rename, directory fsync. A crash mid-write
+// leaves either the previous file or the new one — never a torn file at
+// the final path. Checkpoints and log compactions write through it.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	// fsync the directory so the rename itself survives a crash.
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // sync fsyncs f, honoring the injected fsync-latency fault point.

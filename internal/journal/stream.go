@@ -95,7 +95,7 @@ func (j *Journal) AppendStream(rec Record) (*StreamWriter, error) {
 		ID: rec.ID, Tool: rec.Tool, Key: rec.Key, Tenant: rec.Tenant,
 		Submitted: rec.Submitted, Status: StatusLive, Time: rec.Submitted,
 	}
-	if err := j.appendMetaFile(j.smetaPath(rec.ID), first); err != nil {
+	if err := j.appendRecord(j.smetaPath(rec.ID), first); err != nil {
 		f.Close()
 		j.removeStreamFiles(rec.ID)
 		return nil, err
@@ -128,7 +128,7 @@ func (j *Journal) MarkStream(id, status, errMsg string, result json.RawMessage) 
 	if err := faultinject.Fire("journal.stream.mark"); err != nil {
 		return err
 	}
-	return j.appendMetaFile(j.smetaPath(id), Entry{
+	return j.appendRecord(j.smetaPath(id), Entry{
 		Status: status, Time: time.Now(), Error: errMsg, Result: result,
 	})
 }

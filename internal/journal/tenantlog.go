@@ -50,29 +50,12 @@ func (t *TenantLog) path() string { return filepath.Join(t.j.dir, tenantFile) }
 // writable flag like any other journal write, but the in-memory tuning
 // still applies — durability is best effort for tuning, mandatory only for
 // job acceptance.
-func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) (err error) {
+func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) error {
 	if err := faultinject.Fire("journal.tenant"); err != nil {
 		t.j.noteWrite(err)
 		return err
 	}
-	defer func() { t.j.noteWrite(err) }()
-	payload, err := json.Marshal(TenantEntry{Name: name, Limits: lim, Time: time.Now()})
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(t.path(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(frameMetaLine(payload)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := t.j.sync(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return t.j.appendRecord(t.path(), TenantEntry{Name: name, Limits: lim, Time: time.Now()})
 }
 
 // RecoverTenants reads the tenant log, folds it into the latest limits per
@@ -81,38 +64,19 @@ func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) (err error) {
 // missing log is an empty map, not an error.
 func (t *TenantLog) RecoverTenants(stats *RecoverStats) (map[string]tenant.Limits, error) {
 	out := map[string]tenant.Limits{}
-	data, err := os.ReadFile(t.path())
+	_, err := scanLog(t.path(), false, stats, func(payload []byte) bool {
+		var e TenantEntry
+		if json.Unmarshal(payload, &e) != nil || e.Name == "" {
+			return false
+		}
+		out[e.Name] = e.Limits // last write wins
+		return true
+	})
 	if os.IsNotExist(err) {
 		return out, nil
 	}
 	if err != nil {
 		return out, fmt.Errorf("journal: tenant log: %w", err)
-	}
-	dropped := 0
-	for len(data) > 0 {
-		var raw []byte
-		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
-			raw, data = data, nil
-		} else {
-			raw, data = data[:nl], data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		payload, ok := parseFramedPayload(raw)
-		if !ok {
-			dropped++
-			continue
-		}
-		var e TenantEntry
-		if json.Unmarshal(payload, &e) != nil || e.Name == "" {
-			dropped++
-			continue
-		}
-		out[e.Name] = e.Limits // last write wins
-	}
-	if stats != nil {
-		stats.TruncatedRecords += dropped
 	}
 	if err := t.compact(out); err != nil {
 		return out, fmt.Errorf("journal: tenant log compaction: %w", err)
@@ -136,24 +100,5 @@ func (t *TenantLog) compact(limits map[string]tenant.Limits) error {
 		}
 		buf.Write(frameMetaLine(payload))
 	}
-	tmp, err := os.CreateTemp(t.j.dir, tenantFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, t.path())
+	return writeFileAtomic(t.path(), buf.Bytes())
 }

@@ -5,7 +5,7 @@ import "repro/internal/mem"
 // DispatchMode tells tools what concurrency discipline the event source is
 // about to use, so they can trade synchronization for speed when they own
 // their state exclusively (replay Theorem 1) and keep it when they do not
-// (online runtimes, shared stream sessions).
+// (online runtimes).
 type DispatchMode uint8
 
 // The dispatch modes.

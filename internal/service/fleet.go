@@ -27,11 +27,12 @@ func (s *Service) lookup(id string) (*job, bool) {
 }
 
 // MarkJobRunning transitions the job to running for a remote lease holder,
-// journaling the transition. False means the job is gone or already
-// terminal and the lease must not be granted.
+// journaling the transition. False means the job is gone, already terminal,
+// or past its client deadline — then shed, as dequeue sheds it — and the
+// lease must not be granted.
 func (s *Service) MarkJobRunning(id, worker string) bool {
 	j, ok := s.lookup(id)
-	if !ok {
+	if !ok || s.shedIfExpired(j, time.Now()) {
 		return false
 	}
 	_, _, running := s.startRunning(j)

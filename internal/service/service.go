@@ -827,19 +827,29 @@ func (s *Service) dequeue() (*job, bool) {
 				}
 			}
 		}
-		expired := !j.deadline.IsZero() && now.After(j.deadline)
 		s.mu.Unlock()
 
 		if shed != nil {
 			s.failShed(shed, "overload",
 				"service: shed under overload: queue delay above target")
 		}
-		if !expired {
+		if !s.shedIfExpired(j, now) {
 			return j, true
 		}
-		s.failShed(j, "deadline", "service: client deadline expired before replay started")
 		s.mu.Lock()
 	}
+}
+
+// shedIfExpired sheds j (reason deadline) when its client deadline passed
+// before now, and reports whether it did. A job is checked when it leaves
+// the queue and again when it is leased, since a pool worker may hold it
+// for a lease a while in between. The deadline is fixed at submit.
+func (s *Service) shedIfExpired(j *job, now time.Time) bool {
+	if j.deadline.IsZero() || !now.After(j.deadline) {
+		return false
+	}
+	s.failShed(j, "deadline", "service: client deadline expired before replay started")
+	return true
 }
 
 // failShed ends a queued job without running it: the terminal bookkeeping

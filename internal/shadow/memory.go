@@ -17,8 +17,8 @@ import (
 //
 //   - ModeShared (the zero value) is the paper's §IV-C lock-free design:
 //     every word update is an atomic compare-and-swap, safe for genuinely
-//     concurrent callers (online OpenMP runtimes, shared stream sessions).
-//   - ModeSeq is for single-goroutine dispatch (replay, exclusive stream
+//     concurrent callers (online OpenMP runtimes).
+//   - ModeSeq is for single-goroutine dispatch (batch replay and stream
 //     sessions). Updates are plain load/store, and it maintains the
 //     nibble-per-word tag plane, so state-only checks read 16 words of
 //     VSM state per cache line and transitions run off a table.

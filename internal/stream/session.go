@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/ompt"
 	"repro/internal/report"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -21,6 +20,11 @@ import (
 // many chunked requests and the trace must stay bounded. Requests past the
 // cap still advance the root span's progress counts.
 const maxIngestSpans = 32
+
+// batchCap bounds how many accepted events a session collects before it
+// spools them in one write and replays them. The batch, its columns and its
+// frames are per-session memory; 256 also replayed faster than 1024.
+const batchCap = 256
 
 // Status is a session's position in its lifecycle. Sessions are born live
 // and reach exactly one terminal state: done (client closed cleanly),
@@ -37,8 +41,10 @@ const (
 	StatusEvicted Status = Status(journal.StatusEvicted)
 )
 
-// Session is one live ingestion stream: an analyzer advanced online, event
-// by event, as framed chunks arrive. At most one ingest request feeds a
+// Session is one live ingestion stream: sequential replay with the trace
+// still arriving. Framed chunks are decoded as they come, checked against
+// the sequence-number protocol, and handed in small batches to the replay
+// driver every batch replay uses. At most one ingest request feeds a
 // session at a time (StartIngest/Feed/FinishIngest/EndIngest); findings
 // reads and lifecycle transitions may race freely with the feed.
 type Session struct {
@@ -58,12 +64,17 @@ type Session struct {
 	tquota    *tenant.Tenant
 	quotaHeld bool
 	reserved  int64
-	// analyzer, cp and d are the live analysis state. They are dropped when
-	// the session goes terminal, and are nil for sessions recovered as
-	// history.
+	// analyzer, cp and replay are the live analysis state, and batch and
+	// frameBuf the buffers that feed it. They are dropped when the session
+	// goes terminal, and are nil for sessions recovered as history. The
+	// driver holds the stream position and the latest checkpoint boundary;
+	// s.mu orders its calls, which run on whichever goroutine feeds.
 	analyzer tools.Analyzer
 	cp       tools.Checkpointer
-	d        ompt.Dispatcher
+	replay   *trace.Replayer
+	// batch holds the accepted events not yet spooled and replayed.
+	batch    []trace.Event
+	frameBuf []byte
 	// reports holds a failed or evicted session's findings once its
 	// analyzer is dropped.
 	reports []report.Report
@@ -72,16 +83,12 @@ type Session struct {
 	// fresh decoder and duplicate events are skipped by sequence number.
 	dec  *trace.PushDecoder
 	busy bool
-	// recovering suppresses checkpoint cuts while the spool is re-fed.
-	recovering bool
-	// events is the number of events applied — equivalently, the sequence
-	// number the session expects next. Clients resume by re-sending from it.
-	events uint64
-	bytes  int64
-	// lastCkpt is the boundary of the latest durable checkpoint.
-	lastCkpt    uint64
+	// events is the number of events applied. Outside Feed it is also the
+	// sequence number the session expects next: clients resume by
+	// re-sending from it.
+	events      uint64
+	bytes       int64
 	resumedFrom uint64
-	frameBuf    []byte
 	spool       *journal.StreamWriter
 	// notify is closed and replaced whenever findings may have grown or the
 	// status changed; long-pollers re-check after each close.
@@ -102,23 +109,24 @@ type Session struct {
 	ingest *telemetry.Span
 }
 
-func newSession(h *Hub, id, tool string, a tools.Analyzer) *Session {
+// newSession builds a live session whose analyzer has applied the first
+// start events (a restored checkpoint's position, else 0).
+func newSession(h *Hub, id, tool string, a tools.Analyzer, start uint64) *Session {
 	now := time.Now()
 	s := &Session{
 		hub: h, id: id, tool: tool, status: StatusLive,
 		analyzer: a,
+		events:   start,
 		notify:   make(chan struct{}),
 		created:  now, lastActive: now,
 	}
 	s.cp, _ = a.(tools.Checkpointer)
-	s.d.Register(a)
-	if h.cfg.Exclusive {
-		// Feed and recovery both dispatch under s.mu, so callbacks are
-		// mutually excluded and the mutex's release/acquire edges publish
-		// shadow writes between feeds — the single-owner contract holds
-		// even though successive feeds may run on different goroutines.
-		s.d.SetDispatchMode(ompt.DispatchSequential)
+	opts := trace.DurableOptions{StartEvent: start}
+	if s.cp != nil && h.cfg.Journal != nil {
+		opts.CheckpointEvery = h.cfg.CheckpointEvery
+		opts.Checkpoint = s.checkpoint
 	}
+	s.replay = trace.NewReplayer(opts, a)
 	return s
 }
 
@@ -283,11 +291,11 @@ func (s *Session) viewLocked() View {
 }
 
 // reportsLocked returns the session's findings in replay-clock order. Live
-// sessions read the analyzer's sink — in online mode events dispatch
-// sequentially with increasing clocks, so the list only ever appends and an
-// integer cursor into it is stable. Terminal sessions serve what was kept
-// when the analyzer was dropped: the summary's reports for a done session,
-// the copied reports for a failed or evicted one.
+// sessions read the analyzer's sink — events dispatch sequentially with
+// increasing clocks, so the list only ever appends and an integer cursor
+// into it is stable. Terminal sessions serve what was kept when the
+// analyzer was dropped: the summary's reports for a done session, the
+// copied reports for a failed or evicted one.
 func (s *Session) reportsLocked() []report.Report {
 	switch {
 	case s.analyzer != nil:
@@ -317,7 +325,8 @@ func (s *Session) dropAnalyzerLocked(release bool) {
 	if rel, ok := s.analyzer.(tools.Releaser); ok && release {
 		rel.Release()
 	}
-	s.analyzer, s.cp, s.d = nil, nil, ompt.Dispatcher{}
+	s.analyzer, s.cp, s.replay = nil, nil, nil
+	s.batch, s.frameBuf = nil, nil
 }
 
 // notifyLocked wakes every long-poller; the caller must hold s.mu.
@@ -389,11 +398,11 @@ func (s *Session) EndIngest() {
 	s.mu.Unlock()
 }
 
-// Feed decodes one chunk of the attached request's body, applying every
-// completed event to the analyzer. Corruption, a limit breach, or an
-// analyzer panic fails the session (ErrBudget is the exception: the caller
-// decides, normally by evicting). Safe against concurrent findings reads
-// and lifecycle transitions, not against concurrent Feeds.
+// Feed decodes one chunk of the attached request's body and replays every
+// completed event. Corruption, a limit breach, or an analyzer panic fails
+// the session (ErrBudget is the exception: the caller decides, normally by
+// evicting). Safe against concurrent findings reads and lifecycle
+// transitions, not against concurrent Feeds.
 func (s *Session) Feed(chunk []byte) error {
 	start := time.Now()
 	s.mu.Lock()
@@ -422,18 +431,7 @@ func (s *Session) Feed(chunk []byte) error {
 	}
 	s.bytes += int64(len(chunk))
 	s.lastActive = start
-	dec := s.dec
-	var err error
-	func() {
-		// The analyzer runs arbitrary VSM code; a panic must fail this
-		// session, not the daemon.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("stream: analyzer panic: %v", r)
-			}
-		}()
-		err = dec.Push(chunk, func(e *trace.Event) error { return s.applyEvent(dec, e) })
-	}()
+	err := s.push(s.dec, chunk)
 	if err == nil {
 		s.notifyLocked()
 	}
@@ -466,62 +464,97 @@ func (s *Session) FinishIngest() error {
 	return nil
 }
 
-// applyEvent applies one decoded event: enforce the sequence-number
-// protocol, dispatch through the same path as batch replay, append to the
-// spool, and cut a checkpoint when one is due. Runs under s.mu (called from
-// the decoder inside Feed) or single-threaded during recovery.
-func (s *Session) applyEvent(dec *trace.PushDecoder, e *trace.Event) error {
-	if e.Seq < s.events {
+// push decodes data through dec and replays the events it accepts, those
+// accepted before an error included. Runs under s.mu (Feed) or
+// single-threaded during recovery.
+func (s *Session) push(dec *trace.PushDecoder, data []byte) (err error) {
+	// The analyzer runs arbitrary VSM code; a panic must fail this session,
+	// not the daemon — in recovery too, since a batch is spooled before it
+	// is replayed.
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("stream: analyzer panic: %v", r)
+		}
+	}()
+	err = dec.Push(data, func(e *trace.Event) error { return s.accept(dec, e) })
+	if ferr := s.flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// accept enforces the sequence-number protocol on one decoded event and
+// collects it into the batch, flushing a full batch.
+func (s *Session) accept(dec *trace.PushDecoder, e *trace.Event) error {
+	next := s.events + uint64(len(s.batch))
+	if e.Seq < next {
 		return nil // duplicate from a client resend: already applied
 	}
-	if e.Seq > s.events {
-		return &trace.CorruptionError{Offset: dec.Offset(), Reason: fmt.Sprintf("sequence gap: event %d arrived, session expects %d", e.Seq, s.events)}
+	if e.Seq > next {
+		return &trace.CorruptionError{Offset: dec.Offset(), Reason: fmt.Sprintf("sequence gap: event %d arrived, session expects %d", e.Seq, next)}
 	}
-	if m := s.hub.cfg.MaxEvents; m > 0 && s.events >= uint64(m) {
+	if m := s.hub.cfg.MaxEvents; m > 0 && next >= uint64(m) {
 		return fmt.Errorf("%w: more than %d events", trace.ErrTooManyEvents, m)
 	}
-	if err := e.Dispatch(&s.d); err != nil {
-		return err
+	if s.batch == nil {
+		s.batch = make([]trace.Event, 0, batchCap)
 	}
-	boundary := s.events + 1
-	s.events = boundary
-	s.hub.metrics.eventsTotal.Inc()
-	if s.spool != nil {
-		b, err := trace.AppendEventFrame(s.frameBuf[:0], e)
-		if err != nil {
-			return fmt.Errorf("stream: spool frame: %w", err)
-		}
-		s.frameBuf = b
-		if _, err := s.spool.Write(b); err != nil {
-			return fmt.Errorf("stream: spool append: %w", err)
-		}
-	}
-	// The durable replay's rule, so a stream and a batch replay checkpoint
-	// at identical boundaries.
-	if !s.recovering && s.cp != nil && s.hub.cfg.Journal != nil &&
-		trace.CheckpointDue(e.Kind, boundary, s.lastCkpt, s.hub.cfg.CheckpointEvery) {
-		s.checkpointLocked(boundary)
+	s.batch = append(s.batch, *e)
+	if len(s.batch) == batchCap {
+		return s.flush()
 	}
 	return nil
 }
 
-// checkpointLocked cuts a durable checkpoint at boundary: spool fsync
-// first (checkpointed progress must never outrun replayable bytes), then
-// analyzer state, then the atomic checkpoint write. Failures are counted
-// and logged, never fatal — a checkpoint is an optimization.
-func (s *Session) checkpointLocked(boundary uint64) {
+// flush appends the batch to the spool in one write, then replays it as the
+// stream's next events. The driver checkpoints by batch replay's rule, at
+// batch replay's boundaries, and a checkpoint never outruns the spool: the
+// whole batch is written before any of it is replayed.
+func (s *Session) flush() error {
+	batch := s.batch
+	if len(batch) == 0 {
+		return nil
+	}
+	s.batch = batch[:0]
 	if s.spool != nil {
-		if err := s.spool.Sync(); err != nil {
-			s.hub.metrics.ckptErrors.Inc()
-			s.hub.sessionLogger(s).Error("spool fsync failed; skipping checkpoint", "phase", "checkpoint", "err", err)
-			return
+		buf := s.frameBuf[:0]
+		for i := range batch {
+			var err error
+			if buf, err = trace.AppendEventFrame(buf, &batch[i]); err != nil {
+				return fmt.Errorf("stream: spool frame: %w", err)
+			}
 		}
+		s.frameBuf = buf
+		if _, err := s.spool.Write(buf); err != nil {
+			return fmt.Errorf("stream: spool append: %w", err)
+		}
+	}
+	st, err := s.replay.ReplayWindow(context.Background(), batch)
+	s.events += st.Events
+	s.hub.metrics.eventsTotal.Add(st.Events)
+	return err
+}
+
+// checkpoint is the driver's checkpoint callback: spool fsync first
+// (checkpointed progress must never outrun replayable bytes), then analyzer
+// state, then the atomic checkpoint write. A session re-feeding its spool
+// in recovery has no spool writer yet and takes no checkpoint. Failures are
+// counted and logged, never fatal — a checkpoint is an optimization — and,
+// as in batch replay, the next one is due CheckpointEvery events later.
+func (s *Session) checkpoint(boundary uint64) error {
+	if s.spool == nil {
+		return nil
+	}
+	if err := s.spool.Sync(); err != nil {
+		s.hub.metrics.ckptErrors.Inc()
+		s.hub.sessionLogger(s).Error("spool fsync failed; skipping checkpoint", "phase", "checkpoint", "err", err)
+		return nil
 	}
 	state, err := s.cp.CheckpointState()
 	if err != nil {
 		s.hub.metrics.ckptErrors.Inc()
 		s.hub.sessionLogger(s).Error("checkpoint state capture failed", "phase", "checkpoint", "err", err)
-		return
+		return nil
 	}
 	ck := &trace.Checkpoint{
 		JobID: s.id, Tool: s.tool,
@@ -531,26 +564,25 @@ func (s *Session) checkpointLocked(boundary uint64) {
 	if err := s.hub.cfg.Journal.WriteCheckpoint(ck); err != nil {
 		s.hub.metrics.ckptErrors.Inc()
 		s.hub.sessionLogger(s).Error("checkpoint write failed", "phase", "checkpoint", "err", err)
-		return
+		return nil
 	}
-	s.lastCkpt = boundary
 	s.hub.metrics.checkpoints.Inc()
 	if s.span != nil {
 		s.span.SetCount("checkpoint_event", int64(boundary))
 		s.publishTraceLocked()
 	}
+	return nil
 }
 
 // replaySpool re-feeds a recovered session's spooled bytes through a fresh
-// decoder. Events below the checkpoint-restored position are skipped by
+// decoder and the session's own path, with no spool writer and so no
+// checkpoints. Events below the checkpoint-restored position are skipped by
 // sequence number. A torn tail — the expected damage from a crash
 // mid-append — is truncated off; any other corruption is returned and fails
 // the session. Runs single-threaded before the session is published.
 func (s *Session) replaySpool(data []byte) error {
-	s.recovering = true
-	defer func() { s.recovering = false }()
 	dec := trace.NewPushDecoder(trace.Limits{})
-	if err := dec.Push(data, func(e *trace.Event) error { return s.applyEvent(dec, e) }); err != nil {
+	if err := s.push(dec, data); err != nil {
 		return err
 	}
 	if ferr := dec.Finish(); ferr != nil {

@@ -1,32 +1,34 @@
 // Package stream is arbalestd's live ingestion subsystem: long-lived
 // analysis sessions that consume the CRC32C-framed trace encoding as a wire
-// protocol and drive the analyzer online, event by event, while the traced
-// program is still running.
+// protocol and drive the analyzer online, while the traced program is
+// still running.
 //
 // The batch pipeline (internal/service) analyzes finished traces; a Session
-// here is the push-based generalization of that replay. A client opens a
+// here is sequential replay with the trace still arriving. A client opens a
 // session, then ships framed event chunks over one or more ingest requests;
-// each chunk is decoded incrementally (trace.PushDecoder), every completed
-// event advances the VSM through the same dispatch path batch replay uses —
-// with the same Seq-derived replay clocks — so the findings a session
-// accumulates are byte-identical to trace.ReplayDurable over the same
-// events. Findings are readable mid-stream with a long-poll cursor; the
-// min-seq dedup in report.Sink makes the stream's incremental report list
-// append-only, so a plain integer cursor is a stable resume token.
+// each chunk is decoded incrementally (trace.PushDecoder), the session
+// checks each event's sequence number and collects the accepted events into
+// small batches, and each batch goes to the replay driver batch replay uses
+// (trace.Replayer) as the stream's next events — sequential dispatch, the
+// same Seq-derived replay clocks — so the findings a session accumulates
+// are byte-identical to trace.ReplayDurable over the same events. Findings
+// are readable mid-stream with a long-poll cursor; the min-seq dedup in
+// report.Sink makes the stream's incremental report list append-only, so a
+// plain integer cursor is a stable resume token.
 //
 // # Durability
 //
-// With a journal configured, every applied event is re-framed into the
-// session's spool (<id>.sbytes) and the analyzer checkpoints at the same
-// index-only barrier rule as trace.ReplayDurable (trace.CheckpointDue):
-// after a non-access event, once CheckpointEvery events have passed since
-// the last checkpoint. The
-// spool is fsynced before each checkpoint, so checkpointed progress never
-// outruns replayable bytes. After a crash, Recover restores each live
-// session from its freshest checkpoint, re-feeds the spooled suffix, and
-// leaves the session live — the client resumes by asking the session how
-// many events it has (View.Events) and re-sending from there; duplicate
-// events are skipped by sequence number.
+// With a journal configured, every batch is re-framed into the session's
+// spool (<id>.sbytes) in one write before it is replayed, and the driver
+// checkpoints the analyzer by batch replay's index-only barrier rule, at
+// batch replay's boundaries: after a non-access event, once CheckpointEvery
+// events have passed since the last checkpoint. The spool is fsynced before
+// each checkpoint, so checkpointed progress never outruns replayable bytes.
+// After a crash, Recover restores each live session from its freshest
+// checkpoint, re-feeds the spooled suffix, and leaves the session live —
+// the client resumes by asking the session how many events it has
+// (View.Events) and re-sending from there; duplicate events are skipped by
+// sequence number.
 //
 // # Protection
 //
@@ -98,12 +100,6 @@ type Config struct {
 	Logger *slog.Logger
 	// AnalyzerStats enables analyzer-level telemetry on capable analyzers.
 	AnalyzerStats bool
-	// Exclusive declares that every session's events arrive through the
-	// hub's serialized Feed path only (the default deployment). Sessions
-	// then run their analyzers in sequential dispatch mode — lock-free
-	// tag-plane shadow updates instead of CAS. Leave false when session
-	// analyzers are shared with concurrent out-of-band dispatchers.
-	Exclusive bool
 	// Traces, when non-nil, receives snapshots of every session's span tree
 	// so stream traces land in the same queryable store as job traces. Nil
 	// disables stream tracing.
@@ -223,7 +219,7 @@ func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
 		}
 	}
 	id := fmt.Sprintf("stream-%d", h.nextID)
-	s := newSession(h, id, tool, a)
+	s := newSession(h, id, tool, a, 0)
 	s.tenant = tenantName
 	if tn != nil {
 		s.tquota = tn
@@ -565,7 +561,7 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, err.Error(), nil)
 		return nil
 	}
-	s := newSession(h, rs.ID, rs.Tool, a)
+	s := newSession(h, rs.ID, rs.Tool, a, start)
 	s.created = rs.Submitted
 	s.tenant = tenant.Canonical(rs.Tenant)
 	s.restoreTrace(rs.Key)
@@ -574,7 +570,7 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 		h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
 			"phase", "recovery", "err", restoreErr)
 	} else if start > 0 {
-		s.events, s.lastCkpt, s.resumedFrom = start, start, start
+		s.resumedFrom = start
 		h.sessionLogger(s).Info("resuming stream from checkpoint",
 			"phase", "recovery", "resume_event", s.events)
 	}

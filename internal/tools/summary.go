@@ -50,7 +50,8 @@ type Stats struct {
 	// shadow state or CV mappings.
 	IntervalLookups uint64 `json:"intervalLookups"`
 	// RegionMemoHits is the number of lookups satisfied by a last-hit memo
-	// instead of an index search (replay and exclusive stream sessions).
+	// instead of an index search. The memo runs under sequential dispatch
+	// only: batch replay and stream sessions, never a live runtime.
 	RegionMemoHits uint64 `json:"regionMemoHits,omitempty"`
 }
 

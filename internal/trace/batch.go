@@ -5,13 +5,16 @@
 // trace is decoded ONCE into a structure-of-arrays column set (accessCols):
 // one entry per access event, in trace order, with the replay clock
 // pre-stamped. Each replay then dispatches zero-copy slice views of those
-// columns — no per-event, per-replay repacking at all. Barrier (non-access)
-// events bound the views, so the set of dispatched events at any observable
-// point matches a per-event loop exactly, and so do the findings and
-// checkpoint states.
+// columns — no per-event, per-replay repacking at all. A stream session's
+// window of events gets the same columns, built into storage the driver
+// reuses. Barrier (non-access) events bound the views, so the set of
+// dispatched events at any observable point matches a per-event loop
+// exactly, and so do the findings and checkpoint states.
 package trace
 
 import (
+	"slices"
+
 	"repro/internal/mem"
 	"repro/internal/ompt"
 )
@@ -20,8 +23,10 @@ import (
 // access events. Column entry j describes the j-th access event of the
 // trace; pos maps an event index to its column ordinal (the count of
 // access events before it), so a run of events [i, k) occupies column rows
-// [pos[i], pos[i]+(k-i)). clocks holds the replay clock (Seq+1) the
-// per-event path would stamp.
+// [pos[i], pos[i]+(k-i)). clocks holds each access's replay clock: its
+// sequence number plus one, so zero keeps meaning "unset". Every replay of
+// an event stamps the same clock, batch or streamed, which is what makes
+// their shadow metadata, and so their reports, byte-identical.
 type accessCols struct {
 	pos     []int
 	events  []*ompt.AccessEvent
@@ -56,29 +61,36 @@ func (t *Trace) columns() *accessCols {
 	if c := t.cols.Load(); c != nil {
 		return c
 	}
+	c := &accessCols{}
+	c.build(t.Events, make(map[siteOrd]uint32))
+	t.cols.CompareAndSwap(nil, c)
+	return t.cols.Load()
+}
+
+// build fills c with the columns of events, reusing c's storage. The site
+// table carries over from earlier builds: ords maps the sites already in
+// it to their ordinals, new sites are appended, and no entry changes.
+func (c *accessCols) build(events []Event, ords map[siteOrd]uint32) {
 	n := 0
-	for i := range t.Events {
-		if e := &t.Events[i]; e.Kind == KindAccess && e.Access != nil {
+	for i := range events {
+		if e := &events[i]; e.Kind == KindAccess && e.Access != nil {
 			n++
 		}
 	}
-	c := &accessCols{
-		pos:     make([]int, len(t.Events)+1),
-		events:  make([]*ompt.AccessEvent, 0, n),
-		addrs:   make([]mem.Addr, 0, n),
-		sizes:   make([]uint64, 0, n),
-		writes:  make([]bool, 0, n),
-		devices: make([]ompt.DeviceID, 0, n),
-		tasks:   make([]ompt.TaskID, 0, n),
-		threads: make([]ompt.ThreadID, 0, n),
-		bases:   make([]mem.Addr, 0, n),
-		clocks:  make([]uint64, 0, n),
-		sites:   make([]uint32, 0, n),
-	}
-	ords := make(map[siteOrd]uint32)
-	for i := range t.Events {
-		e := &t.Events[i]
-		c.pos[i] = len(c.events)
+	c.pos = slices.Grow(c.pos[:0], len(events)+1)
+	c.events = slices.Grow(c.events[:0], n)
+	c.addrs = slices.Grow(c.addrs[:0], n)
+	c.sizes = slices.Grow(c.sizes[:0], n)
+	c.writes = slices.Grow(c.writes[:0], n)
+	c.devices = slices.Grow(c.devices[:0], n)
+	c.tasks = slices.Grow(c.tasks[:0], n)
+	c.threads = slices.Grow(c.threads[:0], n)
+	c.bases = slices.Grow(c.bases[:0], n)
+	c.clocks = slices.Grow(c.clocks[:0], n)
+	c.sites = slices.Grow(c.sites[:0], n)
+	for i := range events {
+		e := &events[i]
+		c.pos = append(c.pos, len(c.events))
 		if e.Kind != KindAccess || e.Access == nil {
 			continue
 		}
@@ -102,9 +114,7 @@ func (t *Trace) columns() *accessCols {
 		}
 		c.sites = append(c.sites, ord)
 	}
-	c.pos[len(t.Events)] = len(c.events)
-	t.cols.CompareAndSwap(nil, c)
-	return t.cols.Load()
+	c.pos = append(c.pos, len(c.events))
 }
 
 // view returns a zero-copy AccessBatch over column rows [lo, hi). The

@@ -13,22 +13,16 @@
 //	frame    u32 LE length | u32 LE crc32c | JSON(Checkpoint sans State)
 //	frame    u32 LE length | u32 LE crc32c | State bytes
 //
-// WriteFile is atomic: the checkpoint is written to a temp file, fsynced,
-// renamed over the destination, and the directory fsynced, so a crash
-// mid-write leaves either the previous checkpoint or the new one — never a
-// torn file at the final path.
+// The journal persists the encoding atomically (journal.WriteCheckpoint).
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -93,7 +87,7 @@ func readFrame(r io.Reader, off int64) ([]byte, int64, error) {
 }
 
 // Encode serializes the checkpoint into the framed on-disk layout (header,
-// metadata frame, state frame). The same bytes WriteFile persists are also
+// metadata frame, state frame). The same bytes the journal persists are also
 // the fleet protocol's wire format: a worker posts Encode's output to the
 // coordinator, which verifies it with DecodeCheckpoint before ingesting.
 func (ck *Checkpoint) Encode() ([]byte, error) {
@@ -117,65 +111,10 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 }
 
 // DecodeCheckpoint parses and CRC-verifies checkpoint bytes produced by
-// Encode. Corruption anywhere is a *CorruptionError with the byte offset.
+// Encode. Corruption anywhere — header, metadata frame, state frame — is a
+// *CorruptionError with the byte offset; it never panics.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	return decodeCheckpoint(bytes.NewReader(data))
-}
-
-// WriteFile durably writes the checkpoint to path: temp file in the same
-// directory, fsync, atomic rename, directory fsync.
-func (ck *Checkpoint) WriteFile(path string) error {
-	encoded, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(encoded); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// ReadCheckpointFile reads and CRC-verifies a checkpoint written by
-// WriteFile. Corruption anywhere — header, metadata frame, state frame —
-// is reported as a *CorruptionError with the byte offset; it never panics.
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return decodeCheckpoint(bufio.NewReaderSize(f, 64<<10))
-}
-
-// decodeCheckpoint reads the framed checkpoint layout from r.
-func decodeCheckpoint(br io.Reader) (*Checkpoint, error) {
+	br := bytes.NewReader(data)
 	var off int64
 	hdr := make([]byte, len(checkpointMagic)+4)
 	if _, err := io.ReadFull(br, hdr); err != nil {

@@ -1,13 +1,15 @@
 // Durable replay: the one replay driver, with checkpoints and resume.
 //
-// Every replay goes through ReplayDurable. It dispatches the trace on the
-// calling goroutine in recorded order, which respects every barrier and so
-// meets the paper's Theorem 1 trivially. Two robustness hooks ride on it.
-// First, periodic checkpoints: at configurable epoch boundaries the caller's
-// Checkpoint callback fires with the index of the next undispatched event,
-// so the analyzer state it serializes is exactly the state after that
-// prefix. Boundaries follow CheckpointDue, a rule over event indices only.
-// Second, resume: StartEvent skips the already-analyzed prefix.
+// Every replay goes through a Replayer: a whole trace (ReplayDurable, over
+// the trace's cached columns) and a stream session's event windows
+// (ReplayWindow) alike. It dispatches in recorded order on the calling
+// goroutine, which respects every barrier and so meets the paper's
+// Theorem 1 trivially. Two robustness hooks ride on it. First, periodic
+// checkpoints: at configurable epoch boundaries the caller's Checkpoint
+// callback fires with the index of the next undispatched event, so the
+// analyzer state it serializes is exactly the state after that prefix.
+// Boundaries follow checkpointDue, a rule over event indices only. Second,
+// resume: StartEvent skips the already-analyzed prefix.
 //
 // Progress heartbeats (ReplayProgress) let a watchdog distinguish a slow
 // replay from a wedged one: a monotone Sum() that stops advancing means no
@@ -62,7 +64,8 @@ func (p *ReplayProgress) Sum() uint64 {
 	return p.events.Load()
 }
 
-// DurableOptions configures ReplayDurable. The zero value is a plain replay.
+// DurableOptions configures a Replayer and ReplayDurable. The zero value is
+// a plain replay.
 type DurableOptions struct {
 	// StartEvent resumes the replay at this event index: events before it
 	// are assumed already folded into the tools' state (via a checkpoint
@@ -79,15 +82,52 @@ type DurableOptions struct {
 	Progress *ReplayProgress
 }
 
-// CheckpointDue is the index-only checkpoint rule shared by durable replay
-// and stream sessions: boundary is the index just past an event of the
-// given kind, last the boundary of the previous checkpoint. A checkpoint
-// falls only after a non-access (barrier) event, once at least every events
-// have passed since the last one; every == 0 disables checkpoints. The rule
-// never looks at wall clock or dispatch timing, so every replay of a trace
-// checkpoints at identical boundaries and a checkpoint restores anywhere.
-func CheckpointDue(kind EventKind, boundary, last, every uint64) bool {
+// checkpointDue is the index-only checkpoint rule: boundary is the index
+// just past an event of the given kind, last the boundary of the previous
+// checkpoint. A checkpoint falls only after a non-access (barrier) event,
+// once at least every events have passed since the last one; every == 0
+// disables checkpoints. The rule never looks at wall clock, dispatch timing
+// or how the events were split into windows, so every replay of a trace,
+// batch or streamed, checkpoints at identical boundaries and a checkpoint
+// restores anywhere.
+func checkpointDue(kind EventKind, boundary, last, every uint64) bool {
 	return kind != KindAccess && every > 0 && boundary-last >= every
+}
+
+// Replayer is the sequential replay driver. It owns the dispatcher and
+// keeps the stream position and the latest checkpoint boundary between
+// calls, so one value replays a whole trace (ReplayDurable) or a stream of
+// event windows as they arrive (ReplayWindow) under one checkpoint rule.
+// Calls must not overlap; successive calls may come from different
+// goroutines when the caller orders them (a mutex), which keeps the
+// single-owner contract of sequential dispatch.
+type Replayer struct {
+	d    ompt.Dispatcher
+	opts DurableOptions
+	// next is the position of the next event to dispatch, last the
+	// boundary of the latest checkpoint.
+	next, last uint64
+	// win is ReplayWindow's column storage, rebuilt in place per window.
+	// Its site table only grows: consumers cache their translation of a
+	// table keyed on its first element and length, so an entry changed in
+	// place would go unnoticed.
+	win  accessCols
+	ords map[siteOrd]uint32
+}
+
+// NewReplayer registers the tools, announces sequential dispatch to them,
+// and positions the driver at opts.StartEvent, which also counts as the
+// latest checkpoint boundary.
+func NewReplayer(opts DurableOptions, toolList ...ompt.Tool) *Replayer {
+	r := &Replayer{opts: opts, next: opts.StartEvent, last: opts.StartEvent}
+	for _, tool := range toolList {
+		r.d.Register(tool)
+	}
+	// One goroutine at a time delivers every callback here, so modal tools
+	// may drop their synchronization and enable single-threaded
+	// accelerators.
+	r.d.SetDispatchMode(ompt.DispatchSequential)
+	return r
 }
 
 // ReplayDurable drives the trace through the given tools, in recorded
@@ -98,46 +138,60 @@ func CheckpointDue(kind EventKind, boundary, last, every uint64) bool {
 // replayed.
 //
 // Events are validated when a trace is loaded (LoadLimited) or decoded
-// (Stream); the hot loop here only carries a nil-payload guard, so a
+// (PushDecoder); the hot loop here only carries a nil-payload guard, so a
 // hand-built malformed Trace still fails cleanly instead of panicking.
 func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList ...ompt.Tool) (ReplayStats, error) {
 	if opts.StartEvent > uint64(len(t.Events)) {
 		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", opts.StartEvent, len(t.Events))
 	}
-	var d ompt.Dispatcher
-	for _, tool := range toolList {
-		d.Register(tool)
-	}
-	// One goroutine delivers every callback here, so modal tools may drop
-	// their synchronization and enable single-threaded accelerators.
-	d.SetDispatchMode(ompt.DispatchSequential)
-	return t.replay(ctx, &d, opts)
+	r := NewReplayer(opts, toolList...)
+	st, _, err := r.replay(ctx, t.Events, t.columns(), int(opts.StartEvent), 0)
+	return st, err
 }
 
-// replay is ReplayDurable's dispatch loop. It stays a function of its own,
-// reaching the dispatcher through a pointer: folded into ReplayDurable, the
-// Fig. 8 replay cells measured about 20% slower.
-func (t *Trace) replay(ctx context.Context, d *ompt.Dispatcher, opts DurableOptions) (ReplayStats, error) {
+// ReplayWindow dispatches events as the driver's next positions: after n
+// events dispatched so far (StartEvent included), events[k] is event n+k of
+// the stream. Their columns are built into storage the driver reuses, and
+// checkpoints fall exactly where ReplayDurable over the whole stream would
+// put them, however the stream is split into windows. Stats count the
+// events this call dispatched. The caller owns events: the driver keeps no
+// reference to the slice once the call returns, only to the payloads it
+// points to, until the next call.
+func (r *Replayer) ReplayWindow(ctx context.Context, events []Event) (ReplayStats, error) {
+	if r.ords == nil {
+		r.ords = make(map[siteOrd]uint32)
+	}
+	r.win.build(events, r.ords)
+	base := r.next
+	st, i, err := r.replay(ctx, events, &r.win, 0, base)
+	r.next = base + uint64(i)
+	return st, err
+}
+
+// replay is the dispatch loop: it dispatches events[from:], where events[i]
+// is stream position base+i, and returns the index of the first event it
+// did not dispatch. It stays a function of its own, reaching the dispatcher
+// through a pointer: folded into its caller, the Fig. 8 replay cells
+// measured about 20% slower.
+func (r *Replayer) replay(ctx context.Context, events []Event, cols *accessCols, from int, base uint64) (ReplayStats, int, error) {
 	var st ReplayStats
-	events := t.Events
-	last := opts.StartEvent
+	d, opts := &r.d, &r.opts
+	i := from
 	// Runs of consecutive accesses dispatch as zero-copy views of the
-	// trace's decode-once columns; runs end at barrier events, so
-	// checkpoint boundaries stay exact (all events before the boundary
-	// dispatched, none after).
-	cols := t.columns()
+	// columns; runs end at barrier events, so checkpoint boundaries stay
+	// exact (all events before the boundary dispatched, none after).
 	sinceCheck := replayCheckInterval // check ctx before the first event
-	for i := int(opts.StartEvent); i < len(events); {
+	for i < len(events) {
 		if sinceCheck >= replayCheckInterval {
 			sinceCheck = 0
 			if err := ctx.Err(); err != nil {
-				return st, fmt.Errorf("trace: replay canceled at event %d of %d: %w", i, len(events), err)
+				return st, i, fmt.Errorf("trace: replay canceled at event %d: %w", base+uint64(i), err)
 			}
 		}
 		e := &events[i]
 		if e.Kind == KindAccess {
 			if e.Access == nil {
-				return st, payloadErr(e)
+				return st, i, payloadErr(e)
 			}
 			j := i + 1
 			for j < len(events) && events[j].Kind == KindAccess && events[j].Access != nil {
@@ -157,7 +211,7 @@ func (t *Trace) replay(ctx context.Context, d *ompt.Dispatcher, opts DurableOpti
 				if sinceCheck >= replayCheckInterval && off < run {
 					sinceCheck = 0
 					if err := ctx.Err(); err != nil {
-						return st, fmt.Errorf("trace: replay canceled at event %d of %d: %w", i+off, len(events), err)
+						return st, i + off, fmt.Errorf("trace: replay canceled at event %d: %w", base+uint64(i+off), err)
 					}
 				}
 			}
@@ -172,18 +226,18 @@ func (t *Trace) replay(ctx context.Context, d *ompt.Dispatcher, opts DurableOpti
 			continue
 		}
 		if err := dispatchEvent(d, e); err != nil {
-			return st, err
+			return st, i, err
 		}
 		st.Events++
 		opts.Progress.Add(1)
 		sinceCheck++
 		i++
-		if opts.Checkpoint != nil && CheckpointDue(e.Kind, uint64(i), last, opts.CheckpointEvery) {
-			if err := opts.Checkpoint(uint64(i)); err != nil {
-				return st, err
+		if boundary := base + uint64(i); opts.Checkpoint != nil && checkpointDue(e.Kind, boundary, r.last, opts.CheckpointEvery) {
+			if err := opts.Checkpoint(boundary); err != nil {
+				return st, i, err
 			}
-			last = uint64(i)
+			r.last = boundary
 		}
 	}
-	return st, nil
+	return st, i, nil
 }

@@ -18,8 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-
-	"repro/internal/ompt"
 )
 
 // PushDecoder incrementally decodes the CRC32C-framed trace encoding
@@ -29,9 +27,9 @@ type PushDecoder struct {
 	lim Limits
 	dec payloadDecoder
 	// into, when set, receives every event as the next element of its
-	// Events (LoadLimited); otherwise events are carved from evs.
+	// Events (LoadLimited); otherwise every frame decodes into ev.
 	into *Trace
-	evs  slab[Event]
+	ev   Event
 
 	// tail holds the bytes of an incomplete header or frame, carried over
 	// to the next Push in the decoder's own buffer.
@@ -75,10 +73,11 @@ func (d *PushDecoder) fail(err error) error {
 
 // Push decodes chunk, after any tail left by earlier pushes, and emits
 // every event whose frame is now complete and CRC-valid, in stream order.
-// emit may retain the event. A non-nil error — corruption, a limit breach,
-// or an emit failure — is terminal: the decoder stays failed and later
-// calls return the same error (emit errors are returned as-is but still
-// poison the decoder, since an unknown number of events were already
+// The event is valid only during emit, which copies *e to keep it; the
+// payload it points to stays valid. A non-nil error — corruption, a limit
+// breach, or an emit failure — is terminal: the decoder stays failed and
+// later calls return the same error (emit errors are returned as-is but
+// still poison the decoder, since an unknown number of events were already
 // consumed).
 func (d *PushDecoder) Push(chunk []byte, emit func(e *Event) error) error {
 	if d.failed != nil {
@@ -152,7 +151,7 @@ func (d *PushDecoder) decode(buf []byte, emit func(e *Event) error) (int, error)
 // next returns the event the next frame decodes into.
 func (d *PushDecoder) next() *Event {
 	if d.into == nil {
-		return d.evs.get()
+		return &d.ev
 	}
 	evs := d.into.Events
 	if len(evs) == cap(evs) {
@@ -207,12 +206,4 @@ func AppendEventFrame(dst []byte, e *Event) ([]byte, error) {
 	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[start+4:], crc32.Checksum(payload, castagnoli))
 	return out, nil
-}
-
-// Dispatch sends the event through the dispatcher exactly as a batch replay
-// would: accesses and data ops are stamped with their Seq-derived replay
-// clock, so findings from an event stream dispatched one push at a time are
-// byte-identical to replaying the same events from a file.
-func (e *Event) Dispatch(d *ompt.Dispatcher) error {
-	return dispatchEvent(d, e)
 }

@@ -168,16 +168,12 @@ func (t *Trace) ReplayContext(ctx context.Context, toolList ...ompt.Tool) error 
 	return err
 }
 
-// dispatchEvent sends one event through the dispatcher. The switch's nil
-// checks are the only per-event validation left on the replay hot path:
-// full validation happens once, at load/decode time.
+// dispatchEvent sends one barrier (non-access) event through the
+// dispatcher; accesses go as column views. The switch's nil checks are the
+// only per-event validation left on the replay hot path: full validation
+// happens once, at load/decode time.
 func dispatchEvent(d *ompt.Dispatcher, e *Event) error {
 	switch e.Kind {
-	case KindAccess: // by far the most frequent kind: checked first
-		if e.Access == nil {
-			return payloadErr(e)
-		}
-		d.Access(accessWithClock(e))
 	case KindDeviceInit:
 		if e.DeviceInit == nil {
 			return payloadErr(e)
@@ -220,17 +216,6 @@ func dispatchEvent(d *ompt.Dispatcher, e *Event) error {
 
 func payloadErr(e *Event) error {
 	return fmt.Errorf("trace: event %d: missing payload for kind %q", e.Seq, e.Kind)
-}
-
-// accessWithClock copies the event's access payload and stamps the
-// replay-assigned scalar clock (the trace sequence number, shifted so zero
-// keeps meaning "unset"). Replay and stream sessions stamp the same value,
-// which is what makes their recorded shadow metadata, and therefore their
-// reports, byte-identical.
-func accessWithClock(e *Event) ompt.AccessEvent {
-	a := *e.Access
-	a.Clock = e.Seq + 1
-	return a
 }
 
 // validate checks that the event's kind is known and that its payload, and
