@@ -11,14 +11,12 @@
 //	                   (workload, tool) cell, reported as a custom metric
 //
 // plus the ablation microbenchmarks DESIGN.md §5 calls out: VSM transition
-// cost, lock-free CAS vs mutexed shadow updates, interval-tree stabbing with
-// and without the last-lookup cache, and word- vs region-granularity
-// tracking.
+// cost, interval-tree stabbing with and without the last-lookup cache, and
+// word- vs region-granularity tracking.
 package repro_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -137,30 +135,6 @@ func BenchmarkVSMTransition(b *testing.B) {
 		w, _ = vsm.Transition(w, ops[i%len(ops)])
 	}
 	_ = w
-}
-
-// BenchmarkShadowCAS vs BenchmarkShadowMutex: the lock-free design choice.
-func BenchmarkShadowCAS(b *testing.B) {
-	var slot uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			shadow.Update(&slot, func(w shadow.Word) shadow.Word {
-				return w.WithClock(w.Clock() + 1)
-			})
-		}
-	})
-}
-
-func BenchmarkShadowMutex(b *testing.B) {
-	var mu sync.Mutex
-	var w shadow.Word
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			w = w.WithClock(w.Clock() + 1)
-			mu.Unlock()
-		}
-	})
 }
 
 // BenchmarkIntervalLookup quantifies the last-lookup cache (paper §IV-C:

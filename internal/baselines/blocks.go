@@ -26,8 +26,6 @@
 package baselines
 
 import (
-	"sync"
-
 	"repro/internal/interval"
 	"repro/internal/mem"
 	"repro/internal/ompt"
@@ -39,9 +37,6 @@ type block struct {
 	bytes uint64
 	tag   string
 	loc   ompt.SourceLoc
-	// defMu guards def: concurrent device threads update definedness of
-	// neighbouring bytes that share a bitmap word.
-	defMu sync.Mutex
 	// def is the byte-level definedness bitmap (1 bit per byte), present
 	// only for tools that track definedness of this block.
 	def []uint64
@@ -56,8 +51,6 @@ func (b *block) markDefined(addr mem.Addr, size uint64, v bool) {
 	if b.def == nil {
 		return
 	}
-	b.defMu.Lock()
-	defer b.defMu.Unlock()
 	off := uint64(addr - b.base)
 	for i := uint64(0); i < size && off+i < b.bytes; i++ {
 		w, bit := (off+i)/64, (off+i)%64
@@ -74,8 +67,6 @@ func (b *block) allDefined(addr mem.Addr, size uint64) bool {
 	if b.def == nil {
 		return true
 	}
-	b.defMu.Lock()
-	defer b.defMu.Unlock()
 	off := uint64(addr - b.base)
 	for i := uint64(0); i < size && off+i < b.bytes; i++ {
 		w, bit := (off+i)/64, (off+i)%64
@@ -87,9 +78,9 @@ func (b *block) allDefined(addr mem.Addr, size uint64) bool {
 }
 
 // blockTable tracks live blocks across all address spaces (host and device
-// addresses never collide, so one table suffices).
+// addresses never collide, so one table suffices). Like every tool's
+// state, it is touched by one callback at a time (the ompt.Tool contract).
 type blockTable struct {
-	mu   sync.Mutex
 	tree *interval.Tree[*block]
 
 	peakBytes uint64
@@ -112,8 +103,6 @@ func (t *blockTable) add(base mem.Addr, bytes uint64, tag string, loc ompt.Sourc
 			}
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if err := t.tree.Insert(uint64(base), uint64(base)+bytes, b); err != nil {
 		return nil
 	}
@@ -129,8 +118,6 @@ func (t *blockTable) add(base mem.Addr, bytes uint64, tag string, loc ompt.Sourc
 
 // remove drops the block based at base and reports whether one existed.
 func (t *blockTable) remove(base mem.Addr) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	_, b, ok := t.tree.Stab(uint64(base))
 	if !ok || b.base != base {
 		return false
@@ -156,8 +143,4 @@ func (t *blockTable) find(addr mem.Addr) *block {
 
 // peak returns the high-water mark of tracked bytes (blocks + bitmaps), the
 // tool's contribution to the space-overhead experiment.
-func (t *blockTable) peak() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.peakBytes
-}
+func (t *blockTable) peak() uint64 { return t.peakBytes }

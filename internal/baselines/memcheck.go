@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/ompt"
@@ -18,16 +17,16 @@ import (
 // accesses (the DRACC buffer overflows) but no UUM or USD — the paper's
 // observed behaviour ("Valgrind did not precisely model the semantics of all
 // OpenMP constructs due to the lack of OMPT", §VI-C).
+//
+// Valgrind's defining performance property — dynamic binary instrumentation
+// runs the whole program on a single thread (the "big lock"), which is why
+// its overhead dwarfs compile-time-instrumented tools on multithreaded
+// workloads (paper §VI-E) — needs no lock of its own here: the runtime
+// already delivers every callback one at a time.
 type Memcheck struct {
 	ompt.NopTool
 	sink   *report.Sink
 	blocks *blockTable
-	// big serializes every instrumented access, modeling Valgrind's
-	// defining performance property: dynamic binary instrumentation runs
-	// the whole program on a single thread (the "big lock"), which is why
-	// Valgrind's overhead dwarfs compile-time-instrumented tools on
-	// multithreaded workloads (paper §VI-E).
-	big sync.Mutex
 	// dbiSink receives the result of the synthetic translation work so the
 	// compiler cannot elide it.
 	dbiSink uint64
@@ -44,7 +43,7 @@ type Memcheck struct {
 const dbiCostIterations = 400
 
 // dbiWork performs the synthetic V-bit propagation for the instructions
-// surrounding one memory access. Caller holds v.big.
+// surrounding one memory access.
 func (v *Memcheck) dbiWork() {
 	x := uint64(0x9E3779B97F4A7C15)
 	for i := 0; i < dbiCostIterations; i++ {
@@ -108,8 +107,6 @@ func (v *Memcheck) OnDataOp(e ompt.DataOpEvent) {
 // OnAccess implements ompt.Tool: A-bit (addressability) check on every
 // access, V-bit (validity) check on host loads.
 func (v *Memcheck) OnAccess(e ompt.AccessEvent) {
-	v.big.Lock()
-	defer v.big.Unlock()
 	v.dbiWork()
 	b := v.blocks.find(e.Addr)
 	if b == nil || !b.contains(e.Addr, e.Size) {

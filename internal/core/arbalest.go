@@ -15,14 +15,16 @@
 // (paper §IV-D): a device access whose address falls outside the interval of
 // the CV it was issued against escaped its mapping.
 //
-// All shadow updates are lock-free compare-and-swap operations, so the
-// analysis runs fully concurrently with the application (paper §IV-C).
+// The paper's §IV-C makes every shadow update a lock-free compare-and-swap
+// so that analysis can run on the application's threads. Here the event
+// source owns concurrency instead: the live runtime delivers callbacks one
+// at a time under its tool lock, and replay dispatches on one goroutine, so
+// the detector keeps its state with plain loads and stores, and a live run
+// and the replay of its recording reach identical states (DESIGN §5 item 10).
 package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/interval"
 	"repro/internal/mem"
@@ -64,10 +66,9 @@ type Options struct {
 	// Sink receives reports; a fresh sink is created when nil.
 	Sink *report.Sink
 	// Stats, when non-nil, receives analyzer-level telemetry: VSM state
-	// transitions per (from, to) pair, shadow-word CAS retries, and
-	// interval-tree lookups. Nil (the default) disables collection; the
-	// hot paths then pay only a nil check. EnableStats attaches a fresh
-	// collector after construction.
+	// transitions per (from, to) pair and interval-tree lookups. Nil (the
+	// default) disables collection; the hot paths then pay only a nil
+	// check. EnableStats attaches a fresh collector after construction.
 	Stats *telemetry.AnalyzerStats
 }
 
@@ -97,46 +98,31 @@ type Arbalest struct {
 	shadowMem *shadow.Memory
 	cvTree    *interval.Tree[*cvEntry]
 
-	// cvSnap is an immutable snapshot of the live CV ranges, rebuilt and
-	// atomically published on every mapping mutation (OnDataOp). The access
-	// hot path resolves CV -> OV against the snapshot with two binary
-	// searches and no lock, so concurrent runtime threads never serialize on
-	// resolution (paper §IV-C's lock-free claim, extended to the lookup
-	// structure). cvTree remains the mutation-side source of truth (overlap
-	// checking, repair's Each traversal).
-	cvSnap atomic.Pointer[cvIndex]
+	// cvIdx is a sorted copy of the live CV ranges, rebuilt on every
+	// mapping mutation (OnDataOp). The access hot path resolves CV -> OV
+	// against it with two binary searches; cvTree remains the
+	// mutation-side source of truth (overlap checking, repair's Each
+	// traversal).
+	cvIdx *cvIndex
 
-	// unifiedSnap is the copy-on-write set of unified-memory devices,
-	// published by OnDeviceInit and read lock-free by OnAccess.
-	unifiedSnap atomic.Pointer[map[ompt.DeviceID]bool]
+	// unified is the set of unified-memory devices.
+	unified map[ompt.DeviceID]bool
 
-	mu      sync.Mutex
 	allocs  map[mem.Addr]allocInfo
 	devices int
 
 	// multi-device mode: a packed vsm.Tuple per aligned word, used instead
 	// of the two-location shadow word when more than one device exists.
-	multi     atomic.Bool
-	wideMu    sync.Mutex
-	wideWords map[mem.Addr]*atomic.Uint64
+	multi     bool
+	wideWords map[mem.Addr]uint64
 
 	// byte-granularity mode: one shadow word per byte, allocated lazily.
-	byteMu    sync.Mutex
-	byteWords map[mem.Addr]*atomic.Uint64
-
-	clocks sync.Map // ompt.ThreadID -> *atomic.Uint64
+	byteWords map[mem.Addr]uint64
 
 	// repairer, when attached, fixes stale accesses on the fly (§III-C).
 	repairer Repairer
 
-	accessCount atomic.Uint64
-
-	// mode is the dispatch regime announced by the event source (replay
-	// driver, stream session). It selects the shadow update discipline:
-	// CAS under shared dispatch, plain stores when a single goroutine owns
-	// every word exclusively (Theorem 1). Written only before dispatch
-	// begins, read on the hot path.
-	mode ompt.DispatchMode
+	accessCount uint64
 
 	// stats, when non-nil, collects analyzer-level telemetry. Set at
 	// construction (Options.Stats) or via EnableStats before replay.
@@ -153,20 +139,19 @@ func New(opts Options) *Arbalest {
 		sink:      opts.Sink,
 		shadowMem: shadow.NewMemory(),
 		cvTree:    interval.New[*cvEntry](),
+		cvIdx:     &cvIndex{},
+		unified:   make(map[ompt.DeviceID]bool),
 		allocs:    make(map[mem.Addr]allocInfo),
-		wideWords: make(map[mem.Addr]*atomic.Uint64),
-		byteWords: make(map[mem.Addr]*atomic.Uint64),
+		wideWords: make(map[mem.Addr]uint64),
+		byteWords: make(map[mem.Addr]uint64),
 		stats:     opts.Stats,
 	}
-	a.cvSnap.Store(&cvIndex{})
-	empty := map[ompt.DeviceID]bool{}
-	a.unifiedSnap.Store(&empty)
 	a.shadowMem.SetStats(a.stats)
 	return a
 }
 
 // cvIndex is an immutable sorted-by-CV-base view of the live CV ranges.
-// Readers binary-search it lock-free; mutations build a fresh one.
+// Mutations build a fresh one.
 type cvIndex struct {
 	los     []uint64 // sorted CV range starts
 	his     []uint64 // matching CV range ends (half-open)
@@ -194,10 +179,9 @@ func (ix *cvIndex) stab(p uint64) *cvEntry {
 	return ix.entries[lo-1]
 }
 
-// publishCV rebuilds the CV snapshot from cvTree and atomically publishes
-// it. Called from OnDataOp after every tree mutation; mapping operations are
-// orders of magnitude rarer than accesses, so the rebuild is cheap where it
-// matters.
+// publishCV rebuilds the CV index from cvTree. Called from OnDataOp after
+// every tree mutation; mapping operations are orders of magnitude rarer
+// than accesses, so the rebuild is cheap where it matters.
 func (a *Arbalest) publishCV() {
 	ix := &cvIndex{}
 	a.cvTree.Each(func(iv interval.Interval, e *cvEntry) {
@@ -205,7 +189,7 @@ func (a *Arbalest) publishCV() {
 		ix.his = append(ix.his, iv.Hi)
 		ix.entries = append(ix.entries, e)
 	})
-	a.cvSnap.Store(ix)
+	a.cvIdx = ix
 }
 
 // EnableStats attaches (creating if needed) a telemetry collector and
@@ -223,20 +207,6 @@ func (a *Arbalest) EnableStats() *telemetry.AnalyzerStats {
 // are disabled.
 func (a *Arbalest) AnalyzerStats() *telemetry.AnalyzerStats { return a.stats }
 
-// SetDispatchMode implements ompt.ModalTool: the event source announces
-// its concurrency regime before dispatch starts, and the detector relaxes
-// the shadow-word discipline to match — plain stores plus the compact tag
-// plane under exclusive sequential ownership, lock-free CAS (the paper's
-// §IV-C design) otherwise. Never called concurrently with event callbacks.
-func (a *Arbalest) SetDispatchMode(m ompt.DispatchMode) {
-	a.mode = m
-	if m == ompt.DispatchSequential {
-		a.shadowMem.SetMode(shadow.ModeSeq)
-	} else {
-		a.shadowMem.SetMode(shadow.ModeShared)
-	}
-}
-
 // Release returns the detector's shadow slabs to the arena for reuse by
 // the next job. Call after the last event and after any state snapshot.
 func (a *Arbalest) Release() { a.shadowMem.Release() }
@@ -253,33 +223,19 @@ func (a *Arbalest) Reports() []*report.Report { return a.sink.Reports() }
 // ShadowBytes returns the peak shadow memory footprint in bytes, the
 // detector's contribution to the space-overhead experiment (paper Fig. 9).
 func (a *Arbalest) ShadowBytes() uint64 {
-	extra := uint64(0)
-	a.wideMu.Lock()
-	extra = uint64(len(a.wideWords)) * 8
-	a.wideMu.Unlock()
-	a.byteMu.Lock()
-	extra += uint64(len(a.byteWords)) * 8
-	a.byteMu.Unlock()
+	extra := uint64(len(a.wideWords)+len(a.byteWords)) * 8
 	return a.shadowMem.PeakBytes() + extra
 }
 
 // AccessCount returns the number of instrumented accesses analyzed.
-func (a *Arbalest) AccessCount() uint64 { return a.accessCount.Load() }
+func (a *Arbalest) AccessCount() uint64 { return a.accessCount }
 
 // OnDeviceInit implements ompt.Tool.
 func (a *Arbalest) OnDeviceInit(e ompt.DeviceInitEvent) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	old := *a.unifiedSnap.Load()
-	next := make(map[ompt.DeviceID]bool, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[e.Device] = e.Unified
-	a.unifiedSnap.Store(&next)
+	a.unified[e.Device] = e.Unified
 	a.devices++
 	if a.devices > 1 {
-		a.multi.Store(true)
+		a.multi = true
 	}
 }
 
@@ -288,9 +244,7 @@ func (a *Arbalest) OnDeviceInit(e ompt.DeviceInitEvent) {
 func (a *Arbalest) OnAlloc(e ompt.AllocEvent) {
 	if e.Free {
 		a.shadowMem.Unregister(e.Addr)
-		a.mu.Lock()
 		delete(a.allocs, e.Addr)
-		a.mu.Unlock()
 		return
 	}
 	if _, err := a.shadowMem.Register(e.Addr, e.Bytes, e.Tag); err != nil {
@@ -298,9 +252,7 @@ func (a *Arbalest) OnAlloc(e ompt.AllocEvent) {
 		// re-registration; keep the existing region.
 		return
 	}
-	a.mu.Lock()
 	a.allocs[e.Addr] = allocInfo{bytes: e.Bytes, tag: e.Tag, loc: e.Loc}
-	a.mu.Unlock()
 }
 
 // OnDataOp implements ompt.Tool: mapping operations drive allocate/release/
@@ -336,35 +288,16 @@ func (a *Arbalest) OnTargetEnd(ompt.TargetEvent) {}
 // matching the paper's Archer-based implementation.
 func (a *Arbalest) OnSync(ompt.SyncEvent) {}
 
-// nextClock increments and returns the scalar clock of thread tid.
-func (a *Arbalest) nextClock(tid ompt.ThreadID) uint64 {
-	v, ok := a.clocks.Load(tid)
-	if !ok {
-		v, _ = a.clocks.LoadOrStore(tid, new(atomic.Uint64))
-	}
-	return v.(*atomic.Uint64).Add(1)
-}
-
-// clockFor returns the scalar clock to stamp into shadow metadata for e:
-// the replay-assigned clock when present (deterministic across dispatch
-// orders), else the live per-thread counter (online execution).
-func (a *Arbalest) clockFor(e ompt.AccessEvent) uint64 {
-	if e.Clock != 0 {
-		return e.Clock
-	}
-	return a.nextClock(e.Thread)
-}
-
 // OnAccess implements ompt.Tool: the per-access analysis (paper §IV).
 func (a *Arbalest) OnAccess(e ompt.AccessEvent) {
-	a.accessCount.Add(1)
+	a.accessCount++
 
 	hostSide := e.Device == ompt.HostDevice
 	ovAddr := e.Addr
 	devLoc := vsm.HostLoc
 
 	if !hostSide {
-		if (*a.unifiedSnap.Load())[e.Device] {
+		if a.unified[e.Device] {
 			// Unified memory: device accesses operate on the shared
 			// storage directly; they behave as host-side operations for
 			// the VSM, and mapping issues can only arise from data races
@@ -413,24 +346,24 @@ func (a *Arbalest) OnAccess(e ompt.AccessEvent) {
 }
 
 // OnAccessBatch implements ompt.BatchTool: the columnar access fast path.
-// Under exclusive sequential dispatch at word granularity with a single
-// device it streams over the batch's arrays — tag-table transitions, blind
-// metadata stores, a last-hit CV memo in front of resolveDevice, and a
-// last-hit region memo in front of the shadow index — and falls back to
-// the per-event path (identical semantics, just slower) otherwise.
+// At word granularity with a single device it streams over the batch's
+// arrays — tag-table transitions, blind metadata stores, a last-hit CV memo
+// in front of resolveDevice, and a last-hit region memo in front of the
+// shadow index — and falls back to the per-event path (identical
+// semantics, just slower) otherwise.
 func (a *Arbalest) OnAccessBatch(b *ompt.AccessBatch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
-	if a.mode != ompt.DispatchSequential || a.multi.Load() || a.opts.Granularity != GranularityWord {
+	if a.multi || a.opts.Granularity != GranularityWord {
 		for i := 0; i < n; i++ {
 			a.OnAccess(b.At(i))
 		}
 		return
 	}
-	a.accessCount.Add(uint64(n))
-	unified := *a.unifiedSnap.Load()
+	a.accessCount += uint64(n)
+	unified := a.unified
 	// Hoist the column slices so the compiler proves one bounds check per
 	// column for the whole batch instead of one per event.
 	addrs, writes := b.Addrs[:n], b.Writes[:n]
@@ -519,18 +452,14 @@ func (a *Arbalest) OnAccessBatch(b *ompt.AccessBatch) {
 		wi := int((w - r.Lo) / mem.WordSize)
 		oldTag := r.TagAt(wi)
 		newTag, issue := vsm.TransitionTag(oldTag, op)
-		clk := clocks[i]
-		if clk == 0 {
-			clk = a.nextClock(threads[i])
-		}
-		meta := shadow.MetaWord(uint32(threads[i]), clk, write, sizes[i], ovAddr.Offset())
+		meta := shadow.MetaWord(uint32(threads[i]), clocks[i], write, sizes[i], ovAddr.Offset())
 		if issue == vsm.NoIssue {
-			r.StoreSeq(wi, meta|shadow.Word(newTag))
+			r.Store(wi, meta|shadow.Word(newTag))
 			a.recordTagTransition(oldTag, newTag)
 			continue
 		}
-		prior := r.LoadPlain(wi)
-		r.StoreSeq(wi, meta|shadow.Word(newTag))
+		prior := r.Load(wi)
+		r.Store(wi, meta|shadow.Word(newTag))
 		a.recordTagTransition(oldTag, newTag)
 		e := b.At(i)
 		repaired := false
@@ -544,8 +473,7 @@ func (a *Arbalest) OnAccessBatch(b *ompt.AccessBatch) {
 // resolveDevice maps a device access to its CV entry. The second result is
 // true when the access escaped its mapping: its address stabs no interval,
 // or a different interval than the base pointer it was issued against
-// (paper §IV-D). Resolution reads the immutable CV snapshot — no lock, no
-// shared cache line — so concurrent runtime threads never serialize here.
+// (paper §IV-D).
 func (a *Arbalest) resolveDevice(e ompt.AccessEvent) (*cvEntry, bool) {
 	return a.resolveDeviceAddr(e.Addr, e.Base)
 }
@@ -553,7 +481,7 @@ func (a *Arbalest) resolveDevice(e ompt.AccessEvent) (*cvEntry, bool) {
 // resolveDeviceAddr is resolveDevice on the bare addresses — the batch
 // fast path calls it without materializing a full event copy.
 func (a *Arbalest) resolveDeviceAddr(addr, base mem.Addr) (*cvEntry, bool) {
-	ix := a.cvSnap.Load()
+	ix := a.cvIdx
 	a.stats.RecordTreeLookup()
 	entry := ix.stab(uint64(addr))
 	if entry == nil {
@@ -581,47 +509,22 @@ func (a *Arbalest) slotFor(ovAddr mem.Addr) (*shadow.Region, int) {
 	return a.shadowMem.Lookup(ovAddr)
 }
 
-// byteSlot resolves (creating on demand) the per-byte shadow slot for
-// ovAddr in byte-granularity mode. Addresses outside registered allocations
-// return nil.
-func (a *Arbalest) byteSlot(ovAddr mem.Addr) *atomic.Uint64 {
-	if a.shadowMem.RegionOf(ovAddr) == nil {
-		return nil
-	}
-	a.byteMu.Lock()
-	defer a.byteMu.Unlock()
-	s, ok := a.byteWords[ovAddr]
-	if !ok {
-		s = new(atomic.Uint64)
-		a.byteWords[ovAddr] = s
-	}
-	return s
-}
-
-// wideSlot resolves (creating on demand) the packed-Tuple slot for ovAddr in
-// multi-device mode.
-func (a *Arbalest) wideSlot(ovAddr mem.Addr) *atomic.Uint64 {
-	key := ovAddr.Align()
+// wideKey returns the wideWords key tracking ovAddr in multi-device mode:
+// its aligned word, or the region's base at region granularity.
+func (a *Arbalest) wideKey(ovAddr mem.Addr) mem.Addr {
 	if a.opts.Granularity == GranularityRegion {
 		if r := a.shadowMem.RegionOf(ovAddr); r != nil {
-			key = r.Lo
+			return r.Lo
 		}
 	}
-	a.wideMu.Lock()
-	defer a.wideMu.Unlock()
-	s, ok := a.wideWords[key]
-	if !ok {
-		s = new(atomic.Uint64)
-		a.wideWords[key] = s
-	}
-	return s
+	return ovAddr.Align()
 }
 
 // apply performs one VSM transition at ovAddr and returns the issue kind
 // plus the shadow word the location held before the access (whose TID and
 // scalar clock identify the last recorded access for the report).
 func (a *Arbalest) apply(ovAddr mem.Addr, size uint64, dev ompt.DeviceID, devLoc int, op vsm.Op, e ompt.AccessEvent) (vsm.IssueKind, shadow.Word) {
-	if a.multi.Load() {
+	if a.multi {
 		return a.applyWide(ovAddr, devLoc, op), 0
 	}
 	if a.opts.Granularity == GranularityByte {
@@ -631,37 +534,20 @@ func (a *Arbalest) apply(ovAddr mem.Addr, size uint64, dev ompt.DeviceID, devLoc
 	if r == nil {
 		return vsm.NoIssue, 0
 	}
-	clk := a.clockFor(e)
-	meta := shadow.MetaWord(uint32(e.Thread), clk, e.Write, size, ovAddr.Offset())
-	switch a.mode {
-	case ompt.DispatchSequential:
-		// Tag-plane fast path: the transition runs off the 4 state/init
-		// bits alone; the metadata plane is written blind (the access path
-		// replaces every metadata field, so no read-modify-write is needed)
-		// and the full word is only loaded when a report needs the prior
-		// access's identity.
-		oldTag := r.TagAt(wi)
-		newTag, issue := vsm.TransitionTag(oldTag, op)
-		var prior shadow.Word
-		if issue != vsm.NoIssue {
-			prior = r.LoadPlain(wi)
-		}
-		r.StoreSeq(wi, meta|shadow.Word(newTag))
-		a.recordTagTransition(oldTag, newTag)
-		return issue, prior
-	default:
-		slot := r.Slot(wi)
-		for {
-			old := shadow.Word(atomic.LoadUint64(slot))
-			nw, issue := vsm.Transition(old, op)
-			nw = meta | shadow.Word(nw.Tag())
-			if atomic.CompareAndSwapUint64(slot, uint64(old), uint64(nw)) {
-				vsm.RecordTransition(a.stats, old, nw)
-				return issue, old
-			}
-			a.stats.RecordCASRetry()
-		}
+	// Tag-plane fast path: the transition runs off the 4 state/init bits
+	// alone; the metadata plane is written blind (the access path replaces
+	// every metadata field, so no read-modify-write is needed) and the full
+	// word is only loaded when a report needs the prior access's identity.
+	meta := shadow.MetaWord(uint32(e.Thread), e.Clock, e.Write, size, ovAddr.Offset())
+	oldTag := r.TagAt(wi)
+	newTag, issue := vsm.TransitionTag(oldTag, op)
+	var prior shadow.Word
+	if issue != vsm.NoIssue {
+		prior = r.Load(wi)
 	}
+	r.Store(wi, meta|shadow.Word(newTag))
+	a.recordTagTransition(oldTag, newTag)
+	return issue, prior
 }
 
 // recordTagTransition is vsm.RecordTransition for the tag fast path: the
@@ -676,27 +562,21 @@ func (a *Arbalest) applyBytes(ovAddr mem.Addr, size uint64, op vsm.Op, e ompt.Ac
 	if size == 0 {
 		size = 1
 	}
-	clk := a.clockFor(e)
 	worst := vsm.NoIssue
 	var prior shadow.Word
 	for b := uint64(0); b < size; b++ {
-		slot := a.byteSlot(ovAddr + mem.Addr(b))
-		if slot == nil {
+		addr := ovAddr + mem.Addr(b)
+		if a.shadowMem.RegionOf(addr) == nil {
 			continue
 		}
-		for {
-			old := shadow.Word(slot.Load())
-			nw, issue := vsm.Transition(old, op)
-			nw = nw.WithTID(uint32(e.Thread)).WithClock(clk).
-				WithIsWrite(e.Write).WithAccessSize(1).WithOffset((ovAddr + mem.Addr(b)).Offset())
-			if slot.CompareAndSwap(uint64(old), uint64(nw)) {
-				vsm.RecordTransition(a.stats, old, nw)
-				if issue != vsm.NoIssue && worst == vsm.NoIssue {
-					worst, prior = issue, old
-				}
-				break
-			}
-			a.stats.RecordCASRetry()
+		old := shadow.Word(a.byteWords[addr])
+		nw, issue := vsm.Transition(old, op)
+		nw = nw.WithTID(uint32(e.Thread)).WithClock(e.Clock).
+			WithIsWrite(e.Write).WithAccessSize(1).WithOffset(addr.Offset())
+		a.byteWords[addr] = uint64(nw)
+		vsm.RecordTransition(a.stats, old, nw)
+		if issue != vsm.NoIssue && worst == vsm.NoIssue {
+			worst, prior = issue, old
 		}
 	}
 	return worst, prior
@@ -707,34 +587,29 @@ func (a *Arbalest) applyWide(ovAddr mem.Addr, devLoc int, op vsm.Op) vsm.IssueKi
 	if a.shadowMem.RegionOf(ovAddr) == nil {
 		return vsm.NoIssue
 	}
-	slot := a.wideSlot(ovAddr)
-	for {
-		old := slot.Load()
-		t := vsm.UnpackTuple(old)
-		var issue vsm.IssueKind
-		switch op {
-		case vsm.ReadHost:
-			issue = t.Read(vsm.HostLoc)
-		case vsm.ReadTarget:
-			issue = t.Read(devLoc)
-		case vsm.WriteHost:
-			t = t.Write(vsm.HostLoc)
-		case vsm.WriteTarget:
-			t = t.Write(devLoc)
-		case vsm.UpdateHost:
-			t = t.Update(vsm.HostLoc, devLoc)
-		case vsm.UpdateTarget:
-			t = t.Update(devLoc, vsm.HostLoc)
-		case vsm.Allocate:
-			t = t.Allocate(devLoc)
-		case vsm.Release:
-			t = t.Release(devLoc)
-		}
-		if slot.CompareAndSwap(old, t.Pack()) {
-			return issue
-		}
-		a.stats.RecordCASRetry()
+	key := a.wideKey(ovAddr)
+	t := vsm.UnpackTuple(a.wideWords[key])
+	var issue vsm.IssueKind
+	switch op {
+	case vsm.ReadHost:
+		issue = t.Read(vsm.HostLoc)
+	case vsm.ReadTarget:
+		issue = t.Read(devLoc)
+	case vsm.WriteHost:
+		t = t.Write(vsm.HostLoc)
+	case vsm.WriteTarget:
+		t = t.Write(devLoc)
+	case vsm.UpdateHost:
+		t = t.Update(vsm.HostLoc, devLoc)
+	case vsm.UpdateTarget:
+		t = t.Update(devLoc, vsm.HostLoc)
+	case vsm.Allocate:
+		t = t.Allocate(devLoc)
+	case vsm.Release:
+		t = t.Release(devLoc)
 	}
+	a.wideWords[key] = t.Pack()
+	return issue
 }
 
 // applyRange applies op to every shadow word covering [hostAddr,
@@ -751,33 +626,26 @@ func (a *Arbalest) applyRange(hostAddr mem.Addr, bytes uint64, dev ompt.DeviceID
 		a.applyOne(hostAddr, devLoc, op)
 		return
 	}
-	if a.opts.Granularity == GranularityByte && !a.multi.Load() {
-		end := hostAddr + mem.Addr(bytes)
+	end := hostAddr + mem.Addr(bytes)
+	if a.opts.Granularity == GranularityByte && !a.multi {
 		for addr := hostAddr; addr < end; addr++ {
-			slot := a.byteSlot(addr)
-			if slot == nil {
+			if a.shadowMem.RegionOf(addr) == nil {
 				continue
 			}
-			for {
-				old := shadow.Word(slot.Load())
-				nw, _ := vsm.Transition(old, op)
-				if slot.CompareAndSwap(uint64(old), uint64(nw)) {
-					vsm.RecordTransition(a.stats, old, nw)
-					break
-				}
-				a.stats.RecordCASRetry()
-			}
+			old := shadow.Word(a.byteWords[addr])
+			nw, _ := vsm.Transition(old, op)
+			a.byteWords[addr] = uint64(nw)
+			vsm.RecordTransition(a.stats, old, nw)
 		}
 		return
 	}
-	end := hostAddr + mem.Addr(bytes)
 	for addr := hostAddr.Align(); addr < end; addr += mem.WordSize {
 		a.applyOne(addr, devLoc, op)
 	}
 }
 
 func (a *Arbalest) applyOne(ovAddr mem.Addr, devLoc int, op vsm.Op) {
-	if a.multi.Load() {
+	if a.multi {
 		a.applyWide(ovAddr, devLoc, op)
 		return
 	}
@@ -785,31 +653,15 @@ func (a *Arbalest) applyOne(ovAddr mem.Addr, devLoc int, op vsm.Op) {
 	if r == nil {
 		return
 	}
-	switch a.mode {
-	case ompt.DispatchSequential:
-		// Mapping ops keep the prior access metadata (only the low nibble
-		// changes), so load-modify-store — and mirror the tag plane.
-		old := r.LoadPlain(wi)
-		nw, _ := vsm.Transition(old, op)
-		r.StoreSeq(wi, nw)
-		vsm.RecordTransition(a.stats, old, nw)
-	default:
-		slot := r.Slot(wi)
-		for {
-			old := shadow.Word(atomic.LoadUint64(slot))
-			nw, _ := vsm.Transition(old, op)
-			if atomic.CompareAndSwapUint64(slot, uint64(old), uint64(nw)) {
-				vsm.RecordTransition(a.stats, old, nw)
-				return
-			}
-			a.stats.RecordCASRetry()
-		}
-	}
+	// Mapping ops keep the prior access metadata (only the low nibble
+	// changes), so load-modify-store — and mirror the tag plane.
+	old := r.Load(wi)
+	nw, _ := vsm.Transition(old, op)
+	r.Store(wi, nw)
+	vsm.RecordTransition(a.stats, old, nw)
 }
 
 func (a *Arbalest) allocSite(ovAddr mem.Addr) (ompt.SourceLoc, uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for base, info := range a.allocs {
 		if ovAddr >= base && ovAddr < base+mem.Addr(info.bytes) {
 			return info.loc, info.bytes

@@ -11,6 +11,11 @@ import (
 // accesses on the fly (paper §III-C): issue the memory transfer the
 // application forgot, right before the offending read executes.
 // *omp.Runtime implements it.
+//
+// The detector calls RepairTransfer only from inside its access callback.
+// The runtime then delivers the repair's data-op in line, on the goroutine
+// that already holds its tool lock, so the detector sees that event
+// re-enter OnDataOp before the access callback returns.
 type Repairer interface {
 	RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID) bool
 }
@@ -28,8 +33,6 @@ type Repairer interface {
 //	rt := omp.NewRuntime(cfg, a)
 //	a.AttachRepairer(rt)
 func (a *Arbalest) AttachRepairer(r Repairer) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.repairer = r
 }
 
@@ -38,9 +41,7 @@ func (a *Arbalest) AttachRepairer(r Repairer) {
 // callback fires before the application's load executes, so a successful
 // repair means the read returns the up-to-date value.
 func (a *Arbalest) repairStale(ovAddr mem.Addr, e ompt.AccessEvent, hostSide bool) bool {
-	a.mu.Lock()
 	r := a.repairer
-	a.mu.Unlock()
 	if r == nil {
 		return false
 	}
@@ -61,9 +62,8 @@ func (a *Arbalest) repairStale(ovAddr mem.Addr, e ompt.AccessEvent, hostSide boo
 // single-device mode the interval tree identifies it; in multi-device mode
 // the wide tuple's validity bits do.
 func (a *Arbalest) deviceWithValidCV(word mem.Addr) (ompt.DeviceID, bool) {
-	if a.multi.Load() {
-		slot := a.wideSlot(word)
-		t := vsm.UnpackTuple(slot.Load())
+	if a.multi {
+		t := vsm.UnpackTuple(a.wideWords[a.wideKey(word)])
 		for loc := 1; loc < 32; loc++ {
 			if t.ValidAt(loc) {
 				return ompt.DeviceID(loc - 1), true

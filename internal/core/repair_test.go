@@ -2,9 +2,13 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/mem"
 	"repro/internal/omp"
+	"repro/internal/ompt"
 	"repro/internal/report"
 )
 
@@ -132,5 +136,83 @@ func TestRepairDisabledByDefault(t *testing.T) {
 	})
 	if a.sink.CountKind(report.USD) != 1 {
 		t.Errorf("%d USD reports, want 1", a.sink.CountKind(report.USD))
+	}
+}
+
+// countingRepairer counts the repairs the runtime carried out.
+type countingRepairer struct {
+	rt       *omp.Runtime
+	repaired atomic.Int64
+}
+
+func (r *countingRepairer) RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID) bool {
+	ok := r.rt.RepairTransfer(dev, hostAddr, bytes, toDevice, task)
+	if ok {
+		r.repaired.Add(1)
+	}
+	return ok
+}
+
+// TestRepairUnderConcurrency: repair re-enters the runtime from inside an
+// access callback, which the runtime delivers under its tool lock. With
+// four threads reading stale words at once, in a device kernel and then on
+// the host, the run must finish (no self-deadlock), every stale read must
+// be repaired and return the up-to-date value, and the reports must say so.
+func TestRepairUnderConcurrency(t *testing.T) {
+	const n = 512
+	a := New(Options{})
+	rt := omp.NewRuntime(omp.Config{NumThreads: 4}, a)
+	rep := &countingRepairer{rt: rt}
+	a.AttachRepairer(rep)
+	var wrong atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		done <- rt.Run(func(c *omp.Context) error {
+			v := c.AllocI64(n, "v")
+			for i := 0; i < n; i++ {
+				c.StoreI64(v, i, 1)
+			}
+			c.TargetData(omp.Opts{Maps: []omp.Map{omp.To(v)}}, func(c *omp.Context) {
+				for i := 0; i < n; i++ {
+					c.StoreI64(v, i, int64(100+i)) // every CV word is now stale
+				}
+				c.Target(omp.Opts{}, func(k *omp.Context) {
+					k.ParallelFor(n, func(w *omp.Context, i int) {
+						if w.At("repc.go", 10, "kernel").LoadI64(v, i) != int64(100+i) {
+							wrong.Add(1)
+						}
+						w.At("repc.go", 11, "kernel").StoreI64(v, i, int64(200+i)) // OV now stale
+					})
+				})
+				c.ParallelFor(n, func(w *omp.Context, i int) {
+					if w.At("repc.go", 14, "main").LoadI64(v, i) != int64(200+i) {
+						wrong.Add(1)
+					}
+				})
+			})
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runtime fault: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("repair under concurrency did not finish: the repair transfer re-entered the tool lock")
+	}
+	if w := wrong.Load(); w != 0 {
+		t.Errorf("%d of %d reads returned a stale value", w, 2*n)
+	}
+	if got := rep.repaired.Load(); got != 2*n {
+		t.Errorf("%d repairs, want one per stale read (%d)", got, 2*n)
+	}
+	if got := a.sink.CountKind(report.USD); got != 2 {
+		t.Fatalf("%d USD reports, want 2 (one per stale read site)", got)
+	}
+	for _, r := range a.Reports() {
+		if !strings.Contains(r.Detail, "repaired") {
+			t.Errorf("report at %s not annotated as repaired: %s", r.Loc, r.Detail)
+		}
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/ompt"
@@ -35,13 +35,6 @@ type WordState struct {
 	Val  uint64   `json:"val"`
 }
 
-// ClockState is one thread's scalar clock (online mode only; replay stamps
-// clocks from the trace instead).
-type ClockState struct {
-	Thread ompt.ThreadID `json:"thread"`
-	Val    uint64        `json:"val"`
-}
-
 // State is the serializable form of an Arbalest detector, captured at a
 // replay checkpoint (an epoch barrier, so no shadow word is mid-update).
 // The report sink is NOT included — the harness shares one sink across
@@ -56,25 +49,22 @@ type State struct {
 	Multi       bool               `json:"multi"`
 	WideWords   []WordState        `json:"wideWords,omitempty"`
 	ByteWords   []WordState        `json:"byteWords,omitempty"`
-	Clocks      []ClockState       `json:"clocks,omitempty"`
 	AccessCount uint64             `json:"accessCount"`
 }
 
-func snapshotWords(m map[mem.Addr]*atomic.Uint64) []WordState {
+func snapshotWords(m map[mem.Addr]uint64) []WordState {
 	out := make([]WordState, 0, len(m))
-	for a, s := range m {
-		out = append(out, WordState{Addr: a, Val: s.Load()})
+	for a, v := range m {
+		out = append(out, WordState{Addr: a, Val: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
-func restoreWords(ws []WordState) map[mem.Addr]*atomic.Uint64 {
-	m := make(map[mem.Addr]*atomic.Uint64, len(ws))
+func restoreWords(ws []WordState) map[mem.Addr]uint64 {
+	m := make(map[mem.Addr]uint64, len(ws))
 	for _, w := range ws {
-		s := new(atomic.Uint64)
-		s.Store(w.Val)
-		m[w.Addr] = s
+		m[w.Addr] = w.Val
 	}
 	return m
 }
@@ -84,48 +74,35 @@ func restoreWords(ws []WordState) map[mem.Addr]*atomic.Uint64 {
 func (a *Arbalest) Snapshot() State {
 	st := State{
 		Shadow:      a.shadowMem.Snapshot(),
-		Multi:       a.multi.Load(),
-		AccessCount: a.accessCount.Load(),
+		Devices:     a.devices,
+		Multi:       a.multi,
+		WideWords:   snapshotWords(a.wideWords),
+		ByteWords:   snapshotWords(a.byteWords),
+		AccessCount: a.accessCount,
 	}
-	// cvSnap is rebuilt from cvTree on every mutation, already sorted by CV
+	// cvIdx is rebuilt from cvTree on every mutation, already sorted by CV
 	// base, so it doubles as the deterministic snapshot source.
-	ix := a.cvSnap.Load()
-	for _, e := range ix.entries {
+	for _, e := range a.cvIdx.entries {
 		st.CVs = append(st.CVs, CVState{Tag: e.tag, OV: e.ov, CV: e.cv, Bytes: e.bytes, Device: e.device})
 	}
-
-	a.mu.Lock()
-	st.Devices = a.devices
 	for base, info := range a.allocs {
 		st.Allocs = append(st.Allocs, AllocState{Base: base, Bytes: info.bytes, Tag: info.tag, Loc: info.loc})
 	}
-	for dev, unified := range *a.unifiedSnap.Load() {
+	for dev, unified := range a.unified {
 		if unified {
 			st.Unified = append(st.Unified, dev)
 		}
 	}
-	a.mu.Unlock()
 	sort.Slice(st.Allocs, func(i, j int) bool { return st.Allocs[i].Base < st.Allocs[j].Base })
-	sort.Slice(st.Unified, func(i, j int) bool { return st.Unified[i] < st.Unified[j] })
-
-	a.wideMu.Lock()
-	st.WideWords = snapshotWords(a.wideWords)
-	a.wideMu.Unlock()
-	a.byteMu.Lock()
-	st.ByteWords = snapshotWords(a.byteWords)
-	a.byteMu.Unlock()
-
-	a.clocks.Range(func(k, v any) bool {
-		st.Clocks = append(st.Clocks, ClockState{Thread: k.(ompt.ThreadID), Val: v.(*atomic.Uint64).Load()})
-		return true
-	})
-	sort.Slice(st.Clocks, func(i, j int) bool { return st.Clocks[i].Thread < st.Clocks[j].Thread })
+	slices.Sort(st.Unified)
 	return st
 }
 
 // Restore replaces the detector's analysis state with a snapshot. The sink
 // and options are left untouched; the caller must have constructed the
-// detector with the same options the snapshot was taken under.
+// detector with the same options the snapshot was taken under. Snapshots
+// that older releases took of live runs also carry per-thread clocks;
+// decoding ignores them.
 func (a *Arbalest) Restore(st State) error {
 	if err := a.shadowMem.Restore(st.Shadow); err != nil {
 		return err
@@ -140,36 +117,18 @@ func (a *Arbalest) Restore(st State) error {
 	}
 	a.publishCV()
 
-	a.mu.Lock()
 	a.devices = st.Devices
 	a.allocs = make(map[mem.Addr]allocInfo, len(st.Allocs))
 	for _, al := range st.Allocs {
 		a.allocs[al.Base] = allocInfo{bytes: al.Bytes, tag: al.Tag, loc: al.Loc}
 	}
-	unified := make(map[ompt.DeviceID]bool, len(st.Unified))
+	a.unified = make(map[ompt.DeviceID]bool, len(st.Unified))
 	for _, dev := range st.Unified {
-		unified[dev] = true
+		a.unified[dev] = true
 	}
-	a.unifiedSnap.Store(&unified)
-	a.mu.Unlock()
-
-	a.multi.Store(st.Multi)
-	a.wideMu.Lock()
+	a.multi = st.Multi
 	a.wideWords = restoreWords(st.WideWords)
-	a.wideMu.Unlock()
-	a.byteMu.Lock()
 	a.byteWords = restoreWords(st.ByteWords)
-	a.byteMu.Unlock()
-
-	a.clocks.Range(func(k, _ any) bool {
-		a.clocks.Delete(k)
-		return true
-	})
-	for _, c := range st.Clocks {
-		s := new(atomic.Uint64)
-		s.Store(c.Val)
-		a.clocks.Store(c.Thread, s)
-	}
-	a.accessCount.Store(st.AccessCount)
+	a.accessCount = st.AccessCount
 	return nil
 }

@@ -234,7 +234,10 @@ func (rt *Runtime) mapEnter(d *Device, mp Map, task ompt.TaskID, loc ompt.Source
 			HostAddr: ov, DevAddr: cv, Bytes: bytes, Implicit: implicit, Loc: loc,
 		})
 		if mp.Type.copiesOnEntry() {
-			rt.transferToDeviceImpl(d, m, ov, bytes, task, loc, implicit)
+			if e, ok := rt.copyMapped(d, m, ov, bytes, true, task, loc); ok {
+				e.Implicit = implicit
+				rt.tools.DataOp(e)
+			}
 		}
 	} else {
 		// exist(CV): ref += 1, no transfer (Table I).
@@ -289,37 +292,42 @@ func (rt *Runtime) mapExit(d *Device, mp Map, task ompt.TaskID, loc ompt.SourceL
 // transferToDevice copies [ov, ov+bytes) into the mapping's CV — the paper's
 // update_target operation.
 func (rt *Runtime) transferToDevice(d *Device, m *Mapping, ov mem.Addr, bytes uint64, task ompt.TaskID, loc ompt.SourceLoc) {
-	rt.transferToDeviceImpl(d, m, ov, bytes, task, loc, false)
-}
-
-func (rt *Runtime) transferToDeviceImpl(d *Device, m *Mapping, ov mem.Addr, bytes uint64, task ompt.TaskID, loc ompt.SourceLoc, implicit bool) {
-	if d.unified {
-		return
+	if e, ok := rt.copyMapped(d, m, ov, bytes, true, task, loc); ok {
+		rt.tools.DataOp(e)
 	}
-	cv := m.TranslateToCV(ov)
-	if err := mem.Copy(d.space, cv, rt.host, ov, bytes); err != nil {
-		rt.fault(err)
-		return
-	}
-	rt.tools.DataOp(ompt.DataOpEvent{
-		Kind: ompt.OpTransferToDevice, Device: d.id, Task: task, Tag: m.Tag,
-		HostAddr: ov, DevAddr: cv, Bytes: bytes, Implicit: implicit, Loc: loc,
-	})
 }
 
 // transferFromDevice copies the mapping's CV back into [ov, ov+bytes) — the
 // paper's update_host operation.
 func (rt *Runtime) transferFromDevice(d *Device, m *Mapping, ov mem.Addr, bytes uint64, task ompt.TaskID, loc ompt.SourceLoc) {
+	if e, ok := rt.copyMapped(d, m, ov, bytes, false, task, loc); ok {
+		rt.tools.DataOp(e)
+	}
+}
+
+// copyMapped copies between [ov, ov+bytes) and the mapping's CV, towards
+// the device when toDevice is set, and returns the data-op event that
+// reports the copy. ok is false when nothing was copied: unified memory
+// has one copy, and a fault is recorded instead.
+func (rt *Runtime) copyMapped(d *Device, m *Mapping, ov mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID, loc ompt.SourceLoc) (e ompt.DataOpEvent, ok bool) {
 	if d.unified {
-		return
+		return e, false
 	}
 	cv := m.TranslateToCV(ov)
-	if err := mem.Copy(rt.host, ov, d.space, cv, bytes); err != nil {
-		rt.fault(err)
-		return
+	kind := ompt.OpTransferToDevice
+	var err error
+	if toDevice {
+		err = mem.Copy(d.space, cv, rt.host, ov, bytes)
+	} else {
+		kind = ompt.OpTransferFromDevice
+		err = mem.Copy(rt.host, ov, d.space, cv, bytes)
 	}
-	rt.tools.DataOp(ompt.DataOpEvent{
-		Kind: ompt.OpTransferFromDevice, Device: d.id, Task: task, Tag: m.Tag,
+	if err != nil {
+		rt.fault(err)
+		return e, false
+	}
+	return ompt.DataOpEvent{
+		Kind: kind, Device: d.id, Task: task, Tag: m.Tag,
 		HostAddr: ov, DevAddr: cv, Bytes: bytes, Loc: loc,
-	})
+	}, true
 }

@@ -18,6 +18,10 @@ import (
 // so the detector's state machine sees the copies become consistent. It
 // returns false when no mapping covers the span (nothing to repair — e.g. a
 // use of uninitialized memory, which no transfer can fix).
+//
+// Call it only from inside an access callback: the calling goroutine then
+// holds the runtime's tool lock, and the repair's data-op is delivered in
+// line on that goroutine, with the next position in the event order.
 func (rt *Runtime) RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID) bool {
 	if int(dev) < 0 || int(dev) >= len(rt.devices) {
 		return false
@@ -31,10 +35,8 @@ func (rt *Runtime) RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes ui
 		return false
 	}
 	loc := ompt.SourceLoc{File: "<runtime-repair>", Func: fmt.Sprintf("repair(%s)", m.Tag)}
-	if toDevice {
-		rt.transferToDevice(d, m, hostAddr, bytes, task, loc)
-	} else {
-		rt.transferFromDevice(d, m, hostAddr, bytes, task, loc)
+	if e, ok := rt.copyMapped(d, m, hostAddr, bytes, toDevice, task, loc); ok {
+		rt.tools.dataOpHeld(e)
 	}
 	return true
 }

@@ -16,7 +16,9 @@
 // Analysis tools observe the runtime through the ompt package: the runtime
 // emits device-init, target, data-op, sync, and per-access events. Programs
 // are written against Context accessors (LoadF64, StoreI64, ...) which stand
-// in for compiler-instrumented loads and stores.
+// in for compiler-instrumented loads and stores. The runtime is the only
+// owner of concurrency: however many threads the program runs, it
+// delivers the callbacks one at a time, in one global order (see toolBus).
 package omp
 
 import (
@@ -83,7 +85,7 @@ type Runtime struct {
 	cfg     Config
 	host    *mem.Space
 	devices []*Device
-	tools   ompt.Dispatcher
+	tools   toolBus
 
 	taskSeq   atomic.Uint64
 	threadSeq atomic.Uint32
@@ -113,7 +115,7 @@ func NewRuntime(cfg Config, tools ...ompt.Tool) *Runtime {
 		rt.unifiedPages = newUnifiedState()
 	}
 	for _, t := range tools {
-		rt.tools.Register(t)
+		rt.tools.d.Register(t)
 	}
 	for i := 0; i < cfg.NumDevices; i++ {
 		d := &Device{
@@ -151,9 +153,6 @@ func (rt *Runtime) Unified() bool { return rt.cfg.Unified }
 
 // ForceSync reports whether nowait constructs are forced synchronous.
 func (rt *Runtime) ForceSync() bool { return rt.cfg.ForceSync }
-
-// Tools returns the tool dispatcher (for tests).
-func (rt *Runtime) Tools() *ompt.Dispatcher { return &rt.tools }
 
 // fault records a simulation-level runtime error (wild access, allocation
 // failure). Faults do not abort the program — real offloading bugs usually
@@ -205,4 +204,87 @@ func (rt *Runtime) Run(body func(c *Context) error) error {
 		return fs[0]
 	}
 	return nil
+}
+
+// toolBus delivers the runtime's tool callbacks. The program's threads are
+// goroutines that emit events concurrently; the bus takes one lock per
+// callback, so every tool sees every event one at a time, in one global
+// order, and tools keep no locks of their own. It stamps each access and
+// data operation with Clock = its position in that order plus one, the
+// clock replay derives from a recording's sequence numbers, so a live run
+// and the replay of its recording analyze identical streams.
+type toolBus struct {
+	mu  sync.Mutex
+	pos uint64 // callbacks delivered so far
+	d   ompt.Dispatcher
+}
+
+// Empty reports whether no tool is registered (native runs skip
+// instrumentation entirely). Tools are registered at construction only.
+func (b *toolBus) Empty() bool { return b.d.Empty() }
+
+// enter takes the bus lock for one callback and returns the callback's
+// clock: its position in the global order plus one.
+func (b *toolBus) enter() uint64 {
+	b.mu.Lock()
+	b.pos++
+	return b.pos
+}
+
+// DeviceInit delivers a DeviceInitEvent.
+func (b *toolBus) DeviceInit(e ompt.DeviceInitEvent) {
+	b.enter()
+	defer b.mu.Unlock()
+	b.d.DeviceInit(e)
+}
+
+// TargetBegin delivers entry to a device directive.
+func (b *toolBus) TargetBegin(e ompt.TargetEvent) {
+	b.enter()
+	defer b.mu.Unlock()
+	b.d.TargetBegin(e)
+}
+
+// TargetEnd delivers exit from a device directive.
+func (b *toolBus) TargetEnd(e ompt.TargetEvent) {
+	b.enter()
+	defer b.mu.Unlock()
+	b.d.TargetEnd(e)
+}
+
+// DataOp delivers a data-mapping operation.
+func (b *toolBus) DataOp(e ompt.DataOpEvent) {
+	e.Clock = b.enter()
+	defer b.mu.Unlock()
+	b.d.DataOp(e)
+}
+
+// dataOpHeld delivers a data-mapping operation on the goroutine that
+// already holds b.mu: a repair transfer, issued from inside the access
+// callback that detected the stale read.
+func (b *toolBus) dataOpHeld(e ompt.DataOpEvent) {
+	b.pos++
+	e.Clock = b.pos
+	b.d.DataOp(e)
+}
+
+// Access delivers an application memory access.
+func (b *toolBus) Access(e ompt.AccessEvent) {
+	e.Clock = b.enter()
+	defer b.mu.Unlock()
+	b.d.Access(e)
+}
+
+// Sync delivers a synchronization event.
+func (b *toolBus) Sync(e ompt.SyncEvent) {
+	b.enter()
+	defer b.mu.Unlock()
+	b.d.Sync(e)
+}
+
+// Alloc delivers a host allocation event.
+func (b *toolBus) Alloc(e ompt.AllocEvent) {
+	b.enter()
+	defer b.mu.Unlock()
+	b.d.Alloc(e)
 }

@@ -2,41 +2,6 @@ package ompt
 
 import "repro/internal/mem"
 
-// DispatchMode tells tools what concurrency discipline the event source is
-// about to use, so they can trade synchronization for speed when they own
-// their state exclusively (replay Theorem 1) and keep it when they do not
-// (online runtimes).
-type DispatchMode uint8
-
-// The dispatch modes.
-const (
-	// DispatchShared (the zero value): callbacks may arrive from multiple
-	// goroutines with no per-word ownership. Tools must use their fully
-	// synchronized (CAS/locked) paths.
-	DispatchShared DispatchMode = iota
-	// DispatchSequential: a single goroutine delivers every callback.
-	// Tools may drop all synchronization and enable single-threaded
-	// accelerator structures (tag planes, lookup memos).
-	DispatchSequential
-)
-
-// ModalTool is implemented by tools that adapt their synchronization to
-// the dispatch mode. SetDispatchMode is called before any event of the
-// new regime is dispatched, never concurrently with callbacks.
-type ModalTool interface {
-	SetDispatchMode(DispatchMode)
-}
-
-// SetDispatchMode forwards the mode to every registered tool that cares.
-// Call it from the event source before dispatch begins.
-func (d *Dispatcher) SetDispatchMode(m DispatchMode) {
-	for _, t := range d.tools {
-		if mt, ok := t.(ModalTool); ok {
-			mt.SetDispatchMode(m)
-		}
-	}
-}
-
 // AccessBatch is a columnar run of access events: the hot scalar fields
 // live in one slice each (structure-of-arrays), so the replay decode loop
 // streams over dense pointer-free arrays, while the cold pointer-bearing
@@ -84,7 +49,8 @@ func (b *AccessBatch) At(i int) AccessEvent {
 
 // BatchTool is implemented by tools with a columnar access fast path.
 // OnAccessBatch must be observably equivalent to calling OnAccess on each
-// event in order.
+// event in order. Like every callback, it is never called concurrently
+// with another callback of the same tool.
 type BatchTool interface {
 	OnAccessBatch(*AccessBatch)
 }

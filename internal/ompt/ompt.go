@@ -155,10 +155,10 @@ type DataOpEvent struct {
 	Bytes    uint64
 	Implicit bool // implicit mapping (e.g. global variable at device init)
 	Loc      SourceLoc
-	// Clock, when nonzero, is the replay-assigned scalar clock of this
-	// operation (see AccessEvent.Clock). Tools that emit reports from data
-	// operations use it to order those reports against access-driven ones.
-	// Zero during online execution; never serialized.
+	// Clock is the operation's position in the event stream plus one (see
+	// AccessEvent.Clock). Tools that emit reports from data operations use
+	// it to order those reports against access-driven ones. Never
+	// serialized.
 	Clock uint64 `json:"-"`
 }
 
@@ -179,12 +179,12 @@ type AccessEvent struct {
 	// Tag names the accessed variable for bug reports.
 	Tag string
 	Loc SourceLoc
-	// Clock, when nonzero, is a replay-assigned scalar clock for this
-	// access (derived from the trace sequence number). Tools that stamp
-	// access metadata into shadow state use it instead of a live
-	// per-thread counter, so parallel and sequential replays of the same
-	// trace record identical metadata regardless of dispatch order. It is
-	// zero during online (non-replay) execution and is never serialized.
+	// Clock is the access's position in the event stream plus one: the
+	// live runtime stamps it as it delivers the callback, and replay
+	// derives the same value from the recorded sequence number. Tools
+	// stamp it into shadow metadata and order reports by it, so a live run
+	// and the replay of its recording record identical metadata. Zero means
+	// unset (hand-built events); it is never serialized.
 	Clock uint64 `json:"-"`
 }
 
@@ -259,6 +259,14 @@ func itoa(n int) string {
 
 // Tool is the interface analysis tools implement to observe the runtime.
 // Embed NopTool to get no-op defaults.
+//
+// Every event source delivers callbacks one at a time, in one global
+// order: the live runtime under its tool lock, the replay driver on one
+// goroutine. Tools therefore keep their state with plain loads and stores
+// and need no synchronization of their own. Because the live runtime holds
+// its lock for the length of a callback, a callback must not block on the
+// program's threads or call back into the runtime; the one exception is
+// the repair transfer (core.Repairer), which the runtime delivers in line.
 type Tool interface {
 	// Name returns the tool's short name for reports and tables.
 	Name() string
@@ -307,6 +315,7 @@ func (NopTool) OnAlloc(AllocEvent) {}
 var _ Tool = NopTool{}
 
 // Dispatcher fans events out to registered tools. The zero value is usable.
+// It does no locking: the event source owning it serializes the calls.
 type Dispatcher struct {
 	tools []Tool
 }

@@ -19,6 +19,10 @@
 // and source location) are interned once per site into a side table and
 // referenced by id — which keeps the cells invisible to the garbage
 // collector and the hot-path copies small.
+//
+// Events arrive one at a time in one global order (the ompt.Tool
+// contract), so the detector keeps its clocks and cells with plain loads
+// and stores, behind one-entry memos of the last task clock and cell page.
 package race
 
 import (
@@ -63,9 +67,7 @@ const vcChunkWords = 64
 
 // vcChunk holds the clocks of one aligned 64-task run. A chunk referenced
 // by more than one vclock is marked shared; writers copy it first
-// (copy-on-write). The flag is only read and written under the detector's
-// sync mutex (all clones/joins/bumps happen inside OnSync), so it needs no
-// atomicity; concurrent readers touch only the clock values.
+// (copy-on-write). All clones, joins and bumps happen inside OnSync.
 type vcChunk struct {
 	shared bool
 	v      [vcChunkWords]uint64
@@ -241,7 +243,6 @@ const (
 	// that a sequential sweep amortizes the page-map probe 128-fold.
 	pageWords = 128
 	pageBytes = pageWords * mem.WordSize
-	numShards = 64
 )
 
 // cellPage is the shadow state of one naturally aligned 1 KiB span. used
@@ -250,11 +251,6 @@ const (
 type cellPage struct {
 	used  int
 	cells [pageWords]cell
-}
-
-type shard struct {
-	mu    sync.Mutex
-	pages map[mem.Addr]*cellPage
 }
 
 // pagePool recycles cell pages across detector lifetimes. A page is ~13 KiB
@@ -282,60 +278,42 @@ func putPage(pg *cellPage) {
 	pagePool.Put(pg)
 }
 
-// taskClock is one task's vector clock behind its own lock, so the hot
-// access path can query happens-before with a read lock instead of copying
-// the clock (the FastTrack-style optimization that keeps the per-access cost
-// O(1) when no synchronization intervenes).
-type taskClock struct {
-	mu sync.RWMutex
-	vc vclock
-}
-
 // Detector is the race detector tool.
 type Detector struct {
 	sink *report.Sink
 
-	// live maps task id -> *taskClock. A sync.Map keeps the per-access
-	// clock lookup lock-free: taskClockOf is on the hot path of every
-	// instrumented access, and a plain mutex-guarded map serializes all
-	// concurrent runtime threads through one cache line.
-	live sync.Map
-
-	mu    sync.Mutex // serializes OnSync and guards ended
+	// live maps a task to its current clock; ended keeps the final clock
+	// of each finished task for the dependence joins.
+	live  map[ompt.TaskID]*vclock
 	ended map[ompt.TaskID]vclock
 
-	shards [numShards]shard
+	// pages maps a page base to the cells of that 1 KiB span.
+	pages map[mem.Addr]*cellPage
 
-	// The site interner: id -> key in sites, key -> id in siteIDs. Sites
-	// are few (one per instrumented source location) and long-lived, so the
-	// RWMutex is uncontended in practice — the batch path additionally
-	// memoizes the last site across a run of accesses.
-	siteMu  sync.RWMutex
+	// The site interner: id -> key in sites, key -> id in siteIDs.
 	sites   []siteKey
 	siteIDs map[siteKey]uint32
 
-	// seqMode is set (via SetDispatchMode) when a single goroutine owns
-	// every callback: the per-shard mutexes and the task-clock read locks
-	// are elided, and one-entry memos short-circuit the task-clock lookup
-	// (invalidated on every OnSync, because SyncTaskCreate installs a fresh
-	// clock object) and the cell-page lookup (invalidated on clearRange).
-	seqMode   bool
+	// One-entry memos in front of the task-clock lookup (invalidated on
+	// every OnSync, because SyncTaskCreate installs a fresh clock and bumps
+	// the parent's) and the site interner.
 	memoTask  ompt.TaskID
-	memoTC    *taskClock
+	memoTC    *vclock
 	memoClock uint64
-	seqSites  siteMemo
+	sitesMemo siteMemo
 
-	// Interned-ID translation of the last batch site table (sequential
-	// mode only). Views of one trace share a single table, so interning it
-	// once covers every batch of a replay; the cache is keyed on the
-	// table's identity, which is sound because holding siteTabTags pins
-	// the backing array against reuse.
+	// Interned-ID translation of the last batch site table. Views of one
+	// trace share a single table, so interning it once covers every batch
+	// of a replay; the cache is keyed on the table's identity, which is
+	// sound because holding siteTabTags pins the backing array against
+	// reuse.
 	siteTabTags []string
 	siteTabIDs  []uint32
 
-	// One-entry memo of the last touched cell page (sequential mode only):
-	// consecutive accesses overwhelmingly land on the same 1 KiB page, so
-	// this converts the per-access shard-map probe into one base compare.
+	// One-entry memo of the last touched cell page: consecutive accesses
+	// overwhelmingly land on the same 1 KiB page, so this converts the
+	// per-access page-map probe into one base compare. clearRange and
+	// Release keep it coherent.
 	memoPageBase mem.Addr
 	memoPage     *cellPage
 }
@@ -345,27 +323,17 @@ func New(sink *report.Sink) *Detector {
 	if sink == nil {
 		sink = report.NewSink()
 	}
-	d := &Detector{
+	return &Detector{
 		sink:    sink,
+		live:    make(map[ompt.TaskID]*vclock),
 		ended:   make(map[ompt.TaskID]vclock),
+		pages:   make(map[mem.Addr]*cellPage),
 		siteIDs: make(map[siteKey]uint32),
 	}
-	for i := range d.shards {
-		d.shards[i].pages = make(map[mem.Addr]*cellPage)
-	}
-	return d
 }
 
 // Name implements ompt.Tool.
 func (d *Detector) Name() string { return "Archer" }
-
-// SetDispatchMode implements ompt.ModalTool. DispatchSequential relaxes
-// locking; any other mode keeps it.
-func (d *Detector) SetDispatchMode(m ompt.DispatchMode) {
-	d.seqMode = m == ompt.DispatchSequential
-	d.memoTC = nil
-	d.memoPage = nil
-}
 
 // Sink returns the report sink.
 func (d *Detector) Sink() *report.Sink { return d.sink }
@@ -378,19 +346,10 @@ func (d *Detector) Reports() []*report.Report { return d.sink.Reports() }
 // word plus the vector clocks.
 func (d *Detector) ShadowBytes() uint64 {
 	var n uint64
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
-		for _, pg := range d.shards[i].pages {
-			n += uint64(pg.used) * 96
-		}
-		d.shards[i].mu.Unlock()
+	for _, pg := range d.pages {
+		n += uint64(pg.used) * 96
 	}
-	liveCount := 0
-	d.live.Range(func(_, _ any) bool { liveCount++; return true })
-	d.mu.Lock()
-	n += uint64(liveCount+len(d.ended)) * 48
-	d.mu.Unlock()
-	return n
+	return n + uint64(len(d.live)+len(d.ended))*48
 }
 
 // siteMemoN is the slot count of the direct-mapped site memo: larger than
@@ -405,9 +364,7 @@ const siteMemoN = 32
 // line but touch differently-named buffers, often sharing a prefix (a
 // coordinate triple kx/ky/kz), so the tag bytes are what separate them —
 // and the string equality check short-circuits on pointer-equal headers
-// (recorded traces reuse one string per site). Not safe for concurrent
-// use: callers keep one per goroutine (the batch path uses a local; the
-// sequential per-event path uses the detector's).
+// (recorded traces reuse one string per site).
 type siteMemo struct {
 	entries [siteMemoN]struct {
 		tag string
@@ -435,7 +392,7 @@ func (m *siteMemo) lookup(d *Detector, tag string, loc ompt.SourceLoc) uint32 {
 
 // siteTableIDs interns a batch site table, returning interned IDs indexed
 // by table ordinal. The translation is cached by table identity, so all
-// batches viewing one trace pay for it once. Sequential mode only.
+// batches viewing one trace pay for it once.
 func (d *Detector) siteTableIDs(tags []string, locs []ompt.SourceLoc) []uint32 {
 	if len(d.siteTabTags) == len(tags) && &d.siteTabTags[0] == &tags[0] {
 		return d.siteTabIDs
@@ -451,29 +408,17 @@ func (d *Detector) siteTableIDs(tags []string, locs []ompt.SourceLoc) []uint32 {
 // siteID interns one (tag, location) pair.
 func (d *Detector) siteID(tag string, loc ompt.SourceLoc) uint32 {
 	k := siteKey{tag: tag, loc: loc}
-	d.siteMu.RLock()
-	id, ok := d.siteIDs[k]
-	d.siteMu.RUnlock()
-	if ok {
+	if id, ok := d.siteIDs[k]; ok {
 		return id
 	}
-	d.siteMu.Lock()
-	defer d.siteMu.Unlock()
-	if id, ok = d.siteIDs[k]; ok {
-		return id
-	}
-	id = uint32(len(d.sites))
+	id := uint32(len(d.sites))
 	d.sites = append(d.sites, k)
 	d.siteIDs[k] = id
 	return id
 }
 
 // site resolves an interned id back to its key.
-func (d *Detector) site(id uint32) siteKey {
-	d.siteMu.RLock()
-	defer d.siteMu.RUnlock()
-	return d.sites[id]
-}
+func (d *Detector) site(id uint32) siteKey { return d.sites[id] }
 
 // OnDeviceInit implements ompt.Tool.
 func (d *Detector) OnDeviceInit(ompt.DeviceInitEvent) {}
@@ -493,7 +438,6 @@ func (d *Detector) OnAlloc(e ompt.AllocEvent) {
 
 func pageBase(addr mem.Addr) mem.Addr { return addr &^ (pageBytes - 1) }
 func cellIndex(addr mem.Addr) int     { return int(addr>>3) & (pageWords - 1) }
-func shardOf(base mem.Addr) int       { return int((uint64(base) / pageBytes) % numShards) }
 
 // clearRange drops the cells covering [addr, addr+bytes).
 func (d *Detector) clearRange(addr mem.Addr, bytes uint64) {
@@ -504,11 +448,7 @@ func (d *Detector) clearRange(addr mem.Addr, bytes uint64) {
 		if end < stop {
 			stop = end
 		}
-		s := &d.shards[shardOf(base)]
-		if !d.seqMode {
-			s.mu.Lock()
-		}
-		if pg, ok := s.pages[base]; ok {
+		if pg, ok := d.pages[base]; ok {
 			for ; a < stop; a += mem.WordSize {
 				if c := &pg.cells[cellIndex(a)]; c.touched() {
 					*c = cell{}
@@ -516,19 +456,16 @@ func (d *Detector) clearRange(addr mem.Addr, bytes uint64) {
 				}
 			}
 			if pg.used == 0 {
-				delete(s.pages, base)
+				delete(d.pages, base)
 				// The memo must not outlive the page, which is about to be
 				// recycled into the pool (possibly to another detector).
-				if d.seqMode && d.memoPage == pg {
+				if d.memoPage == pg {
 					d.memoPage = nil
 				}
 				putPage(pg)
 			}
 		} else {
 			a = stop
-		}
-		if !d.seqMode {
-			s.mu.Unlock()
 		}
 	}
 }
@@ -539,78 +476,52 @@ func (d *Detector) clearRange(addr mem.Addr, bytes uint64) {
 // pool hits instead of fresh allocations.
 func (d *Detector) Release() {
 	d.memoPage = nil
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for base, pg := range s.pages {
-			delete(s.pages, base)
-			putPage(pg)
-		}
-		s.mu.Unlock()
+	for base, pg := range d.pages {
+		delete(d.pages, base)
+		putPage(pg)
 	}
 }
 
-// clockOf returns the live clock of task, creating it at epoch 1 if needed.
-func (d *Detector) clockOf(task ompt.TaskID) *taskClock {
-	if tc, ok := d.live.Load(task); ok {
-		return tc.(*taskClock)
+// clockOf returns the live clock of task, creating it at epoch 1 if needed
+// (an access may precede its task's begin event in a hand-built stream).
+func (d *Detector) clockOf(task ompt.TaskID) *vclock {
+	if vc, ok := d.live[task]; ok {
+		return vc
 	}
-	var vc vclock
+	vc := &vclock{}
 	vc.set(task, 1)
-	tc, _ := d.live.LoadOrStore(task, &taskClock{vc: vc})
-	return tc.(*taskClock)
+	d.live[task] = vc
+	return vc
 }
 
 // OnSync implements ompt.Tool: builds the happens-before relation.
 func (d *Detector) OnSync(e ompt.SyncEvent) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.memoTC = nil // SyncTaskCreate may replace a task's clock object
+	d.memoTC = nil // SyncTaskCreate replaces a clock and bumps another
 	switch e.Kind {
 	case ompt.SyncTaskCreate:
 		parent := d.clockOf(e.Task)
-		parent.mu.Lock()
-		child := parent.vc.clone()
+		child := parent.clone()
 		child.set(e.Child, 1)
-		parent.vc.bump(e.Task) // later parent ops are NOT ordered before the child
-		parent.mu.Unlock()
-		d.live.Store(e.Child, &taskClock{vc: child})
+		parent.bump(e.Task) // later parent ops are NOT ordered before the child
+		d.live[e.Child] = &child
 	case ompt.SyncTaskBegin:
 		d.clockOf(e.Task)
 	case ompt.SyncTaskEnd:
-		tc := d.clockOf(e.Task)
-		tc.mu.RLock()
-		d.ended[e.Task] = tc.vc.clone()
-		tc.mu.RUnlock()
+		d.ended[e.Task] = d.clockOf(e.Task).clone()
 	case ompt.SyncDependence:
 		// e.Child completed before e.Task may proceed: join.
-		succ := d.clockOf(e.Task)
 		if pred, ok := d.ended[e.Child]; ok {
-			succ.mu.Lock()
-			succ.vc.join(pred)
-			succ.mu.Unlock()
+			d.clockOf(e.Task).join(pred)
 		}
 	case ompt.SyncTaskWait:
 		// The per-child joins arrive as SyncDependence events.
 	}
 }
 
-// taskClockOf fetches the clock handle for task (creating it if the access
-// raced ahead of its task-begin event). Lock-free on the common hit path.
-func (d *Detector) taskClockOf(task ompt.TaskID) *taskClock {
-	return d.clockOf(task)
-}
-
 // OnAccess implements ompt.Tool.
 func (d *Detector) OnAccess(e ompt.AccessEvent) {
-	var site uint32
-	if d.seqMode {
-		site = d.seqSites.lookup(d, e.Tag, e.Loc)
-	} else {
-		site = d.siteID(e.Tag, e.Loc)
-	}
 	d.check(e.Addr.Align(), accessRecord{
-		task: e.Task, write: e.Write, site: site,
+		task: e.Task, write: e.Write, site: d.sitesMemo.lookup(d, e.Tag, e.Loc),
 		device: e.Device, thread: e.Thread, seq: e.Clock,
 	})
 }
@@ -649,27 +560,13 @@ func (d *Detector) OnDataOp(e ompt.DataOpEvent) {
 // once per run of same-site accesses (a loop body's accesses share their
 // source location, so the memo almost always hits).
 //
-// In sequential mode the task clock and cell page are tracked in locals
-// rather than through the detector's one-entry memos: a batch holds only
-// access events (barrier events bound it), so no OnSync can swap
-// a clock object and no clearRange can recycle a page mid-batch, and the
-// loop touches detector state only on an actual task or page switch.
+// The task clock and cell page are tracked in locals rather than through
+// the detector's one-entry memos: a batch holds only access events
+// (barrier events bound it), so no OnSync can swap a clock object and no
+// clearRange can recycle a page mid-batch, and the loop touches detector
+// state only on an actual task or page switch.
 func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 	n := b.Len()
-	if !d.seqMode {
-		// Concurrent shards each get a batch-local memo; the detector-level
-		// one is reserved for the single-goroutine sequential path.
-		var sm siteMemo
-		for i := 0; i < n; i++ {
-			ev := b.Events[i]
-			d.check(b.Addrs[i].Align(), accessRecord{
-				task: b.Tasks[i], write: b.Writes[i],
-				site:   sm.lookup(d, ev.Tag, ev.Loc),
-				device: b.Devices[i], thread: b.Threads[i], seq: b.Clocks[i],
-			})
-		}
-		return
-	}
 	if n == 0 {
 		return
 	}
@@ -689,7 +586,7 @@ func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 	}
 	var (
 		curTask ompt.TaskID
-		tc      *taskClock
+		tc      *vclock
 		clock   uint64
 		pgBase  mem.Addr
 		pg      *cellPage
@@ -698,13 +595,13 @@ func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 		addr := addrs[i].Align()
 		task := tasks[i]
 		if tc == nil || task != curTask {
-			tc = d.taskClockOf(task)
+			tc = d.clockOf(task)
 			curTask = task
-			clock = tc.vc.get(task)
+			clock = tc.get(task)
 		}
 		base := pageBase(addr)
 		if pg == nil || base != pgBase {
-			pg = d.pageSeq(base)
+			pg = d.page(base)
 			pgBase = base
 		}
 		c := &pg.cells[cellIndex(addr)]
@@ -716,85 +613,54 @@ func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 			site = siteIDs[sitesCol[i]]
 		} else {
 			ev := events[i]
-			site = d.seqSites.lookup(d, ev.Tag, ev.Loc)
+			site = d.sitesMemo.lookup(d, ev.Tag, ev.Loc)
 		}
 		d.checkCell(c, tc, addr, accessRecord{
 			task: task, clock: clock, write: writes[i],
 			site:   site,
 			device: devices[i], thread: threads[i], seq: clocks[i],
-		}, false)
+		})
 	}
 }
 
-// check performs the FastTrack-style race check for one aligned word. The
-// accessing task's clock is consulted under a read lock — no copy — so the
-// common no-sync case stays O(1) per access. In sequential mode the shard
-// mutex and the clock read lock are elided and the page/clock memos apply.
+// check performs the FastTrack-style race check for one aligned word,
+// through the task-clock and page memos.
 func (d *Detector) check(addr mem.Addr, rec accessRecord) {
-	base := pageBase(addr)
-	if d.seqMode {
-		tc := d.memoTC
-		if tc == nil || d.memoTask != rec.task {
-			tc = d.taskClockOf(rec.task)
-			d.memoTask, d.memoTC = rec.task, tc
-			d.memoClock = tc.vc.get(rec.task)
-		}
-		rec.clock = d.memoClock
-		pg := d.pageSeq(base)
-		c := &pg.cells[cellIndex(addr)]
-		if !c.touched() {
-			pg.used++
-		}
-		d.checkCell(c, tc, addr, rec, false)
-		return
+	tc := d.memoTC
+	if tc == nil || d.memoTask != rec.task {
+		tc = d.clockOf(rec.task)
+		d.memoTask, d.memoTC = rec.task, tc
+		d.memoClock = tc.get(rec.task)
 	}
-
-	tc := d.taskClockOf(rec.task)
-	s := &d.shards[shardOf(base)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pg, ok := s.pages[base]
-	if !ok {
-		pg = newPage()
-		s.pages[base] = pg
-	}
+	rec.clock = d.memoClock
+	pg := d.page(pageBase(addr))
 	c := &pg.cells[cellIndex(addr)]
 	if !c.touched() {
 		pg.used++
 	}
-	d.checkCell(c, tc, addr, rec, true)
+	d.checkCell(c, tc, addr, rec)
 }
 
-// pageSeq resolves (creating if needed) the page at base in sequential
-// mode: a one-entry memo of the last page, falling back to the shard map.
-// The shard maps stay authoritative, so pages created under locked dispatch
-// or by Restore are found, and clearRange/Release keep the memo coherent.
-func (d *Detector) pageSeq(base mem.Addr) *cellPage {
+// page resolves (creating if needed) the cell page at base: a one-entry
+// memo of the last page, falling back to the page map.
+func (d *Detector) page(base mem.Addr) *cellPage {
 	pg := d.memoPage
 	if pg == nil || d.memoPageBase != base {
-		s := &d.shards[shardOf(base)]
-		if pg = s.pages[base]; pg == nil {
+		if pg = d.pages[base]; pg == nil {
 			pg = newPage()
-			s.pages[base] = pg
+			d.pages[base] = pg
 		}
 		d.memoPageBase, d.memoPage = base, pg
 	}
 	return pg
 }
 
-// checkCell runs the race check for one cell. The caller owns the cell
-// (shard lock held, or sequential mode); lockTC guards the clock reads, and
-// the sequential path pre-stamps rec.clock from its memo.
-func (d *Detector) checkCell(c *cell, tc *taskClock, addr mem.Addr, rec accessRecord, lockTC bool) {
-	if lockTC {
-		tc.mu.RLock()
-		rec.clock = tc.vc.get(rec.task)
-	}
+// checkCell runs the race check for one cell against the accessing task's
+// clock vc; rec.clock is already stamped from it.
+func (d *Detector) checkCell(c *cell, vc *vclock, addr mem.Addr, rec accessRecord) {
 	// hb(r) below means "r happens before this access": r.clock <= the
 	// accessing task's view of r.task. A same-task prior access always does
 	// (clocks are monotone), so task equality short-circuits the VC read.
-	vc := &tc.vc
-
 	if rec.write {
 		// write-write race?
 		if w := &c.write; w.task != 0 && w.task != rec.task && w.clock > vc.get(w.task) {
@@ -808,9 +674,6 @@ func (d *Detector) checkCell(c *cell, tc *taskClock, addr mem.Addr, rec accessRe
 			if r := &c.reads[i]; r.task != rec.task && r.clock > vc.get(r.task) {
 				d.report(addr, rec, *r)
 			}
-		}
-		if lockTC {
-			tc.mu.RUnlock()
 		}
 		c.write = rec
 		c.read0 = accessRecord{}
@@ -827,14 +690,8 @@ func (d *Detector) checkCell(c *cell, tc *taskClock, addr mem.Addr, rec accessRe
 	// before us — the new read simply replaces it, no slice work at all.
 	if len(c.reads) == 0 {
 		if r := &c.read0; r.task == 0 || r.task == rec.task || r.clock <= vc.get(r.task) {
-			if lockTC {
-				tc.mu.RUnlock()
-			}
 			c.read0 = rec
 			return
-		}
-		if lockTC {
-			tc.mu.RUnlock()
 		}
 		if c.reads == nil {
 			// First spill past read0: size for a typical concurrent-reader
@@ -860,9 +717,6 @@ func (d *Detector) checkCell(c *cell, tc *taskClock, addr mem.Addr, rec accessRe
 			continue
 		}
 		kept = append(kept, *r)
-	}
-	if lockTC {
-		tc.mu.RUnlock()
 	}
 	if c.read0.task == 0 {
 		c.read0 = rec

@@ -63,44 +63,33 @@ func (d *Detector) fromAccessState(a AccessState) accessRecord {
 // once.
 func (d *Detector) Snapshot() State {
 	var st State
-	d.mu.Lock()
-	d.live.Range(func(k, v any) bool {
-		tc := v.(*taskClock)
-		tc.mu.RLock()
-		st.Live = append(st.Live, TaskVC{Task: k.(ompt.TaskID), VC: tc.vc.toVC()})
-		tc.mu.RUnlock()
-		return true
-	})
+	for t, vc := range d.live {
+		st.Live = append(st.Live, TaskVC{Task: t, VC: vc.toVC()})
+	}
 	for t, vc := range d.ended {
 		st.Ended = append(st.Ended, TaskVC{Task: t, VC: vc.toVC()})
 	}
-	d.mu.Unlock()
 	sort.Slice(st.Live, func(i, j int) bool { return st.Live[i].Task < st.Live[j].Task })
 	sort.Slice(st.Ended, func(i, j int) bool { return st.Ended[i].Task < st.Ended[j].Task })
 
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for base, pg := range s.pages {
-			for wi := range pg.cells {
-				c := &pg.cells[wi]
-				if !c.touched() {
-					continue
-				}
-				cs := CellState{
-					Addr:  base + mem.Addr(wi)*mem.WordSize,
-					Write: d.toAccessState(c.write),
-				}
-				if c.read0.task != 0 {
-					cs.Reads = append(cs.Reads, d.toAccessState(c.read0))
-				}
-				for _, r := range c.reads {
-					cs.Reads = append(cs.Reads, d.toAccessState(r))
-				}
-				st.Cells = append(st.Cells, cs)
+	for base, pg := range d.pages {
+		for wi := range pg.cells {
+			c := &pg.cells[wi]
+			if !c.touched() {
+				continue
 			}
+			cs := CellState{
+				Addr:  base + mem.Addr(wi)*mem.WordSize,
+				Write: d.toAccessState(c.write),
+			}
+			if c.read0.task != 0 {
+				cs.Reads = append(cs.Reads, d.toAccessState(c.read0))
+			}
+			for _, r := range c.reads {
+				cs.Reads = append(cs.Reads, d.toAccessState(r))
+			}
+			st.Cells = append(st.Cells, cs)
 		}
-		s.mu.Unlock()
 	}
 	sort.Slice(st.Cells, func(i, j int) bool { return st.Cells[i].Addr < st.Cells[j].Addr })
 	return st
@@ -109,30 +98,17 @@ func (d *Detector) Snapshot() State {
 // Restore replaces the detector's state with a snapshot. The sink is left
 // untouched (restored separately by the harness).
 func (d *Detector) Restore(st State) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.live.Range(func(k, _ any) bool {
-		d.live.Delete(k)
-		return true
-	})
+	d.live = make(map[ompt.TaskID]*vclock, len(st.Live))
 	for _, t := range st.Live {
-		d.live.Store(t.Task, &taskClock{vc: fromVC(t.VC)})
+		vc := fromVC(t.VC)
+		d.live[t.Task] = &vc
 	}
 	d.ended = make(map[ompt.TaskID]vclock, len(st.Ended))
 	for _, t := range st.Ended {
 		d.ended[t.Task] = fromVC(t.VC)
 	}
 	d.memoTC = nil
-	d.memoPage = nil
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for base, pg := range s.pages {
-			delete(s.pages, base)
-			putPage(pg)
-		}
-		s.mu.Unlock()
-	}
+	d.Release()
 	for _, cs := range st.Cells {
 		c := cell{write: d.fromAccessState(cs.Write)}
 		for i, r := range cs.Reads {
@@ -142,20 +118,12 @@ func (d *Detector) Restore(st State) error {
 			}
 			c.reads = append(c.reads, d.fromAccessState(r))
 		}
-		base := pageBase(cs.Addr)
-		s := &d.shards[shardOf(base)]
-		s.mu.Lock()
-		pg, ok := s.pages[base]
-		if !ok {
-			pg = &cellPage{}
-			s.pages[base] = pg
-		}
+		pg := d.page(pageBase(cs.Addr))
 		slot := &pg.cells[cellIndex(cs.Addr)]
 		if !slot.touched() {
 			pg.used++
 		}
 		*slot = c
-		s.mu.Unlock()
 	}
 	return nil
 }

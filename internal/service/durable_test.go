@@ -107,6 +107,13 @@ func TestCrashAfterCheckpointResumes(t *testing.T) {
 // checkpoint write that hangs well past the stall timeout) and requires the
 // watchdog to detect the flat heartbeat, cancel the attempt, and finish the
 // job on the sequential retry with correct findings.
+//
+// Each attempt takes exactly one checkpoint: the first barrier past the
+// middle of the trace (a second would need another half a trace of
+// events). The delayed one is the only stall. Checkpointing at every
+// barrier instead would serialize the whole analyzer dozens of times per
+// attempt, and under -race one of those can itself outlast the stall
+// timeout and stall the retry too.
 func TestWatchdogRetriesStalledReplay(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -118,7 +125,7 @@ func TestWatchdogRetriesStalledReplay(t *testing.T) {
 		Workers:         1,
 		QueueSize:       8,
 		Journal:         jnl,
-		CheckpointEvery: 1,
+		CheckpointEvery: uint64(len(tr.Events))/2 + 1,
 		StallTimeout:    150 * time.Millisecond,
 	})
 	faultinject.Enable("journal.checkpoint", faultinject.Fault{Delay: 3 * time.Second, Count: 1})

@@ -105,7 +105,7 @@ func newMetrics() *Metrics {
 		vsmTransitions: reg.CounterVec("arbalestd_vsm_transitions_total",
 			"VSM state transitions applied during replays, by (from, to) state.", "from", "to"),
 		casRetries: reg.Counter("arbalestd_shadow_cas_retries_total",
-			"Failed compare-and-swap attempts on shadow words during replays."),
+			"Failed compare-and-swap attempts on shadow words during replays; always 0, since shadow updates are plain stores."),
 		intervalLookups: reg.Counter("arbalestd_interval_lookups_total",
 			"Interval-tree stabs performed during replays."),
 		regionMemoHits: reg.Counter("arbalestd_region_memo_hits_total",

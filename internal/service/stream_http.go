@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -19,6 +20,15 @@ import (
 // maxFindingsWait caps the ?wait= long-poll on the findings endpoint so a
 // client cannot pin a handler goroutine indefinitely.
 const maxFindingsWait = 30 * time.Second
+
+// streamBufs recycles the ingest handler's 256 KiB read buffers; a fresh
+// one per request was most of the bytes the stream path allocated.
+// Session.Feed copies whatever it keeps, so a buffer is free again once
+// its request is handled.
+var streamBufs = sync.Pool{New: func() any {
+	b := make([]byte, 256<<10)
+	return &b
+}}
 
 // streamStatus maps a stream package error to its HTTP status.
 func streamStatus(err error) int {
@@ -102,7 +112,9 @@ func (s *Service) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.EndIngest()
 	rc := http.NewResponseController(w)
-	buf := make([]byte, 256<<10)
+	bp := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(bp)
+	buf := *bp
 	for {
 		if s.cfg.StreamReadTimeout > 0 {
 			// Rolling deadline: each chunk gets the full window, so a slow

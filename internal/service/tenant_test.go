@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,6 +71,12 @@ func retryAfterHeader(t *testing.T, resp *http.Response) time.Duration {
 // hint; retried with the client's policy it backs off at least that long
 // and then succeeds, while tenant "polite" submits without delay during
 // the hog's penalty window.
+//
+// The buckets run on a clock that stands still until the retry loop holds
+// its first 429, then follows real time. However slowly the requests run
+// (under -race they take long enough for a real 500ms refill to land
+// between them), the hog cannot earn a token before the backoff path is
+// exercised, and from then on Retry-After is honored in real time.
 func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 	tr := recordTrace(t, 22)
 	s := New(Config{
@@ -80,6 +87,14 @@ func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 			// submission is always throttled and Retry-After rounds up to 1s.
 			"hog": {Rate: 2, Burst: 1},
 		},
+	})
+	frozen := time.Now()
+	var thawed atomic.Int64 // wall-clock UnixNano when the clock started; 0 while frozen
+	s.Tenants().SetClock(func() time.Time {
+		if at := thawed.Load(); at != 0 {
+			return frozen.Add(time.Since(time.Unix(0, at)))
+		}
+		return frozen
 	})
 	s.Start()
 	defer shutdownOrFail(t, s)
@@ -113,6 +128,7 @@ func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 			defer drainBody(resp)
 			if retry.StatusRetryable(resp.StatusCode) {
 				throttled++
+				thawed.CompareAndSwap(0, time.Now().UnixNano())
 				return retry.After(fmt.Errorf("status %d", resp.StatusCode), retry.RetryAfter(resp))
 			}
 			if resp.StatusCode != http.StatusAccepted {

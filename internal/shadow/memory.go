@@ -11,55 +11,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects the concurrency discipline for shadow-word updates. The
-// trade is correctness under concurrency versus raw speed when an analyzer
-// has exclusive ownership of its words (paper Theorem 1):
-//
-//   - ModeShared (the zero value) is the paper's §IV-C lock-free design:
-//     every word update is an atomic compare-and-swap, safe for genuinely
-//     concurrent callers (online OpenMP runtimes).
-//   - ModeSeq is for single-goroutine dispatch (batch replay and stream
-//     sessions). Updates are plain load/store, and it maintains the
-//     nibble-per-word tag plane, so state-only checks read 16 words of
-//     VSM state per cache line and transitions run off a table.
-type Mode uint8
-
-// The shadow update modes.
-const (
-	ModeShared Mode = iota
-	ModeSeq
-)
-
 // Memory is a direct-mapped shadow memory.
 //
 // The detector registers one region per mapped variable's OV; Memory
 // allocates a slab with one shadow word per aligned 8-byte application word
 // and resolves addresses to slab slots in O(log m) via an interval tree
 // (m = number of registered regions), exactly the structure the paper
-// describes. Slabs come from a pooled arena reused across jobs, and word
-// updates follow the current Mode's discipline.
+// describes. Slabs come from a pooled arena reused across jobs.
+//
+// Its owner delivers one event at a time (the ompt.Tool contract), so
+// words are read and written with plain loads and stores, every write
+// keeps the tag plane current, and a region memo fronts the index: a
+// region is unregistered only by a deallocation event, never while a
+// lookup is in flight.
 type Memory struct {
 	mu      sync.Mutex // serializes Register/Unregister and index rebuilds
 	regions *interval.Tree[*Region]
 
 	// index is an immutable sorted snapshot of the registered regions,
-	// rebuilt and atomically published on every Register/Unregister. The
-	// per-access RegionOf lookup binary-searches it with no lock at all —
-	// registrations happen at allocation events, which are barriers during
-	// replay and rare online, so readers never see a torn view.
+	// rebuilt and atomically published on every Register/Unregister, so
+	// NumRegions may read it from another goroutine.
 	index atomic.Pointer[regionIndex]
 
 	// memo caches the last region resolved per address granule, so the
-	// binary search only runs on region changes. Consulted only outside
-	// ModeShared: replay registers/unregisters regions at barrier events,
-	// so a memoized pointer can never go stale mid-epoch there, while an
-	// online session may unregister concurrently with lookups.
-	memo [memoSlots]atomic.Pointer[Region]
+	// binary search only runs on region changes. Register and Unregister
+	// clear it.
+	memo [memoSlots]*Region
 
 	bytes atomic.Uint64 // current shadow bytes allocated (logical words × 8)
 	peak  atomic.Uint64 // high-water mark (space-overhead experiment, Fig 9)
 
-	mode  Mode
 	arena *mem.SlabArena
 
 	// stats, when non-nil, counts region lookups and memo hits. Set once
@@ -87,9 +68,10 @@ var defaultArena = mem.NewSlabArena()
 func DefaultArena() *mem.SlabArena { return defaultArena }
 
 // Region is the shadow slab for one registered OV range. It holds two
-// planes over the same words: the full 64-bit metadata words, always
-// current in every mode, and — maintained only in ModeSeq — a packed
-// nibble-per-word tag plane holding just the 4 state/init bits.
+// planes over the same words: the full 64-bit metadata words, and a packed
+// nibble-per-word tag plane mirroring just their 4 state/init bits, so
+// state-only checks read 16 words of VSM state per cache line and
+// transitions run off a table. Store keeps the two in step.
 type Region struct {
 	Lo, Hi mem.Addr // half-open application range, 8-byte aligned
 	Tag    string
@@ -110,31 +92,22 @@ func (r *Region) Index(addr mem.Addr) int {
 }
 
 // WordAt returns the shadow slot for the aligned application address addr,
-// which must lie inside the region. The slot is CAS-updated via Update in
-// ModeShared and plainly written otherwise.
+// which must lie inside the region. Writing through it bypasses the tag
+// plane; analyzers write through Store.
 func (r *Region) WordAt(addr mem.Addr) *uint64 {
 	return &r.words[r.Index(addr)]
 }
 
-// Slot returns the raw storage of word wi for CAS updates via Update
-// (ModeShared callers).
-func (r *Region) Slot(wi int) *uint64 { return &r.words[wi] }
+// Load reads word wi.
+func (r *Region) Load(wi int) Word { return Word(r.words[wi]) }
 
-// Load atomically reads word wi (ModeShared readers).
-func (r *Region) Load(wi int) Word { return Word(atomic.LoadUint64(&r.words[wi])) }
-
-// LoadPlain reads word wi without synchronization (ModeSeq).
-func (r *Region) LoadPlain(wi int) Word { return Word(r.words[wi]) }
-
-// StoreSeq writes word wi and mirrors its low nibble into the tag plane
-// (ModeSeq only — single-goroutine callers).
-func (r *Region) StoreSeq(wi int, w Word) {
+// Store writes word wi and mirrors its low nibble into the tag plane.
+func (r *Region) Store(wi int, w Word) {
 	r.words[wi] = uint64(w)
 	r.setTag(wi, uint8(w&0xF))
 }
 
 // TagAt returns the 4 state/init bits of word wi from the tag plane.
-// Valid only in ModeSeq, where the plane is maintained.
 func (r *Region) TagAt(wi int) uint8 {
 	return uint8(r.tags[wi/tagsPerWord]>>(uint(wi%tagsPerWord)*4)) & 0xF
 }
@@ -145,8 +118,8 @@ func (r *Region) setTag(wi int, tag uint8) {
 	*chunk = *chunk&^(0xF<<shift) | uint64(tag)<<shift
 }
 
-// rebuildTags recomputes the whole tag plane from the words plane (entering
-// ModeSeq, restoring a snapshot).
+// rebuildTags recomputes the whole tag plane from the words plane
+// (restoring a snapshot).
 func (r *Region) rebuildTags() {
 	clear(r.tags)
 	for i, w := range r.words {
@@ -189,25 +162,6 @@ func NewMemoryArena(a *mem.SlabArena) *Memory {
 	return m
 }
 
-// SetMode switches the update discipline. It must be called while no
-// other goroutine is touching the memory — in practice before a replay or
-// session starts dispatching. Entering ModeSeq rebuilds the tag planes
-// from the words planes so the two agree.
-func (m *Memory) SetMode(mode Mode) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mode = mode
-	m.clearMemo()
-	if mode == ModeSeq {
-		for _, r := range m.index.Load().regions {
-			r.rebuildTags()
-		}
-	}
-}
-
-// Mode returns the current update discipline.
-func (m *Memory) Mode() Mode { return m.mode }
-
 // publish rebuilds the lookup snapshot from the region tree. Caller holds
 // m.mu.
 func (m *Memory) publish() {
@@ -222,9 +176,7 @@ func (m *Memory) publish() {
 
 // clearMemo invalidates the last-region memo. Caller holds m.mu.
 func (m *Memory) clearMemo() {
-	for i := range m.memo {
-		m.memo[i].Store(nil)
-	}
+	clear(m.memo[:])
 }
 
 // newRegion leases both planes for a region of n words from the arena.
@@ -275,11 +227,8 @@ func (m *Memory) Register(lo mem.Addr, size uint64, tag string) (*Region, error)
 	return r, nil
 }
 
-// Unregister removes the region starting at lo. It reports whether a region
-// was removed. Outside ModeShared the region's slabs go straight back to
-// the arena (deallocation events are dispatch barriers, so no reader can
-// hold the region); in ModeShared a concurrent reader may still hold the
-// region pointer, so its storage is left to the garbage collector.
+// Unregister removes the region starting at lo and returns its slabs to
+// the arena. It reports whether a region was removed.
 func (m *Memory) Unregister(lo mem.Addr) bool {
 	alo := lo.Align()
 	m.mu.Lock()
@@ -292,9 +241,7 @@ func (m *Memory) Unregister(lo mem.Addr) bool {
 		m.publish()
 		m.clearMemo()
 		m.bytes.Add(^(uint64(r.NumWords())*8 - 1)) // subtract
-		if m.mode != ModeShared {
-			m.releaseRegion(r)
-		}
+		m.releaseRegion(r)
 		return true
 	}
 	return false
@@ -318,30 +265,24 @@ func (m *Memory) Release() {
 }
 
 // SetStats attaches a telemetry collector that counts this memory's
-// region lookups and memo hits. It must be called before the memory sees
-// concurrent traffic (the detector enables stats before replay starts).
+// region lookups and memo hits. Call it before the first lookup.
 func (m *Memory) SetStats(s *telemetry.AnalyzerStats) { m.stats = s }
 
-// RegionOf returns the region containing addr, or nil. The lookup reads the
-// immutable snapshot — no lock — so concurrent accesses scale; outside
-// ModeShared a per-granule memo short-circuits the binary search while the
-// access stream stays inside one region.
+// RegionOf returns the region containing addr, or nil. A per-granule memo
+// short-circuits the binary search of the index while the access stream
+// stays inside one region.
 func (m *Memory) RegionOf(addr mem.Addr) *Region {
-	if m.mode != ModeShared {
-		slot := &m.memo[(uint64(addr)>>memoShift)%memoSlots]
-		if r := slot.Load(); r != nil && addr >= r.Lo && addr < r.Hi {
-			m.stats.RecordMemoHit()
-			return r
-		}
-		m.stats.RecordTreeLookup()
-		r := m.index.Load().find(uint64(addr))
-		if r != nil {
-			slot.Store(r)
-		}
+	slot := &m.memo[(uint64(addr)>>memoShift)%memoSlots]
+	if r := *slot; r != nil && addr >= r.Lo && addr < r.Hi {
+		m.stats.RecordMemoHit()
 		return r
 	}
 	m.stats.RecordTreeLookup()
-	return m.index.Load().find(uint64(addr))
+	r := m.index.Load().find(uint64(addr))
+	if r != nil {
+		*slot = r
+	}
+	return r
 }
 
 // Lookup resolves addr to its region and word index, or (nil, -1) if addr
@@ -365,19 +306,15 @@ func (m *Memory) WordAt(addr mem.Addr) *uint64 {
 }
 
 // Probe returns the VSM state of the word containing addr, reporting
-// ok=false when addr is unmapped. It is the state-only fast path: in
-// ModeSeq it reads a nibble from the tag plane — 16 words of VSM state per
-// cache line — and never touches the metadata plane.
+// ok=false when addr is unmapped. It is the state-only fast path: it reads
+// a nibble from the tag plane — 16 words of VSM state per cache line — and
+// never touches the metadata plane.
 func (m *Memory) Probe(addr mem.Addr) (State, bool) {
 	r := m.RegionOf(addr)
 	if r == nil {
 		return Invalid, false
 	}
-	wi := r.Index(addr)
-	if m.mode == ModeSeq {
-		return TagState(r.TagAt(wi)), true
-	}
-	return r.Load(wi).State(), true
+	return TagState(r.TagAt(r.Index(addr))), true
 }
 
 // NumRegions returns the number of registered regions. It reads the
@@ -392,16 +329,3 @@ func (m *Memory) Bytes() uint64 { return m.bytes.Load() }
 
 // PeakBytes returns the high-water mark of shadow bytes.
 func (m *Memory) PeakBytes() uint64 { return m.peak.Load() }
-
-// Update atomically applies fn to the shadow word in slot until the CAS
-// succeeds, returning the old and new values. fn must be pure. This is the
-// ModeShared discipline; ModeSeq writes through StoreSeq.
-func Update(slot *uint64, fn func(Word) Word) (old, new Word) {
-	for {
-		o := Word(atomic.LoadUint64(slot))
-		n := fn(o)
-		if o == n || atomic.CompareAndSwapUint64(slot, uint64(o), uint64(n)) {
-			return o, n
-		}
-	}
-}

@@ -186,48 +186,6 @@ func TestWordAtDistinctSlots(t *testing.T) {
 	}
 }
 
-func TestUpdateCAS(t *testing.T) {
-	m := NewMemory()
-	r, err := m.Register(mem.HostBase, 8, "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := r.WordAt(mem.HostBase)
-	old, now := Update(slot, func(w Word) Word { return w.WithOVValid(true).WithOVInit(true) })
-	if old != 0 || !now.OVValid() {
-		t.Errorf("Update returned %v -> %v", old, now)
-	}
-	if got := Word(atomic.LoadUint64(slot)); got != now {
-		t.Errorf("slot = %v, want %v", got, now)
-	}
-}
-
-func TestUpdateConcurrentCounts(t *testing.T) {
-	// Concurrent CAS updates must not lose increments of the clock field.
-	m := NewMemory()
-	r, err := m.Register(mem.HostBase, 8, "w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := r.WordAt(mem.HostBase)
-	const goroutines = 8
-	const perG = 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				Update(slot, func(w Word) Word { return w.WithClock(w.Clock() + 1) })
-			}
-		}()
-	}
-	wg.Wait()
-	if got := Word(atomic.LoadUint64(slot)).Clock(); got != goroutines*perG {
-		t.Errorf("lost updates: clock = %d, want %d", got, goroutines*perG)
-	}
-}
-
 func TestEachWord(t *testing.T) {
 	m := NewMemory()
 	r, err := m.Register(mem.HostBase, 32, "a")
@@ -327,25 +285,23 @@ func TestBytesPeakAccounting(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreTagPlane round-trips a ModeSeq memory through
+// TestSnapshotRestoreTagPlane round-trips a memory through
 // Snapshot/Restore and checks the rebuilt tag plane agrees with the words
 // plane — the wire format carries only words, so Restore must recompute
 // every nibble.
 func TestSnapshotRestoreTagPlane(t *testing.T) {
 	src := NewMemoryArena(mem.NewSlabArena())
-	src.SetMode(ModeSeq)
 	r, err := src.Register(mem.HostBase, 512, "v") // 64 words
 	if err != nil {
 		t.Fatal(err)
 	}
 	for wi := 0; wi < r.NumWords(); wi++ {
 		w := Word(0).WithState(State(wi % 4)).WithTID(uint32(wi)).WithClock(uint64(wi) * 3)
-		r.StoreSeq(wi, w)
+		r.Store(wi, w)
 	}
 	st := src.Snapshot()
 
 	dst := NewMemoryArena(mem.NewSlabArena())
-	dst.SetMode(ModeSeq)
 	if err := dst.Restore(st); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +310,8 @@ func TestSnapshotRestoreTagPlane(t *testing.T) {
 		t.Fatal("restored memory has no region at HostBase")
 	}
 	for wi := 0; wi < dr.NumWords(); wi++ {
-		want := r.LoadPlain(wi)
-		if got := dr.LoadPlain(wi); got != want {
+		want := r.Load(wi)
+		if got := dr.Load(wi); got != want {
 			t.Fatalf("word %d = %#x, want %#x", wi, uint64(got), uint64(want))
 		}
 		if got, want := dr.TagAt(wi), uint8(want&0xF); got != want {
@@ -373,18 +329,17 @@ func TestSnapshotRestoreTagPlane(t *testing.T) {
 	}
 }
 
-// TestProbeTagPlaneMatchesWords drives random words through StoreSeq and
+// TestProbeTagPlaneMatchesWords drives random words through Store and
 // checks the state-only Probe fast path agrees with the metadata plane.
 func TestProbeTagPlaneMatchesWords(t *testing.T) {
 	m := NewMemoryArena(mem.NewSlabArena())
-	m.SetMode(ModeSeq)
 	r, err := m.Register(mem.HostBase, 256, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := quick.Check(func(raw uint64, slot uint8) bool {
 		wi := int(slot) % r.NumWords()
-		r.StoreSeq(wi, Word(raw))
+		r.Store(wi, Word(raw))
 		got, ok := m.Probe(mem.HostBase + mem.Addr(wi*8))
 		return ok && got == Word(raw).State()
 	}, nil); err != nil {

@@ -43,8 +43,7 @@ func (m *Memory) Snapshot() MemoryState {
 
 // Restore replaces the shadow state with a snapshot: regions are rebuilt
 // with their saved word values (slabs leased from the arena), the tag
-// planes recomputed when the memory is in ModeSeq, and the lock-free
-// lookup index republished.
+// planes recomputed, and the lookup index republished.
 func (m *Memory) Restore(st MemoryState) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -67,18 +66,14 @@ func (m *Memory) Restore(st MemoryState) error {
 		r := m.newRegion(rs.Lo, rs.Hi, rs.Tag, len(rs.Words))
 		regions = append(regions, r)
 		copy(r.words, rs.Words)
-		if m.mode == ModeSeq {
-			r.rebuildTags()
-		}
+		r.rebuildTags()
 		if err := tree.Insert(uint64(rs.Lo), uint64(rs.Hi), r); err != nil {
 			return fail(fmt.Errorf("shadow: restore: %w", err))
 		}
 		total += uint64(len(rs.Words)) * 8
 	}
 	for _, r := range m.index.Load().regions {
-		if m.mode != ModeShared {
-			m.releaseRegion(r)
-		}
+		m.releaseRegion(r)
 	}
 	m.regions = tree
 	m.publish()

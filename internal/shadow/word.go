@@ -16,9 +16,10 @@
 //
 // The two valid bits encode the four VSM states (invalid / host / target /
 // consistent); the two init bits let the report distinguish a use of
-// uninitialized memory (UUM) from a use of stale data (USD). Shadow words are
-// only ever updated with atomic compare-and-swap, which makes the analysis
-// lock-free (paper §IV-C).
+// uninitialized memory (UUM) from a use of stale data (USD). The paper
+// updates shadow words with atomic compare-and-swap (§IV-C); here every
+// event source delivers callbacks one at a time, so words are read and
+// written with plain loads and stores.
 package shadow
 
 import "fmt"

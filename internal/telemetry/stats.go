@@ -38,7 +38,9 @@ func (s *AnalyzerStats) RecordTransition(from, to uint8) {
 	s.transitions[int(from)*NumVSMStates+int(to)].Add(1)
 }
 
-// RecordCASRetry counts one failed compare-and-swap on a shadow word.
+// RecordCASRetry counts one failed compare-and-swap on a shadow word. The
+// detector no longer updates shadow words with compare-and-swap, so nothing
+// records one; the counter stays for the summary key and metric that read it.
 func (s *AnalyzerStats) RecordCASRetry() {
 	if s == nil {
 		return

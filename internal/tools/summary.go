@@ -35,23 +35,24 @@ type TransitionStat struct {
 
 // Stats is the analyzer-level telemetry block of a Summary: what the VSM
 // engine actually did during the replay, in the terms the paper evaluates
-// (state transitions, lock-free CAS behavior, interval-tree traffic).
+// (state transitions, interval-tree traffic).
 type Stats struct {
 	// Accesses is the number of instrumented accesses analyzed.
 	Accesses uint64 `json:"accesses,omitempty"`
 	// VSMTransitions lists every (from, to) state pair that occurred, in
 	// state order, with its count.
 	VSMTransitions []TransitionStat `json:"vsmTransitions,omitempty"`
-	// ShadowCASRetries is the number of failed compare-and-swap attempts
-	// on shadow words (contention on the lock-free path, paper §IV-C).
+	// ShadowCASRetries counted failed compare-and-swap attempts on shadow
+	// words (paper §IV-C). Shadow updates are plain stores now that every
+	// event source serializes its callbacks, so it is always 0; the key
+	// stays for the readers that still expect it.
 	ShadowCASRetries uint64 `json:"shadowCASRetries"`
 	// IntervalLookups is the number of index searches (binary searches of
 	// the published region/CV snapshots) performed to resolve addresses to
 	// shadow state or CV mappings.
 	IntervalLookups uint64 `json:"intervalLookups"`
 	// RegionMemoHits is the number of lookups satisfied by a last-hit memo
-	// instead of an index search. The memo runs under sequential dispatch
-	// only: batch replay and stream sessions, never a live runtime.
+	// instead of an index search, in live runs and replays alike.
 	RegionMemoHits uint64 `json:"regionMemoHits,omitempty"`
 }
 

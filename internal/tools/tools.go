@@ -166,12 +166,6 @@ func (a *ArbalestFull) OnAccessBatch(b *ompt.AccessBatch) {
 	a.race.OnAccessBatch(b)
 }
 
-// SetDispatchMode implements ompt.ModalTool.
-func (a *ArbalestFull) SetDispatchMode(m ompt.DispatchMode) {
-	a.vsm.SetDispatchMode(m)
-	a.race.SetDispatchMode(m)
-}
-
 // Release implements Releaser: the VSM component's shadow slabs go back
 // to the arena and the race detector's cell pages to their pool, ready
 // for the next job.

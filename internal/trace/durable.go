@@ -100,7 +100,7 @@ func checkpointDue(kind EventKind, boundary, last, every uint64) bool {
 // event windows as they arrive (ReplayWindow) under one checkpoint rule.
 // Calls must not overlap; successive calls may come from different
 // goroutines when the caller orders them (a mutex), which keeps the
-// single-owner contract of sequential dispatch.
+// ompt.Tool contract: one callback at a time, in one order.
 type Replayer struct {
 	d    ompt.Dispatcher
 	opts DurableOptions
@@ -115,18 +115,13 @@ type Replayer struct {
 	ords map[siteOrd]uint32
 }
 
-// NewReplayer registers the tools, announces sequential dispatch to them,
-// and positions the driver at opts.StartEvent, which also counts as the
-// latest checkpoint boundary.
+// NewReplayer registers the tools and positions the driver at
+// opts.StartEvent, which also counts as the latest checkpoint boundary.
 func NewReplayer(opts DurableOptions, toolList ...ompt.Tool) *Replayer {
 	r := &Replayer{opts: opts, next: opts.StartEvent, last: opts.StartEvent}
 	for _, tool := range toolList {
 		r.d.Register(tool)
 	}
-	// One goroutine at a time delivers every callback here, so modal tools
-	// may drop their synchronization and enable single-threaded
-	// accelerators.
-	r.d.SetDispatchMode(ompt.DispatchSequential)
 	return r
 }
 

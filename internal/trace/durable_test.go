@@ -157,6 +157,34 @@ func TestCheckpointResumeEquivalenceDRACC(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithThreadClocksRestores: older releases stamped live
+// accesses from per-thread clocks and saved them in the detector's state
+// as "clocks". A checkpoint that still carries them must restore and
+// resume to the same findings; the field is ignored.
+func TestCheckpointWithThreadClocksRestores(t *testing.T) {
+	tr := recordDRACC(t, dracc.ByID(22))
+	want := renderedReports(t, tr, "arbalest")
+	ckpts, _ := collectCheckpoints(t, tr, 1)
+	ck := ckpts[len(ckpts)/2]
+	var full map[string]json.RawMessage
+	if err := json.Unmarshal(ck.state, &full); err != nil {
+		t.Fatal(err)
+	}
+	var vsmState map[string]json.RawMessage
+	if err := json.Unmarshal(full["vsm"], &vsmState); err != nil {
+		t.Fatal(err)
+	}
+	vsmState["clocks"] = json.RawMessage(`[{"thread":1,"val":7},{"thread":3,"val":40}]`)
+	var err error
+	if full["vsm"], err = json.Marshal(vsmState); err != nil {
+		t.Fatal(err)
+	}
+	if ck.state, err = json.Marshal(full); err != nil {
+		t.Fatal(err)
+	}
+	assertSameReports(t, fmt.Sprintf("resume@%d with thread clocks", ck.next), resumeFrom(t, tr, ck), want)
+}
+
 // TestReplayProgressCountsEveryEvent: after a completed replay the heartbeat
 // total equals the event count, so a watchdog can use Sum() as a dispatch
 // odometer.

@@ -60,9 +60,11 @@ type deviceInitRecord struct {
 	Unified bool          `json:"unified"`
 }
 
-// Recorder captures the event stream. It is safe for concurrent use; events
-// from concurrent tasks are recorded in the serialization order the recorder
-// observes, which is one valid interleaving of the execution.
+// Recorder captures the event stream in the order the event source
+// delivers it, which for a live runtime is the one global order of its
+// tool lock: one valid interleaving of the execution. Events are stored
+// with Clock zero, since replay derives clocks from Seq. Len and Trace
+// are safe to call while the program runs.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -102,11 +104,13 @@ func (r *Recorder) OnTargetEnd(e ompt.TargetEvent) {
 
 // OnDataOp implements ompt.Tool.
 func (r *Recorder) OnDataOp(e ompt.DataOpEvent) {
+	e.Clock = 0
 	r.add(Event{Kind: KindDataOp, DataOp: &e})
 }
 
 // OnAccess implements ompt.Tool.
 func (r *Recorder) OnAccess(e ompt.AccessEvent) {
+	e.Clock = 0
 	r.add(Event{Kind: KindAccess, Access: &e})
 }
 

@@ -103,7 +103,7 @@ func (k IssueKind) String() string {
 //
 // The returned word has the valid and init bits updated; callers layer the
 // access metadata (TID, clock, size, offset) on top. Transition is a pure
-// function so it can be retried inside a CAS loop.
+// function.
 func Transition(w shadow.Word, op Op) (shadow.Word, IssueKind) {
 	switch op {
 	case ReadHost:
@@ -186,8 +186,8 @@ func TransitionTag(tag uint8, op Op) (uint8, IssueKind) {
 }
 
 // RecordTransition records the (from, to) state pair of an applied
-// transition on stats. The detector calls it once per *successful* CAS so
-// retried iterations never double-count. The indexes are the packed
+// transition on stats. The detector calls it once per applied
+// transition. The indexes are the packed
 // shadow.State values, so telemetry's transition matrix maps 1:1 onto the
 // paper's Fig. 4 states. A nil stats costs one branch and decodes no
 // states, which keeps the disabled hot path free of measurable overhead.
