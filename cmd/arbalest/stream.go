@@ -101,14 +101,15 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		return 2
 	}
 	if view.TraceID != "" {
-		fmt.Fprintf(os.Stderr, "streaming %d events as %s to %s (trace %s)\n", len(tr.Events), view.ID, baseURL, view.TraceID)
+		fmt.Fprintf(os.Stderr, "streaming %d events as %s to %s (trace %s)\n", tr.Len(), view.ID, baseURL, view.TraceID)
 	} else {
-		fmt.Fprintf(os.Stderr, "streaming %d events as %s to %s\n", len(tr.Events), view.ID, baseURL)
+		fmt.Fprintf(os.Stderr, "streaming %d events as %s to %s\n", tr.Len(), view.ID, baseURL)
 	}
 
 	// Upload. Each attempt asks the session where it stands (View.Events)
 	// and re-frames the trace from there, so a retry after a mid-body
 	// failure sends only the unacknowledged suffix.
+	events := tr.Expand()
 	streamURL := baseURL + "/v1/streams/" + view.ID
 	err = retry.Policy{Budget: 2 * time.Minute, MaxAttempts: 6}.Do(ctx, func(attempt int) error {
 		resume := uint64(0)
@@ -123,7 +124,7 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 			}
 			resume = v.Events
 		}
-		body, ferr := frameEvents(tr, resume)
+		body, ferr := frameEvents(events, resume)
 		if ferr != nil {
 			return retry.Permanent(ferr)
 		}
@@ -192,18 +193,18 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 	return 0
 }
 
-// frameEvents encodes tr.Events[from:] as one framed stream (header plus one
+// frameEvents encodes events[from:] as one framed stream (header plus one
 // CRC32C frame per event) — the wire format POST /v1/streams/{id}/events
 // expects. Sequence numbers inside the events are absolute, so the daemon
 // skips anything it already applied.
-func frameEvents(tr *trace.Trace, from uint64) ([]byte, error) {
-	if from > uint64(len(tr.Events)) {
-		return nil, fmt.Errorf("stream acknowledged %d events but the trace has %d", from, len(tr.Events))
+func frameEvents(events []trace.Event, from uint64) ([]byte, error) {
+	if from > uint64(len(events)) {
+		return nil, fmt.Errorf("stream acknowledged %d events but the trace has %d", from, len(events))
 	}
 	buf := trace.StreamHeader()
-	for i := from; i < uint64(len(tr.Events)); i++ {
+	for i := from; i < uint64(len(events)); i++ {
 		var err error
-		if buf, err = trace.AppendEventFrame(buf, &tr.Events[i]); err != nil {
+		if buf, err = trace.AppendEventFrame(buf, &events[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -303,7 +303,7 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 		log.Error("trace fetch failed; abandoning lease", "err", err)
 		return nil // the lease will expire and the job reschedule
 	}
-	wt.setCount(fetchSpan, "events", int64(len(tr.Events)))
+	wt.setCount(fetchSpan, "events", int64(tr.Len()))
 
 	restoreSpan := wt.begin("restore")
 	ck, err := w.fetchCheckpoint(rctx, jobID, token)
@@ -319,7 +319,7 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	if restoreErr != nil {
 		log.Error("checkpoint restore failed; replaying from scratch", "err", restoreErr)
 	} else if start > 0 {
-		log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", len(tr.Events))
+		log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", tr.Len())
 	}
 	cp, canCheckpoint := a.(tools.Checkpointer)
 	wt.setCount(restoreSpan, "resume_event", int64(start))
@@ -349,7 +349,7 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 				JobID:     jobID,
 				Tool:      grant.Job.Tool,
 				NextEvent: next,
-				Events:    uint64(len(tr.Events)),
+				Events:    uint64(tr.Len()),
 				Created:   time.Now(),
 				State:     state,
 			}

@@ -43,6 +43,10 @@
 //	stream.read         fired per ingest chunk read; an armed error aborts
 //	                    the connection mid-body exactly like a client
 //	                    disconnect (the session stays live for resume)
+//	stream.replay       fired per stream batch between its spool write and
+//	                    its replay, in recovery's re-feed too; an armed
+//	                    panic stands in for an analyzer crash (the session
+//	                    fails, its batch spooled but never applied)
 package faultinject
 
 import (

@@ -5,7 +5,8 @@
 //
 //	<id>.trace  the submitted trace in the CRC32C-framed encoding, written
 //	            and fsynced before the job is acknowledged (the write-ahead
-//	            part)
+//	            part): a framed version-2 upload byte for byte, any other
+//	            upload re-encoded as version 2
 //	<id>.meta   an append-only log of lifecycle transitions: the first line
 //	            carries the job's identity (tool, events, idempotency key,
 //	            submit time) with status "pending"; subsequent lines record
@@ -470,12 +471,7 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 		}
 	}
 	if rj.Status == StatusPending || rj.Status == StatusRunning {
-		tf, err := os.Open(j.tracePath(id))
-		if err != nil {
-			return RecoveredJob{}, err
-		}
-		defer tf.Close()
-		tr, err := trace.Load(tf)
+		tr, err := j.Trace(id)
 		if err != nil {
 			return RecoveredJob{}, err
 		}
@@ -495,14 +491,20 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 
 // writeTrace writes and fsyncs the job's trace file in the CRC32C-framed
 // encoding, so later corruption of the spool is detected at read time
-// instead of silently mis-parsing.
+// instead of silently mis-parsing. A trace that kept the framed upload it
+// was decoded from is written as those bytes; any other is encoded.
 func (j *Journal) writeTrace(id string, tr *trace.Trace) (err error) {
 	defer func() { j.noteWrite(err) }()
 	f, err := os.OpenFile(j.tracePath(id), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := tr.SaveFramed(f); err != nil {
+	if data := tr.Framed(); data != nil {
+		_, err = f.Write(data)
+	} else {
+		err = tr.SaveFramed(f)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -647,13 +649,13 @@ func (j *Journal) removeFiles(id string) {
 	_ = os.Remove(j.metaPath(id))
 }
 
-// Trace re-reads a journaled job's trace from the spool, for tools that
-// want to re-analyze history.
+// Trace re-reads a journaled job's trace from the spool: recovery's load,
+// and tools that want to re-analyze history. The trace keeps a version-2
+// file's bytes (Trace.Framed), so a worker fetch serves the file as it is.
 func (j *Journal) Trace(id string) (*trace.Trace, error) {
-	f, err := os.Open(j.tracePath(id))
+	data, err := os.ReadFile(j.tracePath(id))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return trace.Load(f)
+	return trace.Decode(data, trace.Limits{})
 }

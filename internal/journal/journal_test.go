@@ -54,7 +54,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if got.Status != StatusPending {
 		t.Errorf("status %q, want pending", got.Status)
 	}
-	if got.Trace == nil || len(got.Trace.Events) != len(tr.Events) {
+	if got.Trace == nil || got.Trace.Len() != len(tr.Events) {
 		t.Errorf("recovered trace %+v, want %d events", got.Trace, len(tr.Events))
 	}
 }

@@ -9,6 +9,12 @@
 // deliberately includes what the paper reported missing from stock OMPT:
 // implicit global-variable mappings and the synchronous/asynchronous flavour
 // of each target region.
+//
+// Replay delivers accesses in runs between barrier events, as AccessBatch
+// views of a trace's pointer-free access columns plus its site table of
+// distinct (Tag, Loc) pairs. Tools implementing BatchTool consume a run
+// whole; AccessBatch.At rebuilds one event from the columns for the others
+// and for slow paths such as reports.
 package ompt
 
 import (

@@ -556,9 +556,8 @@ func (d *Detector) OnDataOp(e ompt.DataOpEvent) {
 }
 
 // OnAccessBatch implements ompt.BatchTool: the columnar fast path builds
-// each compact record straight from the batch's arrays, interning the site
-// once per run of same-site accesses (a loop body's accesses share their
-// source location, so the memo almost always hits).
+// each compact record straight from the batch's arrays, translating the
+// batch's site table once per table (siteTableIDs).
 //
 // The task clock and cell page are tracked in locals rather than through
 // the detector's one-entry memos: a batch holds only access events
@@ -572,18 +571,11 @@ func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 	}
 	// Hoist the column slices so the compiler proves one bounds check per
 	// column for the whole batch instead of one per event.
-	events, addrs := b.Events[:n], b.Addrs[:n]
+	addrs, sites := b.Addrs[:n], b.Sites[:n]
 	tasks, writes := b.Tasks[:n], b.Writes[:n]
 	devices, threads, clocks := b.Devices[:n], b.Threads[:n], b.Clocks[:n]
-	// With a site table, per-event site resolution is two array indexes and
-	// the event payload is never touched; without one, fall back to the
-	// hash memo over the payload's (Tag, Loc).
-	var sitesCol []uint32
-	var siteIDs []uint32
-	if b.Sites != nil && len(b.SiteTags) > 0 {
-		sitesCol = b.Sites[:n]
-		siteIDs = d.siteTableIDs(b.SiteTags, b.SiteLocs)
-	}
+	// Per-event site resolution is two array indexes.
+	siteIDs := d.siteTableIDs(b.SiteTags, b.SiteLocs)
 	var (
 		curTask ompt.TaskID
 		tc      *vclock
@@ -608,16 +600,9 @@ func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 		if !c.touched() {
 			pg.used++
 		}
-		var site uint32
-		if sitesCol != nil {
-			site = siteIDs[sitesCol[i]]
-		} else {
-			ev := events[i]
-			site = d.sitesMemo.lookup(d, ev.Tag, ev.Loc)
-		}
 		d.checkCell(c, tc, addr, accessRecord{
 			task: task, clock: clock, write: writes[i],
-			site:   site,
+			site:   siteIDs[sites[i]],
 			device: devices[i], thread: threads[i], seq: clocks[i],
 		})
 	}

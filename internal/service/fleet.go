@@ -114,8 +114,9 @@ func (s *Service) FreshCheckpoint(id string) *trace.Checkpoint {
 	return nil
 }
 
-// TraceFramed serializes the job's trace in the CRC-framed wire format for
-// a worker to fetch.
+// TraceFramed returns the job's trace in the CRC-framed wire format for a
+// worker to fetch: the upload's own bytes when the trace kept them, an
+// encoding of the trace only when it did not.
 func (s *Service) TraceFramed(id string) ([]byte, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -126,6 +127,9 @@ func (s *Service) TraceFramed(id string) ([]byte, error) {
 	s.mu.Unlock()
 	if !ok || tr == nil {
 		return nil, dist.ErrNoJob
+	}
+	if data := tr.Framed(); data != nil {
+		return data, nil
 	}
 	var buf bytes.Buffer
 	if err := tr.SaveFramed(&buf); err != nil {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -189,11 +190,22 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if toolName == "" {
 		toolName = "arbalest"
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	tr, err := trace.LoadLimited(body, trace.Limits{
-		MaxEvents: s.cfg.MaxEvents,
-		MaxBytes:  s.cfg.MaxBodyBytes,
-	})
+	// The body is read whole and decoded in place: a framed version-2
+	// upload is then kept by the trace as it came, and spooled and served
+	// to workers as those bytes. Sized from Content-Length when the client
+	// sent one; a chunked body grows as it arrives.
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var tr *trace.Trace
+	if err == nil {
+		tr, err = trace.Decode(body.Bytes(), trace.Limits{
+			MaxEvents: s.cfg.MaxEvents,
+			MaxBytes:  s.cfg.MaxBodyBytes,
+		})
+	}
 	parseDur := time.Since(accepted)
 	s.metrics.parseSeconds.ObserveDuration(parseDur)
 	if err != nil {
@@ -220,10 +232,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, derr)
 		return
 	}
-	nbytes := r.ContentLength
-	if nbytes < 0 {
-		nbytes = 0
-	}
+	// The byte quota is charged by the bytes read, so a chunked upload
+	// (Content-Length -1) is charged like any other.
+	nbytes := int64(body.Len())
 	view, duplicate, err := s.SubmitTrace(SubmitOptions{
 		Tool:          toolName,
 		Key:           r.Header.Get(retry.IdempotencyHeader),

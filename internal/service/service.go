@@ -569,9 +569,9 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		s.countRejected()
 		return JobView{}, false, err
 	}
-	if len(tr.Events) > s.cfg.MaxEvents {
+	if tr.Len() > s.cfg.MaxEvents {
 		s.countRejected()
-		return JobView{}, false, fmt.Errorf("%w: %d events > limit %d", ErrTooLarge, len(tr.Events), s.cfg.MaxEvents)
+		return JobView{}, false, fmt.Errorf("%w: %d events > limit %d", ErrTooLarge, tr.Len(), s.cfg.MaxEvents)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -627,7 +627,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		quotaHeld: true,
 		status:    StatusPending,
 		submitted: time.Now(),
-		events:    len(tr.Events),
+		events:    tr.Len(),
 		tr:        tr,
 		span:      telemetry.NewSpan("job", opts.Start),
 	}
@@ -984,7 +984,7 @@ func (s *Service) runJob(j *job) {
 		} else if start > 0 {
 			s.metrics.checkpointsRestored.Inc()
 			s.jobLogger(j).Info("resuming from checkpoint",
-				"phase", "replay", "resume_event", start, "events", len(tr.Events))
+				"phase", "replay", "resume_event", start, "events", tr.Len())
 		}
 
 		base := context.Background()
@@ -1002,7 +1002,7 @@ func (s *Service) runJob(j *job) {
 		}
 		if cp, ok := a.(tools.Checkpointer); ok && s.cfg.Journal != nil && s.cfg.CheckpointEvery > 0 {
 			opts.CheckpointEvery = s.cfg.CheckpointEvery
-			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(len(tr.Events)))
+			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(tr.Len()))
 		}
 
 		replayStart = time.Now()
@@ -1016,7 +1016,7 @@ func (s *Service) runJob(j *job) {
 		if err != nil {
 			return err
 		}
-		s.metrics.eventsReplayed.Add(uint64(len(tr.Events)) - start)
+		s.metrics.eventsReplayed.Add(uint64(tr.Len()) - start)
 		sumStart = time.Now()
 		summary = tools.Summarize(a)
 		sumDur = time.Since(sumStart)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -22,8 +23,9 @@ import (
 const maxIngestSpans = 32
 
 // batchCap bounds how many accepted events a session collects before it
-// spools them in one write and replays them. The batch, its columns and its
-// frames are per-session memory; 256 also replayed faster than 1024.
+// spools their frames in one write and replays them. The batch, its columns
+// and its frames are per-session memory; 256 also replayed faster than
+// 1024.
 const batchCap = 256
 
 // Status is a session's position in its lifecycle. Sessions are born live
@@ -65,16 +67,17 @@ type Session struct {
 	quotaHeld bool
 	reserved  int64
 	// analyzer, cp and replay are the live analysis state, and batch and
-	// frameBuf the buffers that feed it. They are dropped when the session
+	// frames the buffers that feed it. They are dropped when the session
 	// goes terminal, and are nil for sessions recovered as history. The
 	// driver holds the stream position and the latest checkpoint boundary;
 	// s.mu orders its calls, which run on whichever goroutine feeds.
 	analyzer tools.Analyzer
 	cp       tools.Checkpointer
 	replay   *trace.Replayer
-	// batch holds the accepted events not yet spooled and replayed.
-	batch    []trace.Event
-	frameBuf []byte
+	// batch holds the accepted events not yet spooled and replayed, and
+	// frames their frames as they arrived, for the spool.
+	batch  []trace.Event
+	frames []byte
 	// reports holds a failed or evicted session's findings once its
 	// analyzer is dropped.
 	reports []report.Report
@@ -326,7 +329,7 @@ func (s *Session) dropAnalyzerLocked(release bool) {
 		rel.Release()
 	}
 	s.analyzer, s.cp, s.replay = nil, nil, nil
-	s.batch, s.frameBuf = nil, nil
+	s.batch, s.frames = nil, nil
 }
 
 // notifyLocked wakes every long-poller; the caller must hold s.mu.
@@ -500,34 +503,34 @@ func (s *Session) accept(dec *trace.PushDecoder, e *trace.Event) error {
 		s.batch = make([]trace.Event, 0, batchCap)
 	}
 	s.batch = append(s.batch, *e)
+	if s.spool != nil {
+		s.frames = append(s.frames, dec.Frame()...)
+	}
 	if len(s.batch) == batchCap {
 		return s.flush()
 	}
 	return nil
 }
 
-// flush appends the batch to the spool in one write, then replays it as the
-// stream's next events. The driver checkpoints by batch replay's rule, at
-// batch replay's boundaries, and a checkpoint never outruns the spool: the
-// whole batch is written before any of it is replayed.
+// flush appends the batch's frames, as they arrived, to the spool in one
+// write, then replays the batch as the stream's next events. The driver
+// checkpoints by batch replay's rule, at batch replay's boundaries, and a
+// checkpoint never outruns the spool: the whole batch is written before
+// any of it is replayed.
 func (s *Session) flush() error {
 	batch := s.batch
 	if len(batch) == 0 {
 		return nil
 	}
-	s.batch = batch[:0]
+	frames := s.frames
+	s.batch, s.frames = batch[:0], frames[:0]
 	if s.spool != nil {
-		buf := s.frameBuf[:0]
-		for i := range batch {
-			var err error
-			if buf, err = trace.AppendEventFrame(buf, &batch[i]); err != nil {
-				return fmt.Errorf("stream: spool frame: %w", err)
-			}
-		}
-		s.frameBuf = buf
-		if _, err := s.spool.Write(buf); err != nil {
+		if _, err := s.spool.Write(frames); err != nil {
 			return fmt.Errorf("stream: spool append: %w", err)
 		}
+	}
+	if err := faultinject.Fire("stream.replay"); err != nil {
+		return err
 	}
 	st, err := s.replay.ReplayWindow(context.Background(), batch)
 	s.events += st.Events

@@ -18,8 +18,10 @@
 //
 // # Durability
 //
-// With a journal configured, every batch is re-framed into the session's
-// spool (<id>.sbytes) in one write before it is replayed, and the driver
+// With a journal configured, the frames of every batch are appended, as
+// they arrived, to the session's spool (<id>.sbytes) in one write before
+// the batch is replayed; a resent duplicate is skipped, not spooled, so the
+// spool is one header followed by exactly the accepted frames. The driver
 // checkpoints the analyzer by batch replay's index-only barrier rule, at
 // batch replay's boundaries: after a non-access event, once CheckpointEvery
 // events have passed since the last checkpoint. The spool is fsynced before

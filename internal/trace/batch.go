@@ -1,13 +1,18 @@
-// Columnar access dispatch for replay.
+// The one in-memory form of a trace: pointer-free access columns plus a
+// short list of barrier events.
 //
 // A replay loop that hands access events to the dispatcher one
-// pointer-chase at a time spends most of its time doing so. Instead, a
-// trace is decoded ONCE into a structure-of-arrays column set (accessCols):
-// one entry per access event, in trace order, with the replay clock
-// pre-stamped. Each replay then dispatches zero-copy slice views of those
-// columns — no per-event, per-replay repacking at all. A stream session's
-// window of events gets the same columns, built into storage the driver
-// reuses. Barrier (non-access) events bound the views, so the set of
+// pointer-chase at a time spends most of its time doing so, and a decoded
+// trace held as one Event and payload struct per access costs the
+// collector a pointer scan per event for as long as the job is queued.
+// Instead a trace is held as a structure-of-arrays column set
+// (accessCols): one row per access event, in trace order, with the replay
+// clock pre-stamped, plus the non-access (barrier) events, each with its
+// stream position. The framed decoder writes frames straight into this
+// form, a trace built in memory (Trace.Events) is compacted into it on
+// first use, and a stream session's window of events gets the same
+// columns, built into storage the driver reuses. Each replay dispatches
+// zero-copy slice views of the columns between barriers, so the set of
 // dispatched events at any observable point matches a per-event loop
 // exactly, and so do the findings and checkpoint states.
 package trace
@@ -19,17 +24,15 @@ import (
 	"repro/internal/ompt"
 )
 
-// accessCols is the decode-once structure-of-arrays view of a trace's
-// access events. Column entry j describes the j-th access event of the
-// trace; pos maps an event index to its column ordinal (the count of
-// access events before it), so a run of events [i, k) occupies column rows
-// [pos[i], pos[i]+(k-i)). clocks holds each access's replay clock: its
-// sequence number plus one, so zero keeps meaning "unset". Every replay of
-// an event stamps the same clock, batch or streamed, which is what makes
-// their shadow metadata, and so their reports, byte-identical.
+// accessCols is a trace, or a window of one, in column form. Row j of the
+// columns describes the j-th access event; clocks holds each access's
+// replay clock: its sequence number plus one, so zero keeps meaning
+// "unset". Every replay of an event stamps the same clock, batch or
+// streamed, which is what makes their shadow metadata, and so their
+// reports, byte-identical. barriers holds every other event, in stream
+// order, so the run of accesses before barrier k occupies the rows up to
+// barriers[k].pos - k.
 type accessCols struct {
-	pos     []int
-	events  []*ompt.AccessEvent
 	addrs   []mem.Addr
 	sizes   []uint64
 	writes  []bool
@@ -38,83 +41,153 @@ type accessCols struct {
 	threads []ompt.ThreadID
 	bases   []mem.Addr
 	clocks  []uint64
+	// sites[j] is an ordinal into the site table.
+	sites []uint32
+	table siteTable
 
-	// The deduplicated site table: sites[j] is an ordinal into
-	// siteTags/siteLocs, the distinct (Tag, Loc) pairs of the trace. Built
-	// here once so per-event site resolution downstream is an array index,
-	// not a hash of the tag and location strings.
-	sites    []uint32
-	siteTags []string
-	siteLocs []ompt.SourceLoc
+	barriers []barrier
 }
 
-// siteOrd is the column builder's dedup key.
+// barrier is one non-access event and its position in the stream.
+type barrier struct {
+	pos int
+	ev  Event
+}
+
+// siteTable is the deduplicated site table of a column set: the distinct
+// (Tag, Loc) pairs of its accesses, so per-event site resolution
+// downstream is an array index, not a hash of the tag and location
+// strings.
+type siteTable struct {
+	tags []string
+	locs []ompt.SourceLoc
+	// ords indexes the table while it is being built.
+	ords map[siteOrd]uint32
+}
+
+// siteOrd is the site table's dedup key.
 type siteOrd struct {
 	tag string
 	loc ompt.SourceLoc
 }
 
-// columns returns the trace's column set, building it on first use. The
-// build is idempotent and the result immutable, so concurrent replays of
-// one trace race only on which identical column set gets cached.
-func (t *Trace) columns() *accessCols {
-	if c := t.cols.Load(); c != nil {
-		return c
+// intern returns the ordinal of (tag, loc), appending it to the table if
+// new. No existing entry ever changes: consumers cache their translation
+// of a table keyed on its first element and length.
+func (s *siteTable) intern(tag string, loc ompt.SourceLoc) uint32 {
+	k := siteOrd{tag: tag, loc: loc}
+	ord, ok := s.ords[k]
+	if !ok {
+		if s.ords == nil {
+			s.ords = make(map[siteOrd]uint32)
+		}
+		ord = uint32(len(s.tags))
+		s.ords[k] = ord
+		s.tags = append(s.tags, tag)
+		s.locs = append(s.locs, loc)
 	}
-	c := &accessCols{}
-	c.build(t.Events, make(map[siteOrd]uint32))
-	t.cols.CompareAndSwap(nil, c)
-	return t.cols.Load()
+	return ord
 }
 
-// build fills c with the columns of events, reusing c's storage. The site
-// table carries over from earlier builds: ords maps the sites already in
-// it to their ordinals, new sites are appended, and no entry changes.
-func (c *accessCols) build(events []Event, ords map[siteOrd]uint32) {
-	n := 0
-	for i := range events {
-		if e := &events[i]; e.Kind == KindAccess && e.Access != nil {
-			n++
-		}
+// row is one access event's entries in the columns.
+type row struct {
+	addr   mem.Addr
+	size   uint64
+	write  bool
+	device ompt.DeviceID
+	task   ompt.TaskID
+	thread ompt.ThreadID
+	base   mem.Addr
+	clock  uint64
+	site   uint32
+}
+
+// len returns the number of events in c.
+func (c *accessCols) len() int { return len(c.addrs) + len(c.barriers) }
+
+// appendRow appends one access row: the one row-append path of decoding,
+// compaction and stream windows. Every column grows together, doubling
+// when a decode outgrows them, so a long trace is copied about twice in
+// all.
+func (c *accessCols) appendRow(r *row) {
+	if len(c.addrs) == cap(c.addrs) {
+		c.grow(max(len(c.addrs), 256))
 	}
-	c.pos = slices.Grow(c.pos[:0], len(events)+1)
-	c.events = slices.Grow(c.events[:0], n)
-	c.addrs = slices.Grow(c.addrs[:0], n)
-	c.sizes = slices.Grow(c.sizes[:0], n)
-	c.writes = slices.Grow(c.writes[:0], n)
-	c.devices = slices.Grow(c.devices[:0], n)
-	c.tasks = slices.Grow(c.tasks[:0], n)
-	c.threads = slices.Grow(c.threads[:0], n)
-	c.bases = slices.Grow(c.bases[:0], n)
-	c.clocks = slices.Grow(c.clocks[:0], n)
-	c.sites = slices.Grow(c.sites[:0], n)
-	for i := range events {
-		e := &events[i]
-		c.pos = append(c.pos, len(c.events))
-		if e.Kind != KindAccess || e.Access == nil {
-			continue
-		}
-		a := e.Access
-		c.events = append(c.events, a)
-		c.addrs = append(c.addrs, a.Addr)
-		c.sizes = append(c.sizes, a.Size)
-		c.writes = append(c.writes, a.Write)
-		c.devices = append(c.devices, a.Device)
-		c.tasks = append(c.tasks, a.Task)
-		c.threads = append(c.threads, a.Thread)
-		c.bases = append(c.bases, a.Base)
-		c.clocks = append(c.clocks, e.Seq+1)
-		k := siteOrd{tag: a.Tag, loc: a.Loc}
-		ord, ok := ords[k]
-		if !ok {
-			ord = uint32(len(c.siteTags))
-			ords[k] = ord
-			c.siteTags = append(c.siteTags, a.Tag)
-			c.siteLocs = append(c.siteLocs, a.Loc)
-		}
-		c.sites = append(c.sites, ord)
+	c.addrs = append(c.addrs, r.addr)
+	c.sizes = append(c.sizes, r.size)
+	c.writes = append(c.writes, r.write)
+	c.devices = append(c.devices, r.device)
+	c.tasks = append(c.tasks, r.task)
+	c.threads = append(c.threads, r.thread)
+	c.bases = append(c.bases, r.base)
+	c.clocks = append(c.clocks, r.clock)
+	c.sites = append(c.sites, r.site)
+}
+
+// grow makes room for n more rows in every column.
+func (c *accessCols) grow(n int) {
+	c.addrs = slices.Grow(c.addrs, n)
+	c.sizes = slices.Grow(c.sizes, n)
+	c.writes = slices.Grow(c.writes, n)
+	c.devices = slices.Grow(c.devices, n)
+	c.tasks = slices.Grow(c.tasks, n)
+	c.threads = slices.Grow(c.threads, n)
+	c.bases = slices.Grow(c.bases, n)
+	c.clocks = slices.Grow(c.clocks, n)
+	c.sites = slices.Grow(c.sites, n)
+}
+
+// add appends e as the next event: an access as a row, its site interned
+// by value, and anything else as a barrier. A malformed access (no
+// payload) becomes a barrier too, which the replay loop rejects when it
+// reaches it, so a hand-built malformed trace fails cleanly.
+func (c *accessCols) add(e *Event) {
+	a := e.Access
+	if e.Kind != KindAccess || a == nil {
+		c.barriers = append(c.barriers, barrier{pos: c.len(), ev: *e})
+		return
 	}
-	c.pos = append(c.pos, len(c.events))
+	c.appendRow(&row{
+		addr: a.Addr, size: a.Size, write: a.Write, device: a.Device,
+		task: a.Task, thread: a.Thread, base: a.Base, clock: e.Seq + 1,
+		site: c.table.intern(a.Tag, a.Loc),
+	})
+}
+
+// build refills c with events, reusing its storage: a trace's compaction
+// and each stream window. The site table carries over from earlier builds:
+// new sites are appended and no entry changes.
+func (c *accessCols) build(events []Event) {
+	c.addrs, c.sizes, c.writes = c.addrs[:0], c.sizes[:0], c.writes[:0]
+	c.devices, c.tasks, c.threads = c.devices[:0], c.tasks[:0], c.threads[:0]
+	c.bases, c.clocks, c.sites = c.bases[:0], c.clocks[:0], c.sites[:0]
+	clear(c.barriers) // drop the previous window's payloads
+	c.barriers = c.barriers[:0]
+	c.grow(len(events))
+	for i := range events {
+		c.add(&events[i])
+	}
+}
+
+// trim fits a built trace's storage to its length and drops the site
+// index, which only building needs: a decoded trace lives until its job
+// finishes, and grown by doubling its columns could hold up to twice its
+// rows.
+func (c *accessCols) trim() {
+	c.addrs, c.sizes, c.writes = fit(c.addrs), fit(c.sizes), fit(c.writes)
+	c.devices, c.tasks, c.threads = fit(c.devices), fit(c.tasks), fit(c.threads)
+	c.bases, c.clocks, c.sites = fit(c.bases), fit(c.clocks), fit(c.sites)
+	c.barriers = fit(c.barriers)
+	c.table.ords = nil
+}
+
+// fit returns s in storage of its own length when that frees more than an
+// eighth of its capacity, else s itself.
+func fit[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/8 {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // view returns a zero-copy AccessBatch over column rows [lo, hi). The
@@ -122,7 +195,6 @@ func (c *accessCols) build(events []Event, ords map[siteOrd]uint32) {
 // past the dispatch call (the ompt.BatchTool contract).
 func (c *accessCols) view(lo, hi int) ompt.AccessBatch {
 	return ompt.AccessBatch{
-		Events:  c.events[lo:hi],
 		Addrs:   c.addrs[lo:hi],
 		Sizes:   c.sizes[lo:hi],
 		Writes:  c.writes[lo:hi],
@@ -134,9 +206,40 @@ func (c *accessCols) view(lo, hi int) ompt.AccessBatch {
 		Sites:   c.sites[lo:hi],
 		// Every view aliases the one table, so consumers can cache their
 		// per-table state across batches keyed on the table's identity.
-		SiteTags: c.siteTags,
-		SiteLocs: c.siteLocs,
+		SiteTags: c.table.tags,
+		SiteLocs: c.table.locs,
 	}
+}
+
+// each calls fn with every event of c in stream order. Accesses are
+// rebuilt from their rows into one Event and payload that each call
+// reuses, with Clock zero as recorded; barriers are passed as stored.
+func (c *accessCols) each(fn func(*Event) error) error {
+	var a ompt.AccessEvent
+	acc := Event{Kind: KindAccess, Access: &a}
+	j := 0
+	rowsTo := func(end int) error {
+		for ; j < end; j++ {
+			v := c.view(j, j+1)
+			a = v.At(0)
+			a.Clock = 0
+			acc.Seq = c.clocks[j] - 1
+			if err := fn(&acc); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for k := range c.barriers {
+		b := &c.barriers[k]
+		if err := rowsTo(b.pos - k); err != nil {
+			return err
+		}
+		if err := fn(&b.ev); err != nil {
+			return err
+		}
+	}
+	return rowsTo(len(c.addrs))
 }
 
 // accessBatchCap bounds one columnar batch. Large enough to amortize the

@@ -1,7 +1,7 @@
 // Durable replay: the one replay driver, with checkpoints and resume.
 //
 // Every replay goes through a Replayer: a whole trace (ReplayDurable, over
-// the trace's cached columns) and a stream session's event windows
+// the trace's columns) and a stream session's event windows
 // (ReplayWindow) alike. It dispatches in recorded order on the calling
 // goroutine, which respects every barrier and so meets the paper's
 // Theorem 1 trivially. Two robustness hooks ride on it. First, periodic
@@ -17,8 +17,10 @@
 package trace
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ompt"
@@ -111,8 +113,7 @@ type Replayer struct {
 	// Its site table only grows: consumers cache their translation of a
 	// table keyed on its first element and length, so an entry changed in
 	// place would go unnoticed.
-	win  accessCols
-	ords map[siteOrd]uint32
+	win accessCols
 }
 
 // NewReplayer registers the tools and positions the driver at
@@ -133,14 +134,16 @@ func NewReplayer(opts DurableOptions, toolList ...ompt.Tool) *Replayer {
 // replayed.
 //
 // Events are validated when a trace is loaded (LoadLimited) or decoded
-// (PushDecoder); the hot loop here only carries a nil-payload guard, so a
-// hand-built malformed Trace still fails cleanly instead of panicking.
+// (PushDecoder); the hot loop here only rejects a barrier that carries no
+// payload, so a hand-built malformed Trace still fails cleanly instead of
+// panicking.
 func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList ...ompt.Tool) (ReplayStats, error) {
-	if opts.StartEvent > uint64(len(t.Events)) {
-		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", opts.StartEvent, len(t.Events))
+	c := t.columns()
+	if opts.StartEvent > uint64(c.len()) {
+		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", opts.StartEvent, c.len())
 	}
 	r := NewReplayer(opts, toolList...)
-	st, _, err := r.replay(ctx, t.Events, t.columns(), int(opts.StartEvent), 0)
+	st, _, err := r.replay(ctx, c, int(opts.StartEvent), 0)
 	return st, err
 }
 
@@ -150,55 +153,49 @@ func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList
 // checkpoints fall exactly where ReplayDurable over the whole stream would
 // put them, however the stream is split into windows. Stats count the
 // events this call dispatched. The caller owns events: the driver keeps no
-// reference to the slice once the call returns, only to the payloads it
-// points to, until the next call.
+// reference to the slice once the call returns, only to the payloads of
+// its barrier events, until the next call.
 func (r *Replayer) ReplayWindow(ctx context.Context, events []Event) (ReplayStats, error) {
-	if r.ords == nil {
-		r.ords = make(map[siteOrd]uint32)
-	}
-	r.win.build(events, r.ords)
+	r.win.build(events)
 	base := r.next
-	st, i, err := r.replay(ctx, events, &r.win, 0, base)
+	st, i, err := r.replay(ctx, &r.win, 0, base)
 	r.next = base + uint64(i)
 	return st, err
 }
 
-// replay is the dispatch loop: it dispatches events[from:], where events[i]
-// is stream position base+i, and returns the index of the first event it
-// did not dispatch. It stays a function of its own, reaching the dispatcher
-// through a pointer: folded into its caller, the Fig. 8 replay cells
-// measured about 20% slower.
-func (r *Replayer) replay(ctx context.Context, events []Event, cols *accessCols, from int, base uint64) (ReplayStats, int, error) {
+// replay is the dispatch loop: it dispatches the events of c from position
+// from on, where position i is stream position base+i, and returns the
+// position of the first event it did not dispatch. It stays a function of
+// its own, reaching the dispatcher through a pointer: folded into its
+// caller, the Fig. 8 replay cells measured about 20% slower.
+func (r *Replayer) replay(ctx context.Context, c *accessCols, from int, base uint64) (ReplayStats, int, error) {
 	var st ReplayStats
 	d, opts := &r.d, &r.opts
+	n := c.len()
+	// k is the next barrier to dispatch; every position before it that is
+	// not a barrier is an access row.
+	k, _ := slices.BinarySearchFunc(c.barriers, from, func(b barrier, pos int) int { return cmp.Compare(b.pos, pos) })
 	i := from
 	// Runs of consecutive accesses dispatch as zero-copy views of the
 	// columns; runs end at barrier events, so checkpoint boundaries stay
 	// exact (all events before the boundary dispatched, none after).
 	sinceCheck := replayCheckInterval // check ctx before the first event
-	for i < len(events) {
+	for i < n {
 		if sinceCheck >= replayCheckInterval {
 			sinceCheck = 0
 			if err := ctx.Err(); err != nil {
 				return st, i, fmt.Errorf("trace: replay canceled at event %d: %w", base+uint64(i), err)
 			}
 		}
-		e := &events[i]
-		if e.Kind == KindAccess {
-			if e.Access == nil {
-				return st, i, payloadErr(e)
-			}
-			j := i + 1
-			for j < len(events) && events[j].Kind == KindAccess && events[j].Access != nil {
-				j++
-			}
-			lo := cols.pos[i]
-			for off, run := 0, j-i; off < run; {
-				chunk := run - off
-				if chunk > accessBatchCap {
-					chunk = accessBatchCap
-				}
-				b := cols.view(lo+off, lo+off+chunk)
+		end := n
+		if k < len(c.barriers) {
+			end = c.barriers[k].pos
+		}
+		if run := end - i; run > 0 {
+			lo := i - k
+			for off := 0; off < run; {
+				chunk := min(run-off, accessBatchCap)
+				b := c.view(lo+off, lo+off+chunk)
 				d.AccessBatch(&b)
 				opts.Progress.Add(uint64(chunk))
 				off += chunk
@@ -210,16 +207,17 @@ func (r *Replayer) replay(ctx context.Context, events []Event, cols *accessCols,
 					}
 				}
 			}
-			epoch := uint64(j - i)
+			epoch := uint64(run)
 			st.Accesses += epoch
 			st.Events += epoch
 			st.Epochs++
 			if epoch > st.MaxEpochAccesses {
 				st.MaxEpochAccesses = epoch
 			}
-			i = j
+			i = end
 			continue
 		}
+		e := &c.barriers[k].ev
 		if err := dispatchEvent(d, e); err != nil {
 			return st, i, err
 		}
@@ -227,6 +225,7 @@ func (r *Replayer) replay(ctx context.Context, events []Event, cols *accessCols,
 		opts.Progress.Add(1)
 		sinceCheck++
 		i++
+		k++
 		if boundary := base + uint64(i); opts.Checkpoint != nil && checkpointDue(e.Kind, boundary, r.last, opts.CheckpointEvery) {
 			if err := opts.Checkpoint(boundary); err != nil {
 				return st, i, err

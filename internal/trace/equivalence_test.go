@@ -36,8 +36,8 @@ func assertEquivalent(t *testing.T, tr *trace.Trace, toolName string) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", enc.name, err)
 		}
-		if len(loaded.Events) != len(tr.Events) {
-			t.Fatalf("%s: reloaded %d events, recorded %d", enc.name, len(loaded.Events), len(tr.Events))
+		if loaded.Len() != len(tr.Events) {
+			t.Fatalf("%s: reloaded %d events, recorded %d", enc.name, loaded.Len(), len(tr.Events))
 		}
 		assertSameReports(t, enc.name, renderedReports(t, loaded, toolName), want)
 	}

@@ -38,7 +38,12 @@
 // first byte is '{', which no kind code is, is still decoded as one under
 // either header version: old spools and uploads load, and so does a
 // version-1 spool that had version-2 frames appended after recovery. Writers
-// emit version 2 only. Readers never need to choose an encoding:
+// emit version 2 only. A trace decoded from an input that is version 2
+// throughout, header and every payload, keeps the input's bytes
+// (Trace.Framed): they passed every check, so the journal and the worker
+// fetch pass them on as they are. Version-1 and mixed inputs keep none and
+// are re-encoded as version 2 where they are written out. Readers never
+// need to choose an encoding:
 // LoadLimited sniffs the magic and dispatches, so every Load/Replay path
 // accepts JSON lines and both framed versions transparently.
 package trace
@@ -106,14 +111,16 @@ func (t *Trace) SaveFramed(w io.Writer) error {
 		return err
 	}
 	var frame []byte
-	for i := range t.Events {
+	err := t.each(func(e *Event) error {
 		var err error
-		if frame, err = AppendEventFrame(frame[:0], &t.Events[i]); err != nil {
+		if frame, err = AppendEventFrame(frame[:0], e); err != nil {
 			return err
 		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
+		_, err = bw.Write(frame)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -129,35 +136,9 @@ func checkHeader(hdr []byte) error {
 	return nil
 }
 
-// decodeFramed decodes a framed trace from r, whose next bytes must be the
-// "ARBT" header, appending validated events to t.Events. It pushes the
-// input through a PushDecoder, so files and live streams share one frame
-// loop, its *CorruptionError reports and its limits; only a torn end is
-// worded for a file, naming the part of the header or frame that is
-// missing.
-func (t *Trace) decodeFramed(r io.Reader, lim Limits) error {
-	d := &PushDecoder{lim: lim, into: t}
-	keep := func(*Event) error { return nil }
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := r.Read(buf)
-		if perr := d.Push(buf[:n], keep); perr != nil {
-			return perr
-		}
-		if err == io.EOF {
-			if d.headerDone && len(d.tail) == 0 {
-				return nil // the last frame ended where the input did
-			}
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return d.tornEnd(err)
-		}
-	}
-}
-
 // tornEnd reports an input that stopped, with cause, inside the header or
-// the frame at d.off.
+// the frame at d.off: LoadLimited's wording of PushDecoder.Finish's torn
+// end, naming the part of the header or frame that is missing.
 func (d *PushDecoder) tornEnd(cause error) error {
 	var reason string
 	switch {

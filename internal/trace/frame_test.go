@@ -43,8 +43,8 @@ func TestFramedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != len(tr.Events) {
-		t.Fatalf("round-tripped %d events, want %d", len(got.Events), len(tr.Events))
+	if got.Len() != len(tr.Events) {
+		t.Fatalf("round-tripped %d events, want %d", got.Len(), len(tr.Events))
 	}
 	reports := renderedReports(t, got, "arbalest")
 	if len(reports) != len(want) {

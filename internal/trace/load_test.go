@@ -88,8 +88,8 @@ func TestLoadSkipsBlankLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events) != 3 {
-		t.Errorf("loaded %d events, want 3", len(tr.Events))
+	if tr.Len() != 3 {
+		t.Errorf("loaded %d events, want 3", tr.Len())
 	}
 }
 

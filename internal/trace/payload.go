@@ -4,6 +4,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -32,9 +33,10 @@ var (
 	errVarint    = errors.New("truncated or overflowing varint")
 )
 
-// maxInterned bounds a decoder's string table. Traces name a few dozen
-// variables and source files; past the bound, strings are still decoded,
-// just not shared.
+// maxInterned bounds a decoder's string table and its cache of site bytes.
+// Traces name a few dozen variables and source files; past the bound,
+// strings are still decoded, just not shared, and new sites are decoded
+// from their bytes each time.
 const maxInterned = 4096
 
 // appendPayload appends e's version-2 payload to b.
@@ -122,65 +124,123 @@ func appendLoc(b []byte, l *ompt.SourceLoc) []byte {
 	return appendString(b, l.Func)
 }
 
-// payloadDecoder turns frame payloads into Events for one decode pass (a
-// LoadLimited call or one PushDecoder). It interns strings, so a trace's
-// few distinct tags and file names are allocated once, and carves payload
-// structs from slabs, so decoding allocates per slab rather than per event.
-// Decoded events never alias the payload bytes, so callers reuse their
-// frame buffers.
+// payloadDecoder decodes frame payloads for one decode pass (a Decode or
+// one PushDecoder), into either of two sinks: a trace's columns
+// (decodeInto), where an access becomes a row and never an Event, or one
+// Event at a time for a PushDecoder's emit (decodeFrame). It interns
+// strings, so a trace's few distinct tags and file names are allocated
+// once, interns each access's site in a site table, and carves payload
+// structs from slabs, so decoding allocates per slab rather than per
+// event. Decoded events never alias the payload bytes, so callers reuse
+// their frame buffers.
 type payloadDecoder struct {
 	strs map[string]string
 	// recent caches interned strings in front of strs, direct-mapped by
 	// length and last byte: consecutive events mostly repeat a handful of
 	// tags and file names, and comparing bytes is cheaper than hashing them.
-	recent   [16]string
-	inits    slab[deviceInitRecord]
-	targets  slab[ompt.TargetEvent]
-	dataOps  slab[ompt.DataOpEvent]
-	accesses slab[ompt.AccessEvent]
-	syncs    slab[ompt.SyncEvent]
-	allocs   slab[ompt.AllocEvent]
+	recent [16]string
+	// sites is the site table accesses are interned into: the columns' own
+	// when decoding into them, else one of the decoder's.
+	sites *siteTable
+	// raw maps the encoded site fields that end an access payload (tag,
+	// then loc) to their site ordinal, so a site already seen is found by
+	// its bytes without decoding its strings; last and lastOrd memo the
+	// previous access's, which a loop body's accesses mostly repeat.
+	raw     map[string]uint32
+	last    []byte
+	lastOrd uint32
+	// v1 is set once a version-1 header or JSON payload was decoded: such
+	// an input is not kept as bytes.
+	v1      bool
+	inits   slab[deviceInitRecord]
+	targets slab[ompt.TargetEvent]
+	dataOps slab[ompt.DataOpEvent]
+	access  slab[ompt.AccessEvent]
+	syncs   slab[ompt.SyncEvent]
+	allocs  slab[ompt.AllocEvent]
 }
 
 // decodeFrame decodes and validates the payload of the frame at byte off
 // into e, reporting failure as the *CorruptionError both framed decoders
 // return.
 func (d *payloadDecoder) decodeFrame(off int64, p []byte, e *Event) error {
-	if err := d.decode(p, e); err != nil {
-		return &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: err}
+	if d.sites == nil {
+		d.sites = &siteTable{}
 	}
-	if err := e.validate(); err != nil {
-		return &CorruptionError{Offset: off, Reason: "frame payload fails event validation", Err: err}
+	var r row
+	isRow, err := d.decode(off, p, e, &r)
+	if isRow {
+		v := d.access.get()
+		*v = ompt.AccessEvent{
+			Addr: r.addr, Size: r.size, Write: r.write, Device: r.device, Task: r.task,
+			Thread: r.thread, Base: r.base, Tag: d.sites.tags[r.site], Loc: d.sites.locs[r.site],
+		}
+		*e = Event{Kind: KindAccess, Seq: r.clock - 1, Access: v}
+	}
+	return err
+}
+
+// decodeInto decodes and validates the payload of the frame at byte off as
+// the next event of c: a binary access straight into a row, anything else
+// through an Event.
+func (d *payloadDecoder) decodeInto(off int64, p []byte, c *accessCols) error {
+	d.sites = &c.table
+	var e Event
+	var r row
+	isRow, err := d.decode(off, p, &e, &r)
+	switch {
+	case err != nil:
+		return err
+	case isRow:
+		c.appendRow(&r)
+	default:
+		c.add(&e)
 	}
 	return nil
 }
 
-// decode fills e from one payload: a version-1 JSON object when p opens
-// with '{', the version-2 binary encoding otherwise. Every binary field is
-// range-checked and p must be consumed exactly.
-func (d *payloadDecoder) decode(p []byte, e *Event) error {
+// decode decodes one payload: a version-1 JSON object when p opens with
+// '{', the version-2 binary encoding otherwise. A binary access fills r,
+// its site interned, and reports true; every other event fills e. Every
+// binary field is range-checked and p must be consumed exactly.
+func (d *payloadDecoder) decode(off int64, p []byte, e *Event, r *row) (bool, error) {
 	if len(p) > 0 && p[0] == '{' {
+		d.v1 = true
 		// A separate Event: unmarshaling into e would move every decoded
 		// event to the heap, binary ones too.
 		var v Event
 		if err := json.Unmarshal(p, &v); err != nil {
-			return err
+			return false, &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: err}
+		}
+		if err := v.validate(); err != nil {
+			return false, &CorruptionError{Offset: off, Reason: "frame payload fails event validation", Err: err}
 		}
 		*e = v
-		return nil
+		return false, nil
 	}
+	isRow, err := d.decodeBinary(p, e, r)
+	if err != nil {
+		return false, &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: err}
+	}
+	return isRow, nil
+}
+
+// decodeBinary decodes one version-2 payload, as decode describes.
+func (d *payloadDecoder) decodeBinary(p []byte, e *Event, a *row) (bool, error) {
 	r := payloadReader{b: p, d: d}
 	code := r.byte()
-	*e = Event{Seq: r.uvarint()}
+	seq := r.uvarint()
+	*e = Event{Seq: seq}
 	switch code {
 	case codeAccess:
-		v := d.accesses.get()
-		*v = ompt.AccessEvent{
-			Addr: mem.Addr(r.uvarint()), Size: r.uvarint(), Write: r.bool(),
-			Device: r.device(), Task: ompt.TaskID(r.uvarint()), Thread: r.thread(),
-			Base: mem.Addr(r.uvarint()), Tag: r.str(), Loc: r.loc(),
+		*a = row{
+			addr: mem.Addr(r.uvarint()), size: r.uvarint(), write: r.bool(),
+			device: r.device(), task: ompt.TaskID(r.uvarint()), thread: r.thread(),
+			base: mem.Addr(r.uvarint()), clock: seq + 1,
 		}
-		e.Kind, e.Access = KindAccess, v
+		if r.err == nil {
+			a.site = d.site(&r)
+		}
 	case codeDeviceInit:
 		v := d.inits.get()
 		*v = deviceInitRecord{Device: r.device(), Name: r.str(), Unified: r.bool()}
@@ -220,16 +280,47 @@ func (d *payloadDecoder) decode(p []byte, e *Event) error {
 		e.Kind, e.Alloc = KindAlloc, v
 	default:
 		if r.err == nil {
-			return fmt.Errorf("unknown kind code %d", code)
+			return false, fmt.Errorf("unknown kind code %d", code)
 		}
 	}
 	if r.err != nil {
-		return r.err
+		return false, r.err
 	}
 	if len(r.b) > 0 {
-		return fmt.Errorf("%d trailing bytes", len(r.b))
+		return false, fmt.Errorf("%d trailing bytes", len(r.b))
 	}
-	return nil
+	return code == codeAccess, nil
+}
+
+// site interns the site fields that end an access payload, tag then loc,
+// and consumes them. Equal bytes decode to an equal site, so bytes seen
+// before (and so already checked) are looked up rather than decoded; new
+// bytes are decoded, checked for exact consumption, and remembered.
+func (d *payloadDecoder) site(r *payloadReader) uint32 {
+	rest := r.b
+	if len(d.last) > 0 && bytes.Equal(rest, d.last) {
+		r.b = nil
+		return d.lastOrd
+	}
+	ord, ok := d.raw[string(rest)] // the lookup does not allocate
+	if ok {
+		r.b = nil
+	} else {
+		tag, loc := r.str(), r.loc()
+		if r.err != nil || len(r.b) > 0 {
+			return 0 // reported by decodeBinary
+		}
+		ord = d.sites.intern(tag, loc)
+		if d.raw == nil {
+			d.raw = make(map[string]uint32)
+		}
+		if len(d.raw) < maxInterned {
+			d.raw[string(rest)] = ord
+		}
+	}
+	d.last = append(d.last[:0], rest...)
+	d.lastOrd = ord
+	return ord
 }
 
 // intern returns b as a string, shared with every earlier equal string.

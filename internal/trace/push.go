@@ -7,7 +7,8 @@
 // tail and emits every event whose frame has fully arrived and passed its
 // CRC. Chunk boundaries are completely decoupled from frame boundaries: a
 // frame may arrive split across a dozen chunks or bundled with a hundred
-// others. LoadLimited pushes a file through the same loop (decodeFramed).
+// others. LoadLimited and Decode push a whole input through the same loop,
+// decoding into a trace's columns instead of emitting events.
 //
 // All corruption is reported as a *CorruptionError (absolute byte offset +
 // reason), and a decoder that has reported an error stays failed: the byte
@@ -26,10 +27,13 @@ import (
 type PushDecoder struct {
 	lim Limits
 	dec payloadDecoder
-	// into, when set, receives every event as the next element of its
-	// Events (LoadLimited); otherwise every frame decodes into ev.
-	into *Trace
+	// cols, when set, receives every event as its next row or barrier
+	// (Decode) and no event is emitted; otherwise every frame decodes into
+	// ev for emit.
+	cols *accessCols
 	ev   Event
+	// frame is the frame of the event being emitted (Frame).
+	frame []byte
 
 	// tail holds the bytes of an incomplete header or frame, carried over
 	// to the next Push in the decoder's own buffer.
@@ -71,6 +75,11 @@ func (d *PushDecoder) fail(err error) error {
 	return err
 }
 
+// Frame returns the frame (length, checksum and payload) of the event
+// being emitted, as it arrived. Valid only during emit, which copies it to
+// keep it.
+func (d *PushDecoder) Frame() []byte { return d.frame }
+
 // Push decodes chunk, after any tail left by earlier pushes, and emits
 // every event whose frame is now complete and CRC-valid, in stream order.
 // The event is valid only during emit, which copies *e to keep it; the
@@ -110,6 +119,7 @@ func (d *PushDecoder) decode(buf []byte, emit func(e *Event) error) (int, error)
 		if err := checkHeader(buf[:hdrLen]); err != nil {
 			return 0, err
 		}
+		d.dec.v1 = buf[len(traceMagic)] == 1
 		pos = hdrLen
 		d.off += int64(hdrLen)
 		d.headerDone = true
@@ -134,33 +144,24 @@ func (d *PushDecoder) decode(buf []byte, emit func(e *Event) error) (int, error)
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
 			return pos, &CorruptionError{Offset: d.off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)}
 		}
-		e := d.next()
-		if err := d.dec.decodeFrame(d.off, payload, e); err != nil {
+		if d.cols != nil {
+			if err := d.dec.decodeInto(d.off, payload, d.cols); err != nil {
+				return pos, err
+			}
+		} else if err := d.dec.decodeFrame(d.off, payload, &d.ev); err != nil {
 			return pos, err
 		}
 		pos += frameHeaderSize + int(length)
 		d.off += frameHeaderSize + int64(length)
 		d.events++
-		if err := emit(e); err != nil {
-			return pos, err
+		if d.cols == nil {
+			d.frame = frame[:frameHeaderSize+int(length)]
+			if err := emit(&d.ev); err != nil {
+				return pos, err
+			}
 		}
 	}
 	return pos, nil
-}
-
-// next returns the event the next frame decodes into.
-func (d *PushDecoder) next() *Event {
-	if d.into == nil {
-		return &d.ev
-	}
-	evs := d.into.Events
-	if len(evs) == cap(evs) {
-		// Double, where append would grow a large slice by a quarter and
-		// copy the events over about four times in all.
-		evs = append(make([]Event, 0, max(2*cap(evs), 256)), evs...)
-	}
-	d.into.Events = evs[:len(evs)+1]
-	return &d.into.Events[len(evs)]
 }
 
 // Finish declares end-of-stream. Buffered bytes that never completed a frame

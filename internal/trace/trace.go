@@ -9,6 +9,15 @@
 // shipped elsewhere for inspection. Replaying the same trace is
 // deterministic: the same reports come out every time, which the tests use
 // to cross-check online and offline analysis.
+//
+// A trace has one in-memory form, the replay driver's: pointer-free access
+// columns plus a short list of barrier events (batch.go). Decoders write
+// straight into it and leave Trace.Events nil; a trace built in memory
+// (the Recorder's, or a literal with Events) is compacted into it on first
+// use. Len and Expand read a trace in either state. A trace decoded from
+// an all-binary version-2 framed input also keeps the validated bytes it
+// came from (Framed), which the job journal and the worker fetch pass on
+// as they are instead of re-encoding the trace.
 package trace
 
 import (
@@ -144,13 +153,98 @@ var _ ompt.Tool = (*Recorder)(nil)
 
 // Trace is a recorded event stream.
 type Trace struct {
+	// Events is the form a trace is built in, in memory: the Recorder's
+	// snapshot, or a literal. It is compacted into the replay form on first
+	// use and otherwise left as it is. Decoders leave it nil; read a
+	// decoded trace through Len and Expand.
 	Events []Event
 
-	// cols caches the decode-once columnar view of the access events (see
-	// accessCols). Built lazily on the first replay; replays of one trace
-	// then dispatch zero-copy slices of it.
+	// cols is the one in-memory form (see accessCols): set by the decoder,
+	// or built from Events on first use. Immutable once set, so replays of
+	// one trace share it.
 	cols atomic.Pointer[accessCols]
+	// framed is the all-binary version-2 input the trace was decoded
+	// from, if it was (Framed).
+	framed []byte
 }
+
+// columns returns the trace's column form, compacting Events on first
+// use. The build is idempotent and the result immutable, so concurrent
+// replays of one trace race only on which identical column set gets
+// cached.
+func (t *Trace) columns() *accessCols {
+	if c := t.cols.Load(); c != nil {
+		return c
+	}
+	c := &accessCols{}
+	c.build(t.Events)
+	c.trim()
+	t.cols.CompareAndSwap(nil, c)
+	return t.cols.Load()
+}
+
+// decoded returns the column form of a decoded trace, nil for a trace
+// built in memory.
+func (t *Trace) decoded() *accessCols {
+	if t.Events != nil {
+		return nil
+	}
+	return t.cols.Load()
+}
+
+// Len returns the number of events in the trace.
+func (t *Trace) Len() int {
+	if c := t.decoded(); c != nil {
+		return c.len()
+	}
+	return len(t.Events)
+}
+
+// Expand returns the trace's events in order: Events itself for a trace
+// built in memory, else a fresh expansion of the decoded form, nil for an
+// empty one. Expanding costs an Event and an access payload per access, so
+// the replay and spool paths never do it. Callers must not modify the
+// payloads, which a decoded trace shares.
+func (t *Trace) Expand() []Event {
+	c := t.decoded()
+	if c == nil || c.len() == 0 {
+		return t.Events
+	}
+	out := make([]Event, 0, c.len())
+	accs := make([]ompt.AccessEvent, 0, len(c.addrs))
+	_ = c.each(func(e *Event) error {
+		ev := *e
+		if e.Kind == KindAccess {
+			accs = append(accs, *e.Access)
+			ev.Access = &accs[len(accs)-1]
+		}
+		out = append(out, ev)
+		return nil
+	})
+	return out
+}
+
+// each calls fn with every event of the trace in order. For a decoded
+// trace the event an access arrives in is reused between calls.
+func (t *Trace) each(fn func(*Event) error) error {
+	if c := t.decoded(); c != nil {
+		return c.each(fn)
+	}
+	for i := range t.Events {
+		if err := fn(&t.Events[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Framed returns the framed input the trace was decoded from when that
+// input was all version 2 (header and every payload), else nil: traces
+// built in memory, JSON-lines and version-1 inputs keep no bytes. The
+// bytes passed every check of the decode, so writing them out is
+// equivalent to SaveFramed, without the encoding. Callers must not modify
+// them.
+func (t *Trace) Framed() []byte { return t.framed }
 
 // Replay drives the trace through the given tools, in recorded order.
 func (t *Trace) Replay(toolList ...ompt.Tool) error {
@@ -212,6 +306,8 @@ func dispatchEvent(d *ompt.Dispatcher, e *Event) error {
 			return payloadErr(e)
 		}
 		d.Alloc(*e.Alloc)
+	case KindAccess: // an access with its payload is a column row, never a barrier
+		return payloadErr(e)
 	default:
 		return fmt.Errorf("trace: event %d: unknown kind %q", e.Seq, e.Kind)
 	}
@@ -264,10 +360,8 @@ func (e *Event) validate() error {
 func (t *Trace) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range t.Events {
-		if err := enc.Encode(&t.Events[i]); err != nil {
-			return err
-		}
+	if err := t.each(func(e *Event) error { return enc.Encode(e) }); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -300,37 +394,101 @@ func Load(r io.Reader) (*Trace, error) {
 // *CorruptionError with a byte offset) or JSON lines (Save's output,
 // failures reported with the offending line number; blank lines are
 // skipped). Inputs exceeding the limits fail with ErrTooManyEvents or
-// ErrTooManyBytes.
+// ErrTooManyBytes. It reads r to its end, or a little past MaxBytes, and
+// decodes what it read as Decode does.
 func LoadLimited(r io.Reader, lim Limits) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	data, err := readInput(r, lim.MaxBytes)
+	return decode(data, lim, err)
+}
+
+// readSlack is how far past Limits.MaxBytes LoadLimited reads. The frame
+// header that crosses the limit then lies inside what was read, so an
+// input longer than that fails inside it, exactly as it does in
+// PushDecoder: with the corruption or limit error of the first frame that
+// breaks a rule. (The frame that crosses MaxBytes+readSlack either has its
+// header inside what was read, which puts its end past MaxBytes, or starts
+// past MaxBytes+8, so the frame before it ended past MaxBytes.) A
+// JSON-lines input that long fails its byte count.
+const readSlack = 2 * frameHeaderSize
+
+// readInput reads r to its end, or to maxBytes+readSlack bytes when
+// maxBytes is positive. A reader that reports its length (a bytes.Reader,
+// say) is read into storage of about its size. A read failure is returned
+// with the bytes read before it.
+func readInput(r io.Reader, maxBytes int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		n := int64(l.Len())
+		if maxBytes > 0 {
+			n = min(n, maxBytes+readSlack)
+		}
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if maxBytes > 0 {
+		r = io.LimitReader(r, maxBytes+readSlack)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// Decode decodes a trace held in memory, in either encoding, with
+// LoadLimited's checks and errors. A framed input that is version 2
+// throughout is kept (Framed), without a copy unless data's capacity
+// exceeds its length by more than an eighth, so the caller must not modify
+// data afterwards.
+func Decode(data []byte, lim Limits) (*Trace, error) {
+	return decode(data, lim, nil)
+}
+
+// decode is Decode of an input whose read failed with readErr, after the
+// bytes in data. Both encodings decode straight into the column form.
+func decode(data []byte, lim Limits, readErr error) (*Trace, error) {
+	c := &accessCols{}
 	t := &Trace{}
-	var err error
 	// A JSON line opens with '{' (or whitespace), so the magic is an
-	// unambiguous discriminator. Peek errors (including an input shorter
-	// than the magic) fall through to the JSON-lines path, which handles
-	// empty and truncated input with its historical errors.
-	if head, perr := br.Peek(len(traceMagic)); perr == nil && bytes.Equal(head, traceMagic) {
-		err = t.decodeFramed(br, lim)
+	// unambiguous discriminator. An input shorter than the magic goes to
+	// the JSON-lines path, which handles empty and truncated input with
+	// its historical errors.
+	if !bytes.HasPrefix(data, traceMagic) {
+		if err := decodeJSONLines(data, lim, c, readErr); err != nil {
+			return nil, err
+		}
 	} else {
-		err = t.decodeJSONLines(br, lim)
+		d := &PushDecoder{lim: lim, cols: c}
+		if err := d.Push(data, nil); err != nil {
+			return nil, err
+		}
+		if readErr == nil && (!d.headerDone || len(d.tail) > 0) {
+			readErr = io.ErrUnexpectedEOF
+		}
+		if readErr != nil {
+			return nil, d.tornEnd(readErr)
+		}
+		if !d.dec.v1 {
+			t.framed = fit(data)
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
+	c.trim()
+	t.cols.Store(c)
 	return t, nil
 }
 
-// decodeJSONLines appends the events of a JSON-lines trace to t.Events.
-func (t *Trace) decodeJSONLines(br *bufio.Reader, lim Limits) error {
+// decodeJSONLines appends the events of a JSON-lines trace to c.
+func decodeJSONLines(data []byte, lim Limits, c *accessCols, readErr error) error {
 	var read int64
 	for line := 1; ; line++ {
-		raw, err := br.ReadBytes('\n')
+		raw := data
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			raw, data = data[:nl+1], data[nl+1:]
+		} else {
+			data = nil
+		}
 		read += int64(len(raw))
 		if lim.MaxBytes > 0 && read > lim.MaxBytes {
 			return fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, lim.MaxBytes)
 		}
 		if trimmed := bytes.TrimSpace(raw); len(trimmed) > 0 {
-			if lim.MaxEvents > 0 && len(t.Events) >= lim.MaxEvents {
+			if lim.MaxEvents > 0 && c.len() >= lim.MaxEvents {
 				return fmt.Errorf("%w: more than %d events (line %d)", ErrTooManyEvents, lim.MaxEvents, line)
 			}
 			var e Event
@@ -340,13 +498,13 @@ func (t *Trace) decodeJSONLines(br *bufio.Reader, lim Limits) error {
 			if verr := e.validate(); verr != nil {
 				return fmt.Errorf("trace: line %d: %w", line, verr)
 			}
-			t.Events = append(t.Events, e)
+			c.add(&e)
 		}
-		if err == io.EOF {
+		if len(data) == 0 {
+			if readErr != nil {
+				return fmt.Errorf("trace: line %d: %w", line, readErr)
+			}
 			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: line %d: %w", line, err)
 		}
 	}
 }

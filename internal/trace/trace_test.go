@@ -153,8 +153,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Events) != len(tr.Events) {
-		t.Fatalf("round trip: %d events, want %d", len(back.Events), len(tr.Events))
+	if back.Len() != len(tr.Events) {
+		t.Fatalf("round trip: %d events, want %d", back.Len(), len(tr.Events))
 	}
 	// Replaying the loaded trace still finds the bug.
 	a := tools.NewArbalestFull(nil)
