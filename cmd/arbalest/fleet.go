@@ -2,8 +2,8 @@
 // federated fleet view (GET /v1/fleet/status) and prints it — worker
 // liveness, lease/fencing counters, queue pressure, and the span-derived
 // job latency digest. The endpoint answers in every role: a standalone
-// daemon reports its inline replay pool as one synthetic worker, so the
-// same invocation works against any deployment.
+// daemon reports its inline replay pool and no workers, so the same
+// invocation works against any deployment.
 package main
 
 import (
@@ -58,6 +58,9 @@ func fleetStatus(baseURL string, jsonOut bool) int {
 		fmt.Printf("job latency: p50=%s p99=%s over %d traced job(s)\n",
 			time.Duration(jl.P50Nanos).Round(time.Microsecond),
 			time.Duration(jl.P99Nanos).Round(time.Microsecond), jl.Count)
+	}
+	if p := st.Pool; p != nil {
+		fmt.Printf("pool: %d running of %d\n", p.Running, p.Size)
 	}
 	fmt.Printf("workers (%d):\n", len(st.Workers))
 	now := time.Now()

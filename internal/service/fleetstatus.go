@@ -1,8 +1,8 @@
 // Federated fleet status: GET /v1/fleet/status aggregates per-worker
 // liveness, lease and fencing counters, queue depths, and span-derived job
 // latencies into one view. In coordinator mode the worker table comes from
-// the attached coordinator; in standalone mode the endpoint degrades
-// gracefully by reporting the worker pool as one synthetic worker, so
+// the attached coordinator; in standalone mode the worker table is empty
+// and the in-process worker pool is reported as what it is, a pool, so
 // dashboards and the arbalest -fleet-status client work against any role.
 package service
 
@@ -10,7 +10,6 @@ import (
 	"context"
 	"net/http"
 	"sort"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -47,9 +46,11 @@ type LatencySummary struct {
 type FleetStatus struct {
 	// Role is "coordinator" when a fleet source is wired, else "standalone".
 	Role string `json:"role"`
-	// Workers is the fleet's worker table. Standalone daemons report one
-	// synthetic "inline-pool" worker covering the in-process worker pool.
+	// Workers is the fleet's worker table, empty on a standalone daemon.
 	Workers []dist.WorkerInfo `json:"workers"`
+	// Pool is a standalone daemon's in-process worker pool; nil on a
+	// coordinator, whose pool feeds the fleet.
+	Pool *PoolStatus `json:"pool,omitempty"`
 	// Pending and Leased are fleet queue pressure (coordinator: the jobs
 	// pool workers hold for a lease, and the leased ones; standalone:
 	// Pending is the job queue depth, Leased the jobs currently running).
@@ -66,6 +67,14 @@ type FleetStatus struct {
 	// JobLatency digests the durations of closed job traces in the store
 	// (p50/p99); nil until at least one traced job finished.
 	JobLatency *LatencySummary `json:"jobLatency,omitempty"`
+}
+
+// PoolStatus is the in-process worker pool of a standalone daemon.
+type PoolStatus struct {
+	// Size is how many jobs the pool runs at once (Config.Workers).
+	Size int `json:"size"`
+	// Running is how many jobs it is running now.
+	Running int `json:"running"`
 }
 
 // FleetStatus assembles the federated status view.
@@ -96,16 +105,10 @@ func (s *Service) FleetStatus() FleetStatus {
 		st.Counters = snap.Counters
 		return st
 	}
-	// Standalone: no coordinator, no lease table — report the worker pool
-	// as one synthetic always-live worker so fleet tooling sees the same
-	// shape everywhere.
+	// Standalone: no coordinator and no workers, just the pool.
 	st.Role = "standalone"
-	st.Workers = []dist.WorkerInfo{{
-		ID:       "inline-pool",
-		LastSeen: time.Now(),
-		Live:     true,
-		Leases:   running,
-	}}
+	st.Workers = []dist.WorkerInfo{}
+	st.Pool = &PoolStatus{Size: s.cfg.Workers, Running: running}
 	st.Pending = depth
 	st.Leased = running
 	return st

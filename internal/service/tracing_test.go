@@ -35,7 +35,7 @@ func getJSON(t *testing.T, url string, out any) {
 // one traced job: a client-minted traceparent joins the job to the caller's
 // trace, the trace is listable, fetchable as a tree and as OTLP/JSON,
 // exportable in bulk, and the standalone fleet status reports the inline
-// pool as a synthetic worker with a span-derived latency digest.
+// pool as a pool, with no workers, and a span-derived latency digest.
 func TestTraceHTTPAndStandaloneFleetStatus(t *testing.T) {
 	tr := recordTrace(t, 22)
 	s := New(Config{Workers: 1, QueueSize: 8})
@@ -101,8 +101,8 @@ func TestTraceHTTPAndStandaloneFleetStatus(t *testing.T) {
 	if st.Role != "standalone" {
 		t.Errorf("role = %q, want standalone", st.Role)
 	}
-	if len(st.Workers) != 1 || st.Workers[0].ID != "inline-pool" || !st.Workers[0].Live {
-		t.Errorf("standalone workers = %+v, want one live inline-pool", st.Workers)
+	if len(st.Workers) != 0 || st.Pool == nil || st.Pool.Size != 1 || st.Pool.Running != 0 {
+		t.Errorf("standalone workers = %+v, pool = %+v, want no workers and an idle pool of 1", st.Workers, st.Pool)
 	}
 	if st.Traces != 1 {
 		t.Errorf("status reports %d traces, want 1", st.Traces)

@@ -22,10 +22,10 @@ import (
 // cap still advance the root span's progress counts.
 const maxIngestSpans = 32
 
-// batchCap bounds how many accepted events a session collects before it
-// spools their frames in one write and replays them. The batch, its columns
-// and its frames are per-session memory; 256 also replayed faster than
-// 1024.
+// batchCap bounds how many accepted events a session decodes into its
+// driver's window before it spools their frames in one write and replays
+// them. The window's columns and the frames are per-session memory; 256
+// also replayed faster than 1024.
 const batchCap = 256
 
 // Status is a session's position in its lifecycle. Sessions are born live
@@ -44,11 +44,12 @@ const (
 )
 
 // Session is one live ingestion stream: sequential replay with the trace
-// still arriving. Framed chunks are decoded as they come, checked against
-// the sequence-number protocol, and handed in small batches to the replay
-// driver every batch replay uses. At most one ingest request feeds a
-// session at a time (StartIngest/Feed/FinishIngest/EndIngest); findings
-// reads and lifecycle transitions may race freely with the feed.
+// still arriving. Framed chunks are decoded as they come, each event
+// checked against the sequence-number protocol and decoded straight into
+// the window of the replay driver every batch replay uses, which replays
+// it in small batches. At most one ingest request feeds a session at a
+// time (StartIngest/Feed/FinishIngest/EndIngest); findings reads and
+// lifecycle transitions may race freely with the feed.
 type Session struct {
 	hub  *Hub
 	id   string
@@ -66,17 +67,17 @@ type Session struct {
 	tquota    *tenant.Tenant
 	quotaHeld bool
 	reserved  int64
-	// analyzer, cp and replay are the live analysis state, and batch and
-	// frames the buffers that feed it. They are dropped when the session
-	// goes terminal, and are nil for sessions recovered as history. The
-	// driver holds the stream position and the latest checkpoint boundary;
-	// s.mu orders its calls, which run on whichever goroutine feeds.
+	// analyzer, cp and replay are the live analysis state, and frames the
+	// buffer that feeds the spool. They are dropped when the session goes
+	// terminal, and are nil for sessions recovered as history. The driver
+	// holds the stream position, the latest checkpoint boundary and, in its
+	// window, the accepted events not yet spooled and replayed; s.mu orders
+	// its calls, which run on whichever goroutine feeds.
 	analyzer tools.Analyzer
 	cp       tools.Checkpointer
 	replay   *trace.Replayer
-	// batch holds the accepted events not yet spooled and replayed, and
-	// frames their frames as they arrived, for the spool.
-	batch  []trace.Event
+	// frames holds the frames of the window's events as they arrived, for
+	// the spool.
 	frames []byte
 	// reports holds a failed or evicted session's findings once its
 	// analyzer is dropped.
@@ -329,7 +330,7 @@ func (s *Session) dropAnalyzerLocked(release bool) {
 		rel.Release()
 	}
 	s.analyzer, s.cp, s.replay = nil, nil, nil
-	s.batch, s.frames = nil, nil
+	s.frames = nil
 }
 
 // notifyLocked wakes every long-poller; the caller must hold s.mu.
@@ -467,9 +468,9 @@ func (s *Session) FinishIngest() error {
 	return nil
 }
 
-// push decodes data through dec and replays the events it accepts, those
-// accepted before an error included. Runs under s.mu (Feed) or
-// single-threaded during recovery.
+// push decodes data through dec into the driver's window and replays the
+// events it accepts, those accepted before an error included. Runs under
+// s.mu (Feed) or single-threaded during recovery.
 func (s *Session) push(dec *trace.PushDecoder, data []byte) (err error) {
 	// The analyzer runs arbitrary VSM code; a panic must fail this session,
 	// not the daemon — in recovery too, since a batch is spooled before it
@@ -479,60 +480,60 @@ func (s *Session) push(dec *trace.PushDecoder, data []byte) (err error) {
 			err = fmt.Errorf("stream: analyzer panic: %v", r)
 		}
 	}()
-	err = dec.Push(data, func(e *trace.Event) error { return s.accept(dec, e) })
+	err = dec.PushWindow(data, s.replay, func(seq uint64) (bool, error) { return s.accept(dec, seq) })
 	if ferr := s.flush(); err == nil {
 		err = ferr
 	}
 	return err
 }
 
-// accept enforces the sequence-number protocol on one decoded event and
-// collects it into the batch, flushing a full batch.
-func (s *Session) accept(dec *trace.PushDecoder, e *trace.Event) error {
-	next := s.events + uint64(len(s.batch))
-	if e.Seq < next {
-		return nil // duplicate from a client resend: already applied
+// accept enforces the sequence-number protocol on one decoded event,
+// reporting whether it joins the window, and flushes a full window first.
+func (s *Session) accept(dec *trace.PushDecoder, seq uint64) (bool, error) {
+	pending := s.replay.WindowLen()
+	next := s.events + uint64(pending)
+	if seq < next {
+		return false, nil // duplicate from a client resend: already applied
 	}
-	if e.Seq > next {
-		return &trace.CorruptionError{Offset: dec.Offset(), Reason: fmt.Sprintf("sequence gap: event %d arrived, session expects %d", e.Seq, next)}
+	if seq > next {
+		return false, &trace.CorruptionError{Offset: dec.Offset(), Reason: fmt.Sprintf("sequence gap: event %d arrived, session expects %d", seq, next)}
 	}
 	if m := s.hub.cfg.MaxEvents; m > 0 && next >= uint64(m) {
-		return fmt.Errorf("%w: more than %d events", trace.ErrTooManyEvents, m)
+		return false, fmt.Errorf("%w: more than %d events", trace.ErrTooManyEvents, m)
 	}
-	if s.batch == nil {
-		s.batch = make([]trace.Event, 0, batchCap)
+	if pending == batchCap {
+		if err := s.flush(); err != nil {
+			return false, err
+		}
 	}
-	s.batch = append(s.batch, *e)
 	if s.spool != nil {
 		s.frames = append(s.frames, dec.Frame()...)
 	}
-	if len(s.batch) == batchCap {
-		return s.flush()
-	}
-	return nil
+	return true, nil
 }
 
-// flush appends the batch's frames, as they arrived, to the spool in one
-// write, then replays the batch as the stream's next events. The driver
+// flush appends the window's frames, as they arrived, to the spool in one
+// write, then replays the window as the stream's next events. The driver
 // checkpoints by batch replay's rule, at batch replay's boundaries, and a
-// checkpoint never outruns the spool: the whole batch is written before
-// any of it is replayed.
+// checkpoint never outruns the spool: the whole window is written before
+// any of it is replayed, and a window that was not written is dropped.
 func (s *Session) flush() error {
-	batch := s.batch
-	if len(batch) == 0 {
+	if s.replay.WindowLen() == 0 {
 		return nil
 	}
 	frames := s.frames
-	s.batch, s.frames = batch[:0], frames[:0]
+	s.frames = frames[:0]
 	if s.spool != nil {
 		if _, err := s.spool.Write(frames); err != nil {
+			s.replay.ClearWindow()
 			return fmt.Errorf("stream: spool append: %w", err)
 		}
 	}
 	if err := faultinject.Fire("stream.replay"); err != nil {
+		s.replay.ClearWindow()
 		return err
 	}
-	st, err := s.replay.ReplayWindow(context.Background(), batch)
+	st, err := s.replay.ReplayWindow(context.Background())
 	s.events += st.Events
 	s.hub.metrics.eventsTotal.Add(st.Events)
 	return err

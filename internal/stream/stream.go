@@ -7,11 +7,12 @@
 // here is sequential replay with the trace still arriving. A client opens a
 // session, then ships framed event chunks over one or more ingest requests;
 // each chunk is decoded incrementally (trace.PushDecoder), the session
-// checks each event's sequence number and collects the accepted events into
-// small batches, and each batch goes to the replay driver batch replay uses
-// (trace.Replayer) as the stream's next events — sequential dispatch, the
-// same Seq-derived replay clocks — so the findings a session accumulates
-// are byte-identical to trace.ReplayDurable over the same events. Findings
+// checks each event's sequence number as it is decoded, and the accepted
+// events go straight into the window of the replay driver batch replay
+// uses (trace.Replayer), which replays them in small batches as the
+// stream's next events — sequential dispatch, the same Seq-derived replay
+// clocks — so the findings a session accumulates are byte-identical to
+// trace.ReplayDurable over the same events. Findings
 // are readable mid-stream with a long-poll cursor; the min-seq dedup in
 // report.Sink makes the stream's incremental report list append-only, so a
 // plain integer cursor is a stable resume token.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -165,6 +166,40 @@ func TestTraceStoreBounds(t *testing.T) {
 	}
 	if durs := ts.DurationsByName("job"); len(durs) != 2 {
 		t.Errorf("DurationsByName = %v, want 2 closed roots", durs)
+	}
+}
+
+// TestTraceStoreSpanGauge: after every step of a random mix of inserts,
+// replacements (with trees that grew or shrank), ring evictions and
+// removals, arbalestd_trace_spans_active equals the walk SpanCount does.
+func TestTraceStoreSpanGauge(t *testing.T) {
+	reg := NewRegistry()
+	ts := NewTraceStore(8, 1, reg)
+	rng := rand.New(rand.NewPCG(1, 2))
+	tree := func() *Span {
+		root := NewSpan("job", time.Unix(1754000000, 0))
+		for range rng.IntN(4) {
+			child := root.StartChild("phase", time.Time{})
+			for range rng.IntN(3) {
+				child.StartChild("step", time.Time{})
+			}
+		}
+		return root
+	}
+	ids := make([]string, 20)
+	for i := range ids {
+		ids[i] = NewTraceContext().TraceID
+	}
+	for step := range 2000 {
+		id := ids[rng.IntN(len(ids))]
+		if rng.IntN(4) == 0 {
+			ts.Remove(id)
+		} else {
+			ts.Put(id, tree()) // insert, evict past capacity, or replace
+		}
+		if got, want := ts.spansGauge.Value(), int64(ts.SpanCount()); got != want {
+			t.Fatalf("step %d: arbalestd_trace_spans_active = %d, SpanCount = %d", step, got, want)
+		}
 	}
 }
 

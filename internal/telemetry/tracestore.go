@@ -31,6 +31,9 @@ type TraceStore struct {
 	mu      sync.Mutex
 	entries map[string]*Span
 	order   []string // insertion order; index 0 is evicted first
+	// spans is the running total of spans across entries, kept as trees
+	// come and go so the span gauge never walks the store.
+	spans int
 
 	stored     *Counter
 	evicted    *Counter
@@ -105,7 +108,9 @@ func (ts *TraceStore) Put(id string, root *Span) {
 		return
 	}
 	ts.mu.Lock()
-	if _, ok := ts.entries[id]; !ok {
+	if old, ok := ts.entries[id]; ok {
+		ts.spans -= old.SpanCount()
+	} else {
 		ts.order = append(ts.order, id)
 		if ts.stored != nil {
 			ts.stored.Inc()
@@ -113,6 +118,7 @@ func (ts *TraceStore) Put(id string, root *Span) {
 		for len(ts.order) > ts.capacity {
 			oldest := ts.order[0]
 			ts.order = ts.order[1:]
+			ts.spans -= ts.entries[oldest].SpanCount()
 			delete(ts.entries, oldest)
 			if ts.evicted != nil {
 				ts.evicted.Inc()
@@ -120,6 +126,7 @@ func (ts *TraceStore) Put(id string, root *Span) {
 		}
 	}
 	ts.entries[id] = root
+	ts.spans += root.SpanCount()
 	ts.updateGaugesLocked()
 	ts.mu.Unlock()
 }
@@ -141,7 +148,8 @@ func (ts *TraceStore) Remove(id string) {
 		return
 	}
 	ts.mu.Lock()
-	if _, ok := ts.entries[id]; ok {
+	if old, ok := ts.entries[id]; ok {
+		ts.spans -= old.SpanCount()
 		delete(ts.entries, id)
 		for i, v := range ts.order {
 			if v == id {
@@ -168,7 +176,9 @@ func (ts *TraceStore) Len() int {
 }
 
 // SpanCount returns the total spans across stored traces — what the chaos
-// suite bounds to prove the store cannot leak while workers crash.
+// suite bounds to prove the store cannot leak while workers crash. It
+// walks every stored tree, independently of the running total behind the
+// span gauge.
 func (ts *TraceStore) SpanCount() int {
 	if ts == nil {
 		return 0
@@ -246,16 +256,12 @@ func (ts *TraceStore) DurationsByName(name string) []int64 {
 	return out
 }
 
-// updateGaugesLocked refreshes the active-trace and active-span gauges.
-// Callers hold ts.mu.
+// updateGaugesLocked refreshes the active-trace and active-span gauges in
+// constant time. Callers hold ts.mu.
 func (ts *TraceStore) updateGaugesLocked() {
 	if ts.active == nil {
 		return
 	}
 	ts.active.Set(int64(len(ts.entries)))
-	n := 0
-	for _, root := range ts.entries {
-		n += root.SpanCount()
-	}
-	ts.spansGauge.Set(int64(n))
+	ts.spansGauge.Set(int64(ts.spans))
 }

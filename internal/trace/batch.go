@@ -10,11 +10,12 @@
 // clock pre-stamped, plus the non-access (barrier) events, each with its
 // stream position. The framed decoder writes frames straight into this
 // form, a trace built in memory (Trace.Events) is compacted into it on
-// first use, and a stream session's window of events gets the same
-// columns, built into storage the driver reuses. Each replay dispatches
-// zero-copy slice views of the columns between barriers, so the set of
-// dispatched events at any observable point matches a per-event loop
-// exactly, and so do the findings and checkpoint states.
+// first use, and a stream session decodes its frames straight into a
+// window of the same columns, storage the driver reuses. A whole trace
+// counts its rows and barriers first and allocates each column once. Each
+// replay dispatches zero-copy slice views of the columns between barriers,
+// so the set of dispatched events at any observable point matches a
+// per-event loop exactly, and so do the findings and checkpoint states.
 package trace
 
 import (
@@ -106,9 +107,10 @@ type row struct {
 func (c *accessCols) len() int { return len(c.addrs) + len(c.barriers) }
 
 // appendRow appends one access row: the one row-append path of decoding,
-// compaction and stream windows. Every column grows together, doubling
-// when a decode outgrows them, so a long trace is copied about twice in
-// all.
+// compaction and stream windows. Decode and compaction count their rows
+// first and size every column once (alloc), so they never grow one; only
+// JSON lines and version-1 frames, which cannot be counted without
+// decoding them, grow the columns by doubling as they go.
 func (c *accessCols) appendRow(r *row) {
 	if len(c.addrs) == cap(c.addrs) {
 		c.grow(max(len(c.addrs), 256))
@@ -137,16 +139,23 @@ func (c *accessCols) grow(n int) {
 	c.sites = slices.Grow(c.sites, n)
 }
 
+// alloc sizes an empty c for rows access rows and barriers barriers, one
+// allocation per column: the sizing rule of every whole-trace build.
+func (c *accessCols) alloc(rows, barriers int) {
+	c.grow(rows)
+	c.barriers = make([]barrier, 0, barriers)
+}
+
 // add appends e as the next event: an access as a row, its site interned
 // by value, and anything else as a barrier. A malformed access (no
 // payload) becomes a barrier too, which the replay loop rejects when it
 // reaches it, so a hand-built malformed trace fails cleanly.
 func (c *accessCols) add(e *Event) {
-	a := e.Access
-	if e.Kind != KindAccess || a == nil {
+	if !isRow(e) {
 		c.barriers = append(c.barriers, barrier{pos: c.len(), ev: *e})
 		return
 	}
+	a := e.Access
 	c.appendRow(&row{
 		addr: a.Addr, size: a.Size, write: a.Write, device: a.Device,
 		task: a.Task, thread: a.Thread, base: a.Base, clock: e.Seq + 1,
@@ -154,40 +163,34 @@ func (c *accessCols) add(e *Event) {
 	})
 }
 
-// build refills c with events, reusing its storage: a trace's compaction
-// and each stream window. The site table carries over from earlier builds:
-// new sites are appended and no entry changes.
-func (c *accessCols) build(events []Event) {
-	c.addrs, c.sizes, c.writes = c.addrs[:0], c.sizes[:0], c.writes[:0]
-	c.devices, c.tasks, c.threads = c.devices[:0], c.tasks[:0], c.threads[:0]
-	c.bases, c.clocks, c.sites = c.bases[:0], c.clocks[:0], c.sites[:0]
-	clear(c.barriers) // drop the previous window's payloads
-	c.barriers = c.barriers[:0]
-	c.grow(len(events))
+// isRow reports whether add makes e a row.
+func isRow(e *Event) bool { return e.Kind == KindAccess && e.Access != nil }
+
+// compact builds an empty c from a trace built in memory: it counts the
+// events' rows, sizes the columns once, and adds every event. The site
+// index, which only building needs, is dropped.
+func (c *accessCols) compact(events []Event) {
+	rows := 0
+	for i := range events {
+		if isRow(&events[i]) {
+			rows++
+		}
+	}
+	c.alloc(rows, len(events)-rows)
 	for i := range events {
 		c.add(&events[i])
 	}
-}
-
-// trim fits a built trace's storage to its length and drops the site
-// index, which only building needs: a decoded trace lives until its job
-// finishes, and grown by doubling its columns could hold up to twice its
-// rows.
-func (c *accessCols) trim() {
-	c.addrs, c.sizes, c.writes = fit(c.addrs), fit(c.sizes), fit(c.writes)
-	c.devices, c.tasks, c.threads = fit(c.devices), fit(c.tasks), fit(c.threads)
-	c.bases, c.clocks, c.sites = fit(c.bases), fit(c.clocks), fit(c.sites)
-	c.barriers = fit(c.barriers)
 	c.table.ords = nil
 }
 
-// fit returns s in storage of its own length when that frees more than an
-// eighth of its capacity, else s itself.
-func fit[T any](s []T) []T {
-	if cap(s)-len(s) <= len(s)/8 {
-		return s
-	}
-	return append(make([]T, 0, len(s)), s...)
+// reset empties a stream window for its next events, keeping its storage
+// and its site table, which only grows.
+func (c *accessCols) reset() {
+	c.addrs, c.sizes, c.writes = c.addrs[:0], c.sizes[:0], c.writes[:0]
+	c.devices, c.tasks, c.threads = c.devices[:0], c.tasks[:0], c.threads[:0]
+	c.bases, c.clocks, c.sites = c.bases[:0], c.clocks[:0], c.sites[:0]
+	clear(c.barriers) // drop the window's payloads
+	c.barriers = c.barriers[:0]
 }
 
 // view returns a zero-copy AccessBatch over column rows [lo, hi). The

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -58,6 +59,52 @@ func TestDecodedTraceBytesPerEvent(t *testing.T) {
 	t.Logf("%d decoded traces retain %d bytes over %d events (%.0f per event)", len(decoded), after-before, events, perEvent)
 	if perEvent > maxPerEvent {
 		t.Errorf("decoded traces retain %.0f bytes per event, want at most %d", perEvent, maxPerEvent)
+	}
+}
+
+// allocatedBytes returns the bytes fn allocates on the heap.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeBytesPerEvent guards what decoding allocates, where
+// TestDecodeAllocationsPerEvent counts objects: Decode of the six
+// submit-fig8 inputs, each in a slice of exactly its length, allocates at
+// most 64 bytes per event. The columns hold 57 bytes per access row and
+// are sized before the decode, so nothing is grown or copied. It counts
+// bytes, not time, so it holds on any host.
+func TestDecodeBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const maxPerEvent = 64
+	var inputs [][]byte
+	events := 0
+	for _, tr := range specTraces(t, omp.Config{NumThreads: 2, ForceSync: true}, 2) {
+		data := framedBytes(t, tr)
+		inputs = append(inputs, data[:len(data):len(data)])
+		events += len(tr.Events)
+	}
+	decodeAll := func() {
+		for _, data := range inputs {
+			if _, err := trace.Decode(data, trace.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decodeAll() // warm up
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		best = min(best, allocatedBytes(decodeAll))
+	}
+	perEvent := float64(best) / float64(events)
+	t.Logf("decoding %d inputs allocates %d bytes over %d events (%.1f per event)", len(inputs), best, events, perEvent)
+	if perEvent > maxPerEvent {
+		t.Errorf("decoding allocates %.1f bytes per event, want at most %d", perEvent, maxPerEvent)
 	}
 }
 

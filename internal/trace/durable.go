@@ -109,10 +109,11 @@ type Replayer struct {
 	// next is the position of the next event to dispatch, last the
 	// boundary of the latest checkpoint.
 	next, last uint64
-	// win is ReplayWindow's column storage, rebuilt in place per window.
-	// Its site table only grows: consumers cache their translation of a
-	// table keyed on its first element and length, so an entry changed in
-	// place would go unnoticed.
+	// win is the window PushWindow decodes a stream's events into and
+	// ReplayWindow replays, its storage reused from window to window. Its
+	// site table only grows: consumers cache their translation of a table
+	// keyed on its first element and length, so an entry changed in place
+	// would go unnoticed.
 	win accessCols
 }
 
@@ -147,21 +148,26 @@ func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList
 	return st, err
 }
 
-// ReplayWindow dispatches events as the driver's next positions: after n
-// events dispatched so far (StartEvent included), events[k] is event n+k of
-// the stream. Their columns are built into storage the driver reuses, and
-// checkpoints fall exactly where ReplayDurable over the whole stream would
-// put them, however the stream is split into windows. Stats count the
-// events this call dispatched. The caller owns events: the driver keeps no
-// reference to the slice once the call returns, only to the payloads of
-// its barrier events, until the next call.
-func (r *Replayer) ReplayWindow(ctx context.Context, events []Event) (ReplayStats, error) {
-	r.win.build(events)
+// WindowLen returns how many events the driver's window holds: decoded into
+// it by PushWindow and not yet replayed.
+func (r *Replayer) WindowLen() int { return r.win.len() }
+
+// ReplayWindow dispatches the window's events as the driver's next
+// positions, then empties the window: after n events dispatched so far
+// (StartEvent included), the window's k-th event is event n+k of the
+// stream. Checkpoints fall exactly where ReplayDurable over the whole
+// stream would put them, however the stream is split into windows. Stats
+// count the events this call dispatched.
+func (r *Replayer) ReplayWindow(ctx context.Context) (ReplayStats, error) {
 	base := r.next
 	st, i, err := r.replay(ctx, &r.win, 0, base)
 	r.next = base + uint64(i)
+	r.win.reset()
 	return st, err
 }
+
+// ClearWindow empties the window without replaying it.
+func (r *Replayer) ClearWindow() { r.win.reset() }
 
 // replay is the dispatch loop: it dispatches the events of c from position
 // from on, where position i is stream position base+i, and returns the

@@ -125,14 +125,13 @@ func appendLoc(b []byte, l *ompt.SourceLoc) []byte {
 }
 
 // payloadDecoder decodes frame payloads for one decode pass (a Decode or
-// one PushDecoder), into either of two sinks: a trace's columns
-// (decodeInto), where an access becomes a row and never an Event, or one
-// Event at a time for a PushDecoder's emit (decodeFrame). It interns
-// strings, so a trace's few distinct tags and file names are allocated
-// once, interns each access's site in a site table, and carves payload
-// structs from slabs, so decoding allocates per slab rather than per
-// event. Decoded events never alias the payload bytes, so callers reuse
-// their frame buffers.
+// one PushDecoder). A binary access decodes to a row, never an Event,
+// except for a PushDecoder's emit (decodeFrame). It interns strings, so a
+// trace's few distinct tags and file names are allocated once, interns
+// each access's site in a site table, and carves payload structs from
+// slabs, so decoding allocates per slab rather than per event. Decoded
+// events never alias the payload bytes, so callers reuse their frame
+// buffers.
 type payloadDecoder struct {
 	strs map[string]string
 	// recent caches interned strings in front of strs, direct-mapped by
@@ -160,13 +159,10 @@ type payloadDecoder struct {
 	allocs  slab[ompt.AllocEvent]
 }
 
-// decodeFrame decodes and validates the payload of the frame at byte off
-// into e, reporting failure as the *CorruptionError both framed decoders
-// return.
+// decodeFrame decodes the payload of the frame at byte off into e, the
+// event a PushDecoder emits: an access's payload is carved from a slab, so
+// it stays valid.
 func (d *payloadDecoder) decodeFrame(off int64, p []byte, e *Event) error {
-	if d.sites == nil {
-		d.sites = &siteTable{}
-	}
 	var r row
 	isRow, err := d.decode(off, p, e, &r)
 	if isRow {
@@ -180,30 +176,16 @@ func (d *payloadDecoder) decodeFrame(off int64, p []byte, e *Event) error {
 	return err
 }
 
-// decodeInto decodes and validates the payload of the frame at byte off as
-// the next event of c: a binary access straight into a row, anything else
-// through an Event.
-func (d *payloadDecoder) decodeInto(off int64, p []byte, c *accessCols) error {
-	d.sites = &c.table
-	var e Event
-	var r row
-	isRow, err := d.decode(off, p, &e, &r)
-	switch {
-	case err != nil:
-		return err
-	case isRow:
-		c.appendRow(&r)
-	default:
-		c.add(&e)
-	}
-	return nil
-}
-
-// decode decodes one payload: a version-1 JSON object when p opens with
-// '{', the version-2 binary encoding otherwise. A binary access fills r,
-// its site interned, and reports true; every other event fills e. Every
-// binary field is range-checked and p must be consumed exactly.
+// decode decodes and validates the payload of the frame at byte off: a
+// version-1 JSON object when p opens with '{', the version-2 binary
+// encoding otherwise. A binary access fills r, its site interned, and e
+// with its sequence number only, and reports true; every other event fills
+// e. Every binary field is range-checked and p must be consumed exactly.
+// Failure is the *CorruptionError both framed decoders return.
 func (d *payloadDecoder) decode(off int64, p []byte, e *Event, r *row) (bool, error) {
+	if d.sites == nil {
+		d.sites = &siteTable{}
+	}
 	if len(p) > 0 && p[0] == '{' {
 		d.v1 = true
 		// A separate Event: unmarshaling into e would move every decoded
@@ -442,7 +424,9 @@ func (r *payloadReader) loc() ompt.SourceLoc {
 // slab hands out pointers to fresh Ts, allocated in chunks that grow from
 // 16 to 256 elements: a long decode allocates per chunk, not per event, and
 // a kind seen once costs a short chunk. Elements are never reused, so a
-// caller may keep what it was handed.
+// caller may keep what it was handed. Barrier payloads come from slabs;
+// access payloads only for a PushDecoder's emit, since Decode and
+// PushWindow decode accesses into rows.
 type slab[T any] struct {
 	free []T
 	size int

@@ -8,7 +8,8 @@
 // CRC. Chunk boundaries are completely decoupled from frame boundaries: a
 // frame may arrive split across a dozen chunks or bundled with a hundred
 // others. LoadLimited and Decode push a whole input through the same loop,
-// decoding into a trace's columns instead of emitting events.
+// decoding into a trace's columns instead of emitting events, and a stream
+// session pushes its chunks into the replay driver's window (PushWindow).
 //
 // All corruption is reported as a *CorruptionError (absolute byte offset +
 // reason), and a decoder that has reported an error stays failed: the byte
@@ -28,15 +29,20 @@ type PushDecoder struct {
 	lim Limits
 	dec payloadDecoder
 	// cols, when set, receives every event as its next row or barrier
-	// (Decode) and no event is emitted; otherwise every frame decodes into
-	// ev for emit.
+	// instead of emit: a whole trace's columns (Decode) or a Replayer's
+	// window (PushWindow), where keep, when set, first decides by sequence
+	// number whether the event is kept. ev and r hold the event being
+	// delivered: a binary access as a row, anything else as an Event.
 	cols *accessCols
+	keep func(seq uint64) (bool, error)
 	ev   Event
-	// frame is the frame of the event being emitted (Frame).
+	r    row
+	// frame is the frame of the event being delivered (Frame).
 	frame []byte
 
 	// tail holds the bytes of an incomplete header or frame, carried over
-	// to the next Push in the decoder's own buffer.
+	// to the next Push in the decoder's own buffer: never more than the
+	// one header or frame a chunk boundary split.
 	tail []byte
 	// off is the absolute stream offset of the first byte not yet consumed
 	// by a complete header or frame — the offset of the next frame (or the
@@ -76,8 +82,8 @@ func (d *PushDecoder) fail(err error) error {
 }
 
 // Frame returns the frame (length, checksum and payload) of the event
-// being emitted, as it arrived. Valid only during emit, which copies it to
-// keep it.
+// being emitted or offered to keep, as it arrived. Valid only during that
+// call, which copies it to keep it.
 func (d *PushDecoder) Frame() []byte { return d.frame }
 
 // Push decodes chunk, after any tail left by earlier pushes, and emits
@@ -92,19 +98,61 @@ func (d *PushDecoder) Push(chunk []byte, emit func(e *Event) error) error {
 	if d.failed != nil {
 		return d.failed
 	}
-	buf := chunk
-	if len(d.tail) > 0 {
-		d.tail = append(d.tail, chunk...)
-		buf = d.tail
-	}
-	n, err := d.decode(buf, emit)
-	if err != nil {
+	if err := d.push(chunk, emit); err != nil {
 		return d.fail(err)
 	}
-	// Keep the unconsumed rest in the decoder's own buffer: buf may be the
-	// caller's chunk. The copy may overlap when buf is the tail itself.
-	d.tail = append(d.tail[:0], buf[n:]...)
 	return nil
+}
+
+// PushWindow decodes chunk as Push does, but into r's window instead of
+// emitting: each event, once decoded, is offered to keep by its sequence
+// number, and if keep returns true it becomes the window's next event, an
+// access straight into a row. keep may replay the window
+// (Replayer.ReplayWindow) to make room before it returns. An error from
+// keep is terminal, as one from emit is. A decoder serves Push or
+// PushWindow, not both.
+func (d *PushDecoder) PushWindow(chunk []byte, r *Replayer, keep func(seq uint64) (bool, error)) error {
+	d.cols, d.keep, d.dec.sites = &r.win, keep, &r.win.table
+	return d.Push(chunk, nil)
+}
+
+// push completes the header or frame an earlier push left split from the
+// front of chunk, copying into the tail only that header or frame's
+// bytes, then decodes the rest of chunk in place and keeps its unfinished
+// end as the new tail.
+func (d *PushDecoder) push(chunk []byte, emit func(e *Event) error) error {
+	for len(d.tail) > 0 && len(chunk) > 0 {
+		n := min(d.unitLen()-len(d.tail), len(chunk))
+		d.tail = append(d.tail, chunk[:n]...)
+		chunk = chunk[n:]
+		// The tail now holds a whole header or frame, a frame header (whose
+		// length decode checks), or chunk ran out.
+		used, err := d.decode(d.tail, emit)
+		if err != nil {
+			return err
+		}
+		d.tail = d.tail[:copy(d.tail, d.tail[used:])]
+	}
+	used, err := d.decode(chunk, emit)
+	if err != nil {
+		return err
+	}
+	d.tail = append(d.tail, chunk[used:]...)
+	return nil
+}
+
+// unitLen returns the length of the header or frame the tail begins, as
+// far as the tail tells it: a frame's length is known once its frame
+// header is whole.
+func (d *PushDecoder) unitLen() int {
+	switch {
+	case !d.headerDone:
+		return len(traceMagic) + 4
+	case len(d.tail) < frameHeaderSize:
+		return frameHeaderSize
+	default:
+		return frameHeaderSize + int(binary.LittleEndian.Uint32(d.tail))
+	}
 }
 
 // decode consumes the header, if still due, and every complete frame at the
@@ -144,24 +192,93 @@ func (d *PushDecoder) decode(buf []byte, emit func(e *Event) error) (int, error)
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
 			return pos, &CorruptionError{Offset: d.off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)}
 		}
+		var isRow bool
+		var err error
 		if d.cols != nil {
-			if err := d.dec.decodeInto(d.off, payload, d.cols); err != nil {
-				return pos, err
-			}
-		} else if err := d.dec.decodeFrame(d.off, payload, &d.ev); err != nil {
+			isRow, err = d.dec.decode(d.off, payload, &d.ev, &d.r)
+		} else {
+			err = d.dec.decodeFrame(d.off, payload, &d.ev)
+		}
+		if err != nil {
 			return pos, err
 		}
 		pos += frameHeaderSize + int(length)
 		d.off += frameHeaderSize + int64(length)
 		d.events++
+		d.frame = frame[:frameHeaderSize+int(length)]
 		if d.cols == nil {
-			d.frame = frame[:frameHeaderSize+int(length)]
-			if err := emit(&d.ev); err != nil {
-				return pos, err
-			}
+			err = emit(&d.ev)
+		} else {
+			err = d.add(isRow)
+		}
+		if err != nil {
+			return pos, err
 		}
 	}
 	return pos, nil
+}
+
+// add appends the event just decoded into the columns, d.r when isRow,
+// else d.ev, once keep, if set, has agreed to it.
+func (d *PushDecoder) add(isRow bool) error {
+	if d.keep != nil {
+		if ok, err := d.keep(d.ev.Seq); !ok || err != nil {
+			return err
+		}
+	}
+	if isRow {
+		d.cols.appendRow(&d.r)
+	} else {
+		d.cols.add(&d.ev)
+	}
+	return nil
+}
+
+// The shortest payloads a valid version-2 event can have: an access is a
+// kind code and twelve fields of at least one byte each (seq, addr, size,
+// write, device, task, thread, base, tag, and loc's file, line and func);
+// the shortest other event, a device-init, is a kind code and four (seq,
+// device, name, unified).
+const (
+	minAccessPayload  = 13
+	minBarrierPayload = 5
+)
+
+// countFrames is Decode's sizing pass over a framed input held whole: it
+// walks the frame headers without checking or decoding a payload and
+// returns how many access rows and barriers the decode can append. It
+// stops where the frame loop must: at a frame past the input's end, the
+// frame-length bound or MaxBytes, and after MaxEvents frames. It only
+// sizes, so it counts a frame by its kind code only when the frame is long
+// enough to hold a valid event of that kind; no input is given more
+// storage than a valid input of its length would fill. Version-1 (JSON)
+// frames count as neither, and their rows grow the columns.
+func countFrames(data []byte, lim Limits) (rows, barriers int) {
+	pos := len(traceMagic) + 4
+	for n := 0; len(data)-pos >= frameHeaderSize; n++ {
+		if lim.MaxEvents > 0 && n >= lim.MaxEvents {
+			break
+		}
+		length := int64(binary.LittleEndian.Uint32(data[pos:]))
+		end := int64(pos) + frameHeaderSize + length
+		if length > MaxFramePayload || end > int64(len(data)) || (lim.MaxBytes > 0 && end > lim.MaxBytes) {
+			break
+		}
+		if length > 0 {
+			switch code := data[pos+frameHeaderSize]; {
+			case code == codeAccess:
+				if length >= minAccessPayload {
+					rows++
+				}
+			case code >= codeDeviceInit && code <= codeAlloc:
+				if length >= minBarrierPayload {
+					barriers++
+				}
+			}
+		}
+		pos = int(end)
+	}
+	return rows, barriers
 }
 
 // Finish declares end-of-stream. Buffered bytes that never completed a frame

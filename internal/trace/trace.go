@@ -177,8 +177,7 @@ func (t *Trace) columns() *accessCols {
 		return c
 	}
 	c := &accessCols{}
-	c.build(t.Events)
-	c.trim()
+	c.compact(t.Events)
 	t.cols.CompareAndSwap(nil, c)
 	return t.cols.Load()
 }
@@ -441,7 +440,9 @@ func Decode(data []byte, lim Limits) (*Trace, error) {
 }
 
 // decode is Decode of an input whose read failed with readErr, after the
-// bytes in data. Both encodings decode straight into the column form.
+// bytes in data. Both encodings decode straight into the column form; a
+// framed input sizes it first (countFrames), so its columns are allocated
+// once and never grown or copied.
 func decode(data []byte, lim Limits, readErr error) (*Trace, error) {
 	c := &accessCols{}
 	t := &Trace{}
@@ -454,7 +455,9 @@ func decode(data []byte, lim Limits, readErr error) (*Trace, error) {
 			return nil, err
 		}
 	} else {
+		c.alloc(countFrames(data, lim))
 		d := &PushDecoder{lim: lim, cols: c}
+		d.dec.sites = &c.table
 		if err := d.Push(data, nil); err != nil {
 			return nil, err
 		}
@@ -465,10 +468,13 @@ func decode(data []byte, lim Limits, readErr error) (*Trace, error) {
 			return nil, d.tornEnd(readErr)
 		}
 		if !d.dec.v1 {
-			t.framed = fit(data)
+			t.framed = data
+			if cap(data)-len(data) > len(data)/8 {
+				t.framed = bytes.Clone(data)
+			}
 		}
 	}
-	c.trim()
+	c.table.ords = nil // only building needs the site index
 	t.cols.Store(c)
 	return t, nil
 }
