@@ -11,7 +11,7 @@
 //	                   (workload, tool) cell, reported as a custom metric
 //
 // plus the ablation microbenchmarks DESIGN.md §5 calls out: VSM transition
-// cost, interval-tree stabbing with and without the last-lookup cache, and
+// cost, interval-index stabbing with and without the last-hit memo, and
 // word- vs region-granularity tracking.
 package repro_test
 
@@ -137,8 +137,9 @@ func BenchmarkVSMTransition(b *testing.B) {
 	_ = w
 }
 
-// BenchmarkIntervalLookup quantifies the last-lookup cache (paper §IV-C:
-// lookups amortize to O(1) because consecutive accesses hit one mapping).
+// BenchmarkIntervalLookup quantifies the range index's last-hit memo (paper
+// §IV-C: lookups amortize to O(1) because consecutive accesses hit one
+// mapping).
 func BenchmarkIntervalLookup(b *testing.B) {
 	const m = 64 // mapped variables
 	tr := interval.New[int]()

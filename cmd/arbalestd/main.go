@@ -92,9 +92,9 @@
 //	GET  /v1/traces/export        every stored trace as one OTLP/JSON export
 //	GET  /v1/fleet/status         federated fleet status (worker liveness,
 //	                              lease/fencing counters, queue depths,
-//	                              span-derived job latencies); standalone
-//	                              daemons report the worker pool as one
-//	                              synthetic worker
+//	                              span-derived job latencies); a standalone
+//	                              daemon reports an empty workers table
+//	                              plus its pool (size, running)
 //	GET  /v1/tenants              every tracked tenant's usage and limits
 //	PUT  /v1/tenants/<name>       tune one tenant's limits live (journaled)
 //	GET  /metrics                 telemetry registry (Prometheus text format)
@@ -193,14 +193,14 @@ func main() {
 	spool := flag.String("spool", "", "spool directory for the write-ahead job journal (empty = jobs are in-memory only and lost on crash)")
 	retainJobs := flag.Int("retain-jobs", 1024, "max finished jobs kept in memory and spool (-1 = unlimited)")
 	retainAge := flag.Duration("retain-age", 0, "evict finished jobs older than this (0 = no age limit)")
-	checkpointEvery := flag.Uint64("checkpoint-every", 0, "checkpoint analyzer state into the spool roughly every N events, enabling crash resume (0 = disabled; needs -spool)")
+	checkpointEvery := flag.Uint64("checkpoint-every", 0, "checkpoint analyzer state roughly every N events, enabling crash resume: into the spool (needs -spool; 0 = disabled), or under -role worker to the coordinator (0 = every 4096 events)")
 	stallTimeout := flag.Duration("job-stall-timeout", 0, "cancel and retry a replay that makes no progress for this long (0 = no watchdog)")
 	debugAddr := flag.String("debug-addr", "", "private listen address for pprof and expvar (empty = disabled)")
 	maxStreams := flag.Int("max-streams", 256, "max concurrently live streaming sessions; at the cap new streams get 429 and /readyz degrades (-1 = unlimited)")
 	streamMaxBytes := flag.Int64("stream-max-bytes", 256<<20, "per-stream wire-byte budget; a session exceeding it is evicted (-1 = unlimited)")
 	streamIdleTimeout := flag.Duration("stream-idle-timeout", 5*time.Minute, "evict live streams with no ingest activity for this long (-1s = never)")
 	streamReadTimeout := flag.Duration("stream-read-timeout", time.Minute, "evict a stream whose attached ingest request stalls between chunks for this long (-1s = never)")
-	analyzerStats := flag.Bool("analyzer-stats", true, "collect per-job analyzer-level telemetry (VSM transitions, CAS retries, interval lookups)")
+	analyzerStats := flag.Bool("analyzer-stats", true, "collect per-job analyzer-level telemetry (VSM transitions, interval lookups, memo hits; the CAS-retry count is always 0)")
 	traceCapacity := flag.Int("trace-capacity", 0, "bounded in-memory trace store size in traces (0 = default 512, -1 = tracing disabled)")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-based sampling fraction for new traces (1 = record everything)")
 	role := flag.String("role", "standalone", "process role: standalone (one-process daemon), coordinator (serves the API and leases jobs to workers), worker (analysis agent for a coordinator)")

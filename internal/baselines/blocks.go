@@ -81,14 +81,14 @@ func (b *block) allDefined(addr mem.Addr, size uint64) bool {
 // addresses never collide, so one table suffices). Like every tool's
 // state, it is touched by one callback at a time (the ompt.Tool contract).
 type blockTable struct {
-	tree *interval.Tree[*block]
+	blocks *interval.Index[*block]
 
 	peakBytes uint64
 	curBytes  uint64
 }
 
 func newBlockTable() *blockTable {
-	return &blockTable{tree: interval.New[*block]()}
+	return &blockTable{blocks: interval.New[*block]()}
 }
 
 // add registers a live block. withDef allocates a definedness bitmap
@@ -103,7 +103,7 @@ func (t *blockTable) add(base mem.Addr, bytes uint64, tag string, loc ompt.Sourc
 			}
 		}
 	}
-	if err := t.tree.Insert(uint64(base), uint64(base)+bytes, b); err != nil {
+	if err := t.blocks.Insert(uint64(base), uint64(base)+bytes, b); err != nil {
 		return nil
 	}
 	t.curBytes += bytes
@@ -118,26 +118,20 @@ func (t *blockTable) add(base mem.Addr, bytes uint64, tag string, loc ompt.Sourc
 
 // remove drops the block based at base and reports whether one existed.
 func (t *blockTable) remove(base mem.Addr) bool {
-	_, b, ok := t.tree.Stab(uint64(base))
-	if !ok || b.base != base {
+	_, b, ok := t.blocks.Stab(uint64(base))
+	if !ok || b.base != base || !t.blocks.Delete(uint64(base)) {
 		return false
 	}
-	if t.tree.Delete(uint64(base)) {
-		t.curBytes -= b.bytes
-		if b.def != nil {
-			t.curBytes -= b.bytes / 8
-		}
-		return true
+	t.curBytes -= b.bytes
+	if b.def != nil {
+		t.curBytes -= b.bytes / 8
 	}
-	return false
+	return true
 }
 
 // find returns the block containing addr, or nil.
 func (t *blockTable) find(addr mem.Addr) *block {
-	_, b, ok := t.tree.Stab(uint64(addr))
-	if !ok {
-		return nil
-	}
+	_, b, _ := t.blocks.Stab(uint64(addr))
 	return b
 }
 

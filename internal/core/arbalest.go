@@ -10,10 +10,11 @@
 // ARBALEST emits a data mapping issue report, classified as a use of
 // uninitialized memory or a use of stale data by the initialization bits.
 //
-// An interval tree over live CV ranges resolves device addresses back to
-// host shadow state in O(log m) and powers the buffer-overflow extension
-// (paper §IV-D): a device access whose address falls outside the interval of
-// the CV it was issued against escaped its mapping.
+// A range index over live CV ranges (internal/interval) resolves device
+// addresses back to host shadow state in O(log m) and powers the
+// buffer-overflow extension (paper §IV-D): a device access whose address
+// falls outside the range of the CV it was issued against escaped its
+// mapping.
 //
 // The paper's §IV-C makes every shadow update a lock-free compare-and-swap
 // so that analysis can run on the application's threads. Here the event
@@ -58,21 +59,21 @@ const (
 
 // Options configures the detector.
 type Options struct {
-	// DetectOverflow enables the buffer-overflow extension (default on;
-	// disable only for ablation).
+	// DisableOverflow turns the buffer-overflow extension off (it is on by
+	// default; disable only for ablation).
 	DisableOverflow bool
 	// Granularity selects word or per-region tracking (default word).
 	Granularity Granularity
 	// Sink receives reports; a fresh sink is created when nil.
 	Sink *report.Sink
 	// Stats, when non-nil, receives analyzer-level telemetry: VSM state
-	// transitions per (from, to) pair and interval-tree lookups. Nil (the
+	// transitions per (from, to) pair and interval-index lookups. Nil (the
 	// default) disables collection; the hot paths then pay only a nil
 	// check. EnableStats attaches a fresh collector after construction.
 	Stats *telemetry.AnalyzerStats
 }
 
-// cvEntry is one live CV range in the interval tree.
+// cvEntry is one live CV range in the CV index.
 type cvEntry struct {
 	tag    string
 	ov     mem.Addr
@@ -96,14 +97,9 @@ type Arbalest struct {
 	sink *report.Sink
 
 	shadowMem *shadow.Memory
-	cvTree    *interval.Tree[*cvEntry]
-
-	// cvIdx is a sorted copy of the live CV ranges, rebuilt on every
-	// mapping mutation (OnDataOp). The access hot path resolves CV -> OV
-	// against it with two binary searches; cvTree remains the
-	// mutation-side source of truth (overlap checking, repair's Each
-	// traversal).
-	cvIdx *cvIndex
+	// cvs indexes the live CV ranges by device address: OnDataOp inserts
+	// and deletes them, and the access path resolves CV -> OV with it.
+	cvs *interval.Index[*cvEntry]
 
 	// unified is the set of unified-memory devices.
 	unified map[ompt.DeviceID]bool
@@ -138,8 +134,7 @@ func New(opts Options) *Arbalest {
 		opts:      opts,
 		sink:      opts.Sink,
 		shadowMem: shadow.NewMemory(),
-		cvTree:    interval.New[*cvEntry](),
-		cvIdx:     &cvIndex{},
+		cvs:       interval.New[*cvEntry](),
 		unified:   make(map[ompt.DeviceID]bool),
 		allocs:    make(map[mem.Addr]allocInfo),
 		wideWords: make(map[mem.Addr]uint64),
@@ -148,48 +143,6 @@ func New(opts Options) *Arbalest {
 	}
 	a.shadowMem.SetStats(a.stats)
 	return a
-}
-
-// cvIndex is an immutable sorted-by-CV-base view of the live CV ranges.
-// Mutations build a fresh one.
-type cvIndex struct {
-	los     []uint64 // sorted CV range starts
-	his     []uint64 // matching CV range ends (half-open)
-	entries []*cvEntry
-}
-
-// stab returns the entry whose CV range contains p, or nil. Live CV ranges
-// never overlap (cvTree.Insert enforces it), so the candidate is unique.
-// The binary search is open-coded: sort.Search costs an indirect closure
-// call per probe, which is most of the lookup for the handful of ranges a
-// workload keeps live.
-func (ix *cvIndex) stab(p uint64) *cvEntry {
-	lo, hi := 0, len(ix.los)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ix.los[mid] <= p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 || p >= ix.his[lo-1] {
-		return nil
-	}
-	return ix.entries[lo-1]
-}
-
-// publishCV rebuilds the CV index from cvTree. Called from OnDataOp after
-// every tree mutation; mapping operations are orders of magnitude rarer
-// than accesses, so the rebuild is cheap where it matters.
-func (a *Arbalest) publishCV() {
-	ix := &cvIndex{}
-	a.cvTree.Each(func(iv interval.Interval, e *cvEntry) {
-		ix.los = append(ix.los, iv.Lo)
-		ix.his = append(ix.his, iv.Hi)
-		ix.entries = append(ix.entries, e)
-	})
-	a.cvIdx = ix
 }
 
 // EnableStats attaches (creating if needed) a telemetry collector and
@@ -256,20 +209,17 @@ func (a *Arbalest) OnAlloc(e ompt.AllocEvent) {
 }
 
 // OnDataOp implements ompt.Tool: mapping operations drive allocate/release/
-// update transitions and maintain the CV interval tree.
+// update transitions and maintain the CV index.
 func (a *Arbalest) OnDataOp(e ompt.DataOpEvent) {
 	switch e.Kind {
 	case ompt.OpAlloc:
 		entry := &cvEntry{tag: e.Tag, ov: e.HostAddr, cv: e.DevAddr, bytes: e.Bytes, device: e.Device}
-		if err := a.cvTree.Insert(uint64(e.DevAddr), uint64(e.DevAddr)+e.Bytes, entry); err == nil {
-			a.publishCV()
+		if err := a.cvs.Insert(uint64(e.DevAddr), uint64(e.DevAddr)+e.Bytes, entry); err == nil {
 			a.applyRange(e.HostAddr, e.Bytes, e.Device, vsm.Allocate)
 		}
 	case ompt.OpDelete:
 		a.applyRange(e.HostAddr, e.Bytes, e.Device, vsm.Release)
-		if a.cvTree.Delete(uint64(e.DevAddr)) {
-			a.publishCV()
-		}
+		a.cvs.Delete(uint64(e.DevAddr))
 	case ompt.OpTransferToDevice:
 		a.applyRange(e.HostAddr, e.Bytes, e.Device, vsm.UpdateTarget)
 	case ompt.OpTransferFromDevice:
@@ -481,15 +431,14 @@ func (a *Arbalest) resolveDevice(e ompt.AccessEvent) (*cvEntry, bool) {
 // resolveDeviceAddr is resolveDevice on the bare addresses — the batch
 // fast path calls it without materializing a full event copy.
 func (a *Arbalest) resolveDeviceAddr(addr, base mem.Addr) (*cvEntry, bool) {
-	ix := a.cvIdx
 	a.stats.RecordTreeLookup()
-	entry := ix.stab(uint64(addr))
-	if entry == nil {
+	_, entry, ok := a.cvs.Stab(uint64(addr))
+	if !ok {
 		return nil, true
 	}
 	if base != 0 {
 		a.stats.RecordTreeLookup()
-		if ix.stab(uint64(base)) != entry {
+		if _, b, _ := a.cvs.Stab(uint64(base)); b != entry {
 			return entry, true
 		}
 	}

@@ -59,8 +59,8 @@ func (a *Arbalest) repairStale(ovAddr mem.Addr, e ompt.AccessEvent, hostSide boo
 }
 
 // deviceWithValidCV locates the device whose CV covers the word. In
-// single-device mode the interval tree identifies it; in multi-device mode
-// the wide tuple's validity bits do.
+// single-device mode the CV index identifies it; in multi-device mode the
+// wide tuple's validity bits do.
 func (a *Arbalest) deviceWithValidCV(word mem.Addr) (ompt.DeviceID, bool) {
 	if a.multi {
 		t := vsm.UnpackTuple(a.wideWords[a.wideKey(word)])
@@ -73,7 +73,7 @@ func (a *Arbalest) deviceWithValidCV(word mem.Addr) (ompt.DeviceID, bool) {
 	}
 	var found ompt.DeviceID
 	ok := false
-	a.cvTree.Each(func(_ interval.Interval, entry *cvEntry) {
+	a.cvs.Each(func(_ interval.Interval, entry *cvEntry) {
 		if !ok && word >= entry.ov && word < entry.ov+mem.Addr(entry.bytes) {
 			found, ok = entry.device, true
 		}

@@ -5,13 +5,14 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/interval"
 	"repro/internal/mem"
 	"repro/internal/ompt"
 	"repro/internal/shadow"
 )
 
 // CVState is the serializable form of one live CV range (a cvEntry plus its
-// tree interval, which is [CV, CV+Bytes)).
+// indexed range, which is [CV, CV+Bytes)).
 type CVState struct {
 	Tag    string        `json:"tag"`
 	OV     mem.Addr      `json:"ov"`
@@ -80,11 +81,11 @@ func (a *Arbalest) Snapshot() State {
 		ByteWords:   snapshotWords(a.byteWords),
 		AccessCount: a.accessCount,
 	}
-	// cvIdx is rebuilt from cvTree on every mutation, already sorted by CV
-	// base, so it doubles as the deterministic snapshot source.
-	for _, e := range a.cvIdx.entries {
+	// The CV index visits ranges in ascending CV order, so the encoding is
+	// deterministic.
+	a.cvs.Each(func(_ interval.Interval, e *cvEntry) {
 		st.CVs = append(st.CVs, CVState{Tag: e.tag, OV: e.ov, CV: e.cv, Bytes: e.bytes, Device: e.device})
-	}
+	})
 	for base, info := range a.allocs {
 		st.Allocs = append(st.Allocs, AllocState{Base: base, Bytes: info.bytes, Tag: info.tag, Loc: info.loc})
 	}
@@ -108,14 +109,14 @@ func (a *Arbalest) Restore(st State) error {
 		return err
 	}
 
-	a.cvTree.Clear()
+	cvs := interval.New[*cvEntry]()
 	for _, cv := range st.CVs {
 		e := &cvEntry{tag: cv.Tag, ov: cv.OV, cv: cv.CV, bytes: cv.Bytes, device: cv.Device}
-		if err := a.cvTree.Insert(uint64(cv.CV), uint64(cv.CV)+cv.Bytes, e); err != nil {
+		if err := cvs.Insert(uint64(cv.CV), uint64(cv.CV)+cv.Bytes, e); err != nil {
 			return fmt.Errorf("core: restore CV %q: %w", cv.Tag, err)
 		}
 	}
-	a.publishCV()
+	a.cvs = cvs
 
 	a.devices = st.Devices
 	a.allocs = make(map[mem.Addr]allocInfo, len(st.Allocs))

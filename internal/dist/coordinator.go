@@ -67,7 +67,7 @@ type LeaseGrant struct {
 	TTLMillis int64 `json:"ttlMillis"`
 	// Traceparent carries the job's distributed trace context (the lease
 	// span opened for this grant); the worker parents its local spans under
-	// it. Empty when the job is untraced or the backend has no TraceSink.
+	// it. Empty when the job is untraced.
 	Traceparent string `json:"traceparent,omitempty"`
 }
 
@@ -169,15 +169,6 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// traceSink returns the backend's optional tracing seam, nil when the
-// backend does not trace. Calls into the sink acquire the backend's own
-// lock; the established lock order is c.mu before the backend's (see
-// grantLocked's MarkJobRunning), so calling the sink under c.mu is safe.
-func (c *Coordinator) traceSink() TraceSink {
-	sink, _ := c.cfg.Backend.(TraceSink)
-	return sink
 }
 
 // wakeLocked signals every goroutine parked on the notify channel. Callers
@@ -353,9 +344,7 @@ func (c *Coordinator) grantLocked(workerID string) (*LeaseGrant, error) {
 		}
 		c.m.leasesGranted.Inc()
 		grant := &LeaseGrant{Job: spec, Token: token, TTLMillis: c.cfg.LeaseTTL.Milliseconds()}
-		if sink := c.traceSink(); sink != nil {
-			grant.Traceparent = sink.StartLeaseSpan(spec.ID, workerID, token)
-		}
+		grant.Traceparent = c.cfg.Backend.StartLeaseSpan(spec.ID, workerID, token)
 		if tc, ok := telemetry.ParseTraceparent(grant.Traceparent); ok {
 			c.cfg.Logger.Info("lease granted",
 				"job_id", spec.ID, "worker", workerID, "token", token,
@@ -378,9 +367,10 @@ func (c *Coordinator) checkLeaseLocked(jobID, workerID string, token uint64, op 
 		c.m.fencedWrites.With(op).Inc()
 		c.cfg.Logger.Warn("fenced write rejected",
 			"job_id", jobID, "worker", workerID, "token", token, "op", op)
-		if sink := c.traceSink(); sink != nil {
-			sink.RecordFenced(jobID, workerID, op, token)
-		}
+		// The backend's span methods take its own lock; the lock order is
+		// c.mu before the backend's (see grantLocked's MarkJobRunning), so
+		// calling them under c.mu is safe.
+		c.cfg.Backend.RecordFenced(jobID, workerID, op, token)
 		return ErrFenced
 	}
 	return nil
@@ -402,9 +392,7 @@ func (c *Coordinator) Heartbeat(jobID, workerID string, token uint64, spans []*t
 	c.m.heartbeats.Inc()
 	c.mu.Unlock()
 	if len(spans) > 0 {
-		if sink := c.traceSink(); sink != nil {
-			sink.MergeLeaseSpans(jobID, token, spans)
-		}
+		c.cfg.Backend.MergeLeaseSpans(jobID, token, spans)
 	}
 	return nil
 }
@@ -447,12 +435,10 @@ func (c *Coordinator) ReceiveResult(jobID, workerID string, token uint64, errMsg
 	delete(c.leases, jobID)
 	c.workers[workerID] = time.Now()
 	c.mu.Unlock()
-	if sink := c.traceSink(); sink != nil {
-		if len(spans) > 0 {
-			sink.MergeLeaseSpans(jobID, token, spans)
-		}
-		sink.CloseLeaseSpan(jobID, token, errMsg)
+	if len(spans) > 0 {
+		c.cfg.Backend.MergeLeaseSpans(jobID, token, spans)
 	}
+	c.cfg.Backend.CloseLeaseSpan(jobID, token, errMsg)
 	if err := c.cfg.Backend.CompleteRemote(jobID, errMsg, result); err != nil {
 		return err
 	}
@@ -537,14 +523,11 @@ func (c *Coordinator) janitorOnce(now time.Time) {
 	}
 	c.m.workers.Set(int64(len(c.workers)))
 	c.mu.Unlock()
-	sink := c.traceSink()
 	for _, l := range expired {
-		if sink != nil {
-			// Close the expired lease's span with an error so a rescheduled
-			// job's trace shows the failed attempt, not a silently vanished
-			// subtree.
-			sink.CloseLeaseSpan(l.spec.ID, l.token, "lease expired: heartbeats stopped")
-		}
+		// Close the expired lease's span with an error so a rescheduled
+		// job's trace shows the failed attempt, not a silently vanished
+		// subtree.
+		c.cfg.Backend.CloseLeaseSpan(l.spec.ID, l.token, "lease expired: heartbeats stopped")
 		c.cfg.Backend.Requeue(l.spec.ID)
 	}
 }

@@ -88,20 +88,19 @@ type Backend interface {
 	// TraceFramed serializes the job's trace in the CRC-framed wire format
 	// for a worker to fetch.
 	TraceFramed(id string) ([]byte, error)
-}
 
-// TraceSink is the optional distributed-tracing seam on a Backend,
-// discovered by type assertion so implementing it is never required. The
-// coordinator uses it to keep one span tree per job across the fleet:
-// a lease opens a span on the job's trace (whose context the grant carries
-// to the worker), worker span shipments merge under that lease span, and
-// lease expiry, fencing rejections, and results close it out.
-//
-// Everything flowing through this seam is observability-only: merged spans
-// land in the job's trace tree and the trace store, never in job state,
-// checkpoints, or terminal bookkeeping — which is why span shipping cannot
-// violate lease fencing or exactly-once completion (DESIGN.md §5.9).
-type TraceSink interface {
+	// The remaining methods are the distributed-tracing seam. The
+	// coordinator uses them to keep one span tree per job across the fleet:
+	// a lease opens a span on the job's trace (whose context the grant
+	// carries to the worker), worker span shipments merge under that lease
+	// span, and lease expiry, fencing rejections, and results close it out.
+	//
+	// Everything flowing through them is observability-only: merged spans
+	// land in the job's trace tree and the trace store, never in job state,
+	// checkpoints, or terminal bookkeeping — which is why span shipping
+	// cannot violate lease fencing or exactly-once completion (DESIGN.md
+	// §5.9).
+
 	// StartLeaseSpan opens a "lease" span on the job's trace for the grant
 	// (worker, token) and returns the traceparent the worker should parent
 	// its spans under. Empty means the job is untraced; the grant then

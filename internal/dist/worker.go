@@ -32,7 +32,8 @@ type WorkerConfig struct {
 	PollWait time.Duration
 	// CheckpointEvery asks the replay to stream a checkpoint to the
 	// coordinator roughly every this many events, at epoch boundaries
-	// (default 4096; 0 keeps the default, negative disables).
+	// (0 means the default, 4096). A worker always checkpoints an analyzer
+	// that supports it.
 	CheckpointEvery uint64
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
@@ -325,13 +326,10 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	wt.setCount(restoreSpan, "resume_event", int64(start))
 	wt.end(restoreSpan, nil)
 
-	opts := trace.DurableOptions{
-		StartEvent: start,
-		Progress:   trace.NewReplayProgress(),
-	}
+	opts := trace.DurableOptions{StartEvent: start}
 	crashed := false
 	var replaySpan *telemetry.Span
-	if canCheckpoint && w.cfg.CheckpointEvery > 0 {
+	if canCheckpoint {
 		opts.CheckpointEvery = w.cfg.CheckpointEvery
 		opts.Checkpoint = func(next uint64) error {
 			if cause := context.Cause(rctx); cause != nil {
@@ -496,53 +494,52 @@ func isFenced(err error) bool {
 	return errors.As(err, &se) && se.status == http.StatusConflict
 }
 
-// doJSON performs one retried request against the coordinator. A retryable
-// status (429/503/5xx) honors Retry-After; other non-2xx statuses are
-// permanent. Success bodies are discarded unless out is non-nil.
+// doJSON performs one request against the coordinator and decodes a 2xx
+// JSON answer into out; a nil out or a 204 discards the body. A body that
+// does not decode is retried.
 func (w *Worker) doJSON(ctx context.Context, method, path string, query url.Values, body []byte, contentType string, out any) error {
-	return w.doJSONPolicy(ctx, w.cfg.Retry, method, path, query, body, contentType, out)
+	return w.call(ctx, w.cfg.Retry, method, path, query, body, contentType, func(resp *http.Response) error {
+		if out == nil || resp.StatusCode == http.StatusNoContent {
+			return nil
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	})
 }
 
-func (w *Worker) doJSONPolicy(ctx context.Context, policy retry.Policy, method, path string, query url.Values, body []byte, contentType string, out any) error {
+// call performs one request against the coordinator, retried under policy,
+// with the whole retry budget observed by the breaker as one outcome. A
+// non-2xx answer becomes an httpStatusError: a retryable status
+// (429/503/5xx) honors Retry-After, the rest are permanent. A 2xx answer
+// goes to decode, whose error is retried unless it is retry.Permanent.
+func (w *Worker) call(ctx context.Context, policy retry.Policy, method, path string, query url.Values, body []byte, contentType string, decode func(*http.Response) error) error {
 	u := w.cfg.CoordinatorURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	return w.guard(func() error {
-		return w.doJSONOnce(ctx, policy, method, u, body, contentType, out)
-	})
-}
-
-// doJSONOnce is doJSONPolicy's retried body, separated so the breaker
-// wraps the whole retry budget as one observation.
-func (w *Worker) doJSONOnce(ctx context.Context, policy retry.Policy, method, u string, body []byte, contentType string, out any) error {
-	return policy.Do(ctx, func(int) error {
-		req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err := w.cfg.Client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-			serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-			if !retry.StatusRetryable(resp.StatusCode) {
-				return retry.Permanent(serr)
+		return policy.Do(ctx, func(int) error {
+			req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+			if err != nil {
+				return retry.Permanent(err)
 			}
-			return retry.After(serr, retry.RetryAfter(resp))
-		}
-		if out != nil && resp.StatusCode != http.StatusNoContent {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			if contentType != "" {
+				req.Header.Set("Content-Type", contentType)
+			}
+			resp, err := w.cfg.Client.Do(req)
+			if err != nil {
 				return err
 			}
-		}
-		return nil
+			defer resp.Body.Close()
+			if resp.StatusCode >= 300 {
+				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+				if !retry.StatusRetryable(resp.StatusCode) {
+					return retry.Permanent(serr)
+				}
+				return retry.After(serr, retry.RetryAfter(resp))
+			}
+			return decode(resp)
+		})
 	})
 }
 
@@ -576,77 +573,34 @@ func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
 }
 
 func (w *Worker) fetchTrace(ctx context.Context, jobID string) (*trace.Trace, error) {
-	u := w.cfg.CoordinatorURL + "/v1/fleet/jobs/" + url.PathEscape(jobID) + "/trace"
 	var tr *trace.Trace
-	err := w.guard(func() error {
-		return w.cfg.Retry.Do(ctx, func(int) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-			if err != nil {
-				return retry.Permanent(err)
-			}
-			resp, err := w.cfg.Client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-				if !retry.StatusRetryable(resp.StatusCode) {
-					return retry.Permanent(serr)
-				}
-				return retry.After(serr, retry.RetryAfter(resp))
-			}
-			t, lerr := trace.Load(resp.Body)
-			if lerr != nil {
-				return lerr
-			}
-			tr = t
-			return nil
-		})
+	err := w.call(ctx, w.cfg.Retry, http.MethodGet, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/trace", nil, nil, "", func(resp *http.Response) (err error) {
+		tr, err = trace.Load(resp.Body)
+		return err
 	})
 	return tr, err
 }
 
+// fetchCheckpoint returns the job's handed-off checkpoint, nil when the
+// coordinator has none (204).
 func (w *Worker) fetchCheckpoint(ctx context.Context, jobID string, token uint64) (*trace.Checkpoint, error) {
-	u := w.cfg.CoordinatorURL + "/v1/fleet/jobs/" + url.PathEscape(jobID) + "/checkpoint?" + url.Values{
+	q := url.Values{
 		"worker": {w.cfg.ID},
 		"token":  {strconv.FormatUint(token, 10)},
-	}.Encode()
+	}
 	var ck *trace.Checkpoint
-	err := w.guard(func() error {
-		return w.cfg.Retry.Do(ctx, func(int) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-			if err != nil {
-				return retry.Permanent(err)
-			}
-			resp, err := w.cfg.Client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusNoContent:
-				return nil
-			case resp.StatusCode != http.StatusOK:
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-				if !retry.StatusRetryable(resp.StatusCode) {
-					return retry.Permanent(serr)
-				}
-				return retry.After(serr, retry.RetryAfter(resp))
-			}
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointBody))
-			if rerr != nil {
-				return rerr
-			}
-			c, derr := trace.DecodeCheckpoint(data)
-			if derr != nil {
-				return retry.Permanent(derr) // corrupt on the wire won't improve
-			}
-			ck = c
+	err := w.call(ctx, w.cfg.Retry, http.MethodGet, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/checkpoint", q, nil, "", func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNoContent {
 			return nil
-		})
+		}
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointBody))
+		if err != nil {
+			return err
+		}
+		if ck, err = trace.DecodeCheckpoint(data); err != nil {
+			return retry.Permanent(err) // corrupt on the wire won't improve
+		}
+		return nil
 	})
 	return ck, err
 }
@@ -670,7 +624,8 @@ func (w *Worker) postHeartbeat(ctx context.Context, jobID string, token uint64, 
 	// attempt each, no backoff (the heartbeat loop itself is the retry).
 	p := w.cfg.Retry
 	p.MaxAttempts = 1
-	return w.doJSONPolicy(ctx, p, http.MethodPost, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/heartbeat", nil, body, "application/json", nil)
+	return w.call(ctx, p, http.MethodPost, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/heartbeat", nil, body, "application/json",
+		func(*http.Response) error { return nil })
 }
 
 func (w *Worker) postCheckpoint(ctx context.Context, ck *trace.Checkpoint, token uint64) error {

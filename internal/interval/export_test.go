@@ -1,4 +1,4 @@
 package interval
 
-// CheckInvariants exposes the red-black/augmentation validator to tests.
-func (t *Tree[V]) CheckInvariants() error { return t.checkInvariants() }
+// CheckInvariants exposes the sorted-disjoint validator to tests.
+func (x *Index[V]) CheckInvariants() error { return x.checkInvariants() }

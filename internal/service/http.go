@@ -34,9 +34,9 @@ import (
 //	GET  /v1/traces/export     every stored trace as one OTLP/JSON export
 //	GET  /v1/fleet/status      federated fleet status: worker liveness,
 //	                           lease/fencing counters, queue depths, and
-//	                           span-derived job latencies; standalone
-//	                           daemons report the worker pool as one
-//	                           synthetic worker
+//	                           span-derived job latencies; a standalone
+//	                           daemon reports an empty workers table
+//	                           plus its pool (size, running)
 //	POST   /v1/streams                 open a live ingestion session;
 //	                                   201 + session JSON, 429 at the cap
 //	GET    /v1/streams                 list sessions

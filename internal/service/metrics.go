@@ -107,9 +107,9 @@ func newMetrics() *Metrics {
 		casRetries: reg.Counter("arbalestd_shadow_cas_retries_total",
 			"Failed compare-and-swap attempts on shadow words during replays; always 0, since shadow updates are plain stores."),
 		intervalLookups: reg.Counter("arbalestd_interval_lookups_total",
-			"Interval-tree stabs performed during replays."),
+			"Interval-index stabs performed during replays (lookups the region and CV memos did not answer)."),
 		regionMemoHits: reg.Counter("arbalestd_region_memo_hits_total",
-			"Address resolutions satisfied by a last-hit memo instead of an interval-tree stab during replays."),
+			"Address resolutions satisfied by a last-hit memo instead of an interval-index stab during replays."),
 
 		tenantAdmitted: reg.CounterVec("arbalestd_tenant_admitted_total",
 			"Submissions and stream opens admitted, by tenant.", "tenant"),

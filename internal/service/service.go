@@ -1,8 +1,9 @@
 // Package service is the arbalestd analysis daemon: a long-running HTTP
-// service that accepts recorded tool-interface traces (the JSON-lines format
-// trace.Save emits), enqueues them on a bounded job queue, replays each
-// through a fresh analyzer on a fixed worker pool, and serves the resulting
-// diagnostics as structured JSON.
+// service that accepts recorded tool-interface traces (the framed format
+// trace.SaveFramed writes, or the JSON lines trace.Save writes), enqueues
+// them on a bounded job queue, replays each through a fresh analyzer on a
+// fixed worker pool, and serves the resulting diagnostics as structured
+// JSON.
 //
 // The paper positions ARBALEST as an on-the-fly detector run over many
 // executions of heterogeneous OpenMP applications; this package supplies the
@@ -120,11 +121,12 @@ type Config struct {
 	// line carries job_id, tool, and phase attributes. Nil discards.
 	Logger *slog.Logger
 	// AnalyzerStats, when true, enables per-job analyzer-level telemetry
-	// (VSM state transitions, shadow CAS retries, interval-tree lookups)
-	// on analyzers that support it. The counts appear in each job's
-	// result and aggregate into the /metrics registry. Off by default:
-	// the instrumented paths are nil-checked atomics with no measurable
-	// overhead when disabled, but collection itself is opt-in.
+	// (VSM state transitions, interval-index lookups, memo hits) on
+	// analyzers that support it; the shadow CAS-retry count it reports is
+	// always 0. The counts appear in each job's result and aggregate into
+	// the /metrics registry. Off by default: the instrumented paths are
+	// nil-checked plain counters with no measurable overhead when
+	// disabled, but collection itself is opt-in.
 	AnalyzerStats bool
 	// MaxStreams caps concurrently live streaming ingestion sessions
 	// (default 256, negative = unlimited). At the cap, POST /v1/streams

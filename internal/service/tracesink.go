@@ -1,4 +1,4 @@
-// dist.TraceSink implementation: the service side of fleet-wide span
+// The span methods of dist.Backend: the service side of fleet-wide span
 // shipping. The coordinator opens a "lease" span on the job's trace for
 // every grant, workers ship span-tree snapshots back piggybacked on
 // heartbeats and results, and the methods here merge them — under

@@ -2,9 +2,6 @@ package shadow
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/interval"
 	"repro/internal/mem"
@@ -15,36 +12,30 @@ import (
 //
 // The detector registers one region per mapped variable's OV; Memory
 // allocates a slab with one shadow word per aligned 8-byte application word
-// and resolves addresses to slab slots in O(log m) via an interval tree
-// (m = number of registered regions), exactly the structure the paper
-// describes. Slabs come from a pooled arena reused across jobs.
+// and resolves addresses to slab slots in O(log m) via a range index
+// (m = number of registered regions; internal/interval). Slabs come from a
+// pooled arena reused across jobs.
 //
-// Its owner delivers one event at a time (the ompt.Tool contract), so
-// words are read and written with plain loads and stores, every write
-// keeps the tag plane current, and a region memo fronts the index: a
-// region is unregistered only by a deallocation event, never while a
-// lookup is in flight.
+// Its owner delivers one event at a time (the ompt.Tool contract), so the
+// memory takes no locks: words, the index and the byte counts are read and
+// written with plain loads and stores, every write keeps the tag plane
+// current, and a region memo fronts the index. A region is unregistered
+// only by a deallocation event, never while a lookup is in flight.
 type Memory struct {
-	mu      sync.Mutex // serializes Register/Unregister and index rebuilds
-	regions *interval.Tree[*Region]
-
-	// index is an immutable sorted snapshot of the registered regions,
-	// rebuilt and atomically published on every Register/Unregister, so
-	// NumRegions may read it from another goroutine.
-	index atomic.Pointer[regionIndex]
+	regions *interval.Index[*Region]
 
 	// memo caches the last region resolved per address granule, so the
-	// binary search only runs on region changes. Register and Unregister
+	// index is only searched on region changes. Register and Unregister
 	// clear it.
 	memo [memoSlots]*Region
 
-	bytes atomic.Uint64 // current shadow bytes allocated (logical words × 8)
-	peak  atomic.Uint64 // high-water mark (space-overhead experiment, Fig 9)
+	bytes uint64 // current shadow bytes allocated (logical words × 8)
+	peak  uint64 // high-water mark (space-overhead experiment, Fig 9)
 
 	arena *mem.SlabArena
 
 	// stats, when non-nil, counts region lookups and memo hits. Set once
-	// via SetStats before the memory sees concurrent traffic.
+	// via SetStats before the first lookup.
 	stats *telemetry.AnalyzerStats
 }
 
@@ -135,48 +126,13 @@ func (r *Region) EachWord(fn func(addr mem.Addr, w Word)) {
 	}
 }
 
-// regionIndex is an immutable sorted-by-Lo view of the registered regions.
-type regionIndex struct {
-	los     []uint64
-	his     []uint64
-	regions []*Region
-}
-
-// find returns the region containing p, or nil. Regions never overlap.
-func (ix *regionIndex) find(p uint64) *Region {
-	i := sort.Search(len(ix.los), func(i int) bool { return ix.los[i] > p })
-	if i == 0 || p >= ix.his[i-1] {
-		return nil
-	}
-	return ix.regions[i-1]
-}
-
 // NewMemory returns an empty shadow memory backed by the process-wide
 // slab arena.
 func NewMemory() *Memory { return NewMemoryArena(defaultArena) }
 
 // NewMemoryArena returns an empty shadow memory backed by the given arena.
 func NewMemoryArena(a *mem.SlabArena) *Memory {
-	m := &Memory{regions: interval.New[*Region](), arena: a}
-	m.index.Store(&regionIndex{})
-	return m
-}
-
-// publish rebuilds the lookup snapshot from the region tree. Caller holds
-// m.mu.
-func (m *Memory) publish() {
-	ix := &regionIndex{}
-	m.regions.Each(func(iv interval.Interval, r *Region) {
-		ix.los = append(ix.los, iv.Lo)
-		ix.his = append(ix.his, iv.Hi)
-		ix.regions = append(ix.regions, r)
-	})
-	m.index.Store(ix)
-}
-
-// clearMemo invalidates the last-region memo. Caller holds m.mu.
-func (m *Memory) clearMemo() {
-	clear(m.memo[:])
+	return &Memory{regions: interval.New[*Region](), arena: a}
 }
 
 // newRegion leases both planes for a region of n words from the arena.
@@ -191,8 +147,8 @@ func (m *Memory) newRegion(lo, hi mem.Addr, tag string, n int) *Region {
 	return r
 }
 
-// releaseRegion returns a region's slabs to the arena. Caller must
-// guarantee no goroutine can still reach the region.
+// releaseRegion returns a region's slabs to the arena; the caller drops
+// the region from the index and the memo.
 func (m *Memory) releaseRegion(r *Region) {
 	m.arena.Put(r.wordsSlab)
 	m.arena.Put(r.tagsSlab)
@@ -207,23 +163,14 @@ func (m *Memory) Register(lo mem.Addr, size uint64, tag string) (*Region, error)
 	alo := lo.Align()
 	ahi := (lo + mem.Addr(size) + mem.WordSize - 1).Align()
 	n := int((ahi - alo) / mem.WordSize)
-	m.mu.Lock()
 	r := m.newRegion(alo, ahi, tag, n)
 	if err := m.regions.Insert(uint64(alo), uint64(ahi), r); err != nil {
 		m.releaseRegion(r)
-		m.mu.Unlock()
 		return nil, fmt.Errorf("shadow: register %q: %w", tag, err)
 	}
-	m.publish()
-	m.clearMemo()
-	m.mu.Unlock()
-	nb := m.bytes.Add(uint64(n) * 8)
-	for {
-		p := m.peak.Load()
-		if nb <= p || m.peak.CompareAndSwap(p, nb) {
-			break
-		}
-	}
+	clear(m.memo[:])
+	m.bytes += uint64(n) * 8
+	m.peak = max(m.peak, m.bytes)
 	return r, nil
 }
 
@@ -231,20 +178,14 @@ func (m *Memory) Register(lo mem.Addr, size uint64, tag string) (*Region, error)
 // the arena. It reports whether a region was removed.
 func (m *Memory) Unregister(lo mem.Addr) bool {
 	alo := lo.Align()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	_, r, ok := m.regions.Stab(uint64(alo))
-	if !ok || r.Lo != alo {
+	if !ok || r.Lo != alo || !m.regions.Delete(uint64(alo)) {
 		return false
 	}
-	if m.regions.Delete(uint64(r.Lo)) {
-		m.publish()
-		m.clearMemo()
-		m.bytes.Add(^(uint64(r.NumWords())*8 - 1)) // subtract
-		m.releaseRegion(r)
-		return true
-	}
-	return false
+	clear(m.memo[:])
+	m.bytes -= uint64(r.NumWords()) * 8
+	m.releaseRegion(r)
+	return true
 }
 
 // Release drops every region and returns all slabs to the arena, and
@@ -252,16 +193,11 @@ func (m *Memory) Unregister(lo mem.Addr) bool {
 // to match. Call at job/session teardown, after the last dispatch and
 // after any Snapshot — never concurrently with accesses.
 func (m *Memory) Release() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range m.index.Load().regions {
-		m.releaseRegion(r)
-	}
+	m.regions.Each(func(_ interval.Interval, r *Region) { m.releaseRegion(r) })
 	m.regions = interval.New[*Region]()
-	m.index.Store(&regionIndex{})
-	m.clearMemo()
-	m.bytes.Store(0)
-	m.arena.NoteDemand(m.peak.Load())
+	clear(m.memo[:])
+	m.bytes = 0
+	m.arena.NoteDemand(m.peak)
 }
 
 // SetStats attaches a telemetry collector that counts this memory's
@@ -269,8 +205,7 @@ func (m *Memory) Release() {
 func (m *Memory) SetStats(s *telemetry.AnalyzerStats) { m.stats = s }
 
 // RegionOf returns the region containing addr, or nil. A per-granule memo
-// short-circuits the binary search of the index while the access stream
-// stays inside one region.
+// short-circuits the index while the access stream stays inside one region.
 func (m *Memory) RegionOf(addr mem.Addr) *Region {
 	slot := &m.memo[(uint64(addr)>>memoShift)%memoSlots]
 	if r := *slot; r != nil && addr >= r.Lo && addr < r.Hi {
@@ -278,8 +213,8 @@ func (m *Memory) RegionOf(addr mem.Addr) *Region {
 		return r
 	}
 	m.stats.RecordTreeLookup()
-	r := m.index.Load().find(uint64(addr))
-	if r != nil {
+	_, r, ok := m.regions.Stab(uint64(addr))
+	if ok {
 		*slot = r
 	}
 	return r
@@ -317,15 +252,13 @@ func (m *Memory) Probe(addr mem.Addr) (State, bool) {
 	return TagState(r.TagAt(r.Index(addr))), true
 }
 
-// NumRegions returns the number of registered regions. It reads the
-// published index snapshot, so it is safe against concurrent
-// Register/Unregister.
-func (m *Memory) NumRegions() int { return len(m.index.Load().regions) }
+// NumRegions returns the number of registered regions.
+func (m *Memory) NumRegions() int { return m.regions.Len() }
 
 // Bytes returns the shadow bytes currently allocated. This counts logical
 // shadow words (8 bytes per application word, the paper's Fig 9 metric),
 // not arena slack or the tag plane's 1/16 overhead.
-func (m *Memory) Bytes() uint64 { return m.bytes.Load() }
+func (m *Memory) Bytes() uint64 { return m.bytes }
 
 // PeakBytes returns the high-water mark of shadow bytes.
-func (m *Memory) PeakBytes() uint64 { return m.peak.Load() }
+func (m *Memory) PeakBytes() uint64 { return m.peak }

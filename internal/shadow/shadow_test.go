@@ -1,8 +1,6 @@
 package shadow
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -214,36 +212,6 @@ func TestEachWord(t *testing.T) {
 	if !Word(*r.WordAt(mem.HostBase + 8)).OVInit() {
 		t.Error("WordAt pointer did not alias region storage")
 	}
-}
-
-// TestNumRegionsConcurrentWithRegister is the -race regression test for
-// NumRegions: it must read the published index snapshot, never the interval
-// tree that Register/Unregister mutate under the memory's mutex.
-func TestNumRegionsConcurrentWithRegister(t *testing.T) {
-	m := NewMemoryArena(mem.NewSlabArena())
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			base := mem.HostBase + mem.Addr(i%64)*1024
-			if _, err := m.Register(base, 64, "churn"); err == nil {
-				m.Unregister(base)
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20000; i++ {
-			if n := m.NumRegions(); n < 0 || n > 64 {
-				t.Errorf("NumRegions = %d mid-churn", n)
-				break
-			}
-		}
-		stop.Store(true)
-	}()
-	wg.Wait()
 }
 
 // TestBytesPeakAccounting checks the Fig. 9 metric parity the arena must

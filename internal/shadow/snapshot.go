@@ -30,9 +30,7 @@ type MemoryState struct {
 // word values, plus the peak-bytes high-water mark. Regions come back in
 // ascending address order.
 func (m *Memory) Snapshot() MemoryState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := MemoryState{Peak: m.peak.Load()}
+	st := MemoryState{Peak: m.peak}
 	m.regions.Each(func(_ interval.Interval, r *Region) {
 		rs := RegionState{Lo: r.Lo, Hi: r.Hi, Tag: r.Tag, Words: make([]uint64, len(r.words))}
 		copy(rs.Words, r.words)
@@ -42,18 +40,13 @@ func (m *Memory) Snapshot() MemoryState {
 }
 
 // Restore replaces the shadow state with a snapshot: regions are rebuilt
-// with their saved word values (slabs leased from the arena), the tag
-// planes recomputed, and the lookup index republished.
+// with their saved word values (slabs leased from the arena) into a fresh
+// index, and the tag planes recomputed. On error the memory is unchanged.
 func (m *Memory) Restore(st MemoryState) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tree := interval.New[*Region]()
-	var regions []*Region
+	regions := interval.New[*Region]()
 	var total uint64
 	fail := func(err error) error {
-		for _, r := range regions {
-			m.releaseRegion(r)
-		}
+		regions.Each(func(_ interval.Interval, r *Region) { m.releaseRegion(r) })
 		return err
 	}
 	for _, rs := range st.Regions {
@@ -64,24 +57,18 @@ func (m *Memory) Restore(st MemoryState) error {
 			return fail(fmt.Errorf("shadow: restore: region %q has %d words, bounds need %d", rs.Tag, len(rs.Words), want))
 		}
 		r := m.newRegion(rs.Lo, rs.Hi, rs.Tag, len(rs.Words))
-		regions = append(regions, r)
-		copy(r.words, rs.Words)
-		r.rebuildTags()
-		if err := tree.Insert(uint64(rs.Lo), uint64(rs.Hi), r); err != nil {
+		if err := regions.Insert(uint64(rs.Lo), uint64(rs.Hi), r); err != nil {
+			m.releaseRegion(r)
 			return fail(fmt.Errorf("shadow: restore: %w", err))
 		}
+		copy(r.words, rs.Words)
+		r.rebuildTags()
 		total += uint64(len(rs.Words)) * 8
 	}
-	for _, r := range m.index.Load().regions {
-		m.releaseRegion(r)
-	}
-	m.regions = tree
-	m.publish()
-	m.clearMemo()
-	m.bytes.Store(total)
-	m.peak.Store(st.Peak)
-	if total > st.Peak {
-		m.peak.Store(total)
-	}
+	m.regions.Each(func(_ interval.Interval, r *Region) { m.releaseRegion(r) })
+	m.regions = regions
+	clear(m.memo[:])
+	m.bytes = total
+	m.peak = max(st.Peak, total)
 	return nil
 }

@@ -3,11 +3,12 @@
 // optionally labeled) that renders the Prometheus text exposition format,
 // per-job span trees for phase-level latency attribution, and the nil-safe
 // AnalyzerStats collector the detector hot paths use to count VSM state
-// transitions, shadow-word CAS retries, and interval-tree lookups.
+// transitions, interval-index lookups, and memo hits.
 //
-// The hot path is lock-free: every sample update is a single atomic
-// operation (plus one CAS loop for histogram sums). Locks are only taken
-// when a labeled series is first created and when the registry is scraped.
+// The registry's hot path is lock-free: every sample update is a single
+// atomic operation (plus one CAS loop for histogram sums). Locks are only
+// taken when a labeled series is first created and when the registry is
+// scraped.
 // The package depends only on the standard library so every layer of the
 // analyzer — shadow memory, VSM, detector, service — can import it.
 package telemetry

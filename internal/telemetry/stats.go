@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync/atomic"
-
 // NumVSMStates is the number of variable-state-machine states (invalid,
 // host, target, consistent — shadow.State). AnalyzerStats counts
 // transitions as a NumVSMStates x NumVSMStates matrix indexed by the
@@ -9,18 +7,23 @@ import "sync/atomic"
 const NumVSMStates = 4
 
 // AnalyzerStats collects detector-level counters: VSM state transitions
-// per (from, to) pair, shadow-word CAS retries, and interval-tree lookups.
+// per (from, to) pair, interval-index lookups, and region/CV memo hits. No
+// detector records a CAS retry, because none updates shadow words with
+// compare-and-swap; that counter is kept only for the summary key and the
+// metric that read it.
 //
-// Every method is safe to call on a nil receiver and does nothing there —
-// the detector hot paths carry a possibly-nil *AnalyzerStats and call it
-// unconditionally, so disabled stats cost one predictable branch per
-// record point and no atomic traffic (verified by the bench_test.go
-// disabled/enabled deltas).
+// A collector belongs to one analyzer, which receives one event at a time
+// (the ompt.Tool contract), so the counters are plain integers; read them
+// after the analyzer's last event. Every method is safe to call on a nil
+// receiver and does nothing there — the detector hot paths carry a
+// possibly-nil *AnalyzerStats and call it unconditionally, so disabled
+// stats cost one predictable branch per record point (verified by the
+// bench_test.go disabled/enabled deltas).
 type AnalyzerStats struct {
-	transitions [NumVSMStates * NumVSMStates]atomic.Uint64
-	casRetries  atomic.Uint64
-	treeLookups atomic.Uint64
-	memoHits    atomic.Uint64
+	transitions [NumVSMStates * NumVSMStates]uint64
+	casRetries  uint64
+	treeLookups uint64
+	memoHits    uint64
 }
 
 // NewAnalyzerStats returns a zeroed collector.
@@ -35,7 +38,7 @@ func (s *AnalyzerStats) RecordTransition(from, to uint8) {
 	if s == nil || from >= NumVSMStates || to >= NumVSMStates {
 		return
 	}
-	s.transitions[int(from)*NumVSMStates+int(to)].Add(1)
+	s.transitions[int(from)*NumVSMStates+int(to)]++
 }
 
 // RecordCASRetry counts one failed compare-and-swap on a shadow word. The
@@ -45,15 +48,15 @@ func (s *AnalyzerStats) RecordCASRetry() {
 	if s == nil {
 		return
 	}
-	s.casRetries.Add(1)
+	s.casRetries++
 }
 
-// RecordTreeLookup counts one interval-tree stab.
+// RecordTreeLookup counts one interval-index stab.
 func (s *AnalyzerStats) RecordTreeLookup() {
 	if s == nil {
 		return
 	}
-	s.treeLookups.Add(1)
+	s.treeLookups++
 }
 
 // RecordMemoHit counts one region lookup satisfied by a last-hit memo
@@ -62,7 +65,7 @@ func (s *AnalyzerStats) RecordMemoHit() {
 	if s == nil {
 		return
 	}
-	s.memoHits.Add(1)
+	s.memoHits++
 }
 
 // TransitionCount returns the recorded count for (from, to); zero on a nil
@@ -71,7 +74,7 @@ func (s *AnalyzerStats) TransitionCount(from, to uint8) uint64 {
 	if s == nil || from >= NumVSMStates || to >= NumVSMStates {
 		return 0
 	}
-	return s.transitions[int(from)*NumVSMStates+int(to)].Load()
+	return s.transitions[int(from)*NumVSMStates+int(to)]
 }
 
 // CASRetries returns the recorded CAS-retry count (zero on nil).
@@ -79,15 +82,15 @@ func (s *AnalyzerStats) CASRetries() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.casRetries.Load()
+	return s.casRetries
 }
 
-// TreeLookups returns the recorded interval-tree lookup count (zero on nil).
+// TreeLookups returns the recorded interval-index lookup count (zero on nil).
 func (s *AnalyzerStats) TreeLookups() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.treeLookups.Load()
+	return s.treeLookups
 }
 
 // MemoHits returns the recorded memo-hit count (zero on nil).
@@ -95,5 +98,5 @@ func (s *AnalyzerStats) MemoHits() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.memoHits.Load()
+	return s.memoHits
 }

@@ -35,7 +35,7 @@ type TransitionStat struct {
 
 // Stats is the analyzer-level telemetry block of a Summary: what the VSM
 // engine actually did during the replay, in the terms the paper evaluates
-// (state transitions, interval-tree traffic).
+// (state transitions, interval-index traffic).
 type Stats struct {
 	// Accesses is the number of instrumented accesses analyzed.
 	Accesses uint64 `json:"accesses,omitempty"`
@@ -47,8 +47,8 @@ type Stats struct {
 	// event source serializes its callbacks, so it is always 0; the key
 	// stays for the readers that still expect it.
 	ShadowCASRetries uint64 `json:"shadowCASRetries"`
-	// IntervalLookups is the number of index searches (binary searches of
-	// the published region/CV snapshots) performed to resolve addresses to
+	// IntervalLookups is the number of range-index stabs (of the shadow
+	// regions or the live CV ranges) performed to resolve addresses to
 	// shadow state or CV mappings.
 	IntervalLookups uint64 `json:"intervalLookups"`
 	// RegionMemoHits is the number of lookups satisfied by a last-hit memo
