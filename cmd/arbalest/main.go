@@ -84,13 +84,18 @@ func main() {
 		os.Exit(fleetStatus(*fleetStatusURL, *jsonOut))
 	}
 	if *replayTrace != "" {
+		if *submit == "" && *streamURL == "" {
+			os.Exit(runReplay(*replayTrace, *tool, *jsonOut))
+		}
+		tr, err := loadTrace(*replayTrace)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "arbalest:", err)
+			os.Exit(2)
+		}
 		if *submit != "" {
-			os.Exit(submitTraceFile(*submit, *replayTrace, *tool, *jsonOut))
+			os.Exit(submitTrace(*submit, tr, *tool, *jsonOut))
 		}
-		if *streamURL != "" {
-			os.Exit(streamTraceFile(*streamURL, *replayTrace, *tool, *jsonOut))
-		}
-		os.Exit(runReplay(*replayTrace, *tool, *jsonOut))
+		os.Exit(streamTrace(*streamURL, tr, *tool, *jsonOut))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: arbalest [-tool name] [-theorem1] [-submit url] <program>   (see -list)")
@@ -109,10 +114,17 @@ func main() {
 	}
 
 	if *submit != "" {
-		os.Exit(submitProgram(*submit, name, run, *tool, *saveTrace, *framed, *jsonOut))
+		recorder := recordProgram(run, *tool)
+		if *saveTrace != "" {
+			if err := writeTrace(*saveTrace, recorder, *framed); err != nil {
+				fmt.Fprintln(os.Stderr, "arbalest:", err)
+				os.Exit(1)
+			}
+		}
+		os.Exit(submitTrace(*submit, recorder.Trace(), *tool, *jsonOut))
 	}
 	if *streamURL != "" {
-		os.Exit(streamProgram(*streamURL, name, run, *tool, *jsonOut))
+		os.Exit(streamTrace(*streamURL, recordProgram(run, *tool).Trace(), *tool, *jsonOut))
 	}
 
 	if *repairFlag {
@@ -212,18 +224,12 @@ func writeTrace(path string, rec *trace.Recorder, framed bool) error {
 // runReplay loads a trace file (either encoding) and replays it into the
 // chosen tool, the same load-then-replay path the daemon takes.
 func runReplay(path, toolName string, jsonOut bool) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbalest:", err)
-		return 2
-	}
-	defer f.Close()
 	a, err := tools.New(toolName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
 	}
-	tr, err := trace.Load(f)
+	tr, err := loadTrace(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
@@ -255,11 +261,10 @@ func runReplay(path, toolName string, jsonOut bool) int {
 	return 1
 }
 
-// submitProgram records name's execution as a trace and pushes it to an
-// arbalestd daemon, closing the record -> submit -> analyze loop. The trace
-// is recorded with the same runtime configuration a local run under toolName
-// would use, so daemon results match one-shot results.
-func submitProgram(baseURL, name string, run func(c *omp.Context), toolName, savePath string, framed, jsonOut bool) int {
+// recordProgram records run's execution as a trace, with the runtime
+// configuration a local run under toolName would use, so daemon results
+// match one-shot results.
+func recordProgram(run func(c *omp.Context), toolName string) *trace.Recorder {
 	recorder := trace.NewRecorder()
 	rt := omp.NewRuntime(omp.Config{NumThreads: 4, ForceSync: strings.HasPrefix(toolName, "arbalest")}, recorder)
 	if err := rt.Run(func(c *omp.Context) error {
@@ -268,29 +273,17 @@ func submitProgram(baseURL, name string, run func(c *omp.Context), toolName, sav
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "note: simulated runtime fault (often part of the bug): %v\n", err)
 	}
-	if savePath != "" {
-		if err := writeTrace(savePath, recorder, framed); err != nil {
-			fmt.Fprintln(os.Stderr, "arbalest:", err)
-			return 1
-		}
-	}
-	return submitTrace(baseURL, recorder.Trace(), toolName, jsonOut)
+	return recorder
 }
 
-// submitTraceFile pushes an already-recorded trace file to the daemon.
-func submitTraceFile(baseURL, path, toolName string, jsonOut bool) int {
+// loadTrace reads a recorded trace file in either encoding.
+func loadTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbalest:", err)
-		return 2
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.Load(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbalest:", err)
-		return 2
-	}
-	return submitTrace(baseURL, tr, toolName, jsonOut)
+	return trace.Load(f)
 }
 
 // submitTrace POSTs tr to the daemon with retries, polls the job until it
@@ -331,15 +324,10 @@ func submitTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		if err != nil {
 			return err // connection-level failure: retryable
 		}
-		if retry.StatusRetryable(resp.StatusCode) {
-			after := retry.RetryAfter(resp)
-			_, derr := decodeJob(resp) // drains and closes the body
-			return retry.After(derr, after)
-		}
-		if view, err = decodeJob(resp); err != nil {
-			return retry.Permanent(err) // 4xx validation: retrying won't help
-		}
-		return nil
+		return retry.Classify(resp, func(resp *http.Response) (err error) {
+			view, err = decodeJob(resp)
+			return err
+		})
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest: submit:", err)

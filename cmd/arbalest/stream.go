@@ -21,42 +21,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/omp"
 	"repro/internal/retry"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// streamProgram records name's execution and streams the trace live to an
-// arbalestd session, returning the process exit code.
-func streamProgram(baseURL, name string, run func(c *omp.Context), toolName string, jsonOut bool) int {
-	recorder := trace.NewRecorder()
-	rt := omp.NewRuntime(omp.Config{NumThreads: 4, ForceSync: strings.HasPrefix(toolName, "arbalest")}, recorder)
-	if err := rt.Run(func(c *omp.Context) error {
-		run(c)
-		return nil
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "note: simulated runtime fault (often part of the bug): %v\n", err)
-	}
-	return streamTrace(baseURL, recorder.Trace(), toolName, jsonOut)
-}
-
-// streamTraceFile streams an already-recorded trace file.
-func streamTraceFile(baseURL, path, toolName string, jsonOut bool) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbalest:", err)
-		return 2
-	}
-	defer f.Close()
-	tr, err := trace.Load(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbalest:", err)
-		return 2
-	}
-	return streamTrace(baseURL, tr, toolName, jsonOut)
-}
 
 // streamTrace opens a streaming session, ships tr as framed chunks with
 // retried, resumable uploads, closes the session, and prints its summary.
@@ -86,15 +55,7 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		if err != nil {
 			return err // connection-level failure: retryable
 		}
-		if retry.StatusRetryable(resp.StatusCode) {
-			after := retry.RetryAfter(resp)
-			_, derr := decodeStream(resp)
-			return retry.After(derr, after)
-		}
-		if view, err = decodeStream(resp); err != nil {
-			return retry.Permanent(err)
-		}
-		return nil
+		return classify(resp, &view)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest: stream open:", err)
@@ -132,20 +93,12 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		if err != nil {
 			return err
 		}
-		if retry.StatusRetryable(resp.StatusCode) {
-			after := retry.RetryAfter(resp)
-			_, derr := decodeStream(resp)
-			return retry.After(derr, after)
-		}
 		if resp.StatusCode == http.StatusConflict {
 			// Another request is still attached (e.g. our timed-out attempt).
 			_, derr := decodeStream(resp)
 			return derr
 		}
-		if view, err = decodeStream(resp); err != nil {
-			return retry.Permanent(err)
-		}
-		return nil
+		return classify(resp, &view)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest: stream upload:", err)
@@ -159,15 +112,7 @@ func streamTrace(baseURL string, tr *trace.Trace, toolName string, jsonOut bool)
 		if err != nil {
 			return err
 		}
-		if retry.StatusRetryable(resp.StatusCode) {
-			after := retry.RetryAfter(resp)
-			_, derr := decodeStream(resp)
-			return retry.After(derr, after)
-		}
-		if view, err = decodeStream(resp); err != nil {
-			return retry.Permanent(err)
-		}
-		return nil
+		return classify(resp, &view)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest: stream close:", err)
@@ -217,21 +162,22 @@ func frameEvents(events []trace.Event, from uint64) ([]byte, error) {
 // resume fetch lands precisely when the daemon is restarting or shedding —
 // the moment a server-directed delay matters most), while other non-2xx
 // answers (e.g. the session is gone) are permanent.
-func getStream(client *http.Client, streamURL string) (stream.View, error) {
+func getStream(client *http.Client, streamURL string) (view stream.View, err error) {
 	resp, err := client.Get(streamURL)
 	if err != nil {
 		return stream.View{}, err // connection-level failure: retryable
 	}
-	if retry.StatusRetryable(resp.StatusCode) {
-		after := retry.RetryAfter(resp)
-		_, derr := decodeStream(resp)
-		return stream.View{}, retry.After(derr, after)
-	}
-	view, err := decodeStream(resp)
-	if err != nil && (resp.StatusCode < 200 || resp.StatusCode > 299) {
-		return stream.View{}, retry.Permanent(err)
-	}
+	err = classify(resp, &view)
 	return view, err
+}
+
+// classify decodes a session answer into view for a retry loop, by
+// retry.Classify's rules.
+func classify(resp *http.Response, view *stream.View) error {
+	return retry.Classify(resp, func(resp *http.Response) (err error) {
+		*view, err = decodeStream(resp)
+		return err
+	})
 }
 
 // decodeStream reads one stream.View from an arbalestd response, surfacing

@@ -133,3 +133,93 @@ func TestWorkerThatCannotReadTraceAbandonsLease(t *testing.T) {
 		t.Fatalf("jobs completed = %d, want exactly 1", done)
 	}
 }
+
+// leaseLog records, in order, each lease a worker is granted ('G') and
+// each trace download it receives ('F').
+type leaseLog struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	seq  []byte
+}
+
+func (l *leaseLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := l.next.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case strings.HasSuffix(req.URL.Path, "/lease"):
+		l.seq = append(l.seq, 'G')
+	case strings.HasSuffix(req.URL.Path, "/trace"):
+		l.seq = append(l.seq, 'F')
+	}
+	return resp, nil
+}
+
+func (l *leaseLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return string(l.seq)
+}
+
+// TestWorkerFetchesUnreadableTraceOncePerLease: a worker with a
+// three-attempt retry policy that cannot read its leased trace downloads it
+// once per granted lease, not once per attempt, and the job still finishes
+// on a worker that reads it.
+func TestWorkerFetchesUnreadableTraceOncePerLease(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := recordTrace(t, 22)
+	want := oneShot(t, tr, "arbalest")
+
+	f := newFleet(t, nil, 200*time.Millisecond, 30*time.Second, false)
+	seen := &leaseLog{next: &newerTraceTransport{fetched: make(chan struct{})}}
+	old := dist.NewWorker(dist.WorkerConfig{
+		ID:             "old",
+		CoordinatorURL: f.srv.URL,
+		PollWait:       50 * time.Millisecond,
+		Client:         &http.Client{Transport: seen},
+		Retry:          testRetry(),
+		Logger:         slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	oldCtx, stopOld := context.WithCancel(context.Background())
+	defer stopOld()
+	oldDone := make(chan struct{})
+	go func() {
+		defer close(oldDone)
+		_ = old.Run(oldCtx)
+	}()
+	f.waitMetric("arbalestd_fleet_workers", 1, 5*time.Second)
+	v, err := f.svc.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for strings.Count(seen.String(), "G") < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker was granted too few leases: %q", seen.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stopOld()
+	<-oldDone
+	leases := strings.Split(seen.String(), "G")[1:]
+	for i, fetches := range leases {
+		// The worker may be stopped between its last grant and its fetch.
+		if fetches != "F" && !(i == len(leases)-1 && fetches == "") {
+			t.Fatalf("lease %d fetched the trace %d times, want once (log %q)", i, len(fetches), seen.String())
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	wg := startWorkers(ctx, f.srv.URL, 1, 1, false)
+	defer wg.Wait()
+	defer cancel()
+	got := f.waitSettled(v.ID)
+	if got.Status != service.StatusDone {
+		t.Fatalf("job %s: status %s (%s)", v.ID, got.Status, got.Error)
+	}
+	assertSameFindings(t, "after the unreadable leases", got.Result, want)
+}

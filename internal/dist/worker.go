@@ -530,15 +530,13 @@ func (w *Worker) call(ctx context.Context, policy retry.Policy, method, path str
 				return err
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode >= 300 {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-				if !retry.StatusRetryable(resp.StatusCode) {
-					return retry.Permanent(serr)
+			return retry.Classify(resp, func(resp *http.Response) error {
+				if resp.StatusCode >= 300 {
+					msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+					return &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 				}
-				return retry.After(serr, retry.RetryAfter(resp))
-			}
-			return decode(resp)
+				return decode(resp)
+			})
 		})
 	})
 }
@@ -572,13 +570,21 @@ func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
 	return &grant, nil
 }
 
+// fetchTrace downloads the leased job's trace. The download is retried
+// under the worker's policy, so a dropped connection costs one more
+// request; the bytes are decoded once, after it, since a trace the worker
+// cannot read (a framed version it does not know, or corruption) reads no
+// better from a second download.
 func (w *Worker) fetchTrace(ctx context.Context, jobID string) (*trace.Trace, error) {
-	var tr *trace.Trace
+	var data []byte
 	err := w.call(ctx, w.cfg.Retry, http.MethodGet, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/trace", nil, nil, "", func(resp *http.Response) (err error) {
-		tr, err = trace.Load(resp.Body)
+		data, err = io.ReadAll(resp.Body)
 		return err
 	})
-	return tr, err
+	if err != nil {
+		return nil, err
+	}
+	return trace.Decode(data, trace.Limits{})
 }
 
 // fetchCheckpoint returns the job's handed-off checkpoint, nil when the

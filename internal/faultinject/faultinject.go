@@ -7,8 +7,11 @@
 //
 // The registered point names used by this repository:
 //
-//	journal.append      error on the write-ahead append (job accept path)
-//	journal.mark        error on a lifecycle transition append
+//	journal.append      error on the write-ahead append (a job's accept or
+//	                    a streaming session's open; the session is refused,
+//	                    quota released)
+//	journal.mark        error on a job's or a session's lifecycle transition
+//	                    append
 //	journal.fsync       delay before a journal fsync (slow-disk simulation)
 //	journal.checkpoint  error or delay on an analyzer-state checkpoint write
 //	                    (full-disk or slow-disk simulation; a delay here also
@@ -34,10 +37,6 @@
 //	dist.worker.crash   fired in a remote worker after a checkpoint posts;
 //	                    an armed error makes the whole worker agent exit as
 //	                    if the process died, leaving the lease to expire
-//	journal.stream.append  error on a streaming session's write-ahead open
-//	                    record (the session is refused, quota released)
-//	journal.stream.mark error on a streaming session's lifecycle transition
-//	                    append
 //	journal.tenant      error on a tenant-limits append (live tuning is
 //	                    refused rather than accepted undurably)
 //	stream.read         fired per ingest chunk read; an armed error aborts

@@ -1,38 +1,47 @@
-// Package journal is arbalestd's write-ahead job journal: a spool
-// directory that makes accepted jobs survive a daemon crash.
+// Package journal is arbalestd's write-ahead spool: a directory that makes
+// accepted jobs and live stream sessions survive a daemon crash.
 //
-// Each accepted job gets up to three files under the spool directory:
+// A job and a stream session are one kind of record, with up to three
+// files under the spool directory:
 //
-//	<id>.trace  the submitted trace in the CRC32C-framed encoding, written
-//	            and fsynced before the job is acknowledged (the write-ahead
-//	            part): a framed version-2 upload byte for byte, any other
-//	            upload re-encoded as version 2
-//	<id>.meta   an append-only log of lifecycle transitions: the first line
-//	            carries the job's identity (tool, events, idempotency key,
-//	            submit time) with status "pending"; subsequent lines record
-//	            running/done/failed transitions. Each line is CRC-framed:
+//	<id>.trace  the record's trace in the CRC32C-framed encoding. A job's
+//	            is written whole and fsynced before the job is acknowledged
+//	            (the write-ahead part): a framed version-2 upload byte for
+//	            byte, any other upload re-encoded as version 2. A session's
+//	            starts empty and grows through a StreamWriter: the header,
+//	            then the frames of the events it accepted, as they arrived.
+//	<id>.meta   an append-only log of lifecycle transitions. The first line
+//	            carries the record's identity (tool, events, idempotency
+//	            key, traceparent, tenant, submit time) and a first status
+//	            that tells the kinds apart: "pending" for a job, "live" for
+//	            a session. Later lines record running/done/failed (and, for
+//	            a session, evicted) transitions. Each line is CRC-framed:
 //	            "c2 <crc32c-hex8> <json>\n" (bare legacy JSON lines are
 //	            still accepted on read)
-//	<id>.ckpt   the job's latest replay checkpoint (trace.Checkpoint),
-//	            written atomically at epoch boundaries while the job runs
+//	<id>.ckpt   the record's latest replay checkpoint (trace.Checkpoint),
+//	            written atomically at epoch boundaries while it runs
 //
-// On startup, Recover scans the spool: jobs whose last recorded status is
-// pending or running are returned with their traces — and their latest
-// valid checkpoint, when one exists — so the service can re-enqueue each
-// exactly once and resume from where the crash cut it off; jobs already
-// done or failed are returned as history (without traces) so job listings
-// and idempotency-key dedup survive the restart. Remove deletes all three
-// files when the retention GC evicts a job.
+// Append creates a record, Mark moves it, Remove deletes all three files
+// (retention GC, a session's abort), and Recover reads every record back
+// in one scan of the spool. Pending and running jobs come back with their
+// traces and live sessions with their spooled bytes, each with its latest
+// valid checkpoint when one exists, so the service re-enqueues each job
+// exactly once and the stream hub resumes each session where the crash
+// cut it off. Terminal records come back as history (without traces), so
+// listings and idempotency-key dedup survive the restart. A session
+// spooled in the older layout (<id>.smeta, <id>.sbytes) is renamed into
+// this one by the scan.
 //
 // Corruption tolerance: a torn trailing meta line (crash mid-append) is
 // truncated off and counted, not fatal; a corrupt line in the middle of a
 // meta log (bit rot) is skipped and counted, so the entries after it still
-// apply; a corrupt checkpoint is dropped and counted — the job re-runs
-// from the trace, which is always correct, just slower.
+// apply; a corrupt checkpoint is dropped and counted — the record re-runs
+// from its trace, which is always correct, just slower.
 //
 // Fault points (package faultinject): "journal.append" and "journal.mark"
-// can inject write errors, "journal.fsync" can inject fsync latency, and
-// "journal.checkpoint" can inject checkpoint-write errors or latency.
+// can inject write errors into either kind of record, "journal.fsync" can
+// inject fsync latency, and "journal.checkpoint" can inject
+// checkpoint-write errors or latency.
 package journal
 
 import (
@@ -54,25 +63,32 @@ import (
 )
 
 // The lifecycle statuses a journal records. They mirror the service's job
-// states but are kept as plain strings so the journal stays a layer below
-// the service.
+// and the stream hub's session states but are kept as plain strings so the
+// journal stays a layer below both. A job is born pending and a session
+// live; evicted is a session's terminal status when the server, not the
+// client, ended it (idle, slow consumer, or budget breach).
 const (
 	StatusPending = "pending"
 	StatusRunning = "running"
 	StatusDone    = "done"
 	StatusFailed  = "failed"
+	StatusLive    = "live"
+	StatusEvicted = "evicted"
 )
 
-// Entry is one line of a job's meta log. The first line of a file has
-// Status "pending" and carries the job's identity; later lines only need
-// Status plus the terminal fields.
+// Entry is one line of a record's meta log. The first line of a file
+// carries the record's identity and its first status, pending or live;
+// later lines only need Status plus the terminal fields.
 type Entry struct {
-	ID        string    `json:"id,omitempty"`
-	Tool      string    `json:"tool,omitempty"`
-	Key       string    `json:"key,omitempty"`    // idempotency key, optional
-	Tenant    string    `json:"tenant,omitempty"` // owning tenant, "" for the default
-	Events    int       `json:"events,omitempty"`
-	Submitted time.Time `json:"submitted,omitempty"`
+	ID   string `json:"id,omitempty"`
+	Tool string `json:"tool,omitempty"`
+	Key  string `json:"key,omitempty"` // idempotency key, optional
+	// Traceparent is the W3C traceparent of the record's root span. A
+	// session journaled before the field existed kept it in Key.
+	Traceparent string    `json:"traceparent,omitempty"`
+	Tenant      string    `json:"tenant,omitempty"` // owning tenant, "" for the default
+	Events      int       `json:"events,omitempty"`
+	Submitted   time.Time `json:"submitted,omitempty"`
 	// DeadlineMs is the client-propagated completion deadline in Unix
 	// milliseconds, 0 when none — persisted so a recovered job can still
 	// be shed instead of replayed when its deadline already passed.
@@ -83,31 +99,42 @@ type Entry struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
-// Record identifies a job at accept time.
+// Record identifies a job or a stream session at accept time.
 type Record struct {
-	ID        string
-	Tool      string
-	Key       string // idempotency key, "" if the client sent none
-	Tenant    string // owning tenant, "" for the default tenant
-	Events    int
-	Submitted time.Time
-	Deadline  time.Time // client-propagated completion deadline, zero when none
+	ID   string
+	Tool string
+	Key  string // idempotency key, "" if the client sent none
+	// Traceparent is the record's own W3C trace context, "" when untraced,
+	// so a recovered job or session rejoins its trace.
+	Traceparent string
+	Tenant      string // owning tenant, "" for the default tenant
+	Events      int
+	Submitted   time.Time
+	Deadline    time.Time // client-propagated completion deadline, zero when none
+	// Session marks a stream session's record: it is born live and its
+	// trace grows through a StreamWriter.
+	Session bool
 }
 
-// RecoveredJob is one job found in the spool by Recover.
+// RecoveredJob is one record, a job or a stream session, found in the
+// spool by Recover.
 type RecoveredJob struct {
 	Record
-	// Status is the job's last journaled status. Pending and running jobs
-	// carry a Trace; terminal jobs carry Error/Result instead.
-	Status   string
-	Trace    *trace.Trace
+	// Status is the record's last journaled status. Pending and running
+	// jobs carry a Trace, live sessions carry Bytes; terminal records
+	// carry Error/Result instead.
+	Status string
+	Trace  *trace.Trace
+	// Bytes is a live session's spool as it is on disk: the header and
+	// accepted frames, possibly ending in a torn frame the hub truncates.
+	Bytes    []byte
 	Started  time.Time
 	Finished time.Time
 	Error    string
 	Result   json.RawMessage
-	// Checkpoint is the job's latest valid replay checkpoint, nil when none
-	// was written or the file failed its CRC check (then the job simply
-	// re-runs from event zero).
+	// Checkpoint is the record's latest valid replay checkpoint, nil when
+	// none was written or the file failed its CRC check (then the record
+	// simply re-runs from event zero).
 	Checkpoint *trace.Checkpoint
 }
 
@@ -123,10 +150,11 @@ type RecoverStats struct {
 	DroppedCheckpoints int
 }
 
-// Journal persists job traces and lifecycle transitions under one spool
-// directory. Methods are safe for concurrent use on distinct job IDs; the
-// service serializes transitions for a single job by construction (a job
-// is owned by one worker at a time).
+// Journal persists the traces and lifecycle transitions of jobs and
+// stream sessions under one spool directory. Methods are safe for
+// concurrent use on distinct record IDs; the service serializes
+// transitions for a single job by construction (a job is owned by one
+// worker at a time), and a session's owner does the same.
 //
 // The journal additionally tracks whether the spool is writable: any append,
 // mark, or checkpoint write failure (ENOSPC, a yanked disk, an injected
@@ -210,11 +238,13 @@ func (j *Journal) probe() error {
 	return os.Remove(path)
 }
 
-// Append journals a newly accepted job: the trace first, fsynced, then
-// the initial pending meta entry, fsynced. If any step fails the partial
-// files are removed so a failed accept leaves no spool residue, and the
-// caller must reject the submission — the write-ahead contract is that a
-// job is only acknowledged after Append returns nil.
+// Append journals a newly accepted record: its trace file first, then the
+// first meta entry, fsynced. A job's trace file is tr, written whole and
+// fsynced; a session (rec.Session) passes a nil tr and gets an empty file
+// that its StreamWriter grows. If any step fails the partial files are
+// removed so a failed accept leaves no spool residue, and the caller must
+// reject the submission — the write-ahead contract is that a job or
+// session is only acknowledged after Append returns nil.
 func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 	if err := faultinject.Fire("journal.append"); err != nil {
 		j.noteWrite(err)
@@ -225,9 +255,12 @@ func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 		return err
 	}
 	first := Entry{
-		ID: rec.ID, Tool: rec.Tool, Key: rec.Key, Tenant: rec.Tenant, Events: rec.Events,
-		Submitted: rec.Submitted, DeadlineMs: deadlineMs(rec.Deadline),
+		ID: rec.ID, Tool: rec.Tool, Key: rec.Key, Traceparent: rec.Traceparent, Tenant: rec.Tenant,
+		Events: rec.Events, Submitted: rec.Submitted, DeadlineMs: deadlineMs(rec.Deadline),
 		Status: StatusPending, Time: rec.Submitted,
+	}
+	if rec.Session {
+		first.Status = StatusLive
 	}
 	if err := j.appendMeta(rec.ID, first); err != nil {
 		j.removeFiles(rec.ID)
@@ -236,12 +269,12 @@ func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 	return nil
 }
 
-// Mark appends a lifecycle transition for the job. errMsg and result are
-// only meaningful for the failed and done statuses respectively. A mark
-// failure is not fatal to the job — the service logs it and continues —
-// but a crash before a terminal mark means the job is re-run on recovery,
-// which is the at-least-once side of the write-ahead design (idempotency
-// keys make the rerun invisible to clients).
+// Mark appends a lifecycle transition for the job or session. errMsg and
+// result are only meaningful for the terminal statuses. A mark failure is
+// not fatal — the caller logs it and continues — but a crash before a
+// terminal mark means the job is re-run, or the session resumed live, on
+// recovery: the at-least-once side of the write-ahead design (idempotency
+// keys make a rerun invisible to clients).
 func (j *Journal) Mark(id, status, errMsg string, result json.RawMessage) error {
 	if err := faultinject.Fire("journal.mark"); err != nil {
 		j.noteWrite(err)
@@ -252,7 +285,8 @@ func (j *Journal) Mark(id, status, errMsg string, result json.RawMessage) error 
 	})
 }
 
-// Remove deletes the job's spool files (retention GC).
+// Remove deletes the record's spool files (retention GC, a session's
+// abort).
 func (j *Journal) Remove(id string) error {
 	var firstErr error
 	for _, p := range []string{j.tracePath(id), j.metaPath(id), j.ckptPath(id)} {
@@ -263,7 +297,7 @@ func (j *Journal) Remove(id string) error {
 	return firstErr
 }
 
-// WriteCheckpoint atomically persists the job's latest replay checkpoint,
+// WriteCheckpoint atomically persists a record's latest replay checkpoint,
 // replacing any previous one. Honors the "journal.checkpoint" fault point.
 func (j *Journal) WriteCheckpoint(ck *trace.Checkpoint) error {
 	if err := faultinject.Fire("journal.checkpoint"); err != nil {
@@ -278,7 +312,7 @@ func (j *Journal) WriteCheckpoint(ck *trace.Checkpoint) error {
 	return err
 }
 
-// ReadCheckpoint loads the job's checkpoint. os.ErrNotExist when none was
+// ReadCheckpoint loads the record's checkpoint. os.ErrNotExist when none was
 // written; *trace.CorruptionError when the file fails its CRC check.
 func (j *Journal) ReadCheckpoint(id string) (*trace.Checkpoint, error) {
 	data, err := os.ReadFile(j.ckptPath(id))
@@ -288,8 +322,8 @@ func (j *Journal) ReadCheckpoint(id string) (*trace.Checkpoint, error) {
 	return trace.DecodeCheckpoint(data)
 }
 
-// RemoveCheckpoint deletes the job's checkpoint file, if any (terminal
-// jobs no longer need one).
+// RemoveCheckpoint deletes the record's checkpoint file, if any (terminal
+// records no longer need one).
 func (j *Journal) RemoveCheckpoint(id string) error {
 	if err := os.Remove(j.ckptPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
@@ -297,54 +331,62 @@ func (j *Journal) RemoveCheckpoint(id string) error {
 	return nil
 }
 
-// Recover scans the spool directory and reconstructs every journaled job
-// from its meta log. Jobs whose last status is pending or running are
-// loaded with their traces (ready to re-enqueue) and their latest valid
-// checkpoint; terminal jobs are returned as history. Jobs with unreadable
-// meta or trace files are skipped and reported in the returned error
-// list — recovery is best effort per job, never all-or-nothing — and the
-// corruption repaired along the way (torn meta lines truncated, corrupt
-// checkpoints dropped) is counted in RecoverStats. Results are sorted by
-// ID so replay order is deterministic.
+// Recover scans the spool directory once and reconstructs every journaled
+// job and stream session from its meta log. Jobs whose last status is
+// pending or running are loaded with their traces (ready to re-enqueue),
+// live sessions with their spooled bytes (ready to resume), both with
+// their latest valid checkpoint; terminal records are returned as history.
+// A session in the older layout is renamed into the current one first.
+// Records with unreadable meta or trace files are skipped and reported in
+// the returned error list — recovery is best effort per record, never
+// all-or-nothing — and the corruption repaired along the way (torn meta
+// lines truncated, corrupt checkpoints dropped) is counted in
+// RecoverStats. Results are sorted by ID so replay order is deterministic.
 func (j *Journal) Recover() ([]RecoveredJob, RecoverStats, []error) {
 	var stats RecoverStats
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
 		return nil, stats, []error{fmt.Errorf("journal: %w", err)}
 	}
-	var jobs []RecoveredJob
+	var recs []RecoveredJob
 	var errs []error
 	for _, de := range entries {
 		name := de.Name()
-		if !strings.HasSuffix(name, ".meta") {
-			continue
-		}
-		// Subsystem logs share the spool and the framing but are not job
-		// lifecycle logs; their owners recover them separately.
+		// Subsystem logs share the spool and the framing but are not
+		// record lifecycle logs; their owners recover them separately.
 		if name == fleetFile || name == tenantFile {
 			continue
 		}
-		id := strings.TrimSuffix(name, ".meta")
+		id, ok := strings.CutSuffix(name, ".meta")
+		if !ok {
+			if id, ok = strings.CutSuffix(name, legacyMetaSuffix); !ok {
+				continue
+			}
+			if err := j.migrate(id); err != nil {
+				errs = append(errs, &JobError{ID: id, Err: err})
+				continue
+			}
+		}
 		rj, err := j.recoverOne(id, &stats)
 		if err != nil {
 			errs = append(errs, &JobError{ID: id, Err: err})
 			continue
 		}
-		jobs = append(jobs, rj)
+		recs = append(recs, rj)
 	}
-	sort.Slice(jobs, func(a, b int) bool {
+	sort.Slice(recs, func(a, b int) bool {
 		// Numeric-aware so job-10 sorts after job-9.
-		x, y := jobs[a].ID, jobs[b].ID
+		x, y := recs[a].ID, recs[b].ID
 		if len(x) != len(y) {
 			return len(x) < len(y)
 		}
 		return x < y
 	})
-	return jobs, stats, errs
+	return recs, stats, errs
 }
 
-// JobError is a recovery failure scoped to one spooled job, so callers
-// can log the job id as a structured attribute. Its message matches the
+// JobError is a recovery failure scoped to one spooled record, so callers
+// can log its id as a structured attribute. Its message matches the
 // historical "journal: job <id>: <cause>" format.
 type JobError struct {
 	ID  string
@@ -420,8 +462,7 @@ func parseFramedPayload(raw []byte) ([]byte, bool) {
 // in order, with scanLog's repairs: a bad trailing line (crash mid-append)
 // is truncated off the file, and a bad mid-file line is skipped so the
 // entries after it still apply. Only an unreadable first line is fatal,
-// since without it the record has no identity. Shared by job (.meta) and
-// stream (.smeta) recovery.
+// since without it the record has no identity.
 func readMetaLog(path string, stats *RecoverStats) ([]Entry, error) {
 	var entries []Entry
 	lines, err := scanLog(path, true, stats, func(payload []byte) bool {
@@ -441,8 +482,8 @@ func readMetaLog(path string, stats *RecoverStats) ([]Entry, error) {
 	return entries, nil
 }
 
-// recoverOne reads one job's meta log and, for non-terminal jobs, its
-// trace and latest checkpoint.
+// recoverOne reads one record's meta log and, for a pending or running
+// job or a live session, its trace and latest checkpoint.
 func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, error) {
 	entries, err := readMetaLog(j.metaPath(id), stats)
 	if err != nil {
@@ -456,35 +497,44 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 				return RecoveredJob{}, fmt.Errorf("meta identity %q does not match file %q", e.ID, id)
 			}
 			rj.Record = Record{
-				ID: e.ID, Tool: e.Tool, Key: e.Key, Tenant: e.Tenant,
+				ID: e.ID, Tool: e.Tool, Key: e.Key, Traceparent: e.Traceparent, Tenant: e.Tenant,
 				Events: e.Events, Submitted: e.Submitted, Deadline: msToDeadline(e.DeadlineMs),
+				Session: e.Status == StatusLive,
+			}
+			if rj.Session && rj.Traceparent == "" {
+				rj.Traceparent, rj.Key = e.Key, ""
 			}
 		}
 		rj.Status = e.Status
 		switch e.Status {
 		case StatusRunning:
 			rj.Started = e.Time
-		case StatusDone, StatusFailed:
+		case StatusDone, StatusFailed, StatusEvicted:
 			rj.Finished = e.Time
 			rj.Error = e.Error
 			rj.Result = e.Result
 		}
 	}
-	if rj.Status == StatusPending || rj.Status == StatusRunning {
-		tr, err := j.Trace(id)
-		if err != nil {
+	switch {
+	case rj.Session && rj.Status == StatusLive:
+		if rj.Bytes, err = os.ReadFile(j.tracePath(id)); err != nil {
 			return RecoveredJob{}, err
 		}
-		rj.Trace = tr
-		// A checkpoint is an optimization, never a requirement: a corrupt
-		// one is dropped (and deleted, so it cannot fail again next boot)
-		// and the job re-runs from the trace.
-		if ck, err := j.ReadCheckpoint(id); err == nil {
-			rj.Checkpoint = ck
-		} else if !errors.Is(err, os.ErrNotExist) {
-			stats.DroppedCheckpoints++
-			_ = os.Remove(j.ckptPath(id))
+	case !rj.Session && (rj.Status == StatusPending || rj.Status == StatusRunning):
+		if rj.Trace, err = j.Trace(id); err != nil {
+			return RecoveredJob{}, err
 		}
+	default:
+		return rj, nil
+	}
+	// A checkpoint is an optimization, never a requirement: a corrupt one
+	// is dropped (and deleted, so it cannot fail again next boot) and the
+	// record re-runs from its trace.
+	if ck, err := j.ReadCheckpoint(id); err == nil {
+		rj.Checkpoint = ck
+	} else if !errors.Is(err, os.ErrNotExist) {
+		stats.DroppedCheckpoints++
+		_ = os.Remove(j.ckptPath(id))
 	}
 	return rj, nil
 }
@@ -492,12 +542,17 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 // writeTrace writes and fsyncs the job's trace file in the CRC32C-framed
 // encoding, so later corruption of the spool is detected at read time
 // instead of silently mis-parsing. A trace that kept the framed upload it
-// was decoded from is written as those bytes; any other is encoded.
+// was decoded from is written as those bytes; any other is encoded. A nil
+// tr, a session's, leaves the file empty and unsynced: the session syncs
+// it as it writes the header.
 func (j *Journal) writeTrace(id string, tr *trace.Trace) (err error) {
 	defer func() { j.noteWrite(err) }()
 	f, err := os.OpenFile(j.tracePath(id), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
+	}
+	if tr == nil {
+		return f.Close()
 	}
 	if data := tr.Framed(); data != nil {
 		_, err = f.Write(data)
@@ -515,15 +570,15 @@ func (j *Journal) writeTrace(id string, tr *trace.Trace) (err error) {
 	return f.Close()
 }
 
-// appendMeta appends one fsynced CRC-framed entry line to the job's meta
+// appendMeta appends one fsynced CRC-framed entry line to the record's meta
 // log.
 func (j *Journal) appendMeta(id string, e Entry) error {
 	return j.appendRecord(j.metaPath(id), e)
 }
 
 // appendRecord appends v, JSON-encoded, as one fsynced CRC-framed line to
-// the log at path — a job or stream meta log, the fleet log or the tenant
-// log — and records the outcome in the writable flag.
+// the log at path — a record's meta log, the fleet log or the tenant log —
+// and records the outcome in the writable flag.
 func (j *Journal) appendRecord(path string, v any) (err error) {
 	defer func() { j.noteWrite(err) }()
 	payload, err := json.Marshal(v)
@@ -627,11 +682,18 @@ func writeFileAtomic(path string, data []byte) error {
 		return err
 	}
 	// fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	_ = syncDir(dir)
 	return nil
+}
+
+// syncDir fsyncs a directory, so renames in it survive a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // sync fsyncs f, honoring the injected fsync-latency fault point.
@@ -642,7 +704,7 @@ func (j *Journal) sync(f *os.File) error {
 	return f.Sync()
 }
 
-// removeFiles best-effort deletes a job's spool files after a failed
+// removeFiles best-effort deletes a record's spool files after a failed
 // Append.
 func (j *Journal) removeFiles(id string) {
 	_ = os.Remove(j.tracePath(id))

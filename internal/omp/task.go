@@ -135,46 +135,41 @@ func (rt *Runtime) awaitDeps(t *task, preds []*task, loc ompt.SourceLoc) {
 // private Context, and an implicit barrier joins them before ParallelFor
 // returns.
 func (c *Context) ParallelFor(n int, body func(c *Context, i int)) {
+	c.forkJoin(c.rt.cfg.NumThreads, n, func(wc *Context, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(wc, i)
+		}
+	})
+}
+
+// forkJoin splits [0, n) into at most parts contiguous chunks and runs each
+// on its own goroutine as a child task of c's task: the task's create and
+// begin events, run over its chunk with the task's private Context, then
+// its end event. An implicit barrier joins the tasks into c's task before
+// forkJoin returns.
+func (c *Context) forkJoin(parts, n int, run func(tc *Context, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := c.rt.cfg.NumThreads
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
+	parts = min(max(parts, 1), n)
+	chunk := (n + parts - 1) / parts
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			c.runWorker(lo, hi, body)
-		}(lo, hi)
+			t := c.rt.newTask(c.task)
+			c.rt.tools.Sync(ompt.SyncEvent{
+				Kind: ompt.SyncTaskCreate, Task: c.task.id, Child: t.id, Thread: c.task.thread, Loc: c.loc,
+			})
+			tc := &Context{rt: c.rt, task: t, device: c.device, space: c.space, dev: c.dev, loc: c.loc}
+			c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskBegin, Task: t.id, Thread: t.thread, Loc: c.loc})
+			run(tc, lo, hi)
+			c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskEnd, Task: t.id, Child: t.id, Thread: t.thread, Loc: c.loc})
+			close(t.done)
+		}()
 	}
 	wg.Wait()
-	// Implicit barrier: join the worker tasks into the enclosing task.
 	c.TaskWait()
-}
-
-// runWorker executes body over [lo, hi) as a child task of c's task.
-func (c *Context) runWorker(lo, hi int, body func(c *Context, i int)) {
-	t := c.rt.newTask(c.task)
-	c.rt.tools.Sync(ompt.SyncEvent{
-		Kind: ompt.SyncTaskCreate, Task: c.task.id, Child: t.id, Thread: c.task.thread, Loc: c.loc,
-	})
-	wc := &Context{rt: c.rt, task: t, device: c.device, space: c.space, dev: c.dev, loc: c.loc}
-	c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskBegin, Task: t.id, Thread: t.thread, Loc: c.loc})
-	for i := lo; i < hi; i++ {
-		body(wc, i)
-	}
-	c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskEnd, Task: t.id, Child: t.id, Thread: t.thread, Loc: c.loc})
-	close(t.done)
 }

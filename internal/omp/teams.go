@@ -1,11 +1,5 @@
 package omp
 
-import (
-	"sync"
-
-	"repro/internal/ompt"
-)
-
 // TeamsDistributeParallelFor models the combined construct
 // `#pragma omp teams distribute parallel for` used by the paper's example
 // kernels (Fig. 1): the iteration space [0, n) is distributed across a
@@ -14,49 +8,9 @@ import (
 // sees the two-level structure), and an implicit barrier joins the league
 // before the call returns.
 func (c *Context) TeamsDistributeParallelFor(teams, n int, body func(c *Context, i int)) {
-	if n <= 0 {
-		return
-	}
-	if teams <= 0 {
-		teams = 1
-	}
-	if teams > n {
-		teams = n
-	}
-	chunk := (n + teams - 1) / teams
-	var wg sync.WaitGroup
-	for tm := 0; tm < teams; tm++ {
-		lo := tm * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			c.runTeam(lo, hi, body)
-		}(lo, hi)
-	}
-	wg.Wait()
-	// League barrier: join the team tasks into the enclosing task.
-	c.TaskWait()
-}
-
-// runTeam executes one team's chunk as a child task that internally runs a
-// parallel for over its iterations.
-func (c *Context) runTeam(lo, hi int, body func(c *Context, i int)) {
-	t := c.rt.newTask(c.task)
-	c.rt.tools.Sync(ompt.SyncEvent{
-		Kind: ompt.SyncTaskCreate, Task: c.task.id, Child: t.id, Thread: c.task.thread, Loc: c.loc,
+	c.forkJoin(teams, n, func(tc *Context, lo, hi int) {
+		tc.ParallelFor(hi-lo, func(wc *Context, i int) {
+			body(wc, lo+i)
+		})
 	})
-	tc := &Context{rt: c.rt, task: t, device: c.device, space: c.space, dev: c.dev, loc: c.loc}
-	c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskBegin, Task: t.id, Thread: t.thread, Loc: c.loc})
-	tc.ParallelFor(hi-lo, func(wc *Context, i int) {
-		body(wc, lo+i)
-	})
-	c.rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskEnd, Task: t.id, Child: t.id, Thread: t.thread, Loc: c.loc})
-	close(t.done)
 }

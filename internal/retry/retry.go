@@ -5,7 +5,8 @@
 // instead of analyzed twice.
 //
 // The generic entry point is Policy.Do; HTTP helpers classify responses
-// (RetryAfter, StatusRetryable) and NewKey mints idempotency keys.
+// (Classify, RetryAfter, StatusRetryable) and NewKey mints idempotency
+// keys.
 package retry
 
 import (
@@ -183,6 +184,25 @@ func StatusRetryable(status int) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// Classify turns one HTTP answer into the error a Do attempt returns.
+// decode reads the answer and closes its body, returning an error for a
+// non-2xx status (the daemon's message, say) or a body it cannot read.
+// That error is retried after the answer's Retry-After when the status is
+// retryable (see StatusRetryable), is Permanent for any other non-2xx
+// status, and is returned as it is for a 2xx answer, so a decode can mark
+// its own failures Permanent or leave them retryable.
+func Classify(resp *http.Response, decode func(*http.Response) error) error {
+	err := decode(resp)
+	switch {
+	case err == nil || resp.StatusCode/100 == 2:
+		return err
+	case StatusRetryable(resp.StatusCode):
+		return After(err, RetryAfter(resp))
+	default:
+		return Permanent(err)
 	}
 }
 

@@ -169,3 +169,33 @@ func TestNewKeyUnique(t *testing.T) {
 		t.Errorf("keys %q, %q: want distinct 32-char keys", a, b)
 	}
 }
+
+// TestClassify: a retryable status keeps decode's error retryable with the
+// answer's Retry-After, another non-2xx status makes it permanent, and a
+// 2xx answer passes decode's result through as it is.
+func TestClassify(t *testing.T) {
+	boom := errors.New("boom")
+	answer := func(status int, retryAfter string) *http.Response {
+		h := http.Header{}
+		if retryAfter != "" {
+			h.Set("Retry-After", retryAfter)
+		}
+		return &http.Response{StatusCode: status, Header: h}
+	}
+	fail := func(*http.Response) error { return boom }
+	var perm *permanentError
+	var after *afterError
+
+	if err := Classify(answer(200, ""), func(*http.Response) error { return nil }); err != nil {
+		t.Fatalf("2xx decoded: %v, want nil", err)
+	}
+	if err := Classify(answer(200, ""), fail); err != boom {
+		t.Fatalf("2xx decode failure: %v, want the decode error as it is", err)
+	}
+	if err := Classify(answer(503, "3"), fail); !errors.As(err, &after) || after.after != 3*time.Second || errors.As(err, &perm) {
+		t.Fatalf("503: %v, want retryable after 3s", err)
+	}
+	if err := Classify(answer(404, ""), fail); !errors.As(err, &perm) || !errors.Is(err, boom) {
+		t.Fatalf("404: %v, want permanent", err)
+	}
+}

@@ -92,6 +92,15 @@ type JobView struct {
 	TraceID string `json:"traceId,omitempty"`
 }
 
+// traceparent is the job's own trace context for the journal, "" when the
+// job has none.
+func (j *job) traceparent() string {
+	if !j.tc.Valid() {
+		return ""
+	}
+	return j.tc.Traceparent()
+}
+
 // viewLocked snapshots the job; the caller must hold Service.mu.
 func (j *job) viewLocked() JobView {
 	v := JobView{

@@ -345,24 +345,17 @@ func (s *Service) QueueFullness() (depth, capacity int) {
 }
 
 // Recover replays the configured journal's spool directory into the
-// service: terminal jobs are restored as history (results and errors
-// intact), and every job that never reached a terminal state is
-// re-enqueued exactly once for analysis. It must be called after New and
-// before Start, at most once, and returns the number of re-enqueued jobs.
-// Per-job journal damage (a corrupt meta file, a missing trace) is
-// logged and skipped, never fatal: one bad spool entry must not keep the
-// daemon down.
+// service in one scan: terminal jobs are restored as history (results and
+// errors intact), every job that never reached a terminal state is
+// re-enqueued exactly once for analysis, and the stream sessions are handed
+// to the hub (Hub.Restore), which resumes the live ones. It must be called
+// after New and before Start, at most once, and returns the number of
+// re-enqueued jobs. Per-record journal damage (a corrupt meta file, a
+// missing trace) is logged and skipped, never fatal: one bad spool entry
+// must not keep the daemon down.
 func (s *Service) Recover() (int, error) {
 	if s.cfg.Journal == nil {
 		return 0, errors.New("service: no journal configured")
-	}
-	// Streaming sessions recover alongside jobs: live ones are rebuilt from
-	// their checkpoint plus spooled bytes and stay open for client resume.
-	// Stream damage is logged, never fatal to job recovery.
-	if n, err := s.hub.Recover(); err != nil {
-		s.cfg.Logger.Error("stream recovery failed", "phase", "recovery", "err", err)
-	} else if n > 0 {
-		s.cfg.Logger.Info("recovered live streaming sessions", "phase", "recovery", "sessions", n)
 	}
 	// Journaled tenant tuning overlays the flag-seeded limits (Apply: no
 	// re-journaling). A damaged tenant log degrades to flag defaults, never
@@ -377,6 +370,14 @@ func (s *Service) Recover() (int, error) {
 	}
 	recovered, rstats, errs := s.cfg.Journal.Recover()
 	rstats.TruncatedRecords += tstats.TruncatedRecords
+	// Streaming sessions recover alongside jobs: live ones are rebuilt from
+	// their checkpoint plus spooled bytes and stay open for client resume.
+	// Stream damage is logged, never fatal to job recovery.
+	if n, err := s.hub.Restore(recovered); err != nil {
+		s.cfg.Logger.Error("stream recovery failed", "phase", "recovery", "err", err)
+	} else if n > 0 {
+		s.cfg.Logger.Info("recovered live streaming sessions", "phase", "recovery", "sessions", n)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started {
@@ -393,7 +394,7 @@ func (s *Service) Recover() (int, error) {
 	}
 	if rstats.DroppedCheckpoints > 0 {
 		s.metrics.checkpointErrors.Add(uint64(rstats.DroppedCheckpoints))
-		s.cfg.Logger.Warn("journal recovery dropped corrupt checkpoints; affected jobs replay from scratch",
+		s.cfg.Logger.Warn("journal recovery dropped corrupt checkpoints; affected jobs and sessions replay from their traces",
 			"phase", "recovery", "checkpoints", rstats.DroppedCheckpoints)
 	}
 	for _, err := range errs {
@@ -408,7 +409,7 @@ func (s *Service) Recover() (int, error) {
 
 	requeued := 0
 	for _, rj := range recovered {
-		if _, exists := s.jobs[rj.ID]; exists {
+		if _, exists := s.jobs[rj.ID]; exists || rj.Session {
 			continue
 		}
 		j := &job{
@@ -451,6 +452,7 @@ func (s *Service) Recover() (int, error) {
 			t := s.tenants.Get(j.tenant)
 			t.Adopt(0)
 			j.quotaHeld = true
+			s.restoreTraceLocked(j, rj.Traceparent)
 			s.pushLocked(j, t.Weight(), false)
 			requeued++
 			s.metrics.jobsRecovered.Inc()
@@ -471,6 +473,26 @@ func (s *Service) Recover() (int, error) {
 		}
 	}
 	return requeued, nil
+}
+
+// restoreTraceLocked gives a re-enqueued job its root span again, rejoined
+// to the trace it was admitted under: the journal round-trips the job's
+// own traceparent, so the resumed replay, and any lease a coordinator
+// grants, land in the same trace. The sampling verdict rode along in the
+// flags. Only the job's own identity is journaled: a parent link to the
+// client's span does not survive the crash, which costs the root its
+// ParentID and nothing else. The caller holds s.mu.
+func (s *Service) restoreTraceLocked(j *job, traceparent string) {
+	j.span = telemetry.NewSpan("job", j.submitted)
+	if ptc, ok := telemetry.ParseTraceparent(traceparent); ok && s.traces != nil {
+		j.tc = ptc
+		if ptc.Sampled {
+			j.span.Identify(ptc, "")
+		}
+	}
+	j.span.SetCount("events", int64(j.events))
+	j.span.StartChild("queue", j.enqueued)
+	s.publishTraceLocked(j)
 }
 
 // Start launches the worker pool. It is a no-op if already started. A
@@ -660,7 +682,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		// after this point cannot lose it.
 		js := j.span.StartChild("journal", time.Time{})
 		jerr := s.cfg.Journal.Append(journal.Record{
-			ID: j.id, Tool: j.tool, Key: j.key, Tenant: j.tenant,
+			ID: j.id, Tool: j.tool, Key: j.key, Traceparent: j.traceparent(), Tenant: j.tenant,
 			Events: j.events, Submitted: j.submitted, Deadline: j.deadline,
 		}, tr)
 		js.EndAt(time.Time{})
@@ -704,8 +726,9 @@ func (s *Service) Job(id string) (JobView, bool) {
 }
 
 // JobTrace returns a deep copy of the identified job's span tree, or
-// (nil, true) for a job that has none (jobs recovered from the journal
-// lose their in-memory spans).
+// (nil, true) for a job that has none (jobs recovered from the journal as
+// history lose their in-memory spans; re-enqueued ones get a new root
+// under their journaled trace).
 func (s *Service) JobTrace(id string) (*telemetry.Span, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

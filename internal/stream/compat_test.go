@@ -55,7 +55,7 @@ func TestStreamRecoveryFromV1Spool(t *testing.T) {
 	id := openSession(t, h1, "arbalest").ID()
 	// Kill, leaving the spool a version-1 daemon would have written after
 	// applying the first third of the events.
-	if err := os.WriteFile(filepath.Join(dir, id+".sbytes"), v1Spool(t, tr.Events[:third]), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, id+".trace"), v1Spool(t, tr.Events[:third]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -166,18 +166,18 @@ func (s *Session) attachTrace(traceparent string) {
 }
 
 // restoreTrace rejoins a recovered session to the trace it was opened
-// under: Record.Key round-trips the session's own traceparent through the
-// stream meta file, so the resumed session keeps the same trace and span
+// under: Record.Traceparent round-trips the session's own traceparent
+// through its meta log, so the resumed session keeps the same trace and span
 // IDs and its published snapshots replace the pre-crash tree — one trace
 // across the crash. The sampling verdict rode along in the flags, so
 // recovery never re-rolls the head-sampling dice. Only our own identity is
 // journaled; a parent link to an external caller's span does not survive
 // the crash, which costs the resumed root its ParentID and nothing else.
-func (s *Session) restoreTrace(key string) {
+func (s *Session) restoreTrace(traceparent string) {
 	if s.hub.cfg.Traces == nil {
 		return
 	}
-	ptc, ok := telemetry.ParseTraceparent(key)
+	ptc, ok := telemetry.ParseTraceparent(traceparent)
 	if !ok || !ptc.Sampled {
 		return
 	}
@@ -188,9 +188,9 @@ func (s *Session) restoreTrace(key string) {
 	s.span.Identify(s.tc, "")
 }
 
-// traceKey is the session's own traceparent for journal persistence, ""
-// when untraced.
-func (s *Session) traceKey() string {
+// traceparent is the session's own traceparent for journal persistence,
+// "" when untraced.
+func (s *Session) traceparent() string {
 	if !s.tc.Valid() {
 		return ""
 	}
@@ -601,17 +601,11 @@ func (s *Session) replaySpool(data []byte) error {
 		if off == 0 {
 			// Not even a whole header survived; restart the spool so future
 			// appends form a valid stream.
-			w, err := s.hub.cfg.Journal.OpenStreamBytes(s.id)
+			w, err := s.hub.newSpool(s.id)
 			if err != nil {
 				return err
-			}
-			if _, err := w.Write(trace.StreamHeader()); err == nil {
-				err = w.Sync()
 			}
 			w.Close()
-			if err != nil {
-				return err
-			}
 		}
 		s.hub.sessionLogger(s).Warn("truncated torn spool tail",
 			"phase", "recovery", "spool_bytes", len(data), "kept", off)
@@ -666,7 +660,7 @@ func (s *Session) Abort() bool {
 		return false
 	}
 	if s.hub.cfg.Journal != nil {
-		if err := s.hub.cfg.Journal.RemoveStream(s.id); err != nil {
+		if err := s.hub.cfg.Journal.Remove(s.id); err != nil {
 			s.hub.sessionLogger(s).Error("journal stream remove failed", "phase", "abort", "err", err)
 		}
 	}

@@ -40,7 +40,7 @@ func TestStreamSpoolHoldsAcceptedFrames(t *testing.T) {
 	if got := s.View().Events; got != uint64(len(tr.Events)) {
 		t.Fatalf("session applied %d events, want %d", got, len(tr.Events))
 	}
-	spool, err := os.ReadFile(filepath.Join(dir, s.ID()+".sbytes"))
+	spool, err := os.ReadFile(filepath.Join(dir, s.ID()+".trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func feedExpectingPanic(t *testing.T, s *Session, body []byte) {
 // finishes with the findings of an uninterrupted run; a hub recovered from
 // the spool keeps the failed session failed without re-feeding its
 // spooled, never-applied batch. When the failed mark is lost too
-// (journal.stream.mark), recovery re-feeds the batch, meets the panic
+// (journal.mark), recovery re-feeds the batch, meets the panic
 // again and fails that session, not the hub.
 func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 	faultinject.Reset()
@@ -117,7 +117,7 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 		if v := crashed.View(); v.Events != 0 {
 			t.Fatalf("crashed session applied %d events, want 0", v.Events)
 		}
-		spool, err := os.ReadFile(filepath.Join(dir, crashed.ID()+".sbytes"))
+		spool, err := os.ReadFile(filepath.Join(dir, crashed.ID()+".trace"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +151,9 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 		h1 := hub(dir)
 		crashed := openSession(t, h1, "arbalest")
 		faultinject.Enable("stream.replay", injected)
-		faultinject.Enable("journal.stream.mark", faultinject.Fault{Err: errors.New("disk full")})
+		faultinject.Enable("journal.mark", faultinject.Fault{Err: errors.New("disk full")})
 		feedExpectingPanic(t, crashed, body)
-		faultinject.Disable("journal.stream.mark")
+		faultinject.Disable("journal.mark")
 
 		faultinject.Enable("stream.replay", injected)
 		h2 := hub(dir)

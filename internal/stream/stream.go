@@ -19,17 +19,18 @@
 //
 // # Durability
 //
-// With a journal configured, the frames of every batch are appended, as
-// they arrived, to the session's spool (<id>.sbytes) in one write before
-// the batch is replayed; a resent duplicate is skipped, not spooled, so the
-// spool is one header followed by exactly the accepted frames. The driver
-// checkpoints the analyzer by batch replay's index-only barrier rule, at
-// batch replay's boundaries: after a non-access event, once CheckpointEvery
-// events have passed since the last checkpoint. The spool is fsynced before
-// each checkpoint, so checkpointed progress never outruns replayable bytes.
-// After a crash, Recover restores each live session from its freshest
-// checkpoint, re-feeds the spooled suffix, and leaves the session live —
-// the client resumes by asking the session how many events it has
+// With a journal configured, a session is a journal record like a job's:
+// the frames of every batch are appended, as they arrived, to its spool
+// (<id>.trace) in one write before the batch is replayed; a resent
+// duplicate is skipped, not spooled, so the spool is one header followed by
+// exactly the accepted frames. The driver checkpoints the analyzer by batch
+// replay's index-only barrier rule, at batch replay's boundaries: after a
+// non-access event, once CheckpointEvery events have passed since the last
+// checkpoint. The spool is fsynced before each checkpoint, so checkpointed
+// progress never outruns replayable bytes. After a crash, Restore (or
+// Recover, for a hub used on its own) rebuilds each live session from its
+// freshest checkpoint, re-feeds the spooled suffix, and leaves the session
+// live — the client resumes by asking the session how many events it has
 // (View.Events) and re-sending from there; duplicate events are skipped by
 // sequence number.
 //
@@ -137,8 +138,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Hub owns every streaming session: admission, lookup, recovery, idle
-// eviction, and retention. Create with NewHub, optionally Recover, then
-// Start; stop with Close.
+// eviction, and retention. Create with NewHub, optionally Recover (or
+// Restore), then Start; stop with Close.
 type Hub struct {
 	cfg     Config
 	metrics *metrics
@@ -191,8 +192,9 @@ func (h *Hub) Open(tool, traceparent string) (View, error) {
 // traceparent, when it parses as a W3C trace context, makes the session a
 // child of the caller's trace; otherwise a fresh trace is minted subject to
 // the store's head sampling. The session's own traceparent is journaled
-// write-ahead (Record.Key), so a daemon crash and recovery resumes the SAME
-// trace — chunked uploads, the crash, and the resumed feed read as one tree.
+// write-ahead (Record.Traceparent), so a daemon crash and recovery resumes
+// the SAME trace — chunked uploads, the crash, and the resumed feed read as
+// one tree.
 func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
 	a, err := tools.NewWithOptions(tool, tools.Options{Stats: h.cfg.AnalyzerStats})
 	if err != nil {
@@ -231,28 +233,22 @@ func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
 	s.attachTrace(traceparent)
 	if h.cfg.Journal != nil {
 		// Write-ahead: the session is journaled (live mark plus the spool's
-		// framed-format header, fsynced) before it is acknowledged. Key
-		// carries the session's own traceparent so recovery rejoins the
-		// trace under the same IDs; Tenant re-attributes the slot and the
-		// spooled bytes after a crash.
-		w, err := h.cfg.Journal.AppendStream(journal.Record{
-			ID: id, Tool: tool, Submitted: s.created, Key: s.traceKey(),
-			Tenant: tenantName,
-		})
+		// framed-format header, fsynced) before it is acknowledged.
+		// Traceparent lets recovery rejoin the trace under the same IDs;
+		// Tenant re-attributes the slot and the spooled bytes after a crash.
+		err := h.cfg.Journal.Append(journal.Record{
+			ID: id, Tool: tool, Submitted: s.created, Traceparent: s.traceparent(),
+			Tenant: tenantName, Session: true,
+		}, nil)
+		if err == nil {
+			if s.spool, err = h.newSpool(id); err != nil {
+				_ = h.cfg.Journal.Remove(id)
+			}
+		}
 		if err != nil {
 			s.releaseQuotaLocked()
 			return View{}, fmt.Errorf("stream: journal: %w", err)
 		}
-		if _, err := w.Write(trace.StreamHeader()); err == nil {
-			err = w.Sync()
-		}
-		if err != nil {
-			w.Close()
-			_ = h.cfg.Journal.RemoveStream(id)
-			s.releaseQuotaLocked()
-			return View{}, fmt.Errorf("stream: journal: %w", err)
-		}
-		s.spool = w
 	}
 	h.nextID++
 	h.sessions[id] = s
@@ -263,6 +259,23 @@ func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
 	h.gcLocked()
 	s.publishTrace()
 	return s.View(), nil
+}
+
+// newSpool opens a session's spool for appending and writes the
+// framed-format header, fsynced, so the spool is a valid stream.
+func (h *Hub) newSpool(id string) (*journal.StreamWriter, error) {
+	w, err := h.cfg.Journal.OpenStreamBytes(id)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = w.Write(trace.StreamHeader()); err == nil {
+		err = w.Sync()
+	}
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
 // Get returns the identified session.
@@ -394,7 +407,7 @@ func (h *Hub) markStream(s *Session, status, errMsg string, result json.RawMessa
 	if h.cfg.Journal == nil {
 		return
 	}
-	if err := h.cfg.Journal.MarkStream(s.id, status, errMsg, result); err != nil {
+	if err := h.cfg.Journal.Mark(s.id, status, errMsg, result); err != nil {
 		h.sessionLogger(s).Error("journal stream mark failed", "phase", status, "err", err)
 	}
 }
@@ -432,7 +445,7 @@ func (h *Hub) gcLocked() {
 				h.cfg.Traces.Remove(s.span.TraceID)
 			}
 			if h.cfg.Journal != nil {
-				if err := h.cfg.Journal.RemoveStream(id); err != nil {
+				if err := h.cfg.Journal.Remove(id); err != nil {
 					h.sessionLogger(s).Error("journal stream remove failed", "phase", "gc", "err", err)
 				}
 			}
@@ -470,29 +483,15 @@ func (h *Hub) Close() {
 	}
 }
 
-// Recover rebuilds journaled sessions from the spool: live sessions are
-// restored from their freshest checkpoint plus the spooled event suffix
-// and stay live for client resume; terminal sessions come back as history.
-// Must run after NewHub and before Start, at most once. Returns the number
-// of live sessions rebuilt. Per-session damage is logged and skipped —
-// except a torn spool tail, which is truncated off, exactly like a torn
-// meta record.
+// Recover rebuilds the journaled sessions of a hub used on its own: it
+// scans the journal's spool and hands the records to Restore, logging the
+// scan's repairs and per-record damage. A Service scans its spool once for
+// jobs and sessions alike and calls Restore itself.
 func (h *Hub) Recover() (int, error) {
 	if h.cfg.Journal == nil {
 		return 0, errors.New("stream: no journal configured")
 	}
-	recovered, rstats, errs := h.cfg.Journal.RecoverStreams()
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return 0, ErrDraining
-	}
-	if h.recovered {
-		h.mu.Unlock()
-		return 0, errors.New("stream: Recover called twice")
-	}
-	h.recovered = true
-	h.mu.Unlock()
+	recovered, rstats, errs := h.cfg.Journal.Recover()
 	if rstats.TruncatedRecords > 0 {
 		h.cfg.Logger.Warn("stream recovery dropped torn or corrupt meta records",
 			"phase", "recovery", "records", rstats.TruncatedRecords)
@@ -505,9 +504,34 @@ func (h *Hub) Recover() (int, error) {
 	for _, err := range errs {
 		h.cfg.Logger.Error("stream recovery error", "phase", "recovery", "err", err)
 	}
+	return h.Restore(recovered)
+}
+
+// Restore rebuilds the session records among recovered (job records are
+// skipped): live sessions are restored from their freshest checkpoint plus
+// the spooled event suffix and stay live for client resume; terminal
+// sessions come back as history. Must run after NewHub and before Start, at
+// most once. Returns the number of live sessions rebuilt. A session that
+// cannot be rebuilt is logged and marked failed — except for a torn spool
+// tail, which is truncated off, exactly like a torn meta record.
+func (h *Hub) Restore(recovered []journal.RecoveredJob) (int, error) {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return 0, ErrDraining
+	}
+	if h.recovered {
+		h.mu.Unlock()
+		return 0, errors.New("stream: recovery ran twice")
+	}
+	h.recovered = true
+	h.mu.Unlock()
 
 	liveCount := 0
 	for _, rs := range recovered {
+		if !rs.Session {
+			continue
+		}
 		s := h.rebuild(rs)
 		if s == nil {
 			continue
@@ -538,7 +562,7 @@ func (h *Hub) Recover() (int, error) {
 // get a fresh analyzer, the checkpoint restored when possible, and the
 // spooled suffix re-fed. Returns nil when the session cannot be rebuilt at
 // all (it is then marked failed in the journal so it won't return).
-func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
+func (h *Hub) rebuild(rs journal.RecoveredJob) *Session {
 	if rs.Status != journal.StatusLive {
 		s := &Session{
 			hub: h, id: rs.ID, tool: rs.Tool, status: Status(rs.Status),
@@ -561,13 +585,13 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 	if err != nil {
 		h.cfg.Logger.Error("recovered session names unknown tool; marking failed",
 			"phase", "recovery", "stream_id", rs.ID, "tool", rs.Tool, "err", err)
-		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, err.Error(), nil)
+		_ = h.cfg.Journal.Mark(rs.ID, journal.StatusFailed, err.Error(), nil)
 		return nil
 	}
 	s := newSession(h, rs.ID, rs.Tool, a, start)
 	s.created = rs.Submitted
 	s.tenant = tenant.Canonical(rs.Tenant)
-	s.restoreTrace(rs.Key)
+	s.restoreTrace(rs.Traceparent)
 	if restoreErr != nil {
 		h.metrics.ckptErrors.Inc()
 		h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
@@ -604,7 +628,7 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 			restoreSpan.EndAt(time.Time{})
 		}
 		s.endTraceLocked()
-		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, s.errMsg, nil)
+		_ = h.cfg.Journal.Mark(rs.ID, journal.StatusFailed, s.errMsg, nil)
 		return s
 	}
 	if restoreSpan != nil {
@@ -619,7 +643,7 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 		s.finished = time.Now()
 		s.errMsg = fmt.Sprintf("recovery: %v", err)
 		s.endTraceLocked()
-		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, s.errMsg, nil)
+		_ = h.cfg.Journal.Mark(rs.ID, journal.StatusFailed, s.errMsg, nil)
 		return s
 	}
 	s.spool = w

@@ -526,7 +526,7 @@ func TestStreamRecovery(t *testing.T) {
 	}
 	// Kill: no Close, no spool release. Worse, the crash tore a frame: the
 	// spool ends mid-append. Recovery must truncate it off.
-	if f, err := os.OpenFile(filepath.Join(dir, id+".sbytes"), os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+	if f, err := os.OpenFile(filepath.Join(dir, id+".trace"), os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		t.Fatal(err)
 	} else {
 		if _, err := f.Write([]byte{0x10, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
@@ -657,7 +657,7 @@ func TestStreamAbortRemovesJournal(t *testing.T) {
 	if s.Abort() {
 		t.Fatal("second abort reported a transition")
 	}
-	if _, err := os.Stat(filepath.Join(dir, s.ID()+".sbytes")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, s.ID()+".trace")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("aborted spool still on disk: %v", err)
 	}
 
@@ -667,7 +667,7 @@ func TestStreamAbortRemovesJournal(t *testing.T) {
 	}
 	h2 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl2})
 	t.Cleanup(h2.Close)
-	recovered, _, _ := jnl2.RecoverStreams()
+	recovered, _, _ := jnl2.Recover()
 	if len(recovered) != 0 {
 		t.Fatalf("aborted session survived in the journal: %+v", recovered)
 	}
