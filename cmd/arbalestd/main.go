@@ -126,8 +126,8 @@
 // With -spool DIR, every accepted job is write-ahead journaled to DIR
 // before it is acknowledged; on startup the spool is recovered and any
 // job that had not reached a terminal state is re-enqueued exactly once.
-// -retain-jobs and -retain-age bound how much finished-job history stays
-// in memory and on disk. -checkpoint-every N additionally checkpoints each
+// -retain-jobs and -retain-age bound how much history of finished jobs
+// and stream sessions stays in memory and on disk. -checkpoint-every N additionally checkpoints each
 // replay's analyzer state into the spool roughly every N events, so a job
 // interrupted by a crash resumes from its last checkpoint instead of
 // replaying from scratch (findings are identical either way).
@@ -191,8 +191,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-job replay timeout (0 = unlimited)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	spool := flag.String("spool", "", "spool directory for the write-ahead job journal (empty = jobs are in-memory only and lost on crash)")
-	retainJobs := flag.Int("retain-jobs", 1024, "max finished jobs kept in memory and spool (-1 = unlimited)")
-	retainAge := flag.Duration("retain-age", 0, "evict finished jobs older than this (0 = no age limit)")
+	retainJobs := flag.Int("retain-jobs", 1024, "max finished jobs and stream sessions, together, kept in memory and spool; the oldest-finished are evicted first (-1 = unlimited)")
+	retainAge := flag.Duration("retain-age", 0, "evict finished jobs and stream sessions older than this (0 = no age limit)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "checkpoint analyzer state roughly every N events, enabling crash resume: into the spool (needs -spool; 0 = disabled), or under -role worker to the coordinator (0 = every 4096 events)")
 	stallTimeout := flag.Duration("job-stall-timeout", 0, "cancel and retry a replay that makes no progress for this long (0 = no watchdog)")
 	debugAddr := flag.String("debug-addr", "", "private listen address for pprof and expvar (empty = disabled)")
@@ -212,7 +212,7 @@ func main() {
 	tenantDefaults := flag.String("tenant-defaults", "", "limits unknown tenants start with, as \"key=value,...\" with the -tenants keys (empty = unlimited)")
 	shedTarget := flag.Duration("shed-target", 0, "queue-delay target for overload shedding: sustained dequeue sojourn above it sheds the newest job of the heaviest-backlogged tenant (0 = shedding disabled)")
 	shedInterval := flag.Duration("shed-interval", 0, "initial observation interval for -shed-target (0 = 10x the target)")
-	gcInterval := flag.Duration("gc-interval", 0, "also run finished-job retention GC on this background interval, staggered per process (0 = GC runs inline only)")
+	gcInterval := flag.Duration("gc-interval", 0, "also run the retention GC of finished jobs and sessions on this background interval, staggered per process (0 = GC runs inline only)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "worker: consecutive failed coordinator RPCs before the circuit breaker fails fast (0 = default 5, negative = disabled)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "worker: how long an open breaker fails fast before probing the coordinator again (0 = -poll-wait)")
 	version := flag.Bool("version", false, "print build info and exit")

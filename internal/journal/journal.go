@@ -26,8 +26,7 @@
 // in one scan of the spool. Pending and running jobs come back with their
 // traces and live sessions with their spooled bytes, each with its latest
 // valid checkpoint when one exists, so the service re-enqueues each job
-// exactly once and the stream hub resumes each session where the crash
-// cut it off. Terminal records come back as history (without traces), so
+// exactly once and resumes each session where the crash cut it off. Terminal records come back as history (without traces), so
 // listings and idempotency-key dedup survive the restart. A session
 // spooled in the older layout (<id>.smeta, <id>.sbytes) is renamed into
 // this one by the scan.
@@ -63,8 +62,8 @@ import (
 )
 
 // The lifecycle statuses a journal records. They mirror the service's job
-// and the stream hub's session states but are kept as plain strings so the
-// journal stays a layer below both. A job is born pending and a session
+// and stream session states but are kept as plain strings so the journal
+// stays a layer below the service. A job is born pending and a session
 // live; evicted is a session's terminal status when the server, not the
 // client, ended it (idle, slow consumer, or budget breach).
 const (
@@ -126,7 +125,7 @@ type RecoveredJob struct {
 	Status string
 	Trace  *trace.Trace
 	// Bytes is a live session's spool as it is on disk: the header and
-	// accepted frames, possibly ending in a torn frame the hub truncates.
+	// accepted frames, possibly ending in a torn frame recovery truncates.
 	Bytes    []byte
 	Started  time.Time
 	Finished time.Time

@@ -10,11 +10,11 @@
 // done, failed or evicted; its <id>.ckpt is the analyzer checkpoint.
 //
 // Recover returns a live session with its spooled bytes and latest
-// checkpoint so the stream hub can rebuild the analyzer (restore the
+// checkpoint so the service can rebuild the analyzer (restore the
 // checkpoint, re-feed the spooled suffix) and leave the session open for
 // the client to resume. The wire format's own CRC framing makes the spool
 // self-verifying: a torn tail from a crash mid-append is detected by the
-// push decoder, and the hub truncates it off with TruncateStreamBytes —
+// push decoder, and the session truncates it off with TruncateStreamBytes —
 // the client re-sends from the last acknowledged event, exactly as it
 // would after a network drop.
 package journal
@@ -54,7 +54,7 @@ func (w *StreamWriter) Size() (int64, error) {
 }
 
 // OpenStreamBytes opens a session's spool for appending: after Append
-// journaled a new session, or after the hub re-fed a recovered one.
+// journaled a new session, or after a recovered one re-fed its spool.
 func (j *Journal) OpenStreamBytes(id string) (*StreamWriter, error) {
 	f, err := os.OpenFile(j.tracePath(id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {

@@ -19,10 +19,10 @@ import (
 )
 
 // lookup returns the identified job.
-func (s *Service) lookup(id string) (*job, bool) {
+func (s *Service) lookup(id string) (*record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	return j, ok
 }
 
@@ -57,7 +57,7 @@ func (s *Service) StoreRemoteCheckpoint(ck *trace.Checkpoint) error {
 // with an error instead of overwriting.
 func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) error {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	var started time.Time
 	if ok {
 		started = j.started
@@ -95,7 +95,7 @@ func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) erro
 func (s *Service) Requeue(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	if !ok || j.terminal() {
 		return
 	}
@@ -108,7 +108,7 @@ func (s *Service) Requeue(id string) {
 func (s *Service) FreshCheckpoint(id string) *trace.Checkpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
+	if j, ok := s.jobLocked(id); ok {
 		return j.ckpt
 	}
 	return nil
@@ -119,7 +119,7 @@ func (s *Service) FreshCheckpoint(id string) *trace.Checkpoint {
 // encoding of the trace only when it did not.
 func (s *Service) TraceFramed(id string) ([]byte, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	var tr *trace.Trace
 	if ok {
 		tr = j.tr

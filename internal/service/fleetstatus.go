@@ -83,7 +83,7 @@ func (s *Service) FleetStatus() FleetStatus {
 	src := s.coord
 	depth, capacity := s.fq.Len(), s.cfg.QueueSize
 	running := 0
-	for _, j := range s.jobs {
+	for _, j := range s.records {
 		if j.status == StatusRunning {
 			running++
 		}

@@ -112,7 +112,7 @@ type ReadyDetail struct {
 	QueueDepth    int      `json:"queueDepth"`
 	QueueCapacity int      `json:"queueCapacity"`
 	// Streams is the live streaming-session count; StreamsSaturated means
-	// the hub is at its session cap.
+	// it is at the MaxStreams cap.
 	Streams          int  `json:"streams"`
 	StreamsSaturated bool `json:"streamsSaturated"`
 	// JournalWritable is false when the spool probe fails (disk full,
@@ -130,23 +130,25 @@ type ReadyDetail struct {
 // so the instance sheds until a spool probe succeeds again. The body is
 // a ReadyDetail JSON document either way.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	depth, capacity := s.QueueFullness()
+	s.mu.Lock()
 	d := ReadyDetail{
-		Status:          "ok",
-		QueueDepth:      depth,
-		QueueCapacity:   capacity,
-		Streams:         s.hub.ActiveCount(),
-		JournalWritable: true,
-		Tenants:         s.tenants.Snapshot(),
+		Status:           "ok",
+		QueueDepth:       s.fq.Len(),
+		QueueCapacity:    s.cfg.QueueSize,
+		Streams:          s.live,
+		StreamsSaturated: s.cfg.MaxStreams > 0 && s.live >= s.cfg.MaxStreams,
+		JournalWritable:  true,
 	}
-	if s.Draining() {
+	draining := s.closed
+	s.mu.Unlock()
+	d.Tenants = s.tenants.Snapshot()
+	if draining {
 		d.Reasons = append(d.Reasons, "draining")
 	}
-	if capacity > 0 && 10*depth >= 9*capacity {
+	if d.QueueCapacity > 0 && 10*d.QueueDepth >= 9*d.QueueCapacity {
 		d.Reasons = append(d.Reasons, "queue overloaded")
 	}
-	if s.hub.Saturated() {
-		d.StreamsSaturated = true
+	if d.StreamsSaturated {
 		d.Reasons = append(d.Reasons, "streams saturated")
 	}
 	if s.cfg.Journal != nil && !s.cfg.Journal.Writable() {

@@ -3,25 +3,35 @@ package service
 import (
 	"time"
 
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
 
-// Status is a job's position in its lifecycle.
+// Status is a record's position in its lifecycle.
 type Status string
 
 // The job lifecycle states. Jobs move pending -> running -> done|failed.
+// A stream session moves live -> done|failed|evicted (stream.Status).
 const (
 	StatusPending Status = "pending"
 	StatusRunning Status = "running"
 	StatusDone    Status = "done"
 	StatusFailed  Status = "failed"
+
+	statusLive    = Status(stream.StatusLive)
+	statusEvicted = Status(stream.StatusEvicted)
 )
 
-// job is the service's internal mutable record for one submitted trace.
-// All fields are guarded by Service.mu after construction.
-type job struct {
+// record is the service's internal mutable record for one analysis: a
+// submitted trace (a job) or a stream session, whose trace is still
+// growing while it is live. Both kinds live in one table and share one
+// lifecycle: admission, spans, quota release, journal marks, finish,
+// retention and recovery. All fields are guarded by Service.mu after
+// construction, except that a session's sess, span and tc are assigned
+// before it is published and never reassigned.
+type record struct {
 	id        string
 	tool      string
 	key       string // idempotency key, "" if none
@@ -42,11 +52,13 @@ type job struct {
 	// still queued past it is shed at dequeue instead of replayed.
 	deadline time.Time
 	// bytes is the upload's wire size, charged against the tenant's byte
-	// quota while the job is live.
+	// quota while the job is live; for a session, the bytes it accepted,
+	// known once it stops.
 	bytes int64
-	// quotaHeld records that the tenant's job slot and bytes are reserved
-	// and not yet released, so every terminal path (finish, shed, remote
-	// completion) releases exactly once.
+	// quotaHeld records that the tenant's job or stream slot and bytes are
+	// reserved and not yet released, so every terminal path (finish, shed,
+	// remote completion, a session's close, failure or eviction) releases
+	// exactly once.
 	quotaHeld bool
 
 	// enqueued is when the job entered the queue (zero for restored
@@ -68,6 +80,17 @@ type job struct {
 	// the coordinator granted that lease; worker span shipments merge under
 	// the entry matching their token.
 	leaseSpans map[uint64]*telemetry.Span
+
+	// settled is set once a finished record's terminal mark is journaled:
+	// retention takes only settled records, so a mark never re-creates the
+	// meta file of a record already evicted.
+	settled bool
+
+	// sess is a stream session's ingest; nil for a job. A session's span is
+	// nil when it is untraced, and ingest is its open "ingest" span while a
+	// request is attached.
+	sess   *stream.Session
+	ingest *telemetry.Span
 }
 
 // JobView is the immutable, JSON-serializable snapshot of a job that the
@@ -92,17 +115,17 @@ type JobView struct {
 	TraceID string `json:"traceId,omitempty"`
 }
 
-// traceparent is the job's own trace context for the journal, "" when the
-// job has none.
-func (j *job) traceparent() string {
+// traceparent is the record's own trace context for the journal, "" when
+// it has none.
+func (j *record) traceparent() string {
 	if !j.tc.Valid() {
 		return ""
 	}
 	return j.tc.Traceparent()
 }
 
-// viewLocked snapshots the job; the caller must hold Service.mu.
-func (j *job) viewLocked() JobView {
+// viewLocked snapshots a job; the caller must hold Service.mu.
+func (j *record) viewLocked() JobView {
 	v := JobView{
 		ID:        j.id,
 		Tool:      j.tool,
@@ -129,6 +152,28 @@ func (j *job) viewLocked() JobView {
 	if !j.finished.IsZero() {
 		t := j.finished
 		v.Finished = &t
+	}
+	return v
+}
+
+// streamViewLocked snapshots the record half of a session's view: all but
+// the ingest progress, which viewOf adds. The caller must hold Service.mu.
+func (j *record) streamViewLocked() stream.View {
+	v := stream.View{
+		ID:      j.id,
+		Tool:    j.tool,
+		Status:  stream.Status(j.status),
+		Tenant:  j.tenant,
+		Created: j.submitted,
+		Error:   j.errMsg,
+		Result:  j.result,
+	}
+	if !j.finished.IsZero() {
+		t := j.finished
+		v.Finished = &t
+	}
+	if j.span != nil {
+		v.TraceID = j.span.TraceID
 	}
 	return v
 }

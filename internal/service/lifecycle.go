@@ -1,8 +1,8 @@
-// The job lifecycle both runners share. A pool worker's own run (runJob)
-// and a remote worker's lease (the dist.Backend methods in fleet.go) move a
-// job through the same three steps, so a job finished remotely is
-// indistinguishable — journal marks, metrics, retention — from one finished
-// here.
+// The record lifecycle every runner shares. A pool worker's own run
+// (runJob) and a remote worker's lease (the dist.Backend methods in
+// fleet.go) move a job through the same three steps, so a job finished
+// remotely is indistinguishable — journal marks, metrics, retention — from
+// one finished here; and a stream session ends through the same finish.
 package service
 
 import (
@@ -16,9 +16,11 @@ import (
 	"repro/internal/trace"
 )
 
-// terminal reports whether the job reached done or failed. The caller holds
-// s.mu.
-func (j *job) terminal() bool { return j.status == StatusDone || j.status == StatusFailed }
+// terminal reports whether the record reached done, failed or (a session)
+// evicted. The caller holds s.mu.
+func (j *record) terminal() bool {
+	return j.status == StatusDone || j.status == StatusFailed || j.status == statusEvicted
+}
 
 // startRunning moves j to running and journals the transition, for a pool
 // worker about to replay it and for a lease grant alike. A job run again
@@ -26,7 +28,7 @@ func (j *job) terminal() bool { return j.status == StatusDone || j.status == Sta
 // time, so its queue wait is observed once. It returns false when j is
 // already terminal, and otherwise when the journal mark began and ended
 // (zero without a journal), which runJob records as the "mark" span.
-func (s *Service) startRunning(j *job) (markStart, markEnd time.Time, ok bool) {
+func (s *Service) startRunning(j *record) (markStart, markEnd time.Time, ok bool) {
 	s.mu.Lock()
 	if j.terminal() {
 		s.mu.Unlock()
@@ -63,7 +65,7 @@ func (s *Service) startRunning(j *job) (markStart, markEnd time.Time, ok bool) {
 // serves a watchdog retry or a reschedule within this life. It reports
 // whether the checkpoint is durable (spooled, or kept with no journal
 // configured).
-func (s *Service) storeCheckpoint(j *job, ck *trace.Checkpoint) bool {
+func (s *Service) storeCheckpoint(j *record, ck *trace.Checkpoint) bool {
 	s.mu.Lock()
 	if j.terminal() || (j.ckpt != nil && ck.NextEvent < j.ckpt.NextEvent) {
 		s.mu.Unlock()
@@ -84,27 +86,33 @@ func (s *Service) storeCheckpoint(j *job, ck *trace.Checkpoint) bool {
 	return true
 }
 
-// outcome is how a job ended, as finish records it.
+// outcome is how a record ended, as finish records it.
 type outcome struct {
-	// err is the failure message; empty means the job is done.
+	// err is the failure message; empty means the record is done.
 	err string
-	// summary holds the findings of a done job, and result the same summary
-	// as JSON, journaled with the done mark.
+	// evicted ends a session the server ended (idle, slow, budget) as
+	// evicted instead of failed.
+	evicted bool
+	// summary holds the findings of a done record, and result the same
+	// summary as JSON, journaled with the done mark.
 	summary *tools.Summary
 	result  json.RawMessage
 	// wall is the replay wall time the job view reports.
 	wall time.Duration
+	// bytes is what a session accepted: the byte quota it releases.
+	bytes int64
 }
 
-// finish records j's terminal state exactly once, whichever way the job
-// ended: a pool worker's replay, a remote worker's result, or a shed. It
-// releases the trace and checkpoint, closes the span tree, returns the
-// tenant's quota, runs retention, counts the outcome, journals the terminal
-// mark and removes the spooled checkpoint. annotate, when non-nil, adds the
-// runner's own child spans to the job's span tree before the root closes;
-// it runs under s.mu. A job already terminal is left alone and reported as
-// an error: a second completion lost the race.
-func (s *Service) finish(j *job, o outcome, annotate func(root *telemetry.Span)) error {
+// finish records j's terminal state exactly once, whichever way it ended: a
+// pool worker's replay, a remote worker's result, a shed, or a session's
+// close, failure or eviction. It releases the trace and checkpoint, closes
+// the span tree, returns the tenant's quota, runs retention, counts the
+// outcome, journals the terminal mark and removes the spooled checkpoint.
+// annotate, when non-nil, adds the runner's own child spans to the span
+// tree before the root closes; it runs under s.mu. A record already
+// terminal is left alone and reported as an error: a second completion
+// lost the race.
+func (s *Service) finish(j *record, o outcome, annotate func(root *telemetry.Span)) error {
 	s.mu.Lock()
 	if j.terminal() {
 		s.mu.Unlock()
@@ -114,12 +122,14 @@ func (s *Service) finish(j *job, o outcome, annotate func(root *telemetry.Span))
 	j.wall = o.wall
 	j.tr = nil   // release the trace's memory; only the summary is kept
 	j.ckpt = nil // terminal: the checkpoint (and its spool file) are obsolete
-	if o.err != "" {
-		j.status = StatusFailed
-		j.errMsg = o.err
-	} else {
-		j.status = StatusDone
-		j.result = o.summary
+	mark := journal.StatusDone
+	switch {
+	case o.evicted:
+		j.status, j.errMsg, mark = statusEvicted, o.err, journal.StatusEvicted
+	case o.err != "":
+		j.status, j.errMsg, mark = StatusFailed, o.err, journal.StatusFailed
+	default:
+		j.status, j.result = StatusDone, o.summary
 	}
 	if j.span != nil {
 		if annotate != nil {
@@ -130,27 +140,41 @@ func (s *Service) finish(j *job, o outcome, annotate func(root *telemetry.Span))
 		}
 		j.span.EndAt(j.finished)
 	}
+	if j.sess != nil {
+		j.bytes = o.bytes
+		s.live--
+		s.metrics.streamsActive.Set(int64(s.live))
+	} else {
+		s.metrics.jobSeconds.ObserveDuration(j.finished.Sub(j.submitted))
+	}
 	s.releaseQuotaLocked(j)
 	s.publishTraceLocked(j)
-	s.metrics.jobSeconds.ObserveDuration(j.finished.Sub(j.submitted))
-	s.gcLocked(j.finished)
+	s.finished = append(s.finished, j)
 	s.mu.Unlock()
 
-	if o.err != "" {
-		s.metrics.jobsFailed.Inc()
-		s.mark(j, journal.StatusFailed, o.err, nil)
-	} else {
+	switch {
+	case j.sess != nil && j.status == StatusDone:
+		s.metrics.streamsCompleted.Inc()
+	case j.sess != nil && j.status == StatusFailed:
+		s.metrics.streamsFailed.Inc()
+	case j.status == StatusDone:
 		s.metrics.jobsCompleted.Inc()
 		if o.summary != nil {
 			s.metrics.recordJobStats(o.summary.Stats)
 		}
-		s.mark(j, journal.StatusDone, "", o.result)
+	case j.status == StatusFailed:
+		s.metrics.jobsFailed.Inc()
 	}
+	s.mark(j, mark, o.err, o.result)
 	if s.cfg.Journal != nil {
 		if err := s.cfg.Journal.RemoveCheckpoint(j.id); err != nil {
 			s.metrics.journalError("remove")
 			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", err)
 		}
 	}
+	s.mu.Lock()
+	j.settled = true
+	s.gcLocked(j.finished)
+	s.mu.Unlock()
 	return nil
 }

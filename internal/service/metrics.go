@@ -60,6 +60,15 @@ type Metrics struct {
 	tenantShed       *telemetry.CounterVec
 	tenantQueueDepth *telemetry.GaugeVec
 	queueSojourn     *telemetry.Histogram
+
+	// Stream session lifecycle; the ingest counters are stream.Metrics.
+	streamsActive    *telemetry.Gauge
+	streamsOpened    *telemetry.Counter
+	streamsCompleted *telemetry.Counter
+	streamsFailed    *telemetry.Counter
+	streamsRecovered *telemetry.Counter
+	streamsEvicted   *telemetry.CounterVec
+	streamCorruption *telemetry.Counter
 }
 
 // newMetrics builds the registry with every family registered up front, so
@@ -75,7 +84,7 @@ func newMetrics() *Metrics {
 		jobsRejected:     reg.Counter("arbalestd_jobs_rejected_total", "Submissions rejected before acceptance (validation, limits, full queue, journal failure)."),
 		jobsPanicked:     reg.Counter("arbalestd_jobs_panicked_total", "Jobs whose analyzer panicked; the panic was confined to the job."),
 		jobsRecovered:    reg.Counter("arbalestd_jobs_recovered_total", "Jobs re-enqueued from the journal spool on startup."),
-		jobsEvicted:      reg.Counter("arbalestd_jobs_evicted_total", "Finished jobs evicted by the retention policy."),
+		jobsEvicted:      reg.Counter("arbalestd_jobs_evicted_total", "Finished jobs and stream sessions evicted by the retention policy."),
 		jobsDeduplicated: reg.Counter("arbalestd_jobs_deduplicated_total", "Submissions answered from an existing job via idempotency key."),
 		journalErrors: reg.CounterVec("arbalestd_journal_errors_total",
 			"Write-ahead journal failures by operation (append, mark, checkpoint, remove, recover, fleet). Each failure is scoped to one job or session; the daemon stays up.", "op"),
@@ -123,6 +132,21 @@ func newMetrics() *Metrics {
 			"Jobs queued but not yet running, by tenant.", "tenant"),
 		queueSojourn: reg.Histogram("arbalestd_queue_sojourn_seconds",
 			"Queue delay observed at dequeue — the signal the CoDel shed controller tracks.", telemetry.DurationBuckets),
+
+		streamsActive: reg.Gauge("arbalestd_streams_active",
+			"Live streaming ingestion sessions."),
+		streamsOpened: reg.Counter("arbalestd_streams_opened_total",
+			"Streaming sessions accepted."),
+		streamsCompleted: reg.Counter("arbalestd_streams_completed_total",
+			"Streaming sessions closed cleanly by their client."),
+		streamsFailed: reg.Counter("arbalestd_streams_failed_total",
+			"Streaming sessions that ended in an error (corruption, limits, analyzer panic, abort)."),
+		streamsRecovered: reg.Counter("arbalestd_streams_recovered_total",
+			"Live streaming sessions rebuilt from the journal spool on startup."),
+		streamsEvicted: reg.CounterVec("arbalestd_streams_evicted_total",
+			"Streaming sessions evicted by the server, by reason (idle, slow, budget).", "reason"),
+		streamCorruption: reg.Counter("arbalestd_stream_corruption_total",
+			"Streaming sessions failed by corrupt input (CRC mismatch, torn frames, sequence gaps)."),
 	}
 	bi := telemetry.Version()
 	reg.GaugeVec("arbalestd_build_info",

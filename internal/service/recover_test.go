@@ -16,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/promtest"
 	"repro/internal/trace"
 )
 
@@ -150,7 +151,7 @@ func TestRecoverJobsAndSessionsInOneScan(t *testing.T) {
 	if jobs := s2.Jobs(); len(jobs) != 2 {
 		t.Fatalf("recovered %d jobs, want the 2 journaled ones: %+v", len(jobs), jobs)
 	}
-	if got := s2.Streams().List(); len(got) != 2 || got[0].ID != done.ID || got[1].ID != live.ID {
+	if got := s2.Streams(); len(got) != 2 || got[0].ID != done.ID || got[1].ID != live.ID {
 		t.Fatalf("recovered sessions %+v, want %s and %s", got, done.ID, live.ID)
 	}
 	s2.Start()
@@ -333,5 +334,84 @@ func TestRecoveredJobKeepsItsTrace(t *testing.T) {
 	}
 	if stored := s2.Traces().Get(client.TraceID); stored == nil || stored.Child("replay") == nil {
 		t.Fatalf("trace store holds %+v for the recovered job, want its tree", stored)
+	}
+}
+
+// recoverErrors reads arbalestd_journal_errors_total{op="recover"}.
+func recoverErrors(t *testing.T, s *Service) float64 {
+	t.Helper()
+	var text strings.Builder
+	if err := s.Metrics().Registry().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtest.Parse(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, _ := promtest.Find(fams, "arbalestd_journal_errors_total", map[string]string{"op": "recover"})
+	return smp.Value
+}
+
+// TestRecoverForeignStatus: a record whose last journaled status belongs
+// to the other kind of record — a job marked evicted, a session marked
+// running — is neither re-enqueued nor resumed. It comes back as failed
+// history with a finish time and an error naming the status, counted under
+// the recover journal errors, and is journaled failed, so the next life
+// reads it as plain failed history.
+func TestRecoverForeignStatus(t *testing.T) {
+	tr := recordTrace(t, 1)
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	if err := jnl.Append(journal.Record{ID: "job-0", Tool: "arbalest", Events: tr.Len(), Submitted: now}, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Mark("job-0", journal.StatusEvicted, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{ID: "stream-0", Tool: "arbalest", Submitted: now, Session: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	w, err := jnl.OpenStreamBytes("stream-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(frameStreamBody(t, tr, 0)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := jnl.Mark("stream-0", journal.StatusRunning, "", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	for life, wantErrors := range []float64{2, 0} {
+		jnl, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Workers: 1, Journal: jnl})
+		requeued, err := s.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if requeued != 0 {
+			t.Fatalf("life %d: re-enqueued %d jobs, want none", life, requeued)
+		}
+		s.Start()
+		job, ok := s.Job("job-0")
+		if !ok || job.Status != StatusFailed || job.Finished == nil || !strings.Contains(job.Error, `"evicted"`) {
+			t.Fatalf("life %d: job %+v, want failed history naming status \"evicted\"", life, job)
+		}
+		sess, ok := s.Stream("stream-0")
+		if !ok || sess.Status != stream.StatusFailed || sess.Finished == nil || !strings.Contains(sess.Error, `"running"`) {
+			t.Fatalf("life %d: session %+v, want failed history naming status \"running\"", life, sess)
+		}
+		if got := recoverErrors(t, s); got != wantErrors {
+			t.Fatalf("life %d: journal_errors_total{op=recover} = %v, want %v", life, got, wantErrors)
+		}
+		shutdownOrFail(t, s)
 	}
 }

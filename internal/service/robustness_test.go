@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/retry"
+	"repro/internal/stream"
 )
 
 // newJournal opens a journal in a fresh temp dir.
@@ -288,6 +289,113 @@ func TestRetentionGCByAge(t *testing.T) {
 	if _, ok := s.Job(v.ID); ok {
 		t.Error("aged-out job still present")
 	}
+}
+
+// TestRetentionCoversJobsAndSessions: one retention bound covers finished
+// jobs and stream sessions together. Past MaxFinishedJobs they are evicted
+// oldest-finished first, whatever their kind or admission order, each with
+// its .trace, .meta and .ckpt files and its trace-store entry; with
+// MaxJobAge set, a finished session older than the limit is evicted too.
+func TestRetentionCoversJobsAndSessions(t *testing.T) {
+	tr := recordTrace(t, 22)
+	body := frameStreamBody(t, tr, 0)
+	open := func(t *testing.T, s *Service) stream.View {
+		t.Helper()
+		v, err := s.OpenStream("arbalest", "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, _ := s.Session(v.ID)
+		if err := sess.StartIngest(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Feed(body); err != nil {
+			t.Fatal(err)
+		}
+		sess.EndIngest()
+		return v
+	}
+	closeStream := func(t *testing.T, s *Service, id string) {
+		t.Helper()
+		if _, err := s.CloseStream(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted := func(t *testing.T, s *Service, dir, id, traceID string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			_, isJob := s.Job(id)
+			_, isStream := s.Stream(id)
+			if !isJob && !isStream {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s was not evicted", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, ext := range []string{".trace", ".meta", ".ckpt"} {
+			if _, err := os.Stat(filepath.Join(dir, id+ext)); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s%s after eviction: %v", id, ext, err)
+			}
+		}
+		if traceID == "" || s.Traces().Get(traceID) != nil {
+			t.Errorf("%s: trace %q still in the store after eviction", id, traceID)
+		}
+	}
+	retained := func(t *testing.T, s *Service, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			_, isJob := s.Job(id)
+			_, isStream := s.Stream(id)
+			if !isJob && !isStream {
+				t.Errorf("%s was evicted, want it retained", id)
+			}
+		}
+	}
+
+	t.Run("count", func(t *testing.T) {
+		jnl := newJournal(t)
+		s := New(Config{Workers: 1, Journal: jnl, CheckpointEvery: 64, MaxFinishedJobs: 2})
+		s.Start()
+		defer shutdownOrFail(t, s)
+		// The session is admitted before the job but finishes after it.
+		a := open(t, s)
+		j, err := s.Submit("arbalest", tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j = waitSettled(t, s, j.ID)
+		closeStream(t, s, a.ID)
+		b := open(t, s)
+		closeStream(t, s, b.ID)
+		evicted(t, s, jnl.Dir(), j.ID, j.TraceID)
+		retained(t, s, a.ID, b.ID)
+
+		k, err := s.Submit("arbalest", tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSettled(t, s, k.ID)
+		evicted(t, s, jnl.Dir(), a.ID, a.TraceID)
+		retained(t, s, b.ID, k.ID)
+		if got := s.Metrics().Snapshot().JobsEvicted; got != 2 {
+			t.Errorf("JobsEvicted = %d, want 2", got)
+		}
+	})
+
+	t.Run("age", func(t *testing.T) {
+		jnl := newJournal(t)
+		s := New(Config{Workers: 1, Journal: jnl, MaxFinishedJobs: -1, MaxJobAge: time.Nanosecond})
+		a := open(t, s)
+		closeStream(t, s, a.ID)
+		time.Sleep(time.Millisecond) // comfortably past MaxJobAge
+		if n := s.GC(); n != 1 {
+			t.Fatalf("GC evicted %d, want the aged-out session", n)
+		}
+		evicted(t, s, jnl.Dir(), a.ID, a.TraceID)
+	})
 }
 
 // TestIdempotentSubmitHTTP: the same Idempotency-Key on a second POST

@@ -3,7 +3,10 @@
 // trace.SaveFramed writes, or the JSON lines trace.Save writes), enqueues
 // them on a bounded job queue, replays each through a fresh analyzer on a
 // fixed worker pool, and serves the resulting diagnostics as structured
-// JSON.
+// JSON. It also hosts live stream sessions, whose trace arrives while the
+// program runs: a session is a record in the same table as a job, with
+// status live while its trace grows, and internal/stream keeps only its
+// ingest.
 //
 // The paper positions ARBALEST as an on-the-fly detector run over many
 // executions of heterogeneous OpenMP applications; this package supplies the
@@ -14,16 +17,17 @@
 //
 // # Durability and fault tolerance
 //
-// With a journal configured (Config.Journal), every accepted job is
-// journaled to a spool directory before it is acknowledged: the trace
-// first, then each lifecycle transition. After a crash, Recover replays
-// the journal — jobs that never reached a terminal state are re-enqueued
-// exactly once, terminal jobs come back as history. Analyzer panics are
-// confined to the job that caused them: the job fails with the panic
-// value and a stack fragment while the worker and its pool survive.
-// Retention limits (Config.MaxFinishedJobs, Config.MaxJobAge) garbage-
-// collect finished jobs and their spool files so neither the in-memory
-// job map nor the spool directory grows without bound. Clients may send
+// With a journal configured (Config.Journal), every accepted job and
+// opened session is journaled to a spool directory before it is
+// acknowledged: the trace first, then each lifecycle transition. After a
+// crash, Recover reads the journal in one scan — jobs that never reached a
+// terminal state are re-enqueued exactly once, live sessions resume from
+// their checkpoint and spool, terminal records come back as history.
+// Analyzer panics are confined to the job that caused them: the job fails
+// with the panic value and a stack fragment while the worker and its pool
+// survive. Retention limits (Config.MaxFinishedJobs, Config.MaxJobAge)
+// garbage-collect finished jobs and sessions and their spool files so
+// neither the in-memory table nor the spool directory grows without bound. Clients may send
 // an idempotency key with a submission; a retried upload carrying the
 // same key is deduplicated to the original job instead of analyzed
 // twice.
@@ -47,6 +51,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,12 +114,14 @@ type Config struct {
 	// its spool directory and makes Recover possible. Nil keeps jobs
 	// in-memory only.
 	Journal *journal.Journal
-	// MaxFinishedJobs bounds how many terminal (done/failed) jobs are
-	// retained in memory and in the spool; the oldest-finished are
-	// evicted past the limit (default 1024, negative = unlimited).
+	// MaxFinishedJobs bounds how many finished jobs and stream sessions,
+	// together, are retained in memory and in the spool; the
+	// oldest-finished are evicted past the limit (default 1024, negative =
+	// unlimited).
 	MaxFinishedJobs int
-	// MaxJobAge, when positive, evicts terminal jobs whose finish time
-	// is older than this (checked when jobs finish and on submissions).
+	// MaxJobAge, when positive, evicts finished jobs and sessions whose
+	// finish time is older than this (checked when records finish, on
+	// submissions and opens, and by the GCInterval timer).
 	MaxJobAge time.Duration
 	// Logger receives structured operational logging (journal mark
 	// failures, analyzer panics, recovery problems); every job-scoped
@@ -193,6 +200,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxFinishedJobs == 0 {
 		c.MaxFinishedJobs = 1024
 	}
+	if c.MaxStreams == 0 {
+		c.MaxStreams = 256
+	}
+	if c.StreamMaxBytes == 0 {
+		c.StreamMaxBytes = 256 << 20
+	}
+	if c.StreamIdleTimeout == 0 {
+		c.StreamIdleTimeout = 5 * time.Minute
+	}
 	if c.StreamReadTimeout == 0 {
 		c.StreamReadTimeout = time.Minute
 	}
@@ -202,14 +218,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Service is the analysis daemon's engine: job store, bounded queue, and
-// worker pool. Create with New, then (optionally) Recover, then Start;
-// submit via Submit or the HTTP handler; stop with Shutdown, which drains
-// accepted jobs.
+// Service is the analysis daemon's engine: the record table of jobs and
+// stream sessions, bounded queue, and worker pool. Create with New, then
+// (optionally) Recover, then Start; submit via Submit or the HTTP handler;
+// stop with Shutdown, which drains accepted jobs.
 type Service struct {
 	cfg     Config
 	metrics *Metrics
-	hub     *stream.Hub
+	// ingest holds the counters every stream session feeds.
+	ingest *stream.Metrics
 	// traces is the bounded distributed-trace store (nil when
 	// Config.TraceCapacity is negative: tracing disabled).
 	traces *telemetry.TraceStore
@@ -227,15 +244,23 @@ type Service struct {
 	// queue in either role, feeding the pool's own runs and, through an
 	// attached coordinator, lease grants. queued wakes one waiting pool
 	// worker per push and all of them at Shutdown.
-	fq        *tenant.FairQueue[*job]
-	queued    *sync.Cond
-	codel     tenant.CoDel
-	jobs      map[string]*job
-	order     []string
-	keys      map[string]string // idempotency key -> job id
-	nextID    uint64
-	closed    bool
-	recovered bool
+	fq     *tenant.FairQueue[*record]
+	queued *sync.Cond
+	codel  tenant.CoDel
+	// records is the one table of jobs and sessions; order lists them by
+	// admission, and finished lists the finished ones oldest-finished
+	// first, the order retention evicts them in.
+	records  map[string]*record
+	order    []string
+	finished []*record
+	keys     map[string]string // idempotency key -> job id
+	// nextID and nextStream number the job-N and stream-N ids; live counts
+	// live sessions, those still being journaled at open included.
+	nextID     uint64
+	nextStream uint64
+	live       int
+	closed     bool
+	recovered  bool
 
 	wg      sync.WaitGroup
 	started bool
@@ -257,9 +282,9 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		metrics: newMetrics(),
 		tenants: tenant.NewRegistry(cfg.TenantDefaults),
-		fq:      tenant.NewFairQueue[*job](),
+		fq:      tenant.NewFairQueue[*record](),
 		codel:   tenant.CoDel{Target: cfg.ShedTarget, Interval: cfg.ShedInterval},
-		jobs:    make(map[string]*job),
+		records: make(map[string]*record),
 		keys:    make(map[string]string),
 	}
 	svc.queued = sync.NewCond(&svc.mu)
@@ -283,24 +308,7 @@ func New(cfg Config) *Service {
 	if cfg.TraceCapacity >= 0 {
 		svc.traces = telemetry.NewTraceStore(cfg.TraceCapacity, cfg.TraceSampleRate, svc.metrics.reg)
 	}
-	// The stream hub shares the service's registry so /metrics exposes job
-	// and stream families side by side (one hub per registry), the trace
-	// store so stream sessions land next to job traces, and the tenant
-	// registry so stream slots and spooled bytes draw on the same quotas as
-	// job submissions.
-	svc.hub = stream.NewHub(stream.Config{
-		Registry:        svc.metrics.reg,
-		Traces:          svc.traces,
-		Tenants:         svc.tenants,
-		Journal:         cfg.Journal,
-		MaxStreams:      cfg.MaxStreams,
-		MaxBytes:        cfg.StreamMaxBytes,
-		MaxEvents:       cfg.MaxEvents,
-		IdleTimeout:     cfg.StreamIdleTimeout,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Logger:          cfg.Logger,
-		AnalyzerStats:   cfg.AnalyzerStats,
-	})
+	svc.ingest = stream.NewMetrics(svc.metrics.reg)
 	return svc
 }
 
@@ -310,9 +318,6 @@ func (s *Service) Config() Config { return s.cfg }
 // Metrics returns the service's counters.
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
-// Streams returns the live streaming-ingestion hub.
-func (s *Service) Streams() *stream.Hub { return s.hub }
-
 // Traces returns the bounded distributed-trace store, nil when tracing is
 // disabled (Config.TraceCapacity < 0).
 func (s *Service) Traces() *telemetry.TraceStore { return s.traces }
@@ -320,12 +325,20 @@ func (s *Service) Traces() *telemetry.TraceStore { return s.traces }
 // Tenants returns the tenant registry.
 func (s *Service) Tenants() *tenant.Registry { return s.tenants }
 
-// jobLogger returns the configured logger scoped to one job, so every line
-// it emits carries the job_id and tool attributes — plus trace_id/span_id
-// when the job is traced, which is what joins log lines against
-// GET /v1/traces/{trace_id}.
-func (s *Service) jobLogger(j *job) *slog.Logger {
+// jobLogger returns the configured logger scoped to one record, so every
+// line it emits carries the job_id (a session's stream_id) and tool
+// attributes — plus trace_id/span_id when the record is traced, which is
+// what joins log lines against GET /v1/traces/{trace_id}.
+func (s *Service) jobLogger(j *record) *slog.Logger {
+	if j.sess != nil {
+		return s.streamLogger(j)
+	}
 	return telemetry.LoggerWithTrace(s.cfg.Logger.With("job_id", j.id, "tool", j.tool), j.tc)
+}
+
+// streamLogger is jobLogger for a session, also before its sess is set.
+func (s *Service) streamLogger(j *record) *slog.Logger {
+	return telemetry.LoggerWithTrace(s.cfg.Logger.With("stream_id", j.id, "tool", j.tool), j.tc)
 }
 
 // Draining reports whether Shutdown has begun; the health endpoint turns
@@ -345,18 +358,34 @@ func (s *Service) QueueFullness() (depth, capacity int) {
 }
 
 // Recover replays the configured journal's spool directory into the
-// service in one scan: terminal jobs are restored as history (results and
-// errors intact), every job that never reached a terminal state is
-// re-enqueued exactly once for analysis, and the stream sessions are handed
-// to the hub (Hub.Restore), which resumes the live ones. It must be called
-// after New and before Start, at most once, and returns the number of
-// re-enqueued jobs. Per-record journal damage (a corrupt meta file, a
-// missing trace) is logged and skipped, never fatal: one bad spool entry
-// must not keep the daemon down.
+// service in one scan and puts each record back by the last status it
+// journaled, which must belong to its kind: a pending or running job is
+// re-enqueued exactly once, a live session is resumed from its freshest
+// checkpoint and its spool and stays open for its client to resume, and a
+// finished record (done or failed, or an evicted session) comes back as
+// history with its result or error. Any other status is foreign to the
+// record's kind — a session status marked on a job, a job status on a
+// session, a legacy line's — and the record comes back as failed history
+// under an error naming the status, counted as a recovery journal error.
+// It must be called after New and before Start, at most once, and returns
+// the number of re-enqueued jobs. Per-record journal damage (a corrupt
+// meta file, a missing trace) is logged and skipped, never fatal: one bad
+// spool entry must not keep the daemon down.
 func (s *Service) Recover() (int, error) {
 	if s.cfg.Journal == nil {
 		return 0, errors.New("service: no journal configured")
 	}
+	s.mu.Lock()
+	if s.started {
+		s.mu.Unlock()
+		return 0, errors.New("service: Recover must be called before Start")
+	}
+	if s.recovered {
+		s.mu.Unlock()
+		return 0, errors.New("service: Recover called twice")
+	}
+	s.recovered = true
+	s.mu.Unlock()
 	// Journaled tenant tuning overlays the flag-seeded limits (Apply: no
 	// re-journaling). A damaged tenant log degrades to flag defaults, never
 	// blocks job recovery.
@@ -370,23 +399,6 @@ func (s *Service) Recover() (int, error) {
 	}
 	recovered, rstats, errs := s.cfg.Journal.Recover()
 	rstats.TruncatedRecords += tstats.TruncatedRecords
-	// Streaming sessions recover alongside jobs: live ones are rebuilt from
-	// their checkpoint plus spooled bytes and stay open for client resume.
-	// Stream damage is logged, never fatal to job recovery.
-	if n, err := s.hub.Restore(recovered); err != nil {
-		s.cfg.Logger.Error("stream recovery failed", "phase", "recovery", "err", err)
-	} else if n > 0 {
-		s.cfg.Logger.Info("recovered live streaming sessions", "phase", "recovery", "sessions", n)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return 0, errors.New("service: Recover must be called before Start")
-	}
-	if s.recovered {
-		return 0, errors.New("service: Recover called twice")
-	}
-	s.recovered = true
 	if rstats.TruncatedRecords > 0 {
 		s.metrics.journalTruncated.Add(uint64(rstats.TruncatedRecords))
 		s.cfg.Logger.Warn("journal recovery dropped torn or corrupt meta records",
@@ -407,25 +419,25 @@ func (s *Service) Recover() (int, error) {
 		l.Error("journal recovery error", "err", err)
 	}
 
-	requeued := 0
+	requeued, resumed := 0, 0
 	for _, rj := range recovered {
-		if _, exists := s.jobs[rj.ID]; exists || rj.Session {
-			continue
-		}
-		j := &job{
+		j := &record{
 			id:        rj.ID,
 			tool:      rj.Tool,
 			key:       rj.Key,
 			tenant:    tenant.Canonical(rj.Tenant),
+			status:    Status(rj.Status),
 			deadline:  rj.Deadline,
 			submitted: rj.Submitted,
 			started:   rj.Started,
+			finished:  rj.Finished,
+			errMsg:    rj.Error,
 			events:    rj.Events,
+			settled:   true,
 		}
-		switch rj.Status {
-		case journal.StatusDone:
-			j.status = StatusDone
-			j.finished = rj.Finished
+		live := false
+		switch st := rj.Status; {
+		case st == journal.StatusDone || st == journal.StatusFailed || (rj.Session && st == journal.StatusEvicted):
 			if len(rj.Result) > 0 {
 				var sum tools.Summary
 				if err := json.Unmarshal(rj.Result, &sum); err == nil {
@@ -435,20 +447,37 @@ func (s *Service) Recover() (int, error) {
 						"phase", "recovery", "err", err)
 				}
 			}
-		case journal.StatusFailed:
-			j.status = StatusFailed
-			j.finished = rj.Finished
-			j.errMsg = rj.Error
-		default: // pending or running: back to the queue, exactly once
+		case rj.Session && st == journal.StatusLive:
+			// Outside s.mu: the session re-feeds its spool here.
+			if live = s.resumeStream(j, rj); live {
+				resumed++
+			}
+		case !rj.Session && (st == journal.StatusPending || st == journal.StatusRunning):
 			j.status = StatusPending
 			j.started = time.Time{}
 			j.tr = rj.Trace
 			j.ckpt = rj.Checkpoint
+		default:
+			kind := "job"
+			if rj.Session {
+				kind = "stream session"
+			}
+			s.metrics.journalError("recover")
+			s.recoverFailed(j, fmt.Sprintf("recovery: journaled status %q is not a %s status", st, kind))
+		}
+		if rj.Session && j.sess == nil {
+			j.sess = stream.Settled(j.id, j.tool, stream.Status(j.status), j.result)
+		}
+
+		s.mu.Lock()
+		switch {
+		case j.status == StatusPending:
+			// Back to the queue, exactly once, re-attributed to its tenant
+			// without quota enforcement (an accepted job must never be
+			// dropped at restart, even past the queue bound); the spool does
+			// not record upload sizes, so recovered jobs hold a slot but no
+			// bytes.
 			j.enqueued = time.Now()
-			// Re-attribute the job to its tenant without quota enforcement
-			// (an accepted job must never be dropped at restart, even past
-			// the queue bound); the spool does not record upload sizes, so
-			// recovered jobs hold a slot but no bytes.
 			t := s.tenants.Get(j.tenant)
 			t.Adopt(0)
 			j.quotaHeld = true
@@ -462,37 +491,110 @@ func (s *Service) Recover() (int, error) {
 			} else {
 				s.jobLogger(j).Info("job re-enqueued from journal", "phase", "recovery")
 			}
+		case live:
+			s.live++
+			s.metrics.streamsRecovered.Inc()
+			s.metrics.streamsActive.Set(int64(s.live))
+		case j.terminal():
+			s.finished = append(s.finished, j)
 		}
-		s.jobs[j.id] = j
+		s.records[j.id] = j
 		s.order = append(s.order, j.id)
 		if j.key != "" {
 			s.keys[j.key] = j.id
 		}
-		if n, err := strconv.ParseUint(strings.TrimPrefix(rj.ID, "job-"), 10, 64); err == nil && n >= s.nextID {
-			s.nextID = n + 1
+		prefix, next := "job-", &s.nextID
+		if rj.Session {
+			prefix, next = "stream-", &s.nextStream
 		}
+		if n, err := strconv.ParseUint(strings.TrimPrefix(rj.ID, prefix), 10, 64); err == nil && n >= *next {
+			*next = n + 1
+		}
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	slices.SortStableFunc(s.finished, func(a, b *record) int { return a.finished.Compare(b.finished) })
+	s.mu.Unlock()
+	if resumed > 0 {
+		s.cfg.Logger.Info("recovered live streaming sessions", "phase", "recovery", "sessions", resumed)
 	}
 	return requeued, nil
 }
 
-// restoreTraceLocked gives a re-enqueued job its root span again, rejoined
-// to the trace it was admitted under: the journal round-trips the job's
-// own traceparent, so the resumed replay, and any lease a coordinator
-// grants, land in the same trace. The sampling verdict rode along in the
-// flags. Only the job's own identity is journaled: a parent link to the
-// client's span does not survive the crash, which costs the root its
-// ParentID and nothing else. The caller holds s.mu.
-func (s *Service) restoreTraceLocked(j *job, traceparent string) {
-	j.span = telemetry.NewSpan("job", j.submitted)
-	if ptc, ok := telemetry.ParseTraceparent(traceparent); ok && s.traces != nil {
-		j.tc = ptc
-		if ptc.Sampled {
-			j.span.Identify(ptc, "")
-		}
+// recoverFailed turns a record that recovery cannot resume into failed
+// history, and journals it so, so the next life reads it the same way.
+func (s *Service) recoverFailed(j *record, msg string) {
+	j.status, j.errMsg, j.finished = StatusFailed, msg, time.Now()
+	if j.span != nil {
+		j.span.SetError(msg)
+		j.span.EndAt(j.finished)
+		s.publishTraceLocked(j)
 	}
-	j.span.SetCount("events", int64(j.events))
-	j.span.StartChild("queue", j.enqueued)
-	s.publishTraceLocked(j)
+	s.jobLogger(j).Error("recovered record failed", "phase", "recovery", "err", msg)
+	s.mark(j, journal.StatusFailed, msg, nil)
+}
+
+// traceContext decides a new record's trace identity from the client's
+// traceparent: a parseable one joins the client's trace under a new span,
+// keeping its sampling verdict so every process agrees, and none mints a
+// fresh trace subject to head sampling. parent is the client's span id.
+// Both are zero with tracing disabled.
+func (s *Service) traceContext(traceparent string) (tc telemetry.TraceContext, parent string) {
+	if s.traces == nil {
+		return tc, ""
+	}
+	if ptc, ok := telemetry.ParseTraceparent(traceparent); ok {
+		return telemetry.TraceContext{TraceID: ptc.TraceID, SpanID: telemetry.NewSpanID(), Sampled: ptc.Sampled}, ptc.SpanID
+	}
+	if s.traces.Admit() {
+		return telemetry.NewTraceContext(), ""
+	}
+	return tc, ""
+}
+
+// identify gives a record its trace context and root span: "job" for a
+// job, which always has one (its trace endpoint serves it untraced too),
+// and "stream" for a session, which has one only when sampled. A sampled
+// root is identified under parent, the client's span ("" once
+// recovered). Runs before the record is published.
+func (j *record) identify(session bool, tc telemetry.TraceContext, parent string, start time.Time) {
+	j.tc = tc
+	switch {
+	case !session:
+		j.span = telemetry.NewSpan("job", start)
+	case tc.Sampled:
+		j.span = telemetry.NewSpan("stream", start)
+		j.span.SetAttr("tool", j.tool)
+		j.span.SetAttr("stream_id", j.id)
+	default:
+		return
+	}
+	if tc.Sampled {
+		j.span.Identify(tc, parent)
+	}
+}
+
+// restoreTraceLocked rejoins a recovered record to the trace it was
+// admitted under: the journal round-trips the record's own traceparent, so
+// a re-enqueued job's resumed replay, any lease a coordinator grants, and a
+// resumed session's ingest land in the same trace, and a session's
+// snapshots replace its pre-crash tree. The sampling verdict rode along in
+// the flags. Only the record's own identity is journaled: a parent link to
+// the client's span does not survive the crash, which costs the root its
+// ParentID and nothing else. A job's root gets a "queue" child and is
+// published; a session's is published once its spool is re-fed. The
+// caller holds s.mu or owns the unpublished record.
+func (s *Service) restoreTraceLocked(j *record, traceparent string) {
+	ptc, ok := telemetry.ParseTraceparent(traceparent)
+	if !ok || s.traces == nil {
+		ptc = telemetry.TraceContext{}
+	}
+	j.identify(j.status == statusLive, ptc, "", j.submitted)
+	if j.status == StatusPending {
+		j.span.SetCount("events", int64(j.events))
+		j.span.StartChild("queue", j.enqueued)
+		s.publishTraceLocked(j)
+	}
 }
 
 // Start launches the worker pool. It is a no-op if already started. A
@@ -509,30 +611,52 @@ func (s *Service) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker(s.coord)
 	}
-	if s.cfg.GCInterval > 0 {
+	if s.cfg.GCInterval > 0 || s.cfg.StreamIdleTimeout > 0 {
 		s.wg.Add(1)
-		go s.gcLoop()
+		go s.sweepLoop()
 	}
-	s.hub.Start()
 }
 
-// gcLoop runs the retention GC on a timer. The first firing is staggered
-// by a uniform random fraction of the interval: a fleet of daemons
-// restarted in unison (deploy, power event) must not all sweep their spool
-// directories at the same instant and stampede the shared disk.
-func (s *Service) gcLoop() {
+// sweepLoop is the service's one background goroutine: every GCInterval it
+// runs the retention GC, and every quarter of StreamIdleTimeout it evicts
+// idle sessions; either is off when its setting is not positive. Each
+// first firing is staggered by a uniform random fraction of its interval:
+// a fleet of daemons restarted in unison (deploy, power event) must not all
+// sweep their spool directories at the same instant and stampede the
+// shared disk.
+func (s *Service) sweepLoop() {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Duration(rand.Int64N(int64(s.cfg.GCInterval) + 1)))
-	defer timer.Stop()
+	idleEvery := s.cfg.StreamIdleTimeout / 4
+	if s.cfg.StreamIdleTimeout > 0 && idleEvery <= 0 {
+		idleEvery = time.Second
+	}
+	gc, idle := staggered(s.cfg.GCInterval), staggered(idleEvery)
+	defer gc.Stop()
+	defer idle.Stop()
 	for {
 		select {
 		case <-s.stopping.Done():
 			return
-		case <-timer.C:
+		case <-gc.C:
 			s.GC()
-			timer.Reset(s.cfg.GCInterval)
+			gc.Reset(s.cfg.GCInterval)
+		case now := <-idle.C:
+			s.evictIdle(now)
+			idle.Reset(idleEvery)
 		}
 	}
+}
+
+// staggered returns a timer that first fires at a uniform random point
+// within every, or a stopped one, which never fires, when every is not
+// positive.
+func staggered(every time.Duration) *time.Timer {
+	if every <= 0 {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		return t
+	}
+	return time.NewTimer(time.Duration(rand.Int64N(int64(every) + 1)))
 }
 
 // Submit validates the tool name and trace size, then enqueues a job. It
@@ -605,7 +729,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 	}
 	if opts.Key != "" {
 		if id, ok := s.keys[opts.Key]; ok {
-			if j, ok := s.jobs[id]; ok {
+			if j, ok := s.records[id]; ok {
 				s.metrics.jobsDeduplicated.Inc()
 				return j.viewLocked(), true, nil
 			}
@@ -641,7 +765,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		s.countRejected()
 		return JobView{}, false, err
 	}
-	j := &job{
+	j := &record{
 		id:        fmt.Sprintf("job-%d", s.nextID),
 		tool:      opts.Tool,
 		key:       opts.Key,
@@ -653,21 +777,9 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		submitted: time.Now(),
 		events:    tr.Len(),
 		tr:        tr,
-		span:      telemetry.NewSpan("job", opts.Start),
 	}
-	if s.traces != nil {
-		if ptc, ok := telemetry.ParseTraceparent(opts.Traceparent); ok {
-			// Client-supplied context: join its trace under its span, keeping
-			// its sampling verdict so every process agrees.
-			j.tc = telemetry.TraceContext{TraceID: ptc.TraceID, SpanID: telemetry.NewSpanID(), Sampled: ptc.Sampled}
-			if j.tc.Sampled {
-				j.span.Identify(j.tc, ptc.SpanID)
-			}
-		} else if s.traces.Admit() {
-			j.tc = telemetry.NewTraceContext()
-			j.span.Identify(j.tc, "")
-		}
-	}
+	tc, parent := s.traceContext(opts.Traceparent)
+	j.identify(false, tc, parent, opts.Start)
 	j.span.SetCount("events", int64(j.events))
 	if opts.ParseDuration > 0 {
 		ps := j.span.StartChild("parse", opts.Start)
@@ -694,7 +806,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 		}
 	}
 	s.nextID++
-	s.jobs[j.id] = j
+	s.records[j.id] = j
 	s.order = append(s.order, j.id)
 	if opts.Key != "" {
 		s.keys[opts.Key] = j.id
@@ -714,11 +826,18 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 // body/parse failures through it too, before Submit is ever reached).
 func (s *Service) countRejected() { s.metrics.jobsRejected.Inc() }
 
+// jobLocked returns the identified job, false for unknown ids and
+// sessions. The caller holds s.mu.
+func (s *Service) jobLocked(id string) (*record, bool) {
+	j, ok := s.records[id]
+	return j, ok && j.sess == nil
+}
+
 // Job returns a snapshot of the identified job.
 func (s *Service) Job(id string) (JobView, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	if !ok {
 		return JobView{}, false
 	}
@@ -732,7 +851,7 @@ func (s *Service) Job(id string) (JobView, bool) {
 func (s *Service) JobTrace(id string) (*telemetry.Span, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobLocked(id)
 	if !ok {
 		return nil, false
 	}
@@ -745,17 +864,22 @@ func (s *Service) Jobs() []JobView {
 	defer s.mu.Unlock()
 	out := make([]JobView, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].viewLocked())
+		if j := s.records[id]; j.sess == nil {
+			out = append(out, j.viewLocked())
+		}
 	}
 	return out
 }
 
-// Shutdown stops accepting new jobs, drains every already-accepted job
-// (queued and in-flight), and waits for the workers to exit. It returns
-// ctx's error if the drain does not finish in time. With a coordinator
-// attached whose fleet has a live worker, jobs not yet leased are not
-// drained: they stay journaled for the next life, and leased ones are left
-// to their workers.
+// Shutdown stops accepting new jobs and sessions, drains every
+// already-accepted job (queued and in-flight), waits for the workers to
+// exit, and then closes every live session's spool, leaving the sessions
+// journaled live so the next life resumes them and their clients resume
+// where they left off. It returns ctx's error if the drain does not finish
+// in time. With a coordinator attached whose fleet has a live worker, jobs
+// not yet leased are not drained: they stay journaled for the next life,
+// and leased ones are left to their workers. Call it after the HTTP server
+// has drained its handlers.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
@@ -765,8 +889,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 	started := s.started
 	s.mu.Unlock()
+	defer s.releaseSessions()
 	if !started {
-		s.hub.Close()
 		return nil
 	}
 	done := make(chan struct{})
@@ -776,11 +900,25 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.hub.Close()
 		return nil
 	case <-ctx.Done():
-		s.hub.Close()
 		return ctx.Err()
+	}
+}
+
+// releaseSessions closes every live session's spool and refuses it further
+// ingest.
+func (s *Service) releaseSessions() {
+	s.mu.Lock()
+	var live []*stream.Session
+	for _, id := range s.order {
+		if j := s.records[id]; j.status == statusLive {
+			live = append(live, j.sess)
+		}
+	}
+	s.mu.Unlock()
+	for _, sess := range live {
+		sess.Release()
 	}
 }
 
@@ -808,7 +946,7 @@ func (s *Service) worker(coord Coordinator) {
 // pushLocked queues j — at the head of its tenant's line when front is set
 // — and wakes one waiting pool worker, so every queued job has a worker
 // woken for it. The caller holds s.mu.
-func (s *Service) pushLocked(j *job, weight int, front bool) {
+func (s *Service) pushLocked(j *record, weight int, front bool) {
 	if front {
 		s.fq.PushFront(j.tenant, weight, j)
 	} else {
@@ -826,7 +964,7 @@ func (s *Service) pushLocked(j *job, weight int, front bool) {
 // the heaviest-backlogged tenant, the work whose loss costs the least sunk
 // investment and whose owner contributes most to the backlog. ok=false
 // means the service is shutting down with the queue drained.
-func (s *Service) dequeue() (*job, bool) {
+func (s *Service) dequeue() (*record, bool) {
 	s.mu.Lock()
 	for {
 		for s.fq.Len() == 0 {
@@ -842,7 +980,7 @@ func (s *Service) dequeue() (*job, bool) {
 		s.metrics.tenantQueueDepth.With(tname).Set(int64(s.fq.TenantLen(tname)))
 		sojourn := now.Sub(j.enqueued)
 		s.metrics.queueSojourn.ObserveDuration(sojourn)
-		var shed *job
+		var shed *record
 		if s.cfg.ShedTarget > 0 && s.codel.OnDequeue(now, sojourn) {
 			if ht, _, ok := s.fq.Heaviest(); ok {
 				if sj, ok := s.fq.PopNewest(ht); ok {
@@ -869,7 +1007,7 @@ func (s *Service) dequeue() (*job, bool) {
 // before now, and reports whether it did. A job is checked when it leaves
 // the queue and again when it is leased, since a pool worker may hold it
 // for a lease a while in between. The deadline is fixed at submit.
-func (s *Service) shedIfExpired(j *job, now time.Time) bool {
+func (s *Service) shedIfExpired(j *record, now time.Time) bool {
 	if j.deadline.IsZero() || !now.After(j.deadline) {
 		return false
 	}
@@ -879,7 +1017,7 @@ func (s *Service) shedIfExpired(j *job, now time.Time) bool {
 
 // failShed ends a queued job without running it: the terminal bookkeeping
 // of finish, plus the per-tenant shed counter.
-func (s *Service) failShed(j *job, reason, msg string) {
+func (s *Service) failShed(j *record, reason, msg string) {
 	closeQueue := func(root *telemetry.Span) {
 		if qs := root.Child("queue"); qs != nil {
 			qs.EndAt(time.Time{})
@@ -892,20 +1030,27 @@ func (s *Service) failShed(j *job, reason, msg string) {
 	s.jobLogger(j).Warn("job shed before replay", "phase", "shed", "reason", reason, "tenant", j.tenant)
 }
 
-// releaseQuotaLocked returns the job's tenant quota (slot + bytes) exactly
-// once; the caller must hold s.mu.
-func (s *Service) releaseQuotaLocked(j *job) {
+// releaseQuotaLocked returns the record's tenant quota — a job's slot and
+// upload bytes, a session's stream slot and accepted bytes — exactly once;
+// the caller must hold s.mu.
+func (s *Service) releaseQuotaLocked(j *record) {
 	if !j.quotaHeld {
 		return
 	}
 	j.quotaHeld = false
-	s.tenants.Get(j.tenant).ReleaseJob(j.bytes)
+	t := s.tenants.Get(j.tenant)
+	if j.sess == nil {
+		t.ReleaseJob(j.bytes)
+		return
+	}
+	t.ReleaseStream()
+	t.ReleaseBytes(j.bytes)
 }
 
 // mark journals a lifecycle transition, logging (never failing the job
 // on) journal errors: the in-memory state is already correct, and a lost
 // terminal mark only means the job is re-analyzed after a crash.
-func (s *Service) mark(j *job, status, errMsg string, result json.RawMessage) {
+func (s *Service) mark(j *record, status, errMsg string, result json.RawMessage) {
 	if s.cfg.Journal == nil {
 		return
 	}
@@ -927,7 +1072,7 @@ var errStalled = errors.New("service: replay stalled: no progress within the sta
 // a checkpoint (from a previous life of the daemon) resumes from it; with
 // Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
 // and retries them once.
-func (s *Service) runJob(j *job) {
+func (s *Service) runJob(j *record) {
 	markStart, markEnd, ok := s.startRunning(j)
 	if !ok {
 		return
@@ -1120,7 +1265,7 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 // the replay — a checkpoint is an optimization. A canceled context
 // (watchdog, timeout) aborts the replay instead of writing a checkpoint the
 // cancellation has already outdated.
-func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpointer, events uint64) func(uint64) error {
+func (s *Service) checkpointFunc(ctx context.Context, j *record, cp tools.Checkpointer, events uint64) func(uint64) error {
 	return func(next uint64) error {
 		if cause := context.Cause(ctx); cause != nil {
 			return cause
@@ -1159,7 +1304,7 @@ func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpoin
 // (its goroutine parks until the analyzer code returns, if ever) so the
 // worker can move on. A panic on the replay goroutine is re-raised here so
 // runJob's panic confinement sees it unchanged.
-func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *job, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (trace.ReplayStats, error) {
+func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *record, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (trace.ReplayStats, error) {
 	type result struct {
 		stats    trace.ReplayStats
 		err      error
@@ -1229,74 +1374,49 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 	}
 }
 
-// GC applies the retention policy immediately (it also runs as jobs
-// finish and on submissions). It reports how many jobs were evicted.
+// GC applies the retention policy immediately (it also runs as records
+// finish, on submissions and opens, and on the GCInterval timer). It
+// reports how many jobs and sessions were evicted.
 func (s *Service) GC() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gcLocked(time.Now())
 }
 
-// gcLocked evicts terminal jobs beyond MaxFinishedJobs (oldest-finished
-// first) or older than MaxJobAge, along with their spool files and
-// idempotency keys. The caller must hold s.mu.
+// gcLocked evicts finished jobs and sessions beyond MaxFinishedJobs,
+// oldest-finished first, and those finished longer than MaxJobAge ago,
+// along with their spool files, trace-store entries and idempotency keys.
+// s.finished is in finish order, so both bounds take records off its
+// front, up to the first one not yet settled. The caller must hold s.mu.
 func (s *Service) gcLocked(now time.Time) int {
-	maxJobs := s.cfg.MaxFinishedJobs
-	if maxJobs < 0 && s.cfg.MaxJobAge <= 0 {
-		return 0
-	}
-	finished := 0
-	for _, id := range s.order {
-		if s.jobs[id].terminal() {
-			finished++
+	n := 0
+	for ; n < len(s.finished) && s.finished[n].settled; n++ {
+		overCap := s.cfg.MaxFinishedJobs >= 0 && len(s.finished)-n > s.cfg.MaxFinishedJobs
+		aged := s.cfg.MaxJobAge > 0 && now.Sub(s.finished[n].finished) > s.cfg.MaxJobAge
+		if !overCap && !aged {
+			break
 		}
-	}
-	evicted := 0
-	// s.order is submission order; finished jobs encountered first are
-	// the oldest, so one pass evicts in the right order.
-	excess := 0
-	if maxJobs >= 0 {
-		excess = finished - maxJobs
-	}
-	if excess <= 0 && s.cfg.MaxJobAge <= 0 {
-		return 0
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		terminal := j.terminal()
-		evict := false
-		if terminal {
-			if excess > 0 {
-				evict = true
-				excess--
-			} else if s.cfg.MaxJobAge > 0 && !j.finished.IsZero() && now.Sub(j.finished) > s.cfg.MaxJobAge {
-				evict = true
-			}
-		}
-		if !evict {
-			keep = append(keep, id)
-			continue
-		}
-		delete(s.jobs, id)
+		j := s.finished[n]
+		delete(s.records, j.id)
 		if j.key != "" {
 			delete(s.keys, j.key)
 		}
-		// Trace retention never outlives job retention: the evicted job's
-		// trace leaves the store with it.
+		// Trace retention never outlives record retention: the evicted
+		// record's trace leaves the store with it.
 		if j.span != nil && j.span.TraceID != "" {
 			s.traces.Remove(j.span.TraceID)
 		}
 		if s.cfg.Journal != nil {
-			if err := s.cfg.Journal.Remove(id); err != nil {
+			if err := s.cfg.Journal.Remove(j.id); err != nil {
 				s.jobLogger(j).Error("journal remove failed", "phase", "gc", "err", err)
 			}
 		}
-		evicted++
 	}
-	s.order = keep
-	if evicted > 0 {
-		s.metrics.jobsEvicted.Add(uint64(evicted))
+	if n == 0 {
+		return 0
 	}
-	return evicted
+	s.finished = slices.Delete(s.finished, 0, n)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.records[id] == nil })
+	s.metrics.jobsEvicted.Add(uint64(n))
+	return n
 }

@@ -30,10 +30,12 @@ var streamBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// streamStatus maps a stream package error to its HTTP status.
+// streamStatus maps a session error to its HTTP status.
 func streamStatus(err error) int {
 	switch {
-	case errors.Is(err, stream.ErrSaturated),
+	case errors.Is(err, errNoStream):
+		return http.StatusNotFound
+	case errors.Is(err, ErrStreamsSaturated),
 		errors.Is(err, tenant.ErrThrottled),
 		errors.Is(err, tenant.ErrStreamQuota),
 		errors.Is(err, tenant.ErrByteQuota):
@@ -59,12 +61,12 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		toolName = "arbalest"
 	}
 	tname := s.tenants.Get(r.Header.Get(tenant.Header)).Name()
-	view, err := s.hub.OpenAs(toolName, r.Header.Get(telemetry.TraceparentHeader), tname)
+	view, err := s.OpenStream(toolName, r.Header.Get(telemetry.TraceparentHeader), tname)
 	if err != nil {
 		switch {
 		case errors.Is(err, tenant.ErrThrottled):
 			s.metrics.tenantThrottled.With(tname).Inc()
-		case errors.Is(err, tenant.ErrStreamQuota), errors.Is(err, stream.ErrSaturated):
+		case errors.Is(err, tenant.ErrStreamQuota), errors.Is(err, ErrStreamsSaturated):
 			s.metrics.tenantRejected.With(tname, "streams").Inc()
 		case errors.Is(err, tenant.ErrByteQuota):
 			s.metrics.tenantRejected.With(tname, "bytes").Inc()
@@ -83,16 +85,16 @@ func (s *Service) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStreamList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, struct {
 		Streams []stream.View `json:"streams"`
-	}{Streams: s.hub.List()})
+	}{Streams: s.Streams()})
 }
 
 func (s *Service) handleStreamGet(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.hub.Get(r.PathValue("id"))
+	view, ok := s.Stream(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("service: no such stream"))
+		s.writeError(w, http.StatusNotFound, errNoStream)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sess.View())
+	s.writeJSON(w, http.StatusOK, view)
 }
 
 // handleStreamEvents is the ingest endpoint: the request body is a complete
@@ -101,16 +103,13 @@ func (s *Service) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 // Duplicate events from a client resume are skipped by sequence number, so
 // re-POSTing a suffix (or the whole stream) after a disconnect is safe.
 func (s *Service) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.hub.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("service: no such stream"))
-		return
-	}
-	if err := sess.StartIngest(); err != nil {
+	j, err := s.startIngest(r.PathValue("id"))
+	if err != nil {
 		s.writeError(w, streamStatus(err), err)
 		return
 	}
-	defer sess.EndIngest()
+	defer s.endIngest(j)
+	sess := j.sess
 	rc := http.NewResponseController(w)
 	bp := streamBufs.Get().(*[]byte)
 	defer streamBufs.Put(bp)
@@ -130,7 +129,7 @@ func (s *Service) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 		if n > 0 {
 			if ferr := sess.Feed(buf[:n]); ferr != nil {
 				if errors.Is(ferr, stream.ErrBudget) {
-					s.hub.Evict(sess, "budget")
+					s.EvictStream(j.id, "budget")
 				}
 				status := streamStatus(ferr)
 				if status == http.StatusTooManyRequests {
@@ -151,12 +150,12 @@ func (s *Service) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 				s.writeError(w, http.StatusBadRequest, ferr)
 				return
 			}
-			s.writeJSON(w, http.StatusOK, sess.View())
+			s.writeJSON(w, http.StatusOK, s.viewOf(j))
 			return
 		case isTimeout(rerr):
 			// The client stopped sending but kept the connection open: a
 			// slow consumer holding a session slot. Evict it.
-			s.hub.Evict(sess, "slow")
+			s.EvictStream(j.id, "slow")
 			s.writeError(w, http.StatusRequestTimeout, fmt.Errorf("service: stream read timed out: %w", rerr))
 			return
 		default:
@@ -183,12 +182,7 @@ func isTimeout(err error) bool {
 // the settled view rather than an error, so a client retrying a close that
 // raced a crash gets its result.
 func (s *Service) handleStreamClose(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.hub.Get(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("service: no such stream"))
-		return
-	}
-	view, err := sess.Finalize()
+	view, err := s.CloseStream(r.PathValue("id"))
 	switch {
 	case err == nil, errors.Is(err, stream.ErrTerminal):
 		s.writeJSON(w, http.StatusOK, view)
@@ -200,13 +194,14 @@ func (s *Service) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 // handleStreamAbort ends a session at the client's request and discards its
 // journal state.
 func (s *Service) handleStreamAbort(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.hub.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	s.AbortStream(id)
+	view, ok := s.Stream(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("service: no such stream"))
+		s.writeError(w, http.StatusNotFound, errNoStream)
 		return
 	}
-	sess.Abort()
-	s.writeJSON(w, http.StatusOK, sess.View())
+	s.writeJSON(w, http.StatusOK, view)
 }
 
 // handleStreamFindings serves a session's findings from the ?since= cursor
@@ -215,9 +210,9 @@ func (s *Service) handleStreamAbort(w http.ResponseWriter, r *http.Request) {
 // (capped at 30s) expires — then with an empty page whose next cursor the
 // client re-polls from.
 func (s *Service) handleStreamFindings(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.hub.Get(r.PathValue("id"))
+	sess, ok := s.Session(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, errors.New("service: no such stream"))
+		s.writeError(w, http.StatusNotFound, errNoStream)
 		return
 	}
 	q := r.URL.Query()

@@ -34,7 +34,7 @@ const (
 // publishTraceLocked snapshots the job's span tree into the trace store.
 // The caller holds s.mu; the store receives an immutable Clone, so readers
 // never race the tree still being built.
-func (s *Service) publishTraceLocked(j *job) {
+func (s *Service) publishTraceLocked(j *record) {
 	if s.traces == nil || j == nil || j.span == nil || j.span.TraceID == "" {
 		return
 	}
@@ -48,7 +48,7 @@ func (s *Service) publishTraceLocked(j *job) {
 func (s *Service) StartLeaseSpan(jobID, worker string, token uint64) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
+	j, ok := s.jobLocked(jobID)
 	if !ok || j.span == nil || j.span.TraceID == "" {
 		return ""
 	}
@@ -70,7 +70,7 @@ func (s *Service) StartLeaseSpan(jobID, worker string, token uint64) string {
 func (s *Service) MergeLeaseSpans(jobID string, token uint64, spans []*telemetry.Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
+	j, ok := s.jobLocked(jobID)
 	if !ok || j.leaseSpans == nil {
 		return
 	}
@@ -110,7 +110,7 @@ func (s *Service) MergeLeaseSpans(jobID string, token uint64, spans []*telemetry
 func (s *Service) CloseLeaseSpan(jobID string, token uint64, errMsg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
+	j, ok := s.jobLocked(jobID)
 	if !ok || j.leaseSpans == nil {
 		return
 	}
@@ -132,7 +132,7 @@ func (s *Service) CloseLeaseSpan(jobID string, token uint64, errMsg string) {
 func (s *Service) RecordFenced(jobID, worker, op string, token uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[jobID]
+	j, ok := s.jobLocked(jobID)
 	if !ok || j.span == nil || j.span.TraceID == "" {
 		return
 	}

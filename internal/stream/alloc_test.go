@@ -1,11 +1,14 @@
-package stream
+package stream_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/omp"
+	"repro/internal/service"
 	"repro/internal/specaccel"
+	. "repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -62,7 +65,7 @@ func TestSessionBytesPerEvent(t *testing.T) {
 	}
 	const maxPerEvent = 64
 	inputs, events := fig8Requests(t)
-	h := newTestHub(t, func(c *Config) { c.MaxStreams = -1; c.MaxFinished = 1 })
+	h := newTestService(t, func(c *service.Config) { c.MaxStreams = -1; c.MaxFinishedJobs = 1 })
 	var ms runtime.MemStats
 	total := uint64(0)
 	for _, reqs := range inputs {
@@ -74,7 +77,7 @@ func TestSessionBytesPerEvent(t *testing.T) {
 		}
 		runtime.ReadMemStats(&ms)
 		total += ms.TotalAlloc - before
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,5 +85,68 @@ func TestSessionBytesPerEvent(t *testing.T) {
 	t.Logf("streaming %d inputs allocates %d bytes over %d events (%.1f per event)", len(inputs), total, events, perEvent)
 	if perEvent > maxPerEvent {
 		t.Errorf("streaming allocates %.1f bytes per event, want at most %d", perEvent, maxPerEvent)
+	}
+}
+
+// uumTrace records a program whose one kernel reads n buffers mapped
+// alloc, each uninitialized on the device: a session fed the trace
+// reports n findings.
+func uumTrace(t testing.TB, n int) *trace.Trace {
+	t.Helper()
+	rec := trace.NewRecorder()
+	err := omp.NewRuntime(omp.Config{NumThreads: 1, ForceSync: true}, rec).Run(func(c *omp.Context) error {
+		bufs := make([]*omp.Buffer, n)
+		maps := make([]omp.Map, n)
+		for i := range bufs {
+			bufs[i] = c.AllocI64(1, fmt.Sprintf("b%d", i))
+			maps[i] = omp.Alloc(bufs[i])
+		}
+		c.Target(omp.Opts{Maps: maps}, func(k *omp.Context) {
+			for _, b := range bufs {
+				_ = k.LoadI64(b, 0)
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace()
+}
+
+// TestSessionViewDoesNotCopyFindings: a live session's view counts its
+// findings without copying them, so serving the view of a session with
+// many findings allocates what serving one with a single finding does.
+// The view is built on every ingest response, GET /v1/streams/{id} and
+// each entry of GET /v1/streams.
+func TestSessionViewDoesNotCopyFindings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	h := newTestService(t, nil)
+	perView := func(n int) uint64 {
+		s := openSession(t, h, "arbalest")
+		feedChunks(t, s, frameEvents(t, uumTrace(t, n), 0), 0)
+		if v := viewOf(h, s); v.Status != StatusLive || v.Findings != n {
+			t.Fatalf("session %s with %d findings, want live with %d", v.Status, v.Findings, n)
+		}
+		const views = 100
+		var ms runtime.MemStats
+		least := ^uint64(0)
+		for range 5 {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			for range views {
+				viewOf(h, s)
+			}
+			runtime.ReadMemStats(&ms)
+			least = min(least, (ms.TotalAlloc-before)/views)
+		}
+		return least
+	}
+	one, many := perView(1), perView(64)
+	t.Logf("a view allocates %d bytes with 1 finding, %d with 64", one, many)
+	if many != one {
+		t.Errorf("a view allocates %d bytes with 64 findings, %d with 1; want the same", many, one)
 	}
 }

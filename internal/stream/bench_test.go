@@ -1,12 +1,12 @@
-package stream
+package stream_test
 
 import (
 	"testing"
 
 	"repro/internal/journal"
 	"repro/internal/omp"
+	"repro/internal/service"
 	"repro/internal/specaccel"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -40,16 +40,15 @@ func BenchmarkSession(b *testing.B) {
 				name = w.Name + "/journaled"
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := Config{Registry: telemetry.NewRegistry(), MaxStreams: -1, MaxFinished: 1}
+				var jnl *journal.Journal
 				if journaled {
-					jnl, err := journal.Open(b.TempDir())
-					if err != nil {
+					var err error
+					if jnl, err = journal.Open(b.TempDir()); err != nil {
 						b.Fatal(err)
 					}
-					cfg.Journal = jnl
 				}
-				h := NewHub(cfg)
-				defer h.Close()
+				h := newService(func(c *service.Config) { c.MaxStreams, c.MaxFinishedJobs, c.Journal = -1, 1, jnl })
+				defer shutdown(h)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -57,7 +56,7 @@ func BenchmarkSession(b *testing.B) {
 					for _, c := range chunks {
 						feedChunks(b, s, c, 0)
 					}
-					if _, err := s.Finalize(); err != nil {
+					if _, err := h.CloseStream(s.ID()); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"encoding/binary"
@@ -10,7 +10,8 @@ import (
 
 	"repro/internal/dracc"
 	"repro/internal/journal"
-	"repro/internal/telemetry"
+	"repro/internal/service"
+	. "repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func v1Spool(t testing.TB, events []trace.Event) []byte {
 // session.
 func TestStreamRecoveryFromV1Spool(t *testing.T) {
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := streamedReports(t, newTestHub(t, nil), tr, "arbalest", 0)
+	want := streamedReports(t, newTestService(t, nil), tr, "arbalest", 0)
 	if len(want) == 0 {
 		t.Fatal("DRACC_OMP_022 streamed without findings")
 	}
@@ -51,7 +52,7 @@ func TestStreamRecoveryFromV1Spool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
+	h1 := newService(func(c *service.Config) { c.Journal = jnl })
 	id := openSession(t, h1, "arbalest").ID()
 	// Kill, leaving the spool a version-1 daemon would have written after
 	// applying the first third of the events.
@@ -59,26 +60,25 @@ func TestStreamRecoveryFromV1Spool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reboot := func() *Session {
+	reboot := func() (*service.Service, *Session) {
 		t.Helper()
 		jnl, err := journal.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: 4})
-		t.Cleanup(h.Close)
-		if live, err := h.Recover(); err != nil || live != 1 {
+		h := newService(func(c *service.Config) { c.Journal = jnl; c.CheckpointEvery = 4 })
+		if live, err := recoverLive(h); err != nil || live != 1 {
 			t.Fatalf("recovery: %d live, err %v; want 1, nil", live, err)
 		}
-		s, ok := h.Get(id)
+		s, ok := h.Session(id)
 		if !ok {
 			t.Fatalf("recovered hub has no session %s", id)
 		}
-		return s
+		return h, s
 	}
 
-	s2 := reboot()
-	if v := s2.View(); v.Status != StatusLive || v.Events != uint64(third) {
+	h2, s2 := reboot()
+	if v := viewOf(h2, s2); v.Status != StatusLive || v.Events != uint64(third) {
 		t.Fatalf("recovered from the version-1 spool: %s at event %d, want live at %d", v.Status, v.Events, third)
 	}
 	body := trace.StreamHeader()
@@ -90,8 +90,9 @@ func TestStreamRecoveryFromV1Spool(t *testing.T) {
 	feedChunks(t, s2, body, 0)
 	// Kill again: the spool now holds version-1 frames, then version-2 ones.
 
-	s3 := reboot()
-	v := s3.View()
+	h3, s3 := reboot()
+	t.Cleanup(func() { shutdown(h3) })
+	v := viewOf(h3, s3)
 	if v.Status != StatusLive || v.Events != uint64(2*third) {
 		t.Fatalf("recovered from the mixed spool: %s at event %d, want live at %d", v.Status, v.Events, 2*third)
 	}
@@ -99,7 +100,7 @@ func TestStreamRecoveryFromV1Spool(t *testing.T) {
 		t.Fatal("second recovery did not resume from a checkpoint")
 	}
 	feedChunks(t, s3, frameEvents(t, tr, int(v.Events)), 0)
-	view, err := s3.Finalize()
+	view, err := h3.CloseStream(s3.ID())
 	if err != nil {
 		t.Fatal(err)
 	}

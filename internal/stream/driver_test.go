@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"context"
@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/dracc"
 	"repro/internal/journal"
-	"repro/internal/telemetry"
+	"repro/internal/service"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
@@ -17,11 +17,11 @@ import (
 // serves lookups. Under the concurrent (CAS) discipline the memo is off and
 // every lookup searches the region index.
 func TestSessionReplaysSequentially(t *testing.T) {
-	h := newTestHub(t, func(c *Config) { c.AnalyzerStats = true })
+	h := newTestService(t, func(c *service.Config) { c.AnalyzerStats = true })
 	tr := recordDRACC(t, dracc.ByID(22))
 	s := openSession(t, h, "arbalest")
 	feedChunks(t, s, frameEvents(t, tr, 0), 0)
-	v, err := s.Finalize()
+	v, err := h.CloseStream(s.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,10 @@ func TestStreamCheckpointsAtReplayBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHub(Config{
-		Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: every,
-		MaxStreams: -1, MaxFinished: -1,
+	h := newTestService(t, func(c *service.Config) {
+		c.Journal, c.CheckpointEvery = jnl, every
+		c.MaxStreams, c.MaxFinishedJobs = -1, -1
 	})
-	t.Cleanup(h.Close)
 	for _, b := range dracc.All() {
 		tr := recordDRACC(t, b)
 		a, err := tools.New("arbalest")
@@ -74,12 +73,12 @@ func TestStreamCheckpointsAtReplayBoundaries(t *testing.T) {
 			if chunk, err = trace.AppendEventFrame(chunk, &tr.Events[i]); err != nil {
 				t.Fatal(err)
 			}
-			before := h.metrics.checkpoints.Value()
+			before := s.CheckpointsWritten()
 			if err := s.Feed(chunk); err != nil {
 				t.Fatalf("%s: feed event %d: %v", b.Name(), i, err)
 			}
 			chunk = chunk[:0]
-			switch h.metrics.checkpoints.Value() - before {
+			switch s.CheckpointsWritten() - before {
 			case 0:
 			case 1:
 				ck, err := jnl.ReadCheckpoint(s.ID())
@@ -95,7 +94,7 @@ func TestStreamCheckpointsAtReplayBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.EndIngest()
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {

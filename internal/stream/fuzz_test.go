@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"bytes"
@@ -7,7 +7,8 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/ompt"
-	"repro/internal/telemetry"
+	"repro/internal/service"
+	. "repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -52,13 +53,13 @@ func FuzzStreamSession(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		h := NewHub(Config{Registry: telemetry.NewRegistry(), MaxEvents: 4096, MaxBytes: 1 << 20})
-		defer h.Close()
-		v, err := h.Open("arbalest", "")
+		h := newService(func(c *service.Config) { c.MaxEvents = 4096; c.StreamMaxBytes = 1 << 20 })
+		defer shutdown(h)
+		v, err := h.OpenStream("arbalest", "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := h.Get(v.ID)
+		s, _ := h.Session(v.ID)
 		if err := s.StartIngest(); err != nil {
 			t.Fatal(err)
 		}
@@ -80,27 +81,27 @@ func FuzzStreamSession(f *testing.F) {
 			if errors.Is(ferr, ErrBudget) {
 				t.Fatalf("budget breach under MaxBytes=1MiB for a %d-byte input", len(data))
 			}
-			if s.View().Status != StatusFailed {
-				t.Fatalf("feed error %v left session %s, want failed", ferr, s.View().Status)
+			if viewOf(h, s).Status != StatusFailed {
+				t.Fatalf("feed error %v left session %s, want failed", ferr, viewOf(h, s).Status)
 			}
 			var ce *trace.CorruptionError
-			if errors.As(ferr, &ce) && h.metrics.corruption.Value() != 1 {
+			if errors.As(ferr, &ce) && metric(t, h, "arbalestd_stream_corruption_total", nil) != 1 {
 				t.Fatalf("corruption error not counted: %v", ferr)
 			}
 			if err := s.StartIngest(); !errors.Is(err, ErrTerminal) {
 				t.Fatalf("failed session accepts ingest: %v", err)
 			}
-		} else if _, err := s.Finalize(); err != nil {
+		} else if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatalf("clean session refused finalize: %v", err)
 		}
 
 		// The accept loop must survive whatever just happened: a fresh
 		// session on the same hub analyzes a clean stream end to end.
-		v2, err := h.Open("arbalest", "")
+		v2, err := h.OpenStream("arbalest", "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, _ := h.Get(v2.ID)
+		s2, _ := h.Session(v2.ID)
 		if err := s2.StartIngest(); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func FuzzStreamSession(f *testing.F) {
 			t.Fatal(err)
 		}
 		s2.EndIngest()
-		if view, err := s2.Finalize(); err != nil || view.Events == 0 {
+		if view, err := h.CloseStream(s2.ID()); err != nil || view.Events == 0 {
 			t.Fatalf("clean session did not settle: %+v, %v", view, err)
 		}
 	})

@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"bytes"
@@ -60,10 +60,10 @@ func FuzzStreamMatchesDecode(f *testing.F) {
 		}
 		want := batchReports(t, tr, "arbalest")
 
-		h := newTestHub(t, nil)
+		h := newTestService(t, nil)
 		s := openSession(t, h, "arbalest")
 		feedChunks(t, s, sent, 1+int(read)%4096)
-		view, err := s.Finalize()
+		view, err := h.CloseStream(s.ID())
 		if err != nil {
 			t.Fatalf("finalize: %v", err)
 		}

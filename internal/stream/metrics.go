@@ -2,39 +2,22 @@ package stream
 
 import "repro/internal/telemetry"
 
-// metrics is the stream subsystem's metric surface, registered on the
-// owning service's shared registry so /metrics exposes job and stream
-// families side by side. One hub per registry: registration panics on a
-// duplicate name by design.
-type metrics struct {
-	active      *telemetry.Gauge
-	opened      *telemetry.Counter
-	completed   *telemetry.Counter
-	failed      *telemetry.Counter
-	recovered   *telemetry.Counter
-	evicted     *telemetry.CounterVec
+// Metrics are the ingest counters every session of one service shares,
+// registered on the service's registry so /metrics exposes job and stream
+// families side by side. The session lifecycle counters (opened, active,
+// completed, failed, evicted, recovered, corruption) are the service's.
+type Metrics struct {
 	bytesTotal  *telemetry.Counter
 	eventsTotal *telemetry.Counter
 	chunkDecode *telemetry.Histogram
 	checkpoints *telemetry.Counter
 	ckptErrors  *telemetry.Counter
-	corruption  *telemetry.Counter
 }
 
-func newMetrics(reg *telemetry.Registry) *metrics {
-	return &metrics{
-		active: reg.Gauge("arbalestd_streams_active",
-			"Live streaming ingestion sessions."),
-		opened: reg.Counter("arbalestd_streams_opened_total",
-			"Streaming sessions accepted."),
-		completed: reg.Counter("arbalestd_streams_completed_total",
-			"Streaming sessions closed cleanly by their client."),
-		failed: reg.Counter("arbalestd_streams_failed_total",
-			"Streaming sessions that ended in an error (corruption, limits, analyzer panic, abort)."),
-		recovered: reg.Counter("arbalestd_streams_recovered_total",
-			"Live streaming sessions rebuilt from the journal spool on startup."),
-		evicted: reg.CounterVec("arbalestd_streams_evicted_total",
-			"Streaming sessions evicted by the server, by reason (idle, slow, budget).", "reason"),
+// NewMetrics registers the ingest families on reg; registration panics on
+// a duplicate name by design, so call it once per registry.
+func NewMetrics(reg *telemetry.Registry) *Metrics {
+	return &Metrics{
 		bytesTotal: reg.Counter("arbalestd_stream_bytes_total",
 			"Wire bytes accepted across all streaming sessions."),
 		eventsTotal: reg.Counter("arbalestd_stream_events_total",
@@ -45,8 +28,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		checkpoints: reg.Counter("arbalestd_stream_checkpoints_written_total",
 			"Analyzer-state checkpoints written by streaming sessions at epoch boundaries."),
 		ckptErrors: reg.Counter("arbalestd_stream_checkpoint_errors_total",
-			"Stream checkpoints that failed to serialize, write, or restore."),
-		corruption: reg.Counter("arbalestd_stream_corruption_total",
-			"Streaming sessions failed by corrupt input (CRC mismatch, torn frames, sequence gaps)."),
+			"Stream checkpoints that failed to serialize or write."),
 	}
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package stream
+package stream_test
 
 // raceEnabled reports whether the tests run under the race detector, whose
 // instrumentation allocates.

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,16 +9,9 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/report"
-	"repro/internal/telemetry"
-	"repro/internal/tenant"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
-
-// maxIngestSpans caps "ingest" child spans per session: long sessions ship
-// many chunked requests and the trace must stay bounded. Requests past the
-// cap still advance the root span's progress counts.
-const maxIngestSpans = 32
 
 // batchCap bounds how many accepted events a session decodes into its
 // driver's window before it spools their frames in one write and replays
@@ -28,51 +19,29 @@ const maxIngestSpans = 32
 // also replayed faster than 1024.
 const batchCap = 256
 
-// Status is a session's position in its lifecycle. Sessions are born live
-// and reach exactly one terminal state: done (client closed cleanly),
-// failed (corrupt input, limits, analyzer panic, abort), or evicted (the
-// server ended it). The values match the journal's stream statuses so a
-// recovered session's status round-trips unchanged.
-type Status string
-
-// The session lifecycle states.
-const (
-	StatusLive    Status = Status(journal.StatusLive)
-	StatusDone    Status = Status(journal.StatusDone)
-	StatusFailed  Status = Status(journal.StatusFailed)
-	StatusEvicted Status = Status(journal.StatusEvicted)
-)
-
 // Session is one live ingestion stream: sequential replay with the trace
 // still arriving. Framed chunks are decoded as they come, each event
 // checked against the sequence-number protocol and decoded straight into
 // the window of the replay driver every batch replay uses, which replays
 // it in small batches. At most one ingest request feeds a session at a
-// time (StartIngest/Feed/FinishIngest/EndIngest); findings reads and
-// lifecycle transitions may race freely with the feed.
+// time (StartIngest/Feed/FinishIngest/EndIngest); findings reads and Stop
+// may race freely with the feed.
 type Session struct {
-	hub  *Hub
 	id   string
 	tool string
-	// tenant is the canonical identity the session was admitted under;
-	// assigned before publication and never reassigned.
-	tenant string
+	o    Options
 
 	mu     sync.Mutex
 	status Status
-	// tquota is the tenant charged for this session's stream slot and
-	// in-flight bytes; nil when the hub runs without a tenant registry.
-	// quotaHeld guarantees the slot and reserved bytes are released exactly
-	// once, whichever terminal path wins.
-	tquota    *tenant.Tenant
-	quotaHeld bool
-	reserved  int64
+	// released is set when the owner shuts down: the spool is closed and
+	// ingest refused, while the session stays journaled live.
+	released bool
 	// analyzer, cp and replay are the live analysis state, and frames the
-	// buffer that feeds the spool. They are dropped when the session goes
-	// terminal, and are nil for sessions recovered as history. The driver
-	// holds the stream position, the latest checkpoint boundary and, in its
-	// window, the accepted events not yet spooled and replayed; s.mu orders
-	// its calls, which run on whichever goroutine feeds.
+	// buffer that feeds the spool. They are dropped when the session stops,
+	// and are nil for sessions recovered as history. The driver holds the
+	// stream position, the latest checkpoint boundary and, in its window,
+	// the accepted events not yet spooled and replayed; s.mu orders its
+	// calls, which run on whichever goroutine feeds.
 	analyzer tools.Analyzer
 	cp       tools.Checkpointer
 	replay   *trace.Replayer
@@ -80,8 +49,9 @@ type Session struct {
 	// the spool.
 	frames []byte
 	// reports holds a failed or evicted session's findings once its
-	// analyzer is dropped.
+	// analyzer is dropped, and summary a done session's.
 	reports []report.Report
+	summary *tools.Summary
 	// dec decodes the current ingest request's body; each request carries a
 	// complete framed stream (header plus frames), so every request gets a
 	// fresh decoder and duplicate events are skipped by sequence number.
@@ -90,214 +60,97 @@ type Session struct {
 	// events is the number of events applied. Outside Feed it is also the
 	// sequence number the session expects next: clients resume by
 	// re-sending from it.
-	events      uint64
-	bytes       int64
-	resumedFrom uint64
-	spool       *journal.StreamWriter
+	events       uint64
+	bytes        int64
+	resumedFrom  uint64
+	checkpointed uint64
+	spool        *journal.StreamWriter
 	// notify is closed and replaced whenever findings may have grown or the
 	// status changed; long-pollers re-check after each close.
 	notify     chan struct{}
-	created    time.Time
 	lastActive time.Time
-	finished   time.Time
-	errMsg     string
-	summary    *tools.Summary
-	// tc and span are the session's distributed-tracing identity: a root
-	// "stream" span whose snapshots are published to the hub's trace store.
-	// Both are assigned once before the session is published and never
-	// reassigned, so reading the pointer and the identity fields outside
-	// s.mu (logging, hub GC) is safe; the span's mutable interior is only
-	// touched under s.mu or before publication.
-	tc     telemetry.TraceContext
-	span   *telemetry.Span
-	ingest *telemetry.Span
 }
 
-// newSession builds a live session whose analyzer has applied the first
-// start events (a restored checkpoint's position, else 0).
-func newSession(h *Hub, id, tool string, a tools.Analyzer, start uint64) *Session {
-	now := time.Now()
+// New builds a live session whose analyzer has applied the first start
+// events (a restored checkpoint's position, else 0).
+func New(id, tool string, a tools.Analyzer, start uint64, o Options) *Session {
 	s := &Session{
-		hub: h, id: id, tool: tool, status: StatusLive,
-		analyzer: a,
-		events:   start,
-		notify:   make(chan struct{}),
-		created:  now, lastActive: now,
+		id: id, tool: tool, o: o, status: StatusLive,
+		analyzer:    a,
+		events:      start,
+		resumedFrom: start,
+		notify:      make(chan struct{}),
+		lastActive:  time.Now(),
 	}
 	s.cp, _ = a.(tools.Checkpointer)
 	opts := trace.DurableOptions{StartEvent: start}
-	if s.cp != nil && h.cfg.Journal != nil {
-		opts.CheckpointEvery = h.cfg.CheckpointEvery
+	if s.cp != nil && o.Journal != nil {
+		opts.CheckpointEvery = o.CheckpointEvery
 		opts.Checkpoint = s.checkpoint
 	}
 	s.replay = trace.NewReplayer(opts, a)
 	return s
 }
 
+// Settled rebuilds a session that ended in an earlier life of the daemon:
+// it takes no ingest and serves the findings of its journaled summary, if
+// it has one.
+func Settled(id, tool string, status Status, sum *tools.Summary) *Session {
+	return &Session{id: id, tool: tool, status: status, summary: sum, notify: make(chan struct{})}
+}
+
 // ID returns the session's identifier.
 func (s *Session) ID() string { return s.id }
 
-// attachTrace gives a newly opened session its distributed-tracing
-// identity. A parseable sampled traceparent joins the caller's trace (the
-// session's root "stream" span becomes a child of the caller's span); an
-// unsampled one keeps the session untraced, honoring the caller's verdict;
-// no traceparent mints a fresh trace subject to the store's head sampling.
-// Runs before the session is published.
-func (s *Session) attachTrace(traceparent string) {
-	if s.hub.cfg.Traces == nil {
-		return
-	}
-	parentID := ""
-	if ptc, ok := telemetry.ParseTraceparent(traceparent); ok {
-		if !ptc.Sampled {
-			return
-		}
-		s.tc = telemetry.TraceContext{TraceID: ptc.TraceID, SpanID: telemetry.NewSpanID(), Sampled: true}
-		parentID = ptc.SpanID
-	} else if s.hub.cfg.Traces.Admit() {
-		s.tc = telemetry.NewTraceContext()
-	} else {
-		return
-	}
-	s.span = telemetry.NewSpan("stream", s.created)
-	s.span.SetAttr("tool", s.tool)
-	s.span.SetAttr("stream_id", s.id)
-	s.span.Identify(s.tc, parentID)
+// CreateSpool starts a new session's spool with the framed-format header,
+// fsynced, so the spool is a valid stream from its first byte. Call it
+// before the session is published, after the owner journaled the record.
+func (s *Session) CreateSpool() (err error) {
+	s.spool, err = newSpool(s.o.Journal, s.id)
+	return err
 }
 
-// restoreTrace rejoins a recovered session to the trace it was opened
-// under: Record.Traceparent round-trips the session's own traceparent
-// through its meta log, so the resumed session keeps the same trace and span
-// IDs and its published snapshots replace the pre-crash tree — one trace
-// across the crash. The sampling verdict rode along in the flags, so
-// recovery never re-rolls the head-sampling dice. Only our own identity is
-// journaled; a parent link to an external caller's span does not survive
-// the crash, which costs the resumed root its ParentID and nothing else.
-func (s *Session) restoreTrace(traceparent string) {
-	if s.hub.cfg.Traces == nil {
-		return
+// newSpool opens a session's spool for appending and writes the
+// framed-format header, fsynced.
+func newSpool(j *journal.Journal, id string) (*journal.StreamWriter, error) {
+	w, err := j.OpenStreamBytes(id)
+	if err != nil {
+		return nil, err
 	}
-	ptc, ok := telemetry.ParseTraceparent(traceparent)
-	if !ok || !ptc.Sampled {
-		return
+	if _, err = w.Write(trace.StreamHeader()); err == nil {
+		err = w.Sync()
 	}
-	s.tc = ptc
-	s.span = telemetry.NewSpan("stream", s.created)
-	s.span.SetAttr("tool", s.tool)
-	s.span.SetAttr("stream_id", s.id)
-	s.span.Identify(s.tc, "")
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
-// traceparent is the session's own traceparent for journal persistence,
-// "" when untraced.
-func (s *Session) traceparent() string {
-	if !s.tc.Valid() {
-		return ""
-	}
-	return s.tc.Traceparent()
-}
-
-// publishTraceLocked snapshots the span tree into the trace store with the
-// session's progress counts stamped on the root. The caller holds s.mu or
-// owns a session that is not yet published (open, recovery).
-func (s *Session) publishTraceLocked() {
-	if s.hub.cfg.Traces == nil || s.span == nil || s.span.TraceID == "" {
-		return
-	}
-	s.span.SetCount("events", int64(s.events))
-	s.span.SetCount("bytes", s.bytes)
-	s.hub.cfg.Traces.Put(s.span.TraceID, s.span.Clone())
-}
-
-// publishTrace is publishTraceLocked behind the session lock.
-func (s *Session) publishTrace() {
-	s.mu.Lock()
-	s.publishTraceLocked()
-	s.mu.Unlock()
-}
-
-// endTraceLocked closes the session's root span from the settled terminal
-// state and publishes the final snapshot. Locking contract as
-// publishTraceLocked.
-func (s *Session) endTraceLocked() {
-	if s.span == nil || s.span.TraceID == "" {
-		return
-	}
-	if s.ingest != nil {
-		s.ingest.EndAt(time.Time{})
-		s.ingest = nil
-	}
-	if s.errMsg != "" {
-		s.span.SetError(s.errMsg)
-	}
-	if s.summary != nil {
-		s.span.SetCount("issues", int64(s.summary.Issues))
-	}
-	s.span.EndAt(s.finished)
-	s.publishTraceLocked()
-}
-
-// View is the immutable, JSON-serializable snapshot of a session served by
-// the HTTP API.
-type View struct {
-	ID     string `json:"id"`
-	Tool   string `json:"tool"`
-	Status Status `json:"status"`
-	// Tenant is the identity the session was admitted under.
-	Tenant string `json:"tenant,omitempty"`
-	// Events is the number of events applied so far — the sequence number a
-	// resuming client should send next.
-	Events   uint64 `json:"events"`
-	Bytes    int64  `json:"bytes"`
-	Findings int    `json:"findings"`
-	// ResumedFrom, when nonzero, is the checkpoint boundary this session was
-	// restored from after a daemon restart.
-	ResumedFrom uint64         `json:"resumedFrom,omitempty"`
-	Created     time.Time      `json:"created"`
-	Finished    *time.Time     `json:"finished,omitempty"`
-	Error       string         `json:"error,omitempty"`
-	Result      *tools.Summary `json:"result,omitempty"`
-	// TraceID names the session's distributed trace at GET /v1/traces/{id};
-	// empty when the session is untraced.
-	TraceID string `json:"traceId,omitempty"`
-}
-
-// View snapshots the session.
-func (s *Session) View() View {
+// Progress snapshots how far the session has come.
+func (s *Session) Progress() Progress {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.viewLocked()
+	return s.progressLocked()
 }
 
-// viewLocked snapshots the session; the caller must hold s.mu.
-func (s *Session) viewLocked() View {
-	v := View{
-		ID:          s.id,
-		Tool:        s.tool,
-		Status:      s.status,
-		Tenant:      s.tenant,
-		Events:      s.events,
-		Bytes:       s.bytes,
-		Findings:    len(s.reportsLocked()),
-		ResumedFrom: s.resumedFrom,
-		Created:     s.created,
-		Error:       s.errMsg,
-		Result:      s.summary,
+func (s *Session) progressLocked() Progress {
+	p := Progress{Events: s.events, Bytes: s.bytes, ResumedFrom: s.resumedFrom, Checkpoint: s.checkpointed}
+	switch {
+	case s.analyzer != nil:
+		p.Findings = s.analyzer.Sink().Count()
+	case s.reports != nil:
+		p.Findings = len(s.reports)
+	case s.summary != nil:
+		p.Findings = len(s.summary.Reports)
 	}
-	if !s.finished.IsZero() {
-		t := s.finished
-		v.Finished = &t
-	}
-	if s.span != nil {
-		v.TraceID = s.span.TraceID
-	}
-	return v
+	return p
 }
 
 // reportsLocked returns the session's findings in replay-clock order. Live
 // sessions read the analyzer's sink — events dispatch sequentially with
 // increasing clocks, so the list only ever appends and an integer cursor
-// into it is stable. Terminal sessions serve what was kept when the
+// into it is stable. Stopped sessions serve what was kept when the
 // analyzer was dropped: the summary's reports for a done session, the
 // copied reports for a failed or evicted one.
 func (s *Session) reportsLocked() []report.Report {
@@ -318,10 +171,9 @@ func (s *Session) reportsLocked() []report.Report {
 }
 
 // dropAnalyzerLocked lets go of the session's analysis state, shadow slabs
-// and race state included, so a finished session costs only its findings
+// and race state included, so a stopped session costs only its findings
 // until retention GC. release returns the slabs to the arena; only the clean
 // path passes it, since a failed analyzer may be mid-callback or corrupt.
-// The caller holds s.mu.
 func (s *Session) dropAnalyzerLocked(release bool) {
 	if s.analyzer == nil {
 		return
@@ -339,17 +191,10 @@ func (s *Session) notifyLocked() {
 	s.notify = make(chan struct{})
 }
 
-// terminal reports whether the session has left the live state.
-func (s *Session) terminal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.status != StatusLive
-}
-
-// idleSince returns how long the session has been live with no ingest
-// activity; zero for terminal sessions and sessions with a request attached
+// IdleSince returns how long the session has been live with no ingest
+// activity; zero for stopped sessions and sessions with a request attached
 // (their liveness is the read deadline's problem).
-func (s *Session) idleSince(now time.Time) time.Duration {
+func (s *Session) IdleSince(now time.Time) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.status != StatusLive || s.busy {
@@ -360,53 +205,42 @@ func (s *Session) idleSince(now time.Time) time.Duration {
 
 // StartIngest attaches an ingest request to the session: exactly one at a
 // time, each with a fresh decoder (every request body is a complete framed
-// stream). Fails with ErrBusy, ErrTerminal, or ErrDraining.
+// stream). Fails with ErrDraining, ErrTerminal, or ErrBusy.
 func (s *Session) StartIngest() error {
-	if s.hub.draining() {
-		return ErrDraining
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.status != StatusLive {
+	switch {
+	case s.released:
+		return ErrDraining
+	case s.status != StatusLive:
 		return ErrTerminal
-	}
-	if s.busy {
+	case s.busy:
 		return ErrBusy
 	}
 	s.busy = true
 	s.dec = trace.NewPushDecoder(trace.Limits{})
 	s.lastActive = time.Now()
-	if s.span != nil && len(s.span.Children) < maxIngestSpans {
-		s.ingest = s.span.StartChild("ingest", time.Time{})
-	}
 	return nil
 }
 
-// EndIngest detaches the current ingest request. Always pairs with a
-// successful StartIngest, whatever the request's fate — the session itself
-// may live on for the client to resume.
-func (s *Session) EndIngest() {
+// EndIngest detaches the current ingest request and reports the session's
+// progress as it detached. Always pairs with a successful StartIngest,
+// whatever the request's fate — the session itself may live on for the
+// client to resume.
+func (s *Session) EndIngest() Progress {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.busy = false
 	s.dec = nil
 	s.lastActive = time.Now()
-	if s.ingest != nil {
-		// The counts are the session's cumulative position as the request
-		// detached, so consecutive ingest spans read as a progress series.
-		s.ingest.SetCount("events", int64(s.events))
-		s.ingest.SetCount("bytes", s.bytes)
-		s.ingest.EndAt(time.Time{})
-		s.ingest = nil
-		s.publishTraceLocked()
-	}
-	s.mu.Unlock()
+	return s.progressLocked()
 }
 
 // Feed decodes one chunk of the attached request's body and replays every
 // completed event. Corruption, a limit breach, or an analyzer panic fails
-// the session (ErrBudget is the exception: the caller decides, normally by
-// evicting). Safe against concurrent findings reads and lifecycle
-// transitions, not against concurrent Feeds.
+// the session through Options.Fail (ErrBudget and a refused Charge do not:
+// the caller decides, normally by evicting or retrying). Safe against
+// concurrent findings reads and Stop, not against concurrent Feeds.
 func (s *Session) Feed(chunk []byte) error {
 	start := time.Now()
 	s.mu.Lock()
@@ -418,20 +252,18 @@ func (s *Session) Feed(chunk []byte) error {
 		s.mu.Unlock()
 		return ErrBusy
 	}
-	if s.hub.cfg.MaxBytes > 0 && s.bytes+int64(len(chunk)) > s.hub.cfg.MaxBytes {
+	if s.o.MaxBytes > 0 && s.bytes+int64(len(chunk)) > s.o.MaxBytes {
 		s.mu.Unlock()
 		return ErrBudget
 	}
-	// Charge the chunk against the tenant's in-flight byte quota before any
-	// state advances: a refusal (tenant.ErrByteQuota, HTTP 429) leaves the
-	// session live — the quota is shared occupancy that frees up as the
-	// tenant's other work drains, so the client simply retries the chunk.
-	if s.quotaHeld {
-		if err := s.tquota.ReserveBytes(int64(len(chunk))); err != nil {
+	// Charge the chunk before any state advances: a refusal leaves the
+	// session live, and the bytes counted here are exactly those the owner
+	// releases when the session stops.
+	if s.o.Charge != nil {
+		if err := s.o.Charge(int64(len(chunk))); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		s.reserved += int64(len(chunk))
 	}
 	s.bytes += int64(len(chunk))
 	s.lastActive = start
@@ -440,13 +272,12 @@ func (s *Session) Feed(chunk []byte) error {
 		s.notifyLocked()
 	}
 	s.mu.Unlock()
-	s.hub.metrics.bytesTotal.Add(uint64(len(chunk)))
-	s.hub.metrics.chunkDecode.Observe(time.Since(start).Seconds())
+	s.o.Metrics.bytesTotal.Add(uint64(len(chunk)))
+	s.o.Metrics.chunkDecode.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.fail(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // FinishIngest declares the attached request's body cleanly finished. A
@@ -461,11 +292,18 @@ func (s *Session) FinishIngest() error {
 	if dec == nil || (dec.Offset() == 0 && dec.Pending() == 0) {
 		return nil
 	}
-	if err := dec.Finish(); err != nil {
+	err := dec.Finish()
+	if err != nil {
 		s.fail(err)
-		return err
 	}
-	return nil
+	return err
+}
+
+// fail hands an ingest failure to the owner, which ends the session.
+func (s *Session) fail(err error) {
+	if s.o.Fail != nil {
+		s.o.Fail(err)
+	}
 }
 
 // push decodes data through dec into the driver's window and replays the
@@ -498,7 +336,7 @@ func (s *Session) accept(dec *trace.PushDecoder, seq uint64) (bool, error) {
 	if seq > next {
 		return false, &trace.CorruptionError{Offset: dec.Offset(), Reason: fmt.Sprintf("sequence gap: event %d arrived, session expects %d", seq, next)}
 	}
-	if m := s.hub.cfg.MaxEvents; m > 0 && next >= uint64(m) {
+	if m := s.o.MaxEvents; m > 0 && next >= uint64(m) {
 		return false, fmt.Errorf("%w: more than %d events", trace.ErrTooManyEvents, m)
 	}
 	if pending == batchCap {
@@ -535,7 +373,7 @@ func (s *Session) flush() error {
 	}
 	st, err := s.replay.ReplayWindow(context.Background())
 	s.events += st.Events
-	s.hub.metrics.eventsTotal.Add(st.Events)
+	s.o.Metrics.eventsTotal.Add(st.Events)
 	return err
 }
 
@@ -550,14 +388,14 @@ func (s *Session) checkpoint(boundary uint64) error {
 		return nil
 	}
 	if err := s.spool.Sync(); err != nil {
-		s.hub.metrics.ckptErrors.Inc()
-		s.hub.sessionLogger(s).Error("spool fsync failed; skipping checkpoint", "phase", "checkpoint", "err", err)
+		s.o.Metrics.ckptErrors.Inc()
+		s.o.Logger.Error("spool fsync failed; skipping checkpoint", "phase", "checkpoint", "err", err)
 		return nil
 	}
 	state, err := s.cp.CheckpointState()
 	if err != nil {
-		s.hub.metrics.ckptErrors.Inc()
-		s.hub.sessionLogger(s).Error("checkpoint state capture failed", "phase", "checkpoint", "err", err)
+		s.o.Metrics.ckptErrors.Inc()
+		s.o.Logger.Error("checkpoint state capture failed", "phase", "checkpoint", "err", err)
 		return nil
 	}
 	ck := &trace.Checkpoint{
@@ -565,168 +403,97 @@ func (s *Session) checkpoint(boundary uint64) error {
 		NextEvent: boundary, Events: boundary,
 		Created: time.Now(), State: state,
 	}
-	if err := s.hub.cfg.Journal.WriteCheckpoint(ck); err != nil {
-		s.hub.metrics.ckptErrors.Inc()
-		s.hub.sessionLogger(s).Error("checkpoint write failed", "phase", "checkpoint", "err", err)
+	if err := s.o.Journal.WriteCheckpoint(ck); err != nil {
+		s.o.Metrics.ckptErrors.Inc()
+		s.o.Logger.Error("checkpoint write failed", "phase", "checkpoint", "err", err)
 		return nil
 	}
-	s.hub.metrics.checkpoints.Inc()
-	if s.span != nil {
-		s.span.SetCount("checkpoint_event", int64(boundary))
-		s.publishTraceLocked()
-	}
+	s.o.Metrics.checkpoints.Inc()
+	s.checkpointed = boundary
 	return nil
 }
 
-// replaySpool re-feeds a recovered session's spooled bytes through a fresh
-// decoder and the session's own path, with no spool writer and so no
-// checkpoints. Events below the checkpoint-restored position are skipped by
-// sequence number. A torn tail — the expected damage from a crash
-// mid-append — is truncated off; any other corruption is returned and fails
-// the session. Runs single-threaded before the session is published.
-func (s *Session) replaySpool(data []byte) error {
+// Refeed rebuilds a recovered session from its spooled bytes, then reopens
+// the spool for appending. The bytes go through a fresh decoder and the
+// session's own path, with no spool writer and so no checkpoints; events
+// below the checkpoint-restored position are skipped by sequence number. A
+// torn tail — the expected damage from a crash mid-append — is truncated
+// off; any other corruption is returned. Runs before the session is
+// published.
+func (s *Session) Refeed(data []byte) error {
 	dec := trace.NewPushDecoder(trace.Limits{})
 	if err := s.push(dec, data); err != nil {
 		return err
 	}
 	if ferr := dec.Finish(); ferr != nil {
 		off := dec.Offset()
-		hdr := int64(len(trace.StreamHeader()))
-		if off < hdr {
+		if off < int64(len(trace.StreamHeader())) {
 			off = 0
 		}
-		if err := s.hub.cfg.Journal.TruncateStreamBytes(s.id, off); err != nil {
+		if err := s.o.Journal.TruncateStreamBytes(s.id, off); err != nil {
 			return err
 		}
 		if off == 0 {
 			// Not even a whole header survived; restart the spool so future
 			// appends form a valid stream.
-			w, err := s.hub.newSpool(s.id)
+			w, err := newSpool(s.o.Journal, s.id)
 			if err != nil {
 				return err
 			}
 			w.Close()
 		}
-		s.hub.sessionLogger(s).Warn("truncated torn spool tail",
+		s.o.Logger.Warn("truncated torn spool tail",
 			"phase", "recovery", "spool_bytes", len(data), "kept", off)
 	}
 	s.bytes = dec.Offset()
+	w, err := s.o.Journal.OpenStreamBytes(s.id)
+	if err != nil {
+		return err
+	}
+	s.spool = w
 	return nil
 }
 
-// Finalize closes the session cleanly: summarize the analyzer, go terminal
-// done, journal the result. Idempotence is the HTTP layer's concern — a
-// second call returns ErrTerminal with the settled view.
-func (s *Session) Finalize() (View, error) {
+// Stop ends ingest for good, exactly once: the session goes to status
+// (done when its client closed it, else failed or evicted), drops its
+// analyzer, wakes long-pollers and closes its spool. A done session keeps
+// its analyzer's summary, and returns it; a failed or evicted one keeps the
+// findings so far. The progress returned is final: its Bytes are what the
+// owner releases from its quota. Stop fails with ErrTerminal on a session
+// already stopped and, for done, with ErrBusy while an ingest request is
+// attached.
+func (s *Session) Stop(status Status) (*tools.Summary, Progress, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.status != StatusLive {
-		v := s.viewLocked()
-		s.mu.Unlock()
-		return v, ErrTerminal
+		return nil, Progress{}, ErrTerminal
 	}
-	if s.busy {
-		s.mu.Unlock()
-		return View{}, ErrBusy
-	}
-	sum := tools.Summarize(s.analyzer)
-	if sum.Reports == nil {
-		// The findings page of a session without findings lists [], not
-		// null, as it did while the session was live.
-		sum.Reports = []report.Report{}
-	}
-	s.summary = sum
-	s.dropAnalyzerLocked(true)
-	s.status = StatusDone
-	s.finished = time.Now()
-	s.endTraceLocked()
-	s.notifyLocked()
-	s.releaseSpoolLocked()
-	s.releaseQuotaLocked()
-	v := s.viewLocked()
-	s.mu.Unlock()
-	s.hub.noteFinished(StatusDone)
-	s.hub.markStream(s, journal.StatusDone, "", mustJSON(sum))
-	s.hub.dropCheckpoint(s)
-	s.hub.sessionLogger(s).Info("session completed", "phase", "close",
-		"events", v.Events, "bytes", v.Bytes, "issues", sum.Issues)
-	return v, nil
-}
-
-// Abort ends the session at the client's request (DELETE) and removes its
-// journal state entirely: an aborted stream is not worth recovering.
-// Reports whether this call performed the transition.
-func (s *Session) Abort() bool {
-	if !s.finish(StatusFailed, "aborted by client") {
-		return false
-	}
-	if s.hub.cfg.Journal != nil {
-		if err := s.hub.cfg.Journal.Remove(s.id); err != nil {
-			s.hub.sessionLogger(s).Error("journal stream remove failed", "phase", "abort", "err", err)
+	if status == StatusDone {
+		if s.busy {
+			return nil, Progress{}, ErrBusy
 		}
-	}
-	s.hub.sessionLogger(s).Info("session aborted", "phase", "abort")
-	return true
-}
-
-// fail moves the session to failed exactly once, counting corruption and
-// journaling the error.
-func (s *Session) fail(err error) {
-	if !s.finish(StatusFailed, err.Error()) {
-		return
-	}
-	var ce *trace.CorruptionError
-	if errors.As(err, &ce) {
-		s.hub.metrics.corruption.Inc()
-	}
-	s.hub.sessionLogger(s).Warn("session failed", "phase", "ingest", "err", err)
-	s.hub.markStream(s, journal.StatusFailed, err.Error(), nil)
-	s.hub.dropCheckpoint(s)
-}
-
-// finish performs the exactly-once live → terminal transition for the
-// failed and evicted paths: keep the findings so far, drop the analyzer,
-// wake long-pollers, release the spool, and settle hub accounting. Reports
-// whether this call won the transition. Never called with s.mu held.
-func (s *Session) finish(status Status, errMsg string) bool {
-	s.mu.Lock()
-	if s.status != StatusLive {
-		s.mu.Unlock()
-		return false
-	}
-	s.status = status
-	s.errMsg = errMsg
-	if s.analyzer != nil {
+		s.summary = tools.Summarize(s.analyzer)
+		if s.summary.Reports == nil {
+			// The findings page of a session without findings lists [], not
+			// null, as it did while the session was live.
+			s.summary.Reports = []report.Report{}
+		}
+	} else {
 		s.reports = s.reportsLocked()
 	}
-	s.dropAnalyzerLocked(false)
-	s.finished = time.Now()
-	s.endTraceLocked()
+	s.dropAnalyzerLocked(status == StatusDone)
+	s.status = status
 	s.notifyLocked()
 	s.releaseSpoolLocked()
-	s.releaseQuotaLocked()
-	s.mu.Unlock()
-	s.hub.noteFinished(status)
-	return true
+	return s.summary, s.progressLocked(), nil
 }
 
-// releaseQuotaLocked returns the session's tenant stream slot and reserved
-// bytes exactly once (quotaHeld arms it at admission or recovery). Called
-// from every live → terminal transition; the caller holds s.mu or owns a
-// session that is not yet published.
-func (s *Session) releaseQuotaLocked() {
-	if !s.quotaHeld {
-		return
-	}
-	s.quotaHeld = false
-	s.tquota.ReleaseStream()
-	s.tquota.ReleaseBytes(s.reserved)
-	s.reserved = 0
-}
-
-// releaseSpool syncs and closes the session's spool writer (hub shutdown
-// path; the bytes stay on disk for recovery).
-func (s *Session) releaseSpool() {
+// Release closes the spool of a session whose owner is shutting down and
+// refuses further ingest (ErrDraining). The session stays journaled live,
+// so the next life of the daemon resumes it.
+func (s *Session) Release() {
 	s.mu.Lock()
+	s.released = true
 	s.releaseSpoolLocked()
 	s.mu.Unlock()
 }
@@ -736,24 +503,12 @@ func (s *Session) releaseSpoolLocked() {
 		return
 	}
 	if err := s.spool.Sync(); err != nil {
-		s.hub.sessionLogger(s).Error("spool fsync failed on release", "phase", "close", "err", err)
+		s.o.Logger.Error("spool fsync failed on release", "phase", "close", "err", err)
 	}
 	if err := s.spool.Close(); err != nil {
-		s.hub.sessionLogger(s).Error("spool close failed", "phase", "close", "err", err)
+		s.o.Logger.Error("spool close failed", "phase", "close", "err", err)
 	}
 	s.spool = nil
-}
-
-// FindingsView is one page of a session's findings: everything from the
-// Since cursor on, plus the Next cursor to poll from. Reports are in
-// replay-clock order and the list only appends while the session lives, so
-// cursors from earlier reads stay valid.
-type FindingsView struct {
-	ID      string          `json:"id"`
-	Status  Status          `json:"status"`
-	Since   int             `json:"since"`
-	Next    int             `json:"next"`
-	Reports []report.Report `json:"reports"`
 }
 
 // Findings returns the session's findings from the since cursor on.
@@ -779,8 +534,8 @@ func (s *Session) findingsLocked(since int) FindingsView {
 }
 
 // WaitFindings long-polls: it returns as soon as the session has findings
-// past the since cursor or goes terminal, or when wait (or ctx) expires —
-// then with an empty page the client re-polls from. The notify channel is
+// past the since cursor or stops, or when wait (or ctx) expires — then with
+// an empty page the client re-polls from. The notify channel is
 // snapshotted before the findings are read, so a report arriving between
 // the read and the wait still wakes this poller.
 func (s *Session) WaitFindings(ctx context.Context, since int, wait time.Duration) FindingsView {
@@ -803,14 +558,4 @@ func (s *Session) WaitFindings(ctx context.Context, since int, wait time.Duratio
 		case <-ch:
 		}
 	}
-}
-
-// mustJSON marshals v, returning nil on failure (the journal result is
-// best-effort; the in-memory summary is authoritative until GC).
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil
-	}
-	return b
 }

@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"bytes"
@@ -11,7 +11,8 @@ import (
 	"repro/internal/dracc"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
-	"repro/internal/telemetry"
+	"repro/internal/service"
+	. "repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -26,7 +27,7 @@ func TestStreamSpoolHoldsAcceptedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordDRACC(t, dracc.ByID(22))
-	h := newTestHub(t, func(c *Config) { c.Journal = jnl })
+	h := newTestService(t, func(c *service.Config) { c.Journal = jnl })
 	s := openSession(t, h, "arbalest")
 	half := len(tr.Events) / 2
 	first := trace.StreamHeader()
@@ -37,7 +38,7 @@ func TestStreamSpoolHoldsAcceptedFrames(t *testing.T) {
 	}
 	feedChunks(t, s, first, 7)
 	feedChunks(t, s, frameEvents(t, tr, half/2), 0) // resends half/2 .. half-1
-	if got := s.View().Events; got != uint64(len(tr.Events)) {
+	if got := viewOf(h, s).Events; got != uint64(len(tr.Events)) {
 		t.Fatalf("session applied %d events, want %d", got, len(tr.Events))
 	}
 	spool, err := os.ReadFile(filepath.Join(dir, s.ID()+".trace"))
@@ -53,9 +54,9 @@ func TestStreamSpoolHoldsAcceptedFrames(t *testing.T) {
 	}
 }
 
-// feedExpectingPanic feeds body to s in one request and requires the
-// injected analyzer panic to fail the session.
-func feedExpectingPanic(t *testing.T, s *Session, body []byte) {
+// feedExpectingPanic feeds body to s, a session of svc, in one request and
+// requires the injected analyzer panic to fail the session.
+func feedExpectingPanic(t *testing.T, svc *service.Service, s *Session, body []byte) {
 	t.Helper()
 	if err := s.StartIngest(); err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func feedExpectingPanic(t *testing.T, s *Session, body []byte) {
 	if err == nil || !strings.Contains(err.Error(), "analyzer panic: injected") {
 		t.Fatalf("feed: %v, want the injected analyzer panic", err)
 	}
-	if v := s.View(); v.Status != StatusFailed || !strings.Contains(v.Error, "analyzer panic: injected") {
+	if v := viewOf(svc, s); v.Status != StatusFailed || !strings.Contains(v.Error, "analyzer panic: injected") {
 		t.Fatalf("session %s (%q), want failed with the panic", v.Status, v.Error)
 	}
 }
@@ -84,19 +85,17 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 	tr := recordDRACC(t, dracc.ByID(22))
 	want := batchReports(t, tr, "arbalest")
 	body := frameEvents(t, tr, 0)
-	hub := func(dir string) *Hub {
+	hub := func(dir string) *service.Service {
 		jnl, err := journal.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
-		t.Cleanup(h.Close)
-		return h
+		return newTestService(t, func(c *service.Config) { c.Journal = jnl })
 	}
-	finish := func(s *Session) {
+	finish := func(h *service.Service, s *Session) {
 		t.Helper()
 		feedChunks(t, s, body, 0)
-		v, err := s.Finalize()
+		v, err := h.CloseStream(s.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +112,8 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 		h1 := hub(dir)
 		crashed, sibling := openSession(t, h1, "arbalest"), openSession(t, h1, "arbalest")
 		faultinject.Enable("stream.replay", injected)
-		feedExpectingPanic(t, crashed, body)
-		if v := crashed.View(); v.Events != 0 {
+		feedExpectingPanic(t, h1, crashed, body)
+		if v := viewOf(h1, crashed); v.Events != 0 {
 			t.Fatalf("crashed session applied %d events, want 0", v.Events)
 		}
 		spool, err := os.ReadFile(filepath.Join(dir, crashed.ID()+".trace"))
@@ -124,23 +123,23 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 		if len(spool) <= len(trace.StreamHeader()) {
 			t.Fatalf("spool holds %d bytes, want the batch written before the panic", len(spool))
 		}
-		finish(sibling)
+		finish(h1, sibling)
 
 		// Armed again, the point must not fire: recovery leaves a failed
 		// session's spool alone.
 		faultinject.Enable("stream.replay", faultinject.Fault{Err: errors.New("re-fed"), Count: 1})
 		h2 := hub(dir)
-		if live, err := h2.Recover(); err != nil || live != 0 {
+		if live, err := recoverLive(h2); err != nil || live != 0 {
 			t.Fatalf("recovery: %d live, err %v; want 0, nil", live, err)
 		}
 		if n := faultinject.Fired("stream.replay"); n != 0 {
 			t.Fatalf("recovery replayed a batch %d times, want none", n)
 		}
-		s, ok := h2.Get(crashed.ID())
+		s, ok := h2.Session(crashed.ID())
 		if !ok {
 			t.Fatal("failed session missing after recovery")
 		}
-		if v := s.View(); v.Status != StatusFailed || !strings.Contains(v.Error, "analyzer panic: injected") {
+		if v := viewOf(h2, s); v.Status != StatusFailed || !strings.Contains(v.Error, "analyzer panic: injected") {
 			t.Fatalf("recovered session %s (%q), want failed with the panic", v.Status, v.Error)
 		}
 		faultinject.Disable("stream.replay")
@@ -152,24 +151,24 @@ func TestStreamReplayPanicFailsOnlyItsSession(t *testing.T) {
 		crashed := openSession(t, h1, "arbalest")
 		faultinject.Enable("stream.replay", injected)
 		faultinject.Enable("journal.mark", faultinject.Fault{Err: errors.New("disk full")})
-		feedExpectingPanic(t, crashed, body)
+		feedExpectingPanic(t, h1, crashed, body)
 		faultinject.Disable("journal.mark")
 
 		faultinject.Enable("stream.replay", injected)
 		h2 := hub(dir)
-		if live, err := h2.Recover(); err != nil || live != 0 {
+		if live, err := recoverLive(h2); err != nil || live != 0 {
 			t.Fatalf("recovery: %d live, err %v; want 0, nil", live, err)
 		}
 		if n := faultinject.Fired("stream.replay"); n != 1 {
 			t.Fatalf("recovery met the panic %d times, want once", n)
 		}
-		s, ok := h2.Get(crashed.ID())
+		s, ok := h2.Session(crashed.ID())
 		if !ok {
 			t.Fatal("session missing after recovery")
 		}
-		if v := s.View(); v.Status != StatusFailed || !strings.Contains(v.Error, "recovery: stream: analyzer panic: injected") {
+		if v := viewOf(h2, s); v.Status != StatusFailed || !strings.Contains(v.Error, "recovery: stream: analyzer panic: injected") {
 			t.Fatalf("recovered session %s (%q), want failed by the re-fed panic", v.Status, v.Error)
 		}
-		finish(openSession(t, h2, "arbalest"))
+		finish(h2, openSession(t, h2, "arbalest"))
 	})
 }

@@ -1,19 +1,26 @@
-package stream
+package stream_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dracc"
 	"repro/internal/journal"
 	"repro/internal/omp"
+	"repro/internal/service"
+	. "repro/internal/stream"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/promtest"
 	"repro/internal/tools"
 	"repro/internal/trace"
 )
@@ -75,29 +82,83 @@ func frameEvents(t testing.TB, tr *trace.Trace, from int) []byte {
 	return buf
 }
 
-func newTestHub(t testing.TB, mutate func(*Config)) *Hub {
-	t.Helper()
-	cfg := Config{Registry: telemetry.NewRegistry()}
+// newService builds the service that owns the sessions under test, with
+// tracing off unless mutate turns it on. A service a test drops without
+// shutting it down stands for a killed daemon.
+func newService(mutate func(*service.Config)) *service.Service {
+	cfg := service.Config{Workers: 1, TraceCapacity: -1}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	h := NewHub(cfg)
-	t.Cleanup(h.Close)
-	return h
+	return service.New(cfg)
 }
 
-// openSession opens a session on h and returns it.
-func openSession(t testing.TB, h *Hub, toolName string) *Session {
+// newTestService is newService, shut down when the test ends.
+func newTestService(t testing.TB, mutate func(*service.Config)) *service.Service {
 	t.Helper()
-	v, err := h.Open(toolName, "")
+	svc := newService(mutate)
+	t.Cleanup(func() { shutdown(svc) })
+	return svc
+}
+
+// shutdown shuts svc down, as a daemon does on SIGTERM.
+func shutdown(svc *service.Service) { _ = svc.Shutdown(context.Background()) }
+
+// recoverLive recovers svc from its journal and counts the live sessions
+// it resumed.
+func recoverLive(svc *service.Service) (int, error) {
+	if _, err := svc.Recover(); err != nil {
+		return 0, err
+	}
+	live := 0
+	for _, v := range svc.Streams() {
+		if v.Status == StatusLive {
+			live++
+		}
+	}
+	return live, nil
+}
+
+// openSession opens a session on svc and returns it.
+func openSession(t testing.TB, svc *service.Service, toolName string) *Session {
+	t.Helper()
+	v, err := svc.OpenStream(toolName, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := h.Get(v.ID)
+	s, ok := svc.Session(v.ID)
 	if !ok {
 		t.Fatalf("opened session %s not gettable", v.ID)
 	}
 	return s
+}
+
+// viewOf is the view svc serves of session s.
+func viewOf(svc *service.Service, s *Session) View {
+	v, _ := svc.Stream(s.ID())
+	return v
+}
+
+// metric reads one counter of svc's metrics registry.
+func metric(t testing.TB, svc *service.Service, name string, labels map[string]string) uint64 {
+	t.Helper()
+	var text strings.Builder
+	if err := svc.Metrics().Registry().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtest.Parse(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, _ := promtest.Find(fams, name, labels)
+	return uint64(smp.Value)
+}
+
+// saturated reports whether svc's readiness probe names its session cap.
+func saturated(svc *service.Service) bool {
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	return strings.Contains(rec.Body.String(), `"streamsSaturated": true`)
 }
 
 // feedChunks pushes body through one ingest request in chunkBytes-sized
@@ -122,6 +183,18 @@ func feedChunks(t testing.TB, s *Session, body []byte, chunkBytes int) {
 	}
 }
 
+// postEvents sends body to session s as one ingest request through svc's
+// HTTP API, which traces the request as an "ingest" span.
+func postEvents(t testing.TB, svc *service.Service, s *Session, body []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/streams/"+s.ID()+"/events", bytes.NewReader(body))
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest request: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // streamedReports drives tr through a fresh session and returns the rendered
 // findings of the settled summary. chunkEvents selects the ingest shape:
 //
@@ -132,9 +205,9 @@ func feedChunks(t testing.TB, s *Session, body []byte, chunkBytes int) {
 //	    (the client-resume wire shape)
 //	-2  one request, the body fed one byte at a time (every frame torn
 //	    across Feed calls)
-func streamedReports(t testing.TB, h *Hub, tr *trace.Trace, toolName string, chunkEvents int) []string {
+func streamedReports(t testing.TB, svc *service.Service, tr *trace.Trace, toolName string, chunkEvents int) []string {
 	t.Helper()
-	s := openSession(t, h, toolName)
+	s := openSession(t, svc, toolName)
 	switch {
 	case chunkEvents == -1:
 		for i := range tr.Events {
@@ -176,7 +249,7 @@ func streamedReports(t testing.TB, h *Hub, tr *trace.Trace, toolName string, chu
 		}
 		s.EndIngest()
 	}
-	view, err := s.Finalize()
+	view, err := svc.CloseStream(s.ID())
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -215,7 +288,7 @@ func assertSameReports(t *testing.T, label string, got, want []string) {
 // byte-identical (content and order) to trace.ReplayDurable over the same
 // events.
 func TestStreamEquivalenceDRACC(t *testing.T) {
-	h := newTestHub(t, func(c *Config) { c.MaxFinished = -1; c.MaxStreams = -1 })
+	h := newTestService(t, func(c *service.Config) { c.MaxFinishedJobs = -1; c.MaxStreams = -1 })
 	for _, b := range dracc.All() {
 		tr := recordDRACC(t, b)
 		want := batchReports(t, tr, "arbalest")
@@ -241,7 +314,7 @@ func TestStreamEquivalenceDRACC(t *testing.T) {
 // shape, each body a complete framed stream) and a byte-at-a-time feed that
 // tears every frame across Feed calls.
 func TestStreamEquivalenceRequestShapes(t *testing.T) {
-	h := newTestHub(t, nil)
+	h := newTestService(t, nil)
 	b := dracc.ByID(22)
 	tr := recordDRACC(t, b)
 	want := batchReports(t, tr, "arbalest")
@@ -253,7 +326,7 @@ func TestStreamEquivalenceRequestShapes(t *testing.T) {
 // request replaying the whole stream advances nothing, and an overlapping
 // suffix applies only the unseen events.
 func TestStreamDuplicatesSkipped(t *testing.T) {
-	h := newTestHub(t, nil)
+	h := newTestService(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
 	want := batchReports(t, tr, "arbalest")
 	s := openSession(t, h, "arbalest")
@@ -267,18 +340,18 @@ func TestStreamDuplicatesSkipped(t *testing.T) {
 		}
 	}
 	feedChunks(t, s, body, 0)
-	if got := s.View().Events; got != uint64(half) {
+	if got := viewOf(h, s).Events; got != uint64(half) {
 		t.Fatalf("applied %d events, want %d", got, half)
 	}
 
 	// Full resend from zero: the first half are duplicates.
 	feedChunks(t, s, frameEvents(t, tr, 0), 0)
-	if got := s.View().Events; got != uint64(len(tr.Events)) {
+	if got := viewOf(h, s).Events; got != uint64(len(tr.Events)) {
 		t.Fatalf("after overlapping resend: applied %d events, want %d", got, len(tr.Events))
 	}
 	// And resending everything again is a complete no-op.
 	feedChunks(t, s, frameEvents(t, tr, 0), 0)
-	view, err := s.Finalize()
+	view, err := h.CloseStream(s.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +366,7 @@ func TestStreamDuplicatesSkipped(t *testing.T) {
 // corruption: the session fails with a counted *trace.CorruptionError and
 // the hub stays usable.
 func TestStreamSequenceGap(t *testing.T) {
-	h := newTestHub(t, nil)
+	h := newTestService(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
 	s := openSession(t, h, "arbalest")
 
@@ -315,10 +388,10 @@ func TestStreamSequenceGap(t *testing.T) {
 	if !errors.As(ferr, &ce) {
 		t.Fatalf("gap feed error %v, want *trace.CorruptionError", ferr)
 	}
-	if s.View().Status != StatusFailed {
-		t.Fatalf("session %s after gap, want failed", s.View().Status)
+	if viewOf(h, s).Status != StatusFailed {
+		t.Fatalf("session %s after gap, want failed", viewOf(h, s).Status)
 	}
-	if got := h.metrics.corruption.Value(); got != 1 {
+	if got := metric(t, h, "arbalestd_stream_corruption_total", nil); got != 1 {
 		t.Fatalf("corruption counter %d, want 1", got)
 	}
 	if err := s.StartIngest(); !errors.Is(err, ErrTerminal) {
@@ -338,7 +411,7 @@ func TestStreamLimits(t *testing.T) {
 	body := frameEvents(t, tr, 0)
 
 	t.Run("byte budget", func(t *testing.T) {
-		h := newTestHub(t, func(c *Config) { c.MaxBytes = 64 })
+		h := newTestService(t, func(c *service.Config) { c.StreamMaxBytes = 64 })
 		s := openSession(t, h, "arbalest")
 		if err := s.StartIngest(); err != nil {
 			t.Fatal(err)
@@ -349,19 +422,19 @@ func TestStreamLimits(t *testing.T) {
 		}
 		// ErrBudget does not fail the session by itself — the HTTP layer
 		// evicts with a labeled reason.
-		if s.View().Status != StatusLive {
-			t.Fatalf("session %s after budget breach, want live", s.View().Status)
+		if viewOf(h, s).Status != StatusLive {
+			t.Fatalf("session %s after budget breach, want live", viewOf(h, s).Status)
 		}
-		if !h.Evict(s, "budget") {
+		if !h.EvictStream(s.ID(), "budget") {
 			t.Fatal("evict after budget breach did not transition")
 		}
-		if got := h.metrics.evicted.With("budget").Value(); got != 1 {
+		if got := metric(t, h, "arbalestd_streams_evicted_total", map[string]string{"reason": "budget"}); got != 1 {
 			t.Fatalf("evicted{budget} = %d, want 1", got)
 		}
 	})
 
 	t.Run("event cap", func(t *testing.T) {
-		h := newTestHub(t, func(c *Config) { c.MaxEvents = 3 })
+		h := newTestService(t, func(c *service.Config) { c.MaxEvents = 3 })
 		s := openSession(t, h, "arbalest")
 		if err := s.StartIngest(); err != nil {
 			t.Fatal(err)
@@ -371,36 +444,36 @@ func TestStreamLimits(t *testing.T) {
 		if !errors.Is(err, trace.ErrTooManyEvents) {
 			t.Fatalf("over-cap feed: %v, want ErrTooManyEvents", err)
 		}
-		if s.View().Status != StatusFailed {
-			t.Fatalf("session %s after event cap, want failed", s.View().Status)
+		if viewOf(h, s).Status != StatusFailed {
+			t.Fatalf("session %s after event cap, want failed", viewOf(h, s).Status)
 		}
 	})
 
 	t.Run("admission cap", func(t *testing.T) {
-		h := newTestHub(t, func(c *Config) { c.MaxStreams = 1 })
+		h := newTestService(t, func(c *service.Config) { c.MaxStreams = 1 })
 		s := openSession(t, h, "arbalest")
-		if _, err := h.Open("arbalest", ""); !errors.Is(err, ErrSaturated) {
+		if _, err := h.OpenStream("arbalest", "", ""); !errors.Is(err, service.ErrStreamsSaturated) {
 			t.Fatalf("open at cap: %v, want ErrSaturated", err)
 		}
-		if !h.Saturated() {
+		if !saturated(h) {
 			t.Fatal("hub at cap not Saturated")
 		}
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
-		if h.Saturated() {
+		if saturated(h) {
 			t.Fatal("hub still saturated after the only session closed")
 		}
-		if _, err := h.Open("arbalest", ""); err != nil {
+		if _, err := h.OpenStream("arbalest", "", ""); err != nil {
 			t.Fatalf("open after drain: %v", err)
 		}
 	})
 
 	t.Run("draining", func(t *testing.T) {
-		h := newTestHub(t, nil)
+		h := newTestService(t, nil)
 		s := openSession(t, h, "arbalest")
-		h.Close()
-		if _, err := h.Open("arbalest", ""); !errors.Is(err, ErrDraining) {
+		shutdown(h)
+		if _, err := h.OpenStream("arbalest", "", ""); !errors.Is(err, ErrDraining) {
 			t.Fatalf("open on closed hub: %v, want ErrDraining", err)
 		}
 		if err := s.StartIngest(); !errors.Is(err, ErrDraining) {
@@ -409,7 +482,7 @@ func TestStreamLimits(t *testing.T) {
 	})
 
 	t.Run("busy", func(t *testing.T) {
-		h := newTestHub(t, nil)
+		h := newTestService(t, nil)
 		s := openSession(t, h, "arbalest")
 		if err := s.StartIngest(); err != nil {
 			t.Fatal(err)
@@ -417,18 +490,18 @@ func TestStreamLimits(t *testing.T) {
 		if err := s.StartIngest(); !errors.Is(err, ErrBusy) {
 			t.Fatalf("second ingest: %v, want ErrBusy", err)
 		}
-		if _, err := s.Finalize(); !errors.Is(err, ErrBusy) {
+		if _, err := h.CloseStream(s.ID()); !errors.Is(err, ErrBusy) {
 			t.Fatalf("finalize mid-ingest: %v, want ErrBusy", err)
 		}
 		s.EndIngest()
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	t.Run("unknown tool", func(t *testing.T) {
-		h := newTestHub(t, nil)
-		if _, err := h.Open("no-such-tool", ""); err == nil {
+		h := newTestService(t, nil)
+		if _, err := h.OpenStream("no-such-tool", "", ""); err == nil {
 			t.Fatal("open with unknown tool succeeded")
 		}
 	})
@@ -438,7 +511,7 @@ func TestStreamLimits(t *testing.T) {
 // appends, cursors stay stable, and a long-poller parked on an empty cursor
 // wakes when the next chunk produces a report or the session settles.
 func TestStreamFindingsCursor(t *testing.T) {
-	h := newTestHub(t, nil)
+	h := newTestService(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
 	want := batchReports(t, tr, "arbalest")
 	if len(want) == 0 {
@@ -465,7 +538,7 @@ func TestStreamFindingsCursor(t *testing.T) {
 	done := make(chan FindingsView, 1)
 	go func() { done <- s.WaitFindings(context.Background(), all.Next, time.Minute) }()
 	waitForPoller(t, s)
-	if _, err := s.Finalize(); err != nil {
+	if _, err := h.CloseStream(s.ID()); err != nil {
 		t.Fatal(err)
 	}
 	fv := <-done
@@ -481,10 +554,7 @@ func waitForPoller(t *testing.T, s *Session) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		ch := s.notify
-		s.mu.Unlock()
-		if ch != nil {
+		if ch := s.NotifyChannel(); ch != nil {
 			// One scheduler yield is all the poller needs to park; the notify
 			// snapshot-before-read protocol makes a missed wakeup impossible,
 			// so this is a pacing aid, not a correctness gate.
@@ -510,7 +580,7 @@ func TestStreamRecovery(t *testing.T) {
 	tr := recordDRACC(t, dracc.ByID(22))
 	want := batchReports(t, tr, "arbalest")
 
-	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: 4})
+	h1 := newService(func(c *service.Config) { c.Journal = jnl; c.CheckpointEvery = 4 })
 	s1 := openSession(t, h1, "arbalest")
 	id := s1.ID()
 	half := len(tr.Events) / 2
@@ -521,7 +591,7 @@ func TestStreamRecovery(t *testing.T) {
 		}
 	}
 	feedChunks(t, s1, body, 0)
-	if h1.metrics.checkpoints.Value() == 0 {
+	if s1.CheckpointsWritten() == 0 {
 		t.Fatal("no checkpoint was cut over half a benchmark with CheckpointEvery=4")
 	}
 	// Kill: no Close, no spool release. Worse, the crash tore a frame: the
@@ -539,20 +609,19 @@ func TestStreamRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl2, CheckpointEvery: 4})
-	t.Cleanup(h2.Close)
-	live, err := h2.Recover()
+	h2 := newTestService(t, func(c *service.Config) { c.Journal = jnl2; c.CheckpointEvery = 4 })
+	live, err := recoverLive(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live != 1 {
 		t.Fatalf("recovered %d live sessions, want 1", live)
 	}
-	s2, ok := h2.Get(id)
+	s2, ok := h2.Session(id)
 	if !ok {
 		t.Fatalf("recovered hub has no session %s", id)
 	}
-	v := s2.View()
+	v := viewOf(h2, s2)
 	if v.Status != StatusLive {
 		t.Fatalf("recovered session %s, want live", v.Status)
 	}
@@ -565,7 +634,7 @@ func TestStreamRecovery(t *testing.T) {
 
 	// The client asks where the session stands and re-sends from there.
 	feedChunks(t, s2, frameEvents(t, tr, int(v.Events)), 0)
-	view, err := s2.Finalize()
+	view, err := h2.CloseStream(s2.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,16 +650,15 @@ func TestStreamRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl3})
-	t.Cleanup(h3.Close)
-	if live, err := h3.Recover(); err != nil || live != 0 {
+	h3 := newTestService(t, func(c *service.Config) { c.Journal = jnl3 })
+	if live, err := recoverLive(h3); err != nil || live != 0 {
 		t.Fatalf("third recovery: %d live, err %v; want 0, nil", live, err)
 	}
-	s3, ok := h3.Get(id)
+	s3, ok := h3.Session(id)
 	if !ok {
 		t.Fatal("settled session missing from third recovery")
 	}
-	v3 := s3.View()
+	v3 := viewOf(h3, s3)
 	if v3.Status != StatusDone || v3.Result == nil || v3.Result.Issues != len(want) {
 		t.Fatalf("history session: status %s result %+v, want done with %d issues", v3.Status, v3.Result, len(want))
 	}
@@ -609,7 +677,7 @@ func TestStreamRecoveryUncheckpointed(t *testing.T) {
 	tr := recordDRACC(t, dracc.ByID(26))
 	want := batchReports(t, tr, "arbalest")
 
-	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
+	h1 := newService(func(c *service.Config) { c.Journal = jnl })
 	s1 := openSession(t, h1, "arbalest")
 	feedChunks(t, s1, frameEvents(t, tr, 0), 0)
 	id := s1.ID()
@@ -619,16 +687,15 @@ func TestStreamRecoveryUncheckpointed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl2})
-	t.Cleanup(h2.Close)
-	if live, err := h2.Recover(); err != nil || live != 1 {
+	h2 := newTestService(t, func(c *service.Config) { c.Journal = jnl2 })
+	if live, err := recoverLive(h2); err != nil || live != 1 {
 		t.Fatalf("recovery: %d live, err %v; want 1, nil", live, err)
 	}
-	s2, _ := h2.Get(id)
-	if v := s2.View(); v.Events != uint64(len(tr.Events)) || v.ResumedFrom != 0 {
+	s2, _ := h2.Session(id)
+	if v := viewOf(h2, s2); v.Events != uint64(len(tr.Events)) || v.ResumedFrom != 0 {
 		t.Fatalf("recovered at event %d (resumedFrom %d), want %d (0)", v.Events, v.ResumedFrom, len(tr.Events))
 	}
-	view, err := s2.Finalize()
+	view, err := h2.CloseStream(s2.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,13 +715,12 @@ func TestStreamAbortRemovesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
-	t.Cleanup(h.Close)
+	h := newTestService(t, func(c *service.Config) { c.Journal = jnl })
 	s := openSession(t, h, "arbalest")
-	if !s.Abort() {
+	if !h.AbortStream(s.ID()) {
 		t.Fatal("abort did not transition")
 	}
-	if s.Abort() {
+	if h.AbortStream(s.ID()) {
 		t.Fatal("second abort reported a transition")
 	}
 	if _, err := os.Stat(filepath.Join(dir, s.ID()+".trace")); !errors.Is(err, os.ErrNotExist) {
@@ -665,8 +731,7 @@ func TestStreamAbortRemovesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl2})
-	t.Cleanup(h2.Close)
+	h2 := newTestService(t, func(c *service.Config) { c.Journal = jnl2 })
 	recovered, _, _ := jnl2.Recover()
 	if len(recovered) != 0 {
 		t.Fatalf("aborted session survived in the journal: %+v", recovered)
@@ -674,29 +739,30 @@ func TestStreamAbortRemovesJournal(t *testing.T) {
 	_ = h2
 }
 
-// TestStreamRetention checks the MaxFinished GC: terminal sessions beyond
-// the cap are dropped oldest-first, live sessions are never collected.
+// TestStreamRetention checks the retention GC on sessions: terminal
+// sessions beyond the cap are dropped oldest-first, live sessions are never
+// collected.
 func TestStreamRetention(t *testing.T) {
-	h := newTestHub(t, func(c *Config) { c.MaxFinished = 2 })
+	h := newTestService(t, func(c *service.Config) { c.MaxFinishedJobs = 2 })
 	var ids []string
 	for i := 0; i < 4; i++ {
 		s := openSession(t, h, "arbalest")
 		ids = append(ids, s.ID())
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	live := openSession(t, h, "arbalest")
-	if _, ok := h.Get(ids[0]); ok {
+	if _, ok := h.Session(ids[0]); ok {
 		t.Fatal("oldest terminal session survived GC")
 	}
-	if _, ok := h.Get(ids[3]); !ok {
+	if _, ok := h.Session(ids[3]); !ok {
 		t.Fatal("newest terminal session was collected")
 	}
-	if _, ok := h.Get(live.ID()); !ok {
+	if _, ok := h.Session(live.ID()); !ok {
 		t.Fatal("live session was collected")
 	}
-	if got := len(h.List()); got != 3 {
+	if got := len(h.Streams()); got != 3 {
 		t.Fatalf("list has %d sessions, want 3 (2 retained + 1 live)", got)
 	}
 }
@@ -705,7 +771,7 @@ func TestStreamRetention(t *testing.T) {
 // checks an untouched session is evicted with the labeled reason while a
 // session with a request attached is left alone.
 func TestStreamIdleEviction(t *testing.T) {
-	h := newTestHub(t, func(c *Config) { c.IdleTimeout = 30 * time.Millisecond })
+	h := newTestService(t, func(c *service.Config) { c.StreamIdleTimeout = 30 * time.Millisecond })
 	idle := openSession(t, h, "arbalest")
 	attached := openSession(t, h, "arbalest")
 	if err := attached.StartIngest(); err != nil {
@@ -715,16 +781,16 @@ func TestStreamIdleEviction(t *testing.T) {
 	h.Start()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for idle.View().Status == StatusLive && time.Now().Before(deadline) {
+	for viewOf(h, idle).Status == StatusLive && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := idle.View().Status; got != StatusEvicted {
+	if got := viewOf(h, idle).Status; got != StatusEvicted {
 		t.Fatalf("idle session %s, want evicted", got)
 	}
-	if got := h.metrics.evicted.With("idle").Value(); got == 0 {
+	if got := metric(t, h, "arbalestd_streams_evicted_total", map[string]string{"reason": "idle"}); got == 0 {
 		t.Fatal("evicted{idle} counter did not move")
 	}
-	if got := attached.View().Status; got != StatusLive {
+	if got := viewOf(h, attached).Status; got != StatusLive {
 		t.Fatalf("attached session %s, want live (busy sessions are never idle)", got)
 	}
 }
@@ -742,17 +808,17 @@ func TestStreamTraceContinuity(t *testing.T) {
 	}
 	tr := recordDRACC(t, dracc.ByID(22))
 
-	traces1 := telemetry.NewTraceStore(16, 1, nil)
-	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: 4, Traces: traces1})
+	h1 := newService(func(c *service.Config) { c.Journal = jnl; c.CheckpointEvery = 4; c.TraceCapacity = 16 })
+	traces1 := h1.Traces()
 	client := telemetry.NewTraceContext()
-	v, err := h1.Open("arbalest", client.Traceparent())
+	v, err := h1.OpenStream("arbalest", client.Traceparent(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.TraceID != client.TraceID {
 		t.Fatalf("session joined trace %s, client sent %s", v.TraceID, client.TraceID)
 	}
-	s1, ok := h1.Get(v.ID)
+	s1, ok := h1.Session(v.ID)
 	if !ok {
 		t.Fatal(err)
 	}
@@ -763,7 +829,7 @@ func TestStreamTraceContinuity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feedChunks(t, s1, body, 0)
+	postEvents(t, h1, s1, body)
 	before := traces1.Get(client.TraceID)
 	if before == nil {
 		t.Fatalf("trace %s not published while live", client.TraceID)
@@ -781,17 +847,21 @@ func TestStreamTraceContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces2 := telemetry.NewTraceStore(16, 1, nil)
-	h2 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl2, CheckpointEvery: 4, Traces: traces2, MaxFinished: 1})
-	t.Cleanup(h2.Close)
-	if live, err := h2.Recover(); err != nil || live != 1 {
+	h2 := newTestService(t, func(c *service.Config) {
+		c.Journal = jnl2
+		c.CheckpointEvery = 4
+		c.TraceCapacity = 16
+		c.MaxFinishedJobs = 1
+	})
+	traces2 := h2.Traces()
+	if live, err := recoverLive(h2); err != nil || live != 1 {
 		t.Fatalf("recovered %d live sessions, err %v; want 1", live, err)
 	}
-	s2, ok := h2.Get(v.ID)
+	s2, ok := h2.Session(v.ID)
 	if !ok {
 		t.Fatalf("recovered hub has no session %s", v.ID)
 	}
-	v2 := s2.View()
+	v2 := viewOf(h2, s2)
 	if v2.TraceID != client.TraceID {
 		t.Fatalf("recovered session trace %s, want the original %s", v2.TraceID, client.TraceID)
 	}
@@ -814,8 +884,8 @@ func TestStreamTraceContinuity(t *testing.T) {
 	}
 
 	// Resume, finish, and check the settled trace.
-	feedChunks(t, s2, frameEvents(t, tr, int(v2.Events)), 0)
-	view, err := s2.Finalize()
+	postEvents(t, h2, s2, frameEvents(t, tr, int(v2.Events)))
+	view, err := h2.CloseStream(s2.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,13 +897,13 @@ func TestStreamTraceContinuity(t *testing.T) {
 		t.Fatalf("settled trace counts %d events, session applied %d", got, view.Events)
 	}
 
-	// Trace retention follows session retention: with MaxFinished=1, a
+	// Trace retention follows session retention: with MaxFinishedJobs=1, a
 	// second settled session pushes the first out — and its trace with it.
 	s3 := openSession(t, h2, "arbalest")
-	if _, err := s3.Finalize(); err != nil {
+	if _, err := h2.CloseStream(s3.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := h2.Get(v.ID); ok {
+	if _, ok := h2.Session(v.ID); ok {
 		t.Fatal("oldest terminal session survived GC")
 	}
 	if traces2.Get(client.TraceID) != nil {
@@ -846,14 +916,14 @@ func TestStreamTraceContinuity(t *testing.T) {
 // read the same as just before, on the clean close path and the failure
 // path alike.
 func TestSessionDropsAnalyzerWhenTerminal(t *testing.T) {
-	h := newTestHub(t, nil)
+	h := newTestService(t, nil)
 	type snapshot struct {
 		findings int
 		events   uint64
 		page     string
 	}
 	snap := func(s *Session) snapshot {
-		v := s.View()
+		v := viewOf(h, s)
 		fv := s.Findings(0)
 		page, err := json.Marshal(struct {
 			Next    int
@@ -866,15 +936,13 @@ func TestSessionDropsAnalyzerWhenTerminal(t *testing.T) {
 	}
 	check := func(label string, s *Session, before snapshot, want Status) {
 		t.Helper()
-		if got := s.View().Status; got != want {
+		if got := viewOf(h, s).Status; got != want {
 			t.Fatalf("%s: status %s, want %s", label, got, want)
 		}
 		if after := snap(s); after != before {
 			t.Errorf("%s: before the drop %+v, after %+v", label, before, after)
 		}
-		s.mu.Lock()
-		gone := s.analyzer == nil && s.cp == nil
-		s.mu.Unlock()
+		gone := !s.HoldsAnalyzer()
 		if !gone {
 			t.Errorf("%s: terminal session still holds its analyzer", label)
 		}
@@ -885,7 +953,7 @@ func TestSessionDropsAnalyzerWhenTerminal(t *testing.T) {
 		s := openSession(t, h, "arbalest")
 		feedChunks(t, s, frameEvents(t, tr, 0), 0)
 		before := snap(s)
-		if _, err := s.Finalize(); err != nil {
+		if _, err := h.CloseStream(s.ID()); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("done DRACC %d", id), s, before, StatusDone)
