@@ -222,9 +222,9 @@ func writeTrace(path string, rec *trace.Recorder, framed bool) error {
 }
 
 // runReplay loads a trace file (either encoding) and replays it into the
-// chosen tool, the same load-then-replay path the daemon takes.
+// chosen tool through the analysis run the daemon uses.
 func runReplay(path, toolName string, jsonOut bool) int {
-	a, err := tools.New(toolName)
+	run, err := tools.NewRun(toolName, tools.RunOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
@@ -234,30 +234,32 @@ func runReplay(path, toolName string, jsonOut bool) int {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
 	}
-	stats, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{}, a)
+	stats, err := run.Replay(context.Background(), tr)
+	var summary *tools.Summary
+	if err == nil {
+		summary, err = run.Finish()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
 	}
 	if jsonOut {
-		summary := tools.Summarize(a)
 		printJSON(summary)
 		if summary.Issues > 0 {
 			return 1
 		}
 		return 0
 	}
-	reports := a.Sink().Reports()
 	fmt.Printf("replayed %d events from %s under %s (%d epoch(s))\n",
-		stats.Events, path, a.Name(), stats.Epochs)
-	for _, r := range reports {
-		fmt.Println(r)
+		stats.Events, path, summary.Tool, stats.Epochs)
+	for i := range summary.Reports {
+		fmt.Println(&summary.Reports[i])
 	}
-	if len(reports) == 0 {
+	if summary.Issues == 0 {
 		fmt.Println("no issues detected")
 		return 0
 	}
-	fmt.Printf("%s: %d issue(s) detected\n", a.Name(), len(reports))
+	fmt.Printf("%s: %d issue(s) detected\n", summary.Tool, summary.Issues)
 	return 1
 }
 

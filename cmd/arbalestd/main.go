@@ -188,7 +188,7 @@ func main() {
 	queue := flag.Int("queue", 64, "bounded job-queue size; full queue returns 429")
 	maxEvents := flag.Int("max-events", 1<<20, "per-job trace event limit")
 	maxBody := flag.Int64("max-body", 64<<20, "per-upload body size limit in bytes")
-	timeout := flag.Duration("timeout", 0, "per-job replay timeout (0 = unlimited)")
+	timeout := flag.Duration("timeout", 0, "per-job replay timeout, on the pool and on fleet workers' leases alike (0 = unlimited)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	spool := flag.String("spool", "", "spool directory for the write-ahead job journal (empty = jobs are in-memory only and lost on crash)")
 	retainJobs := flag.Int("retain-jobs", 1024, "max finished jobs and stream sessions, together, kept in memory and spool; the oldest-finished are evicted first (-1 = unlimited)")

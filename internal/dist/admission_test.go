@@ -255,6 +255,43 @@ func TestFleetWorkerRunsLikeInline(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerHonorsReplayTimeout: the daemon's replay timeout bounds a
+// leased replay as it bounds an inline one (TestReplayTimeout). Under a 1 ns
+// bound the leased job settles failed with the deadline in its error, and
+// the worker posts that failure rather than abandoning the lease: one lease,
+// none expired, nothing run inline.
+func TestFleetWorkerHonorsReplayTimeout(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := recordTrace(t, 22)
+
+	f := startFleet(t, service.Config{Workers: 2, QueueSize: 8, ReplayTimeout: time.Nanosecond},
+		dist.CoordinatorConfig{LeaseTTL: 5 * time.Second, WorkerTTL: 30 * time.Second}, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	wg := startWorkers(ctx, f.srv.URL, 1, 1, false)
+	defer wg.Wait()
+	defer cancel()
+	f.waitMetric("arbalestd_fleet_workers", 1, 5*time.Second)
+
+	v, err := f.svc.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.waitSettled(v.ID)
+	if got.Status != service.StatusFailed || !strings.Contains(got.Error, "deadline") {
+		t.Fatalf("leased job under a 1ns timeout: status %s (%s), want failed with the deadline", got.Status, got.Error)
+	}
+	if n := f.metric("arbalestd_fleet_jobs_inline_total"); n != 0 {
+		t.Fatalf("inline jobs = %v, want the job leased", n)
+	}
+	if n := f.metric("arbalestd_fleet_leases_granted_total"); n != 1 {
+		t.Fatalf("leases granted = %v, want 1", n)
+	}
+	if n := f.metric("arbalestd_fleet_leases_expired_total"); n != 0 {
+		t.Fatalf("leases expired = %v, want 0: the failure is posted, not abandoned", n)
+	}
+}
+
 // TestCoordinatorShutdownLeavesQueuedJobsJournaled: a coordinator with a
 // worker registered does not wait for it at shutdown. The job a pool worker
 // holds for a lease and the jobs still queued stay journaled, and the next

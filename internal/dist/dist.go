@@ -59,6 +59,10 @@ type JobSpec struct {
 	// daemon's -analyzer-stats setting, so a remote result carries the same
 	// stats block as an inline one.
 	Stats bool `json:"stats,omitempty"`
+	// ReplayTimeout is the daemon's -timeout: it bounds the lease's replay
+	// as it bounds an inline one (0 = unlimited). It travels in
+	// nanoseconds, so a bound under a millisecond still holds.
+	ReplayTimeout time.Duration `json:"replayTimeoutNanos,omitempty"`
 }
 
 // Backend is the coordinator's seam into the job engine; *service.Service

@@ -655,13 +655,18 @@ func spansNamed(root *telemetry.Span, name string) []*telemetry.Span {
 // both workers' fetch/restore/replay phase spans shipped over heartbeats,
 // and the zombie's fenced write — and the federated fleet status must expose
 // the same story in its counters and span-derived latency digest.
+//
+// The lease TTL is one no healthy lease outlives, however loaded the host:
+// a lease that lapsed under load would be rescheduled and add lease spans,
+// and fenced heartbeats or checkpoints of its own. The crashed lease is
+// expired by hand instead, once its worker is gone.
 func TestFleetTracePropagation(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	tr := recordTrace(t, 22)
 	want := oneShot(t, tr, "arbalest")
 
-	f := newFleet(t, nil, 100*time.Millisecond, 30*time.Second, false)
+	f := newFleet(t, nil, 30*time.Second, 30*time.Second, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	wg := startWorkers(ctx, f.srv.URL, 2, 1, true)
 	defer wg.Wait()
@@ -686,6 +691,14 @@ func TestFleetTracePropagation(t *testing.T) {
 	}
 	if v.TraceID != client.TraceID {
 		t.Fatalf("job joined trace %s, client sent %s", v.TraceID, client.TraceID)
+	}
+	// The dead worker's agent is replaced (a third registration) only once
+	// its lease has sent its last write, so expiring the lease after that
+	// leaves nothing of it in flight.
+	waitFor(t, "the worker crash", func() bool { return faultinject.Fired("dist.worker.crash") > 0 })
+	f.waitMetric("arbalestd_fleet_workers", 3, 10*time.Second)
+	if !f.coord.ExpireLease(v.ID) {
+		t.Fatalf("job %s held no lease after its worker crashed", v.ID)
 	}
 	got := f.waitSettled(v.ID)
 	if got.Status != service.StatusDone {

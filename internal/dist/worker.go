@@ -312,44 +312,24 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 		log.Warn("checkpoint fetch failed; replaying from scratch", "err", err)
 	}
 
-	a, start, restoreErr, err := tools.Resume(grant.Job.Tool, tools.Options{Stats: grant.Job.Stats}, ck)
-	if err != nil {
-		wt.end(restoreSpan, err)
-		return postFinal(err.Error(), nil)
-	}
-	if restoreErr != nil {
-		log.Error("checkpoint restore failed; replaying from scratch", "err", restoreErr)
-	} else if start > 0 {
-		log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", tr.Len())
-	}
-	cp, canCheckpoint := a.(tools.Checkpointer)
-	wt.setCount(restoreSpan, "resume_event", int64(start))
-	wt.end(restoreSpan, nil)
-
-	opts := trace.DurableOptions{StartEvent: start}
-	crashed := false
+	// The run applies the daemon's replay timeout around the replay only,
+	// as the pool does: fetch and restore are the lease TTL's business.
 	var replaySpan *telemetry.Span
-	if canCheckpoint {
-		opts.CheckpointEvery = w.cfg.CheckpointEvery
-		opts.Checkpoint = func(next uint64) error {
+	run, err := tools.NewRun(grant.Job.Tool, tools.RunOptions{
+		Options: tools.Options{Stats: grant.Job.Stats},
+		ID:      jobID, From: ck, Timeout: grant.Job.ReplayTimeout,
+		CheckpointEvery: w.cfg.CheckpointEvery,
+		Checkpoint: func(take func() (*trace.Checkpoint, error)) error {
 			if cause := context.Cause(rctx); cause != nil {
 				return cause
 			}
 			if err := faultinject.Fire("dist.worker.slow"); err != nil {
 				return err
 			}
-			state, serr := cp.CheckpointState()
+			wck, serr := take()
 			if serr != nil {
 				log.Error("checkpoint serialize failed", "err", serr)
 				return nil // checkpoints are an optimization
-			}
-			wck := &trace.Checkpoint{
-				JobID:     jobID,
-				Tool:      grant.Job.Tool,
-				NextEvent: next,
-				Events:    uint64(tr.Len()),
-				Created:   time.Now(),
-				State:     state,
 			}
 			if perr := w.postCheckpoint(rctx, wck, token); perr != nil {
 				if isFenced(perr) {
@@ -360,24 +340,38 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 			// Ship the span tree right behind the durable checkpoint: if the
 			// worker dies after this point (the very next statement in the
 			// fault-injected case), the trace already shows how far it got.
-			wt.setCount(replaySpan, "checkpoint_event", int64(next))
+			wt.setCount(replaySpan, "checkpoint_event", int64(wck.NextEvent))
 			if wt != nil {
 				_ = w.beat(rctx, jobID, token, wt)
 			}
 			if err := faultinject.Fire("dist.worker.crash"); err != nil {
-				crashed = true
 				return errWorkerCrash
 			}
 			return nil
-		}
+		},
+	})
+	if err != nil {
+		wt.end(restoreSpan, err)
+		return postFinal(err.Error(), nil)
 	}
+	if run.RestoreErr != nil {
+		log.Error("checkpoint restore failed; replaying from scratch", "err", run.RestoreErr)
+	} else if run.Start > 0 {
+		log.Info("resuming from handed-off checkpoint", "resume_event", run.Start, "events", tr.Len())
+	}
+	wt.setCount(restoreSpan, "resume_event", int64(run.Start))
+	wt.end(restoreSpan, nil)
 
 	replaySpan = wt.begin("replay")
-	wt.setCount(replaySpan, "start_event", int64(start))
-	summary, rerr := analyze(rctx, tr, opts, a)
+	wt.setCount(replaySpan, "start_event", int64(run.Start))
+	var summary *tools.Summary
+	_, rerr := run.Replay(rctx, tr)
+	if rerr == nil {
+		summary, rerr = run.Finish()
+	}
 	cancel(nil)
 	<-hbDone
-	if crashed || errors.Is(rerr, errWorkerCrash) {
+	if errors.Is(rerr, errWorkerCrash) {
 		return errWorkerCrash
 	}
 	wt.end(replaySpan, rerr)
@@ -407,29 +401,6 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	}
 	log.Info("job completed", "issues", summary.Issues)
 	return nil
-}
-
-// analyze replays one leased job and summarizes it, then returns the
-// analyzer's shadow slabs to the arena for the next lease. An analyzer
-// panic is confined to the job as the service's pool confines it: it comes
-// back as the job's failure, and the worker goes on to its next lease.
-func analyze(ctx context.Context, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (summary *tools.Summary, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = tools.PanicError(r)
-		}
-	}()
-	if err := faultinject.Fire("worker.replay"); err != nil {
-		return nil, err
-	}
-	if _, err := tr.ReplayDurable(ctx, opts, a); err != nil {
-		return nil, err
-	}
-	summary = tools.Summarize(a)
-	if rel, ok := a.(tools.Releaser); ok {
-		rel.Release()
-	}
-	return summary, nil
 }
 
 // heartbeatLoop extends the lease every TTL/3, beating once immediately on

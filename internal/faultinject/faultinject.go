@@ -18,9 +18,9 @@
 //	                    wedges the replay for stall-watchdog scenarios)
 //	worker.slow         delay before a pool worker of the service starts
 //	                    its replay
-//	worker.replay       panic or delay inside a replay, on the service's pool
-//	                    and on a fleet worker alike (analyzer crash, slow
-//	                    worker)
+//	worker.replay       panic or delay at the start of a whole-trace replay
+//	                    (tools.Run.Replay), on the service's pool and on a
+//	                    fleet worker alike (analyzer crash, slow worker)
 //	worker.crash        fired after a checkpoint is durably written; an
 //	                    armed error simulates a hard crash (the worker
 //	                    goroutine exits without unwinding, leaving the job

@@ -86,7 +86,7 @@ type Entry struct {
 	// session journaled before the field existed kept it in Key.
 	Traceparent string    `json:"traceparent,omitempty"`
 	Tenant      string    `json:"tenant,omitempty"` // owning tenant, "" for the default
-	Events      int       `json:"events,omitempty"`
+	Events      int       `json:"events,omitempty"` // a job's trace length; on a session's terminal line, the events it applied
 	Submitted   time.Time `json:"submitted,omitempty"`
 	// DeadlineMs is the client-propagated completion deadline in Unix
 	// milliseconds, 0 when none — persisted so a recovered job can still
@@ -96,6 +96,8 @@ type Entry struct {
 	Time       time.Time       `json:"time"`
 	Error      string          `json:"error,omitempty"`
 	Result     json.RawMessage `json:"result,omitempty"`
+	// Bytes, on a session's terminal line, is the bytes it accepted.
+	Bytes int64 `json:"bytes,omitempty"`
 }
 
 // Record identifies a job or a stream session at accept time.
@@ -107,7 +109,7 @@ type Record struct {
 	// so a recovered job or session rejoins its trace.
 	Traceparent string
 	Tenant      string // owning tenant, "" for the default tenant
-	Events      int
+	Events      int    // a job's trace length; a settled session's applied events
 	Submitted   time.Time
 	Deadline    time.Time // client-propagated completion deadline, zero when none
 	// Session marks a stream session's record: it is born live and its
@@ -135,6 +137,9 @@ type RecoveredJob struct {
 	// none was written or the file failed its CRC check (then the record
 	// simply re-runs from event zero).
 	Checkpoint *trace.Checkpoint
+	// Accepted is the bytes a settled session accepted, from its terminal
+	// mark; 0 when the mark carries no counts.
+	Accepted int64
 }
 
 // RecoverStats counts the corruption Recover repaired while scanning the
@@ -275,13 +280,24 @@ func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 // recovery: the at-least-once side of the write-ahead design (idempotency
 // keys make a rerun invisible to clients).
 func (j *Journal) Mark(id, status, errMsg string, result json.RawMessage) error {
+	return j.mark(id, Entry{Status: status, Error: errMsg, Result: result})
+}
+
+// MarkSession is Mark for a stream session's terminal transition: it also
+// journals the events the session applied and the bytes it accepted, which
+// Recover hands back (RecoveredJob.Events and Accepted), so a settled
+// session reads the same after a restart.
+func (j *Journal) MarkSession(id, status, errMsg string, result json.RawMessage, events uint64, bytes int64) error {
+	return j.mark(id, Entry{Status: status, Error: errMsg, Result: result, Events: int(events), Bytes: bytes})
+}
+
+func (j *Journal) mark(id string, e Entry) error {
 	if err := faultinject.Fire("journal.mark"); err != nil {
 		j.noteWrite(err)
 		return err
 	}
-	return j.appendMeta(id, Entry{
-		Status: status, Time: time.Now(), Error: errMsg, Result: result,
-	})
+	e.Time = time.Now()
+	return j.appendMeta(id, e)
 }
 
 // Remove deletes the record's spool files (retention GC, a session's
@@ -512,6 +528,9 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 			rj.Finished = e.Time
 			rj.Error = e.Error
 			rj.Result = e.Result
+			if rj.Session {
+				rj.Events, rj.Accepted = e.Events, e.Bytes
+			}
 		}
 	}
 	switch {

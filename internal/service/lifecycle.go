@@ -48,7 +48,7 @@ func (s *Service) startRunning(j *record) (markStart, markEnd time.Time, ok bool
 	s.mu.Unlock()
 	if s.cfg.Journal != nil {
 		markStart = time.Now()
-		s.mark(j, journal.StatusRunning, "", nil)
+		s.mark(j, journal.StatusRunning, outcome{})
 		markEnd = time.Now()
 	}
 	if hook != nil {
@@ -99,8 +99,10 @@ type outcome struct {
 	result  json.RawMessage
 	// wall is the replay wall time the job view reports.
 	wall time.Duration
-	// bytes is what a session accepted: the byte quota it releases.
-	bytes int64
+	// events and bytes are what a session applied and accepted, journaled
+	// with its terminal mark; bytes is also the byte quota it releases.
+	events uint64
+	bytes  int64
 }
 
 // finish records j's terminal state exactly once, whichever way it ended: a
@@ -165,7 +167,7 @@ func (s *Service) finish(j *record, o outcome, annotate func(root *telemetry.Spa
 	case j.status == StatusFailed:
 		s.metrics.jobsFailed.Inc()
 	}
-	s.mark(j, mark, o.err, o.result)
+	s.mark(j, mark, o)
 	if s.cfg.Journal != nil {
 		if err := s.cfg.Journal.RemoveCheckpoint(j.id); err != nil {
 			s.metrics.journalError("remove")

@@ -194,6 +194,65 @@ func TestRecoverJobsAndSessionsInOneScan(t *testing.T) {
 	assertSameRendered(t, "resumed session", renderedSummary(closeStream(t, client, url).Result), wantSession)
 }
 
+// TestSettledSessionKeepsCountsAcrossRestart: a session that ended before a
+// restart reads after it as it did when it ended. A closed session and an
+// evicted one come back from the spool with the status, events and bytes
+// their view showed in the first life, and the closed one with its
+// findings. (An evicted session journals no result, so its findings do not
+// survive a restart.)
+func TestSettledSessionKeepsCountsAcrossRestart(t *testing.T) {
+	tr := recordTrace(t, 22)
+	dir := t.TempDir()
+	client := &http.Client{Timeout: time.Minute}
+
+	jnl1, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Workers: 1, QueueSize: 8, Journal: jnl1})
+	srv1 := httptest.NewServer(s1.Handler())
+	s1.Start()
+	done := openStream(t, client, srv1.URL, "arbalest")
+	postEvents(t, client, srv1.URL+"/v1/streams/"+done.ID, frameStreamBody(t, tr, 0))
+	closed := closeStream(t, client, srv1.URL+"/v1/streams/"+done.ID)
+	if closed.Events != uint64(len(tr.Events)) || closed.Bytes == 0 || closed.Findings == 0 {
+		t.Fatalf("closed session %+v, want every event, its bytes and findings", closed)
+	}
+	evicted := openStream(t, client, srv1.URL, "arbalest")
+	postEvents(t, client, srv1.URL+"/v1/streams/"+evicted.ID, frameStreamBody(t, tr, 0))
+	if !s1.EvictStream(evicted.ID, "idle") {
+		t.Fatal("eviction did not end the session")
+	}
+	gone, _, err := getStreamView(client, srv1.URL+"/v1/streams/"+evicted.ID)
+	if err != nil || gone.Status != stream.StatusEvicted {
+		t.Fatalf("evicted session %+v (%v), want evicted", gone, err)
+	}
+	srv1.Close()
+	shutdownOrFail(t, s1)
+
+	jnl2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, QueueSize: 8, Journal: jnl2})
+	if _, err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []stream.View{closed, gone} {
+		got, ok := s2.Stream(want.ID)
+		if !ok {
+			t.Fatalf("session %s not recovered", want.ID)
+		}
+		if got.Status != want.Status || got.Events != want.Events || got.Bytes != want.Bytes {
+			t.Errorf("recovered %s: status %s, %d events, %d bytes; before the restart %s, %d, %d",
+				want.ID, got.Status, got.Events, got.Bytes, want.Status, want.Events, want.Bytes)
+		}
+		if want.Status == stream.StatusDone && got.Findings != want.Findings {
+			t.Errorf("recovered %s: %d findings, %d before the restart", want.ID, got.Findings, want.Findings)
+		}
+	}
+}
+
 // TestRecoverMigratesLegacySessionSpool: a live session whose files carry
 // the names of the layout before jobs and sessions shared one record
 // (<id>.smeta, <id>.sbytes), with its traceparent in the first meta line's

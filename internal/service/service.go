@@ -94,8 +94,9 @@ type Config struct {
 	MaxEvents int
 	// MaxBodyBytes caps a single upload's size (default 64 MiB).
 	MaxBodyBytes int64
-	// ReplayTimeout bounds one job's replay wall time; the replay is
-	// canceled via context when it expires (default 0 = unlimited).
+	// ReplayTimeout bounds one job's replay wall time, in the pool and on a
+	// fleet worker's lease alike; the replay is canceled via context when it
+	// expires (default 0 = unlimited).
 	ReplayTimeout time.Duration
 	// CheckpointEvery, when positive and a Journal is configured, asks
 	// each replay to checkpoint the analyzer's state roughly every this
@@ -466,7 +467,7 @@ func (s *Service) Recover() (int, error) {
 			s.recoverFailed(j, fmt.Sprintf("recovery: journaled status %q is not a %s status", st, kind))
 		}
 		if rj.Session && j.sess == nil {
-			j.sess = stream.Settled(j.id, j.tool, stream.Status(j.status), j.result)
+			j.sess = stream.Settled(j.id, stream.Status(j.status), j.result, uint64(rj.Events), rj.Accepted)
 		}
 
 		s.mu.Lock()
@@ -531,7 +532,7 @@ func (s *Service) recoverFailed(j *record, msg string) {
 		s.publishTraceLocked(j)
 	}
 	s.jobLogger(j).Error("recovered record failed", "phase", "recovery", "err", msg)
-	s.mark(j, journal.StatusFailed, msg, nil)
+	s.mark(j, journal.StatusFailed, outcome{err: msg})
 }
 
 // traceContext decides a new record's trace identity from the client's
@@ -713,7 +714,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
 	}
-	if _, err := tools.New(opts.Tool); err != nil {
+	if err := tools.Known(opts.Tool); err != nil {
 		s.countRejected()
 		return JobView{}, false, err
 	}
@@ -936,6 +937,7 @@ func (s *Service) worker(coord Coordinator) {
 		}
 		if coord != nil && coord.Handoff(s.stopping, dist.JobSpec{
 			ID: j.id, Tool: j.tool, Events: j.events, Stats: s.cfg.AnalyzerStats,
+			ReplayTimeout: s.cfg.ReplayTimeout,
 		}) {
 			continue
 		}
@@ -1047,14 +1049,21 @@ func (s *Service) releaseQuotaLocked(j *record) {
 	t.ReleaseBytes(j.bytes)
 }
 
-// mark journals a lifecycle transition, logging (never failing the job
-// on) journal errors: the in-memory state is already correct, and a lost
-// terminal mark only means the job is re-analyzed after a crash.
-func (s *Service) mark(j *record, status, errMsg string, result json.RawMessage) {
+// mark journals a lifecycle transition, a session's with its counts,
+// logging (never failing the job on) journal errors: the in-memory state is
+// already correct, and a lost terminal mark only means the job is
+// re-analyzed after a crash.
+func (s *Service) mark(j *record, status string, o outcome) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	if err := s.cfg.Journal.Mark(j.id, status, errMsg, result); err != nil {
+	var err error
+	if j.sess != nil {
+		err = s.cfg.Journal.MarkSession(j.id, status, o.err, o.result, o.events, o.bytes)
+	} else {
+		err = s.cfg.Journal.Mark(j.id, status, o.err, o.result)
+	}
+	if err != nil {
 		s.metrics.journalError("mark")
 		s.jobLogger(j).Error("journal mark failed", "phase", status, "err", err)
 	}
@@ -1065,13 +1074,13 @@ func (s *Service) mark(j *record, status, errMsg string, result json.RawMessage)
 // its freshest checkpoint.
 var errStalled = errors.New("service: replay stalled: no progress within the stall timeout")
 
-// runJob replays one job's trace through a fresh analyzer and records the
-// outcome on the job, its span tree, and the metrics. An analyzer panic is
-// confined to this job: it is recovered, recorded as the job's failure with
-// a stack fragment, and the worker goes on to its next job. A job carrying
-// a checkpoint (from a previous life of the daemon) resumes from it; with
-// Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
-// and retries them once.
+// runJob replays one job's trace through a fresh analyzer run and records
+// the outcome on the job, its span tree, and the metrics. An analyzer panic
+// is confined to this job by the run: it comes back as the job's failure,
+// with a stack fragment, and the worker goes on to its next job. A job
+// carrying a checkpoint (from a previous life of the daemon) resumes from
+// it; with Config.StallTimeout set, a watchdog cancels replays whose
+// heartbeats stop and retries them once.
 func (s *Service) runJob(j *record) {
 	markStart, markEnd, ok := s.startRunning(j)
 	if !ok {
@@ -1079,21 +1088,21 @@ func (s *Service) runJob(j *record) {
 	}
 
 	var (
-		replayStart time.Time
-		wall        time.Duration
-		sumStart    time.Time
-		sumDur      time.Duration
-		summary     *tools.Summary
-		rstats      trace.ReplayStats
+		wall     time.Duration
+		sumStart time.Time
+		sumDur   time.Duration
+		summary  *tools.Summary
+		rstats   trace.ReplayStats
 	)
 	attempt := func() (err error) {
 		// Each attempt gets its own replay span, closed in the deferred
 		// epilogue below no matter how the attempt ends — success, failure,
-		// watchdog cancellation, or panic. A job retried after a stall thus
-		// shows one failed replay span per lost attempt instead of silently
-		// dropping them from the tree. Each attempt resumes from the
-		// freshest checkpoint: a stalled attempt may have advanced it.
+		// watchdog cancellation, or a confined panic. A job retried after a
+		// stall thus shows one failed replay span per lost attempt instead
+		// of silently dropping them from the tree. Each attempt resumes from
+		// the freshest checkpoint: a stalled attempt may have advanced it.
 		attemptStart := time.Now()
+		var replayStart time.Time
 		var rs *telemetry.Span
 		s.mu.Lock()
 		tr, ck := j.tr, j.ckpt
@@ -1102,17 +1111,9 @@ func (s *Service) runJob(j *record) {
 		}
 		s.mu.Unlock()
 		defer func() {
-			if r := recover(); r != nil {
+			if errors.Is(err, tools.ErrPanicked) {
 				s.metrics.jobsPanicked.Inc()
-				s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "panic", fmt.Sprint(r))
-				err = tools.PanicError(r)
-				// The panic skipped the wall measurement; take it here so the
-				// job view doesn't report zero replay time. A replayStart left
-				// over from an earlier attempt is stale — re-anchor.
-				if replayStart.Before(attemptStart) {
-					replayStart = attemptStart
-				}
-				wall = time.Since(replayStart)
+				s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "err", err)
 			}
 			s.mu.Lock()
 			if rs != nil {
@@ -1122,15 +1123,15 @@ func (s *Service) runJob(j *record) {
 				if err != nil {
 					rs.SetError(err.Error())
 				}
-				if !replayStart.Before(attemptStart) {
+				if !replayStart.IsZero() {
 					// This attempt reached the replay: anchor the span to the
 					// measured interval so its duration equals the wall time
 					// the job view reports, exactly.
 					rs.Start = replayStart
 					rs.EndAt(replayStart.Add(wall))
 				} else {
-					// Failed before the replay began (bad tool, fault
-					// injection): the span covers the attempt itself.
+					// Failed before the replay began (fault injection): the
+					// span covers the attempt itself.
 					rs.EndAt(time.Time{})
 				}
 			}
@@ -1140,63 +1141,46 @@ func (s *Service) runJob(j *record) {
 		if err := faultinject.Fire("worker.slow"); err != nil {
 			return err
 		}
-		if err := faultinject.Fire("worker.replay"); err != nil {
-			return err
+		ctx, cancel := context.WithCancelCause(context.Background())
+		defer cancel(nil)
+		ro := tools.RunOptions{
+			Options: tools.Options{Stats: s.cfg.AnalyzerStats},
+			ID:      j.id, From: ck, Timeout: s.cfg.ReplayTimeout,
+			Checkpoint: s.checkpointFunc(ctx, j),
+			Progress:   trace.NewReplayProgress(),
 		}
-		a, start, restoreErr, err := tools.Resume(j.tool, tools.Options{Stats: s.cfg.AnalyzerStats}, ck)
+		if s.cfg.Journal != nil {
+			ro.CheckpointEvery = s.cfg.CheckpointEvery
+		}
+		run, err := tools.NewRun(j.tool, ro)
 		if err != nil {
 			return err
 		}
-		if restoreErr != nil {
+		if run.RestoreErr != nil {
 			s.metrics.checkpointErrors.Inc()
 			s.jobLogger(j).Error("checkpoint restore failed; replaying from scratch",
-				"phase", "replay", "err", restoreErr)
-		} else if start > 0 {
+				"phase", "replay", "err", run.RestoreErr)
+		} else if run.Start > 0 {
 			s.metrics.checkpointsRestored.Inc()
 			s.jobLogger(j).Info("resuming from checkpoint",
-				"phase", "replay", "resume_event", start, "events", tr.Len())
-		}
-
-		base := context.Background()
-		cancelTimeout := func() {}
-		if s.cfg.ReplayTimeout > 0 {
-			base, cancelTimeout = context.WithTimeout(base, s.cfg.ReplayTimeout)
-		}
-		defer cancelTimeout()
-		ctx, cancel := context.WithCancelCause(base)
-		defer cancel(nil)
-
-		opts := trace.DurableOptions{
-			StartEvent: start,
-			Progress:   trace.NewReplayProgress(),
-		}
-		if cp, ok := a.(tools.Checkpointer); ok && s.cfg.Journal != nil && s.cfg.CheckpointEvery > 0 {
-			opts.CheckpointEvery = s.cfg.CheckpointEvery
-			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(tr.Len()))
+				"phase", "replay", "resume_event", run.Start, "events", tr.Len())
 		}
 
 		replayStart = time.Now()
 		if s.cfg.StallTimeout > 0 {
-			rstats, err = s.replayWithWatchdog(ctx, cancel, j, tr, opts, a)
+			rstats, err = s.replayWithWatchdog(ctx, cancel, j, run, tr, ro.Progress)
 		} else {
-			rstats, err = tr.ReplayDurable(ctx, opts, a)
+			rstats, err = run.Replay(ctx, tr)
 		}
 		wall = time.Since(replayStart)
 		s.metrics.replaySeconds.ObserveDuration(wall)
-		if err != nil {
-			return err
+		if err == nil {
+			s.metrics.eventsReplayed.Add(uint64(tr.Len()) - run.Start)
+			sumStart = time.Now()
+			summary, err = run.Finish()
+			sumDur = time.Since(sumStart)
 		}
-		s.metrics.eventsReplayed.Add(uint64(tr.Len()) - start)
-		sumStart = time.Now()
-		summary = tools.Summarize(a)
-		sumDur = time.Since(sumStart)
-		// The summary has captured findings and footprint; lease the shadow
-		// slabs back to the arena for the next job. Clean path only — a
-		// failed or panicked attempt just lets the GC take the analyzer.
-		if rel, ok := a.(tools.Releaser); ok {
-			rel.Release()
-		}
-		return nil
+		return err
 	}
 
 	err := attempt()
@@ -1258,32 +1242,25 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 	return time.Duration(rand.Int64N(int64(stall/2) + 1))
 }
 
-// checkpointFunc builds the ReplayDurable checkpoint callback for one job:
-// serialize the analyzer at the epoch boundary and hand the checkpoint to
+// checkpointFunc builds the run's checkpoint callback for one job: take
+// the run's checkpoint at the epoch boundary and hand it to
 // storeCheckpoint, which keeps it for a watchdog retry and spools it.
 // Serialization and spool failures are counted and logged but never fail
 // the replay — a checkpoint is an optimization. A canceled context
-// (watchdog, timeout) aborts the replay instead of writing a checkpoint the
+// (watchdog) aborts the replay instead of writing a checkpoint the
 // cancellation has already outdated.
-func (s *Service) checkpointFunc(ctx context.Context, j *record, cp tools.Checkpointer, events uint64) func(uint64) error {
-	return func(next uint64) error {
+func (s *Service) checkpointFunc(ctx context.Context, j *record) func(func() (*trace.Checkpoint, error)) error {
+	return func(take func() (*trace.Checkpoint, error)) error {
 		if cause := context.Cause(ctx); cause != nil {
 			return cause
 		}
-		raw, err := cp.CheckpointState()
+		ck, err := take()
 		if err != nil {
 			s.metrics.checkpointErrors.Inc()
 			s.jobLogger(j).Error("checkpoint serialize failed", "phase", "replay", "err", err)
 			return nil
 		}
-		if !s.storeCheckpoint(j, &trace.Checkpoint{
-			JobID:     j.id,
-			Tool:      j.tool,
-			NextEvent: next,
-			Events:    events,
-			Created:   time.Now(),
-			State:     raw,
-		}) {
+		if !s.storeCheckpoint(j, ck) {
 			return nil
 		}
 		if err := faultinject.Fire("worker.crash"); err != nil {
@@ -1302,26 +1279,18 @@ func (s *Service) checkpointFunc(ctx context.Context, j *record, cp tools.Checkp
 // the replay is canceled with errStalled; a replay that then fails to
 // acknowledge the cancellation within a further stall timeout is abandoned
 // (its goroutine parks until the analyzer code returns, if ever) so the
-// worker can move on. A panic on the replay goroutine is re-raised here so
-// runJob's panic confinement sees it unchanged.
-func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *record, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (trace.ReplayStats, error) {
+// worker can move on. The run confines a panic on the replay goroutine to
+// the error it returns.
+func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *record, run *tools.Run, tr *trace.Trace, progress *trace.ReplayProgress) (trace.ReplayStats, error) {
 	type result struct {
-		stats    trace.ReplayStats
-		err      error
-		panicked bool
-		panicVal any
+		stats trace.ReplayStats
+		err   error
 	}
 	resCh := make(chan result, 1)
 	go func() {
 		var res result
 		defer func() { resCh <- res }()
-		defer func() {
-			if r := recover(); r != nil {
-				res.panicked = true
-				res.panicVal = r
-			}
-		}()
-		res.stats, res.err = tr.ReplayDurable(ctx, opts, a)
+		res.stats, res.err = run.Replay(ctx, tr)
 	}()
 
 	interval := s.cfg.StallTimeout / 4
@@ -1330,17 +1299,14 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	lastSum := opts.Progress.Sum()
+	lastSum := progress.Sum()
 	lastBeat := time.Now()
 	for {
 		select {
 		case res := <-resCh:
-			if res.panicked {
-				panic(res.panicVal)
-			}
 			return res.stats, res.err
 		case <-ticker.C:
-			if sum := opts.Progress.Sum(); sum != lastSum {
+			if sum := progress.Sum(); sum != lastSum {
 				lastSum, lastBeat = sum, time.Now()
 				continue
 			}
@@ -1354,12 +1320,10 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 			cancel(errStalled)
 			select {
 			case res := <-resCh:
-				if res.panicked {
-					panic(res.panicVal)
-				}
-				if res.err == nil {
-					// The replay finished in a race with the cancellation.
-					return res.stats, nil
+				if res.err == nil || errors.Is(res.err, tools.ErrPanicked) {
+					// The replay finished, or panicked, in a race with the
+					// cancellation.
+					return res.stats, res.err
 				}
 				return res.stats, fmt.Errorf("%w (%v)", errStalled, res.err)
 			case <-time.After(s.cfg.StallTimeout):

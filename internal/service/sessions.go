@@ -46,8 +46,7 @@ const maxIngestSpans = 32
 // header, each fsynced outside s.mu — before it is acknowledged, so a
 // daemon crash and recovery resume the same session in the same trace.
 func (s *Service) OpenStream(tool, traceparent, tenantName string) (stream.View, error) {
-	a, err := tools.NewWithOptions(tool, tools.Options{Stats: s.cfg.AnalyzerStats})
-	if err != nil {
+	if err := tools.Known(tool); err != nil {
 		return stream.View{}, err
 	}
 	s.mu.Lock()
@@ -56,7 +55,7 @@ func (s *Service) OpenStream(tool, traceparent, tenantName string) (stream.View,
 		return stream.View{}, stream.ErrDraining
 	}
 	tn := s.tenants.Get(tenantName)
-	err = tn.Admit()
+	err := tn.Admit()
 	if err == nil && s.cfg.MaxStreams > 0 && s.live >= s.cfg.MaxStreams {
 		err = ErrStreamsSaturated
 	}
@@ -77,9 +76,9 @@ func (s *Service) OpenStream(tool, traceparent, tenantName string) (stream.View,
 
 	tc, parent := s.traceContext(traceparent)
 	j.identify(true, tc, parent, j.submitted)
-	j.sess = stream.New(j.id, tool, a, 0, s.sessionOptions(j, tn))
-	if s.cfg.Journal != nil {
-		err := s.cfg.Journal.Append(journal.Record{
+	j.sess, _, err = stream.New(j.id, tool, tools.Options{Stats: s.cfg.AnalyzerStats}, nil, s.sessionOptions(j, tn))
+	if err == nil && s.cfg.Journal != nil {
+		err = s.cfg.Journal.Append(journal.Record{
 			ID: j.id, Tool: tool, Submitted: j.submitted, Traceparent: j.traceparent(),
 			Tenant: j.tenant, Session: true,
 		}, nil)
@@ -90,12 +89,15 @@ func (s *Service) OpenStream(tool, traceparent, tenantName string) (stream.View,
 		}
 		if err != nil {
 			s.metrics.journalError("append")
-			s.mu.Lock()
-			s.live--
-			s.releaseQuotaLocked(j)
-			s.mu.Unlock()
-			return stream.View{}, fmt.Errorf("stream: journal: %w", err)
+			err = fmt.Errorf("stream: journal: %w", err)
 		}
+	}
+	if err != nil {
+		s.mu.Lock()
+		s.live--
+		s.releaseQuotaLocked(j)
+		s.mu.Unlock()
+		return stream.View{}, err
 	}
 	s.mu.Lock()
 	s.records[j.id] = j
@@ -189,8 +191,10 @@ func (s *Service) Session(id string) (*stream.Session, bool) {
 
 // CloseStream closes the identified session cleanly: its analyzer is
 // summarized and the record finishes done, with the summary journaled. A
-// session already ended answers stream.ErrTerminal with its settled view,
-// and one with an ingest request attached stream.ErrBusy.
+// summary that panics is confined to the session, which finishes failed
+// with the panic as its error. A session already ended answers
+// stream.ErrTerminal with its settled view, and one with an ingest request
+// attached stream.ErrBusy.
 func (s *Service) CloseStream(id string) (stream.View, error) {
 	j, ok := s.streamRecord(id)
 	if !ok {
@@ -200,11 +204,15 @@ func (s *Service) CloseStream(id string) (stream.View, error) {
 	switch {
 	case errors.Is(err, stream.ErrTerminal):
 		return s.viewOf(j), err
+	case errors.Is(err, tools.ErrPanicked):
+		s.finish(j, outcome{err: err.Error(), events: p.Events, bytes: p.Bytes}, stopSpans(j, p, nil))
+		s.streamLogger(j).Error("analyzer panicked", "phase", "close", "err", err)
+		return s.viewOf(j), nil
 	case err != nil:
 		return stream.View{}, err
 	}
 	result, _ := json.Marshal(sum)
-	s.finish(j, outcome{summary: sum, result: result, bytes: p.Bytes}, stopSpans(j, p, sum))
+	s.finish(j, outcome{summary: sum, result: result, events: p.Events, bytes: p.Bytes}, stopSpans(j, p, sum))
 	s.streamLogger(j).Info("session completed", "phase", "close",
 		"events", p.Events, "bytes", p.Bytes, "issues", sum.Issues)
 	return s.viewOf(j), nil
@@ -261,7 +269,7 @@ func (s *Service) endStream(j *record, status stream.Status, errMsg string) bool
 	if err != nil {
 		return false
 	}
-	s.finish(j, outcome{err: errMsg, evicted: status == stream.StatusEvicted, bytes: p.Bytes}, stopSpans(j, p, nil))
+	s.finish(j, outcome{err: errMsg, evicted: status == stream.StatusEvicted, events: p.Events, bytes: p.Bytes}, stopSpans(j, p, nil))
 	return true
 }
 
@@ -368,14 +376,15 @@ func (s *Service) evictIdle(now time.Time) {
 // outside s.mu, before j is published.
 func (s *Service) resumeStream(j *record, rj journal.RecoveredJob) bool {
 	s.restoreTraceLocked(j, rj.Traceparent)
-	a, start, restoreErr, err := tools.Resume(j.tool, tools.Options{Stats: s.cfg.AnalyzerStats}, rj.Checkpoint)
+	tn := s.tenants.Get(j.tenant)
+	j.tenant = tn.Name()
+	sess, restoreErr, err := stream.New(j.id, j.tool, tools.Options{Stats: s.cfg.AnalyzerStats}, rj.Checkpoint, s.sessionOptions(j, tn))
 	if err != nil {
 		s.recoverFailed(j, err.Error())
 		return false
 	}
-	tn := s.tenants.Get(j.tenant)
-	j.tenant = tn.Name()
-	j.sess = stream.New(j.id, j.tool, a, start, s.sessionOptions(j, tn))
+	j.sess = sess
+	start := sess.Progress().ResumedFrom
 	if restoreErr != nil {
 		s.metrics.checkpointErrors.Inc()
 		s.streamLogger(j).Error("stream checkpoint restore failed; re-feeding from scratch",

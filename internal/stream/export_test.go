@@ -11,7 +11,7 @@ func (s *Session) CheckpointsWritten() uint64 { return s.o.Metrics.checkpoints.V
 func (s *Session) HoldsAnalyzer() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.analyzer != nil || s.cp != nil
+	return s.run != nil
 }
 
 // NotifyChannel returns the channel s's long-pollers park on.

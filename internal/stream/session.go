@@ -27,24 +27,21 @@ const batchCap = 256
 // time (StartIngest/Feed/FinishIngest/EndIngest); findings reads and Stop
 // may race freely with the feed.
 type Session struct {
-	id   string
-	tool string
-	o    Options
+	id string
+	o  Options
 
 	mu     sync.Mutex
 	status Status
 	// released is set when the owner shuts down: the spool is closed and
 	// ingest refused, while the session stays journaled live.
 	released bool
-	// analyzer, cp and replay are the live analysis state, and frames the
-	// buffer that feeds the spool. They are dropped when the session stops,
-	// and are nil for sessions recovered as history. The driver holds the
-	// stream position, the latest checkpoint boundary and, in its window,
-	// the accepted events not yet spooled and replayed; s.mu orders its
-	// calls, which run on whichever goroutine feeds.
-	analyzer tools.Analyzer
-	cp       tools.Checkpointer
-	replay   *trace.Replayer
+	// run is the live analysis, and frames the buffer that feeds the
+	// spool. Both are dropped when the session stops, and are nil for
+	// sessions recovered as history. The run's driver holds the stream
+	// position, the latest checkpoint boundary and, in its window, the
+	// accepted events not yet spooled and replayed; s.mu orders its calls,
+	// which run on whichever goroutine feeds.
+	run *tools.Run
 	// frames holds the frames of the window's events as they arrived, for
 	// the spool.
 	frames []byte
@@ -71,32 +68,34 @@ type Session struct {
 	lastActive time.Time
 }
 
-// New builds a live session whose analyzer has applied the first start
-// events (a restored checkpoint's position, else 0).
-func New(id, tool string, a tools.Analyzer, start uint64, o Options) *Session {
-	s := &Session{
-		id: id, tool: tool, o: o, status: StatusLive,
-		analyzer:    a,
-		events:      start,
-		resumedFrom: start,
-		notify:      make(chan struct{}),
-		lastActive:  time.Now(),
+// New builds a live session that analyzes with the named tool through one
+// run (tools.NewRun), resumed from ck when it is a checkpoint of that tool,
+// so the owner opens and resumes a session alike. restoreErr is a
+// checkpoint that did not restore, for the owner to count and log; err is
+// set only when the tool cannot be built.
+func New(id, tool string, opts tools.Options, ck *trace.Checkpoint, o Options) (s *Session, restoreErr, err error) {
+	s = &Session{
+		id: id, o: o, status: StatusLive,
+		notify:     make(chan struct{}),
+		lastActive: time.Now(),
 	}
-	s.cp, _ = a.(tools.Checkpointer)
-	opts := trace.DurableOptions{StartEvent: start}
-	if s.cp != nil && o.Journal != nil {
-		opts.CheckpointEvery = o.CheckpointEvery
-		opts.Checkpoint = s.checkpoint
+	ro := tools.RunOptions{Options: opts, ID: id, From: ck}
+	if o.Journal != nil {
+		ro.CheckpointEvery, ro.Checkpoint = o.CheckpointEvery, s.checkpoint
 	}
-	s.replay = trace.NewReplayer(opts, a)
-	return s
+	if s.run, err = tools.NewRun(tool, ro); err != nil {
+		return nil, nil, err
+	}
+	s.events = s.run.Start
+	s.resumedFrom = s.events
+	return s, s.run.RestoreErr, nil
 }
 
 // Settled rebuilds a session that ended in an earlier life of the daemon:
-// it takes no ingest and serves the findings of its journaled summary, if
-// it has one.
-func Settled(id, tool string, status Status, sum *tools.Summary) *Session {
-	return &Session{id: id, tool: tool, status: status, summary: sum, notify: make(chan struct{})}
+// it takes no ingest, reports the events and bytes it had when it stopped,
+// and serves the findings of its journaled summary, if it has one.
+func Settled(id string, status Status, sum *tools.Summary, events uint64, bytes int64) *Session {
+	return &Session{id: id, status: status, summary: sum, events: events, bytes: bytes, notify: make(chan struct{})}
 }
 
 // ID returns the session's identifier.
@@ -137,8 +136,8 @@ func (s *Session) Progress() Progress {
 func (s *Session) progressLocked() Progress {
 	p := Progress{Events: s.events, Bytes: s.bytes, ResumedFrom: s.resumedFrom, Checkpoint: s.checkpointed}
 	switch {
-	case s.analyzer != nil:
-		p.Findings = s.analyzer.Sink().Count()
+	case s.run != nil:
+		p.Findings = s.run.Analyzer.Sink().Count()
 	case s.reports != nil:
 		p.Findings = len(s.reports)
 	case s.summary != nil:
@@ -155,8 +154,8 @@ func (s *Session) progressLocked() Progress {
 // copied reports for a failed or evicted one.
 func (s *Session) reportsLocked() []report.Report {
 	switch {
-	case s.analyzer != nil:
-		rs := s.analyzer.Sink().Reports()
+	case s.run != nil:
+		rs := s.run.Analyzer.Sink().Reports()
 		out := make([]report.Report, len(rs))
 		for i, r := range rs {
 			out[i] = *r
@@ -168,21 +167,6 @@ func (s *Session) reportsLocked() []report.Report {
 		return s.summary.Reports
 	}
 	return nil
-}
-
-// dropAnalyzerLocked lets go of the session's analysis state, shadow slabs
-// and race state included, so a stopped session costs only its findings
-// until retention GC. release returns the slabs to the arena; only the clean
-// path passes it, since a failed analyzer may be mid-callback or corrupt.
-func (s *Session) dropAnalyzerLocked(release bool) {
-	if s.analyzer == nil {
-		return
-	}
-	if rel, ok := s.analyzer.(tools.Releaser); ok && release {
-		rel.Release()
-	}
-	s.analyzer, s.cp, s.replay = nil, nil, nil
-	s.frames = nil
 }
 
 // notifyLocked wakes every long-poller; the caller must hold s.mu.
@@ -318,7 +302,7 @@ func (s *Session) push(dec *trace.PushDecoder, data []byte) (err error) {
 			err = fmt.Errorf("stream: analyzer panic: %v", r)
 		}
 	}()
-	err = dec.PushWindow(data, s.replay, func(seq uint64) (bool, error) { return s.accept(dec, seq) })
+	err = dec.PushWindow(data, s.run.Driver, func(seq uint64) (bool, error) { return s.accept(dec, seq) })
 	if ferr := s.flush(); err == nil {
 		err = ferr
 	}
@@ -328,7 +312,7 @@ func (s *Session) push(dec *trace.PushDecoder, data []byte) (err error) {
 // accept enforces the sequence-number protocol on one decoded event,
 // reporting whether it joins the window, and flushes a full window first.
 func (s *Session) accept(dec *trace.PushDecoder, seq uint64) (bool, error) {
-	pending := s.replay.WindowLen()
+	pending := s.run.Driver.WindowLen()
 	next := s.events + uint64(pending)
 	if seq < next {
 		return false, nil // duplicate from a client resend: already applied
@@ -356,34 +340,35 @@ func (s *Session) accept(dec *trace.PushDecoder, seq uint64) (bool, error) {
 // checkpoint never outruns the spool: the whole window is written before
 // any of it is replayed, and a window that was not written is dropped.
 func (s *Session) flush() error {
-	if s.replay.WindowLen() == 0 {
+	d := s.run.Driver
+	if d.WindowLen() == 0 {
 		return nil
 	}
 	frames := s.frames
 	s.frames = frames[:0]
 	if s.spool != nil {
 		if _, err := s.spool.Write(frames); err != nil {
-			s.replay.ClearWindow()
+			d.ClearWindow()
 			return fmt.Errorf("stream: spool append: %w", err)
 		}
 	}
 	if err := faultinject.Fire("stream.replay"); err != nil {
-		s.replay.ClearWindow()
+		d.ClearWindow()
 		return err
 	}
-	st, err := s.replay.ReplayWindow(context.Background())
+	st, err := d.ReplayWindow(context.Background())
 	s.events += st.Events
 	s.o.Metrics.eventsTotal.Add(st.Events)
 	return err
 }
 
-// checkpoint is the driver's checkpoint callback: spool fsync first
-// (checkpointed progress must never outrun replayable bytes), then analyzer
-// state, then the atomic checkpoint write. A session re-feeding its spool
+// checkpoint is the run's checkpoint callback: spool fsync first
+// (checkpointed progress must never outrun replayable bytes), then the
+// run's checkpoint, then its atomic write. A session re-feeding its spool
 // in recovery has no spool writer yet and takes no checkpoint. Failures are
 // counted and logged, never fatal — a checkpoint is an optimization — and,
 // as in batch replay, the next one is due CheckpointEvery events later.
-func (s *Session) checkpoint(boundary uint64) error {
+func (s *Session) checkpoint(take func() (*trace.Checkpoint, error)) error {
 	if s.spool == nil {
 		return nil
 	}
@@ -392,16 +377,11 @@ func (s *Session) checkpoint(boundary uint64) error {
 		s.o.Logger.Error("spool fsync failed; skipping checkpoint", "phase", "checkpoint", "err", err)
 		return nil
 	}
-	state, err := s.cp.CheckpointState()
+	ck, err := take()
 	if err != nil {
 		s.o.Metrics.ckptErrors.Inc()
 		s.o.Logger.Error("checkpoint state capture failed", "phase", "checkpoint", "err", err)
 		return nil
-	}
-	ck := &trace.Checkpoint{
-		JobID: s.id, Tool: s.tool,
-		NextEvent: boundary, Events: boundary,
-		Created: time.Now(), State: state,
 	}
 	if err := s.o.Journal.WriteCheckpoint(ck); err != nil {
 		s.o.Metrics.ckptErrors.Inc()
@@ -409,7 +389,7 @@ func (s *Session) checkpoint(boundary uint64) error {
 		return nil
 	}
 	s.o.Metrics.checkpoints.Inc()
-	s.checkpointed = boundary
+	s.checkpointed = ck.NextEvent
 	return nil
 }
 
@@ -455,37 +435,42 @@ func (s *Session) Refeed(data []byte) error {
 }
 
 // Stop ends ingest for good, exactly once: the session goes to status
-// (done when its client closed it, else failed or evicted), drops its
-// analyzer, wakes long-pollers and closes its spool. A done session keeps
-// its analyzer's summary, and returns it; a failed or evicted one keeps the
-// findings so far. The progress returned is final: its Bytes are what the
-// owner releases from its quota. Stop fails with ErrTerminal on a session
-// already stopped and, for done, with ErrBusy while an ingest request is
-// attached.
+// (done when its client closed it, else failed or evicted), drops its run,
+// wakes long-pollers and closes its spool. A done session keeps its run's
+// summary, and returns it; a failed or evicted one keeps the findings so
+// far. A summary that panics is confined like a job's: the session fails
+// instead, with no findings, and Stop returns the panic (tools.ErrPanicked).
+// The progress returned is final: its Bytes are what the owner releases
+// from its quota. Stop fails with ErrTerminal on a session already stopped
+// and, for done, with ErrBusy while an ingest request is attached.
 func (s *Session) Stop(status Status) (*tools.Summary, Progress, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.status != StatusLive {
 		return nil, Progress{}, ErrTerminal
 	}
+	var err error
 	if status == StatusDone {
 		if s.busy {
 			return nil, Progress{}, ErrBusy
 		}
-		s.summary = tools.Summarize(s.analyzer)
-		if s.summary.Reports == nil {
-			// The findings page of a session without findings lists [], not
-			// null, as it did while the session was live.
+		// The findings page of a session without findings lists [], not
+		// null, as it did while the session was live.
+		if s.summary, err = s.run.Finish(); err != nil {
+			status, s.reports = StatusFailed, []report.Report{}
+		} else if s.summary.Reports == nil {
 			s.summary.Reports = []report.Report{}
 		}
 	} else {
 		s.reports = s.reportsLocked()
 	}
-	s.dropAnalyzerLocked(status == StatusDone)
+	// Only Finish releases the run's shadow state: a failed analyzer may be
+	// mid-callback or corrupt, so it is left to the garbage collector.
+	s.run, s.frames = nil, nil
 	s.status = status
 	s.notifyLocked()
 	s.releaseSpoolLocked()
-	return s.summary, s.progressLocked(), nil
+	return s.summary, s.progressLocked(), err
 }
 
 // Release closes the spool of a session whose owner is shutting down and

@@ -60,26 +60,34 @@ func NewWithOptions(name string, opts Options) (Analyzer, error) {
 	return a, nil
 }
 
+// builders holds the constructor of every tool New accepts.
+var builders = map[string]func() Analyzer{
+	"arbalest":     func() Analyzer { return NewArbalestFull(nil) },
+	"arbalest-vsm": func() Analyzer { return core.New(core.Options{}) },
+	"archer":       func() Analyzer { return race.New(nil) },
+	"valgrind":     func() Analyzer { return baselines.NewMemcheck(nil) },
+	"asan":         func() Analyzer { return baselines.NewASan(nil) },
+	"msan":         func() Analyzer { return baselines.NewMSan(nil) },
+}
+
+// Known returns nil for a tool New builds and New's error for any other
+// name, without building anything, so a caller can refuse an unknown tool
+// before it spends anything on the request.
+func Known(name string) error {
+	if builders[name] == nil {
+		return fmt.Errorf("tools: unknown tool %q (valid: arbalest, arbalest-vsm, archer, valgrind, asan, msan)", name)
+	}
+	return nil
+}
+
 // New creates the named tool. Valid names are "arbalest" (VSM detector plus
 // its embedded Archer race detection), "arbalest-vsm" (VSM only), "archer",
 // "valgrind", "asan", and "msan".
 func New(name string) (Analyzer, error) {
-	switch name {
-	case "arbalest":
-		sink := report.NewSink()
-		return NewArbalestFull(sink), nil
-	case "arbalest-vsm":
-		return core.New(core.Options{}), nil
-	case "archer":
-		return race.New(nil), nil
-	case "valgrind":
-		return baselines.NewMemcheck(nil), nil
-	case "asan":
-		return baselines.NewASan(nil), nil
-	case "msan":
-		return baselines.NewMSan(nil), nil
+	if err := Known(name); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("tools: unknown tool %q (valid: arbalest, arbalest-vsm, archer, valgrind, asan, msan)", name)
+	return builders[name](), nil
 }
 
 // ArbalestFull is ARBALEST as evaluated in the paper: the VSM-based mapping

@@ -139,12 +139,19 @@ func NewReplayer(opts DurableOptions, toolList ...ompt.Tool) *Replayer {
 // payload, so a hand-built malformed Trace still fails cleanly instead of
 // panicking.
 func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList ...ompt.Tool) (ReplayStats, error) {
+	return NewReplayer(opts, toolList...).Replay(ctx, t)
+}
+
+// Replay dispatches t's events from the driver's position on, as
+// ReplayDurable does: a fresh driver replays t whole, one positioned at a
+// checkpoint resumes it there.
+func (r *Replayer) Replay(ctx context.Context, t *Trace) (ReplayStats, error) {
 	c := t.columns()
-	if opts.StartEvent > uint64(c.len()) {
-		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", opts.StartEvent, c.len())
+	if r.next > uint64(c.len()) {
+		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", r.next, c.len())
 	}
-	r := NewReplayer(opts, toolList...)
-	st, _, err := r.replay(ctx, c, int(opts.StartEvent), 0)
+	st, i, err := r.replay(ctx, c, int(r.next), 0)
+	r.next = uint64(i)
 	return st, err
 }
 
