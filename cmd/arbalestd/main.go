@@ -7,7 +7,7 @@
 //	arbalestd [-addr :8321] [-workers N] [-queue N]
 //	          [-max-events N] [-max-body BYTES] [-timeout DUR] [-spool DIR]
 //	          [-retain-jobs N] [-retain-age DUR] [-checkpoint-every N]
-//	          [-job-stall-timeout DUR] [-debug-addr ADDR]
+//	          [-debug-addr ADDR]
 //	          [-max-streams N] [-stream-max-bytes BYTES]
 //	          [-stream-idle-timeout DUR] [-stream-read-timeout DUR]
 //	          [-analyzer-stats] [-version]
@@ -15,12 +15,13 @@
 //	          [-role standalone|coordinator|worker] [-coordinator-url URL]
 //	          [-lease-ttl DUR] [-worker-id ID] [-poll-wait DUR]
 //	          [-tenants SPEC] [-tenant-defaults LIMITS]
-//	          [-shed-target DUR] [-shed-interval DUR] [-gc-interval DUR]
-//	          [-breaker-threshold N] [-breaker-cooldown DUR]
+//	          [-shed-target DUR] [-gc-interval DUR]
 //
 // -workers sizes the job pool (how many traces analyze concurrently in this
 // process), in the standalone and coordinator roles alike; each job replays
-// on one goroutine.
+// on one goroutine. -timeout is the one bound on a job's replay, in the pool
+// and on a worker's lease alike: at the deadline the job fails, without
+// waiting for a replay that has not returned, and is not retried.
 //
 // # Distributed operation
 //
@@ -52,17 +53,17 @@
 // job queue feeds local runs and, under -role coordinator, lease grants —
 // so one tenant's backlog cannot starve another's. -shed-target arms
 // CoDel-style overload shedding: when queue delay stays above the target
-// for a full interval, the newest queued job of the heaviest-backlogged
-// tenant is shed before replay. A client X-Arbalest-Deadline header ("30s" or
+// for a full interval (10x the target), the newest queued job of the
+// heaviest-backlogged tenant is shed before replay. A client X-Arbalest-Deadline header ("30s" or
 // RFC 3339; `arbalest -deadline`) likewise sheds jobs whose deadline
 // already passed when they reach the front of the queue. Limits are
 // live-tunable (GET /v1/tenants, PUT /v1/tenants/<name>), journaled with
 // -spool so tuning survives restarts, and surfaced as arbalestd_tenant_*
 // metrics plus per-tenant saturation detail on /readyz. Workers guard
-// their coordinator RPCs with a circuit breaker (-breaker-threshold,
-// -breaker-cooldown) so a struggling coordinator sees fast-failing
-// workers instead of a retry storm. See README "Multi-tenancy and
-// overload behavior".
+// their coordinator RPCs with a circuit breaker (open after 5 consecutive
+// failures, for one -poll-wait) so a struggling coordinator sees
+// fast-failing workers instead of a retry storm. See README
+// "Multi-tenancy and overload behavior".
 //
 // # Distributed tracing
 //
@@ -131,9 +132,6 @@
 // replay's analyzer state into the spool roughly every N events, so a job
 // interrupted by a crash resumes from its last checkpoint instead of
 // replaying from scratch (findings are identical either way).
-// -job-stall-timeout arms a watchdog that cancels replays whose progress
-// heartbeats stop advancing and retries them once sequentially from their
-// freshest checkpoint.
 //
 // With -debug-addr, a second HTTP listener (intended to stay private)
 // serves net/http/pprof under /debug/pprof/ and expvar under /debug/vars.
@@ -188,13 +186,12 @@ func main() {
 	queue := flag.Int("queue", 64, "bounded job-queue size; full queue returns 429")
 	maxEvents := flag.Int("max-events", 1<<20, "per-job trace event limit")
 	maxBody := flag.Int64("max-body", 64<<20, "per-upload body size limit in bytes")
-	timeout := flag.Duration("timeout", 0, "per-job replay timeout, on the pool and on fleet workers' leases alike (0 = unlimited)")
+	timeout := flag.Duration("timeout", 0, "per-job replay bound, on the pool and on fleet workers' leases alike: at the deadline the job fails and is not retried (0 = unlimited)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	spool := flag.String("spool", "", "spool directory for the write-ahead job journal (empty = jobs are in-memory only and lost on crash)")
 	retainJobs := flag.Int("retain-jobs", 1024, "max finished jobs and stream sessions, together, kept in memory and spool; the oldest-finished are evicted first (-1 = unlimited)")
 	retainAge := flag.Duration("retain-age", 0, "evict finished jobs and stream sessions older than this (0 = no age limit)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "checkpoint analyzer state roughly every N events, enabling crash resume: into the spool (needs -spool; 0 = disabled), or under -role worker to the coordinator (0 = every 4096 events)")
-	stallTimeout := flag.Duration("job-stall-timeout", 0, "cancel and retry a replay that makes no progress for this long (0 = no watchdog)")
 	debugAddr := flag.String("debug-addr", "", "private listen address for pprof and expvar (empty = disabled)")
 	maxStreams := flag.Int("max-streams", 256, "max concurrently live streaming sessions; at the cap new streams get 429 and /readyz degrades (-1 = unlimited)")
 	streamMaxBytes := flag.Int64("stream-max-bytes", 256<<20, "per-stream wire-byte budget; a session exceeding it is evicted (-1 = unlimited)")
@@ -211,10 +208,7 @@ func main() {
 	tenantSpec := flag.String("tenants", "", "per-tenant limits: semicolon-separated \"name:key=value,...\" clauses with keys weight, rate, burst, jobs, streams, bytes (empty = no per-tenant overrides)")
 	tenantDefaults := flag.String("tenant-defaults", "", "limits unknown tenants start with, as \"key=value,...\" with the -tenants keys (empty = unlimited)")
 	shedTarget := flag.Duration("shed-target", 0, "queue-delay target for overload shedding: sustained dequeue sojourn above it sheds the newest job of the heaviest-backlogged tenant (0 = shedding disabled)")
-	shedInterval := flag.Duration("shed-interval", 0, "initial observation interval for -shed-target (0 = 10x the target)")
 	gcInterval := flag.Duration("gc-interval", 0, "also run the retention GC of finished jobs and sessions on this background interval, staggered per process (0 = GC runs inline only)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "worker: consecutive failed coordinator RPCs before the circuit breaker fails fast (0 = default 5, negative = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "worker: how long an open breaker fails fast before probing the coordinator again (0 = -poll-wait)")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 
@@ -238,7 +232,7 @@ func main() {
 		if *coordinatorURL == "" {
 			fatal("-role worker requires -coordinator-url")
 		}
-		runWorker(logger, *coordinatorURL, *workerID, *pollWait, *checkpointEvery, *breakerThreshold, *breakerCooldown)
+		runWorker(logger, *coordinatorURL, *workerID, *pollWait, *checkpointEvery)
 		return
 	default:
 		fatal("unknown -role (want standalone, coordinator, or worker)", "role", *role)
@@ -262,7 +256,6 @@ func main() {
 		MaxFinishedJobs: *retainJobs,
 		MaxJobAge:       *retainAge,
 		CheckpointEvery: *checkpointEvery,
-		StallTimeout:    *stallTimeout,
 		Logger:          logger,
 		AnalyzerStats:   *analyzerStats,
 		TraceCapacity:   *traceCapacity,
@@ -276,7 +269,6 @@ func main() {
 		TenantDefaults: defaultLimits,
 		TenantLimits:   tenantLimits,
 		ShedTarget:     *shedTarget,
-		ShedInterval:   *shedInterval,
 		GCInterval:     *gcInterval,
 	}
 	if *checkpointEvery > 0 && *spool == "" {
@@ -378,7 +370,7 @@ func main() {
 
 // runWorker runs the fleet analysis agent until SIGINT/SIGTERM (or until a
 // fault-injected crash kills it, in chaos tests).
-func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Duration, checkpointEvery uint64, breakerThreshold int, breakerCooldown time.Duration) {
+func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Duration, checkpointEvery uint64) {
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -387,13 +379,11 @@ func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Dur
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w := dist.NewWorker(dist.WorkerConfig{
-		ID:               id,
-		CoordinatorURL:   coordinatorURL,
-		PollWait:         pollWait,
-		CheckpointEvery:  checkpointEvery,
-		BreakerThreshold: breakerThreshold,
-		BreakerCooldown:  breakerCooldown,
-		Logger:           logger,
+		ID:              id,
+		CoordinatorURL:  coordinatorURL,
+		PollWait:        pollWait,
+		CheckpointEvery: checkpointEvery,
+		Logger:          logger,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

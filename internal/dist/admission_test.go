@@ -292,6 +292,46 @@ func TestFleetWorkerHonorsReplayTimeout(t *testing.T) {
 	}
 }
 
+// TestFleetWorkerReplayTimeoutBoundsStall: the replay timeout bounds a
+// leased replay held at the worker.replay fault point as it bounds one in
+// the pool (TestReplayTimeoutBoundsStalledReplay). Held 3 s under a 150 ms
+// bound, the leased job settles failed with the deadline within a second;
+// the worker posts the failure instead of heartbeating the lease while the
+// replay sleeps: one lease, none expired, nothing run inline.
+func TestFleetWorkerReplayTimeoutBoundsStall(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := recordTrace(t, 22)
+
+	f := startFleet(t, service.Config{Workers: 2, QueueSize: 8, ReplayTimeout: 150 * time.Millisecond},
+		dist.CoordinatorConfig{LeaseTTL: 5 * time.Second, WorkerTTL: 30 * time.Second}, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	wg := startWorkers(ctx, f.srv.URL, 1, 1, false)
+	defer wg.Wait()
+	defer cancel()
+	f.waitMetric("arbalestd_fleet_workers", 1, 5*time.Second)
+
+	faultinject.Enable("worker.replay", faultinject.Fault{Delay: 3 * time.Second, Count: 1})
+	start := time.Now()
+	v, err := f.svc.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.waitSettled(v.ID)
+	if d := time.Since(start); got.Status != service.StatusFailed || !strings.Contains(got.Error, "deadline") || d > time.Second {
+		t.Fatalf("stalled leased job: status %s (%s) after %v, want failed with the deadline within 1s", got.Status, got.Error, d)
+	}
+	if n := f.metric("arbalestd_fleet_jobs_inline_total"); n != 0 {
+		t.Fatalf("inline jobs = %v, want the job leased", n)
+	}
+	if n := f.metric("arbalestd_fleet_leases_granted_total"); n != 1 {
+		t.Fatalf("leases granted = %v, want 1", n)
+	}
+	if n := f.metric("arbalestd_fleet_leases_expired_total"); n != 0 {
+		t.Fatalf("leases expired = %v, want 0: the failure is posted, not abandoned", n)
+	}
+}
+
 // TestCoordinatorShutdownLeavesQueuedJobsJournaled: a coordinator with a
 // worker registered does not wait for it at shutdown. The job a pool worker
 // holds for a lease and the jobs still queued stay journaled, and the next

@@ -41,17 +41,6 @@ type WorkerConfig struct {
 	// the package defaults (4 attempts, exponential backoff, full jitter,
 	// 30s budget).
 	Retry retry.Policy
-	// BreakerThreshold trips the worker's coordinator circuit breaker after
-	// this many consecutive failed RPCs (each already retried under Retry).
-	// While open, every coordinator call fails fast with
-	// retry.ErrBreakerOpen instead of burning its full retry budget —
-	// so a fleet of workers doesn't hammer a limping coordinator with
-	// Threshold × MaxAttempts × N requests the moment it returns. Default
-	// 5; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker fails fast before
-	// letting one probe through (default PollWait).
-	BreakerCooldown time.Duration
 	// Logger receives operational logging. Nil discards.
 	Logger *slog.Logger
 }
@@ -62,12 +51,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 4096
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = c.PollWait
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -86,19 +69,23 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type Worker struct {
 	cfg WorkerConfig
 	ttl time.Duration // lease TTL learned at registration
-	// breaker is the circuit breaker guarding every coordinator RPC; nil
-	// when disabled (BreakerThreshold < 0).
+	// breaker is the circuit breaker guarding every coordinator RPC. It
+	// trips after breakerThreshold consecutive failed RPCs (each already
+	// retried under Retry) and fails fast for one PollWait before letting a
+	// probe through, so a fleet of workers does not hammer a limping
+	// coordinator with threshold × attempts × workers requests the moment
+	// it returns.
 	breaker *retry.Breaker
 }
+
+// breakerThreshold is how many consecutive failed coordinator RPCs trip a
+// worker's circuit breaker.
+const breakerThreshold = 5
 
 // NewWorker builds a worker agent.
 func NewWorker(cfg WorkerConfig) *Worker {
 	cfg = cfg.withDefaults()
-	w := &Worker{cfg: cfg}
-	if cfg.BreakerThreshold > 0 {
-		w.breaker = retry.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	return w
+	return &Worker{cfg: cfg, breaker: retry.NewBreaker(breakerThreshold, cfg.PollWait)}
 }
 
 // guard runs one (already retry-wrapped) coordinator RPC under the circuit
@@ -107,9 +94,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // coordinator is alive and counts as a success for the breaker even though
 // the call itself failed (a fenced 409 must not trip the circuit).
 func (w *Worker) guard(fn func() error) error {
-	if w.breaker == nil {
-		return fn()
-	}
 	if err := w.breaker.Allow(); err != nil {
 		return err
 	}

@@ -14,17 +14,18 @@
 //	                    append
 //	journal.fsync       delay before a journal fsync (slow-disk simulation)
 //	journal.checkpoint  error or delay on an analyzer-state checkpoint write
-//	                    (full-disk or slow-disk simulation; a delay here also
-//	                    wedges the replay for stall-watchdog scenarios)
+//	                    (full-disk or slow-disk simulation)
 //	worker.slow         delay before a pool worker of the service starts
 //	                    its replay
 //	worker.replay       panic or delay at the start of a whole-trace replay
 //	                    (tools.Run.Replay), on the service's pool and on a
-//	                    fleet worker alike (analyzer crash, slow worker)
-//	worker.crash        fired after a checkpoint is durably written; an
-//	                    armed error simulates a hard crash (the worker
-//	                    goroutine exits without unwinding, leaving the job
-//	                    "running" in the journal exactly as SIGKILL would)
+//	                    fleet worker alike (analyzer crash, slow worker); a
+//	                    delay counts against the replay's -timeout
+//	worker.crash        fired in the service's pool after a checkpoint is
+//	                    durably written; an armed error simulates a hard
+//	                    crash: the replay ends with an error, the job stays
+//	                    "running" in the journal exactly as SIGKILL would
+//	                    leave it, and the pool worker exits
 //	journal.fleet       error on a fleet-log append (fencing-token or
 //	                    worker-registration write-ahead record)
 //	dist.lease          error inside the coordinator's register/lease

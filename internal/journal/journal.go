@@ -98,6 +98,9 @@ type Entry struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 	// Bytes, on a session's terminal line, is the bytes it accepted.
 	Bytes int64 `json:"bytes,omitempty"`
+	// Findings, on a failed or evicted session's terminal line, is the
+	// findings page it kept (a done session's are in its Result).
+	Findings json.RawMessage `json:"findings,omitempty"`
 }
 
 // Record identifies a job or a stream session at accept time.
@@ -140,6 +143,9 @@ type RecoveredJob struct {
 	// Accepted is the bytes a settled session accepted, from its terminal
 	// mark; 0 when the mark carries no counts.
 	Accepted int64
+	// Findings is the findings a failed or evicted session kept, from its
+	// terminal mark; nil when the mark carries none.
+	Findings json.RawMessage
 }
 
 // RecoverStats counts the corruption Recover repaired while scanning the
@@ -284,11 +290,12 @@ func (j *Journal) Mark(id, status, errMsg string, result json.RawMessage) error 
 }
 
 // MarkSession is Mark for a stream session's terminal transition: it also
-// journals the events the session applied and the bytes it accepted, which
-// Recover hands back (RecoveredJob.Events and Accepted), so a settled
-// session reads the same after a restart.
-func (j *Journal) MarkSession(id, status, errMsg string, result json.RawMessage, events uint64, bytes int64) error {
-	return j.mark(id, Entry{Status: status, Error: errMsg, Result: result, Events: int(events), Bytes: bytes})
+// journals the events the session applied, the bytes it accepted and, for
+// a failed or evicted session, the findings it kept, which Recover hands
+// back (RecoveredJob.Events, Accepted and Findings), so a settled session
+// reads the same after a restart.
+func (j *Journal) MarkSession(id, status, errMsg string, result, findings json.RawMessage, events uint64, bytes int64) error {
+	return j.mark(id, Entry{Status: status, Error: errMsg, Result: result, Findings: findings, Events: int(events), Bytes: bytes})
 }
 
 func (j *Journal) mark(id string, e Entry) error {
@@ -529,7 +536,7 @@ func (j *Journal) recoverOne(id string, stats *RecoverStats) (RecoveredJob, erro
 			rj.Error = e.Error
 			rj.Result = e.Result
 			if rj.Session {
-				rj.Events, rj.Accepted = e.Events, e.Bytes
+				rj.Events, rj.Accepted, rj.Findings = e.Events, e.Bytes, e.Findings
 			}
 		}
 	}

@@ -103,50 +103,70 @@ func TestCrashAfterCheckpointResumes(t *testing.T) {
 	}
 }
 
-// TestWatchdogRetriesStalledReplay wedges the first replay attempt (a
-// checkpoint write that hangs well past the stall timeout) and requires the
-// watchdog to detect the flat heartbeat, cancel the attempt, and finish the
-// job on the sequential retry with correct findings.
-//
-// Each attempt takes exactly one checkpoint: the first barrier past the
-// middle of the trace (a second would need another half a trace of
-// events). The delayed one is the only stall. Checkpointing at every
-// barrier instead would serialize the whole analyzer dozens of times per
-// attempt, and under -race one of those can itself outlast the stall
-// timeout and stall the retry too.
-func TestWatchdogRetriesStalledReplay(t *testing.T) {
+// TestCrashUnderReplayTimeoutResumes: with a replay timeout the replay runs
+// on a goroutine of its own, and a simulated crash there behaves as on the
+// pool worker's: the job stays running, the pool worker exits, and a second
+// life resumes the job from its checkpoint to the uninterrupted findings.
+func TestCrashUnderReplayTimeoutResumes(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
 	tr := recordTrace(t, 22)
 	want := oneShot(t, tr, "arbalest")
 
-	jnl := newJournal(t)
-	s := New(Config{
-		Workers:         1,
-		QueueSize:       8,
-		Journal:         jnl,
-		CheckpointEvery: uint64(len(tr.Events))/2 + 1,
-		StallTimeout:    150 * time.Millisecond,
-	})
-	faultinject.Enable("journal.checkpoint", faultinject.Fault{Delay: 3 * time.Second, Count: 1})
-	s.Start()
-	v, err := s.Submit("arbalest", tr)
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := waitSettled(t, s, v.ID)
-	if got.Status != StatusDone {
-		t.Fatalf("job status %q (err %q), want done after watchdog retry", got.Status, got.Error)
+	s1 := New(Config{Workers: 1, QueueSize: 8, Journal: jnl, CheckpointEvery: 1, ReplayTimeout: 10 * time.Second})
+	faultinject.Enable("worker.crash", faultinject.Fault{Err: errors.New("simulated SIGKILL"), Count: 1})
+	s1.Start()
+	crashed, err := s1.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertSameFindings(t, "retried job", got.Result, want)
-	snap := s.Metrics().Snapshot()
-	if snap.JobsStalled < 1 {
-		t.Errorf("JobsStalled = %d, want >= 1", snap.JobsStalled)
+	deadline := time.Now().Add(30 * time.Second)
+	for faultinject.Fired("worker.crash") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the crash never fired")
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if snap.WatchdogRetries != 1 {
-		t.Errorf("WatchdogRetries = %d, want 1", snap.WatchdogRetries)
+	// The one pool worker is gone: a job submitted now stays pending.
+	behind, err := s1.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shutdownOrFail(t, s)
+	time.Sleep(200 * time.Millisecond)
+	if v, _ := s1.Job(crashed.ID); v.Status != StatusRunning {
+		t.Fatalf("crashed job is %s (%s), want running", v.Status, v.Error)
+	}
+	if v, _ := s1.Job(behind.ID); v.Status != StatusPending {
+		t.Fatalf("job behind the crash is %s, want pending: the pool worker should have exited", v.Status)
+	}
+	faultinject.Reset()
+	// s1 is abandoned without shutdown, as a real crash would abandon it.
+
+	jnl2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, QueueSize: 8, Journal: jnl2, CheckpointEvery: 4, ReplayTimeout: 10 * time.Second})
+	if requeued, err := s2.Recover(); err != nil || requeued != 2 {
+		t.Fatalf("recovered %d jobs (err %v), want 2", requeued, err)
+	}
+	s2.Start()
+	for _, id := range []string{crashed.ID, behind.ID} {
+		got := waitSettled(t, s2, id)
+		if got.Status != StatusDone {
+			t.Fatalf("job %s in the second life: status %q (err %q), want done", id, got.Status, got.Error)
+		}
+		assertSameFindings(t, "second life "+id, got.Result, want)
+	}
+	if n := s2.Metrics().Snapshot().CheckpointsRestored; n != 1 {
+		t.Errorf("CheckpointsRestored = %d, want 1 (the crashed job's)", n)
+	}
+	shutdownOrFail(t, s2)
 }
 
 // TestChaosCrashResume crashes three replays mid-flight across a four-worker

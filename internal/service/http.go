@@ -192,6 +192,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if toolName == "" {
 		toolName = "arbalest"
 	}
+	key := r.Header.Get(retry.IdempotencyHeader)
+	if err := s.refuseEarly(r.Header.Get(tenant.Header), key); err != nil {
+		w.Header().Set("Retry-After", retryAfterSeconds(err))
+		s.writeError(w, http.StatusTooManyRequests, err)
+		return
+	}
 	// The body is read whole and decoded in place: a framed version-2
 	// upload is then kept by the trace as it came, and spooled and served
 	// to workers as those bytes. Sized from Content-Length when the client
@@ -239,7 +245,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	nbytes := int64(body.Len())
 	view, duplicate, err := s.SubmitTrace(SubmitOptions{
 		Tool:          toolName,
-		Key:           r.Header.Get(retry.IdempotencyHeader),
+		Key:           key,
 		Start:         accepted,
 		ParseDuration: parseDur,
 		Traceparent:   r.Header.Get(telemetry.TraceparentHeader),

@@ -66,8 +66,8 @@ type record struct {
 	enqueued time.Time
 	// ckpt is the job's freshest analyzer-state checkpoint: attached at
 	// recovery from the spool, advanced as the replay writes new ones,
-	// cleared when the job reaches a terminal state. A watchdog retry
-	// resumes from it.
+	// cleared when the job reaches a terminal state. A lease rescheduled
+	// within this life resumes from it.
 	ckpt *trace.Checkpoint
 	// span is the job's trace tree, built under Service.mu and served as
 	// a Clone. Nil for jobs restored from the journal as history.

@@ -59,12 +59,11 @@ func (s *Service) startRunning(j *record) (markStart, markEnd time.Time, ok bool
 
 // storeCheckpoint keeps ck as j's freshest checkpoint and spools it through
 // the journal, for a pool worker's replay and a remote worker's stream
-// alike. It is monotone: a checkpoint older than the one held (an abandoned
-// attempt racing a watchdog retry, a delayed post) is dropped. A spool
-// failure is counted and logged, never fatal: the in-memory copy still
-// serves a watchdog retry or a reschedule within this life. It reports
-// whether the checkpoint is durable (spooled, or kept with no journal
-// configured).
+// alike. It is monotone: a checkpoint older than the one held (a delayed
+// post from a lease since rescheduled) is dropped. A spool failure is
+// counted and logged, never fatal: the in-memory copy still serves a
+// reschedule within this life. It reports whether the checkpoint is
+// durable (spooled, or kept with no journal configured).
 func (s *Service) storeCheckpoint(j *record, ck *trace.Checkpoint) bool {
 	s.mu.Lock()
 	if j.terminal() || (j.ckpt != nil && ck.NextEvent < j.ckpt.NextEvent) {
@@ -103,6 +102,9 @@ type outcome struct {
 	// with its terminal mark; bytes is also the byte quota it releases.
 	events uint64
 	bytes  int64
+	// findings is the findings page a failed or evicted session kept, as
+	// JSON, journaled with its terminal mark.
+	findings json.RawMessage
 }
 
 // finish records j's terminal state exactly once, whichever way it ended: a

@@ -35,8 +35,6 @@ type Metrics struct {
 	checkpointsWritten  *telemetry.Counter
 	checkpointsRestored *telemetry.Counter
 	checkpointErrors    *telemetry.Counter
-	jobsStalled         *telemetry.Counter
-	watchdogRetries     *telemetry.Counter
 	journalTruncated    *telemetry.Counter
 	traceCorruption     *telemetry.Counter
 
@@ -95,8 +93,6 @@ func newMetrics() *Metrics {
 		checkpointsWritten:  reg.Counter("arbalestd_checkpoints_written_total", "Analyzer-state checkpoints durably written to the spool at epoch boundaries."),
 		checkpointsRestored: reg.Counter("arbalestd_checkpoints_restored_total", "Replays resumed from a spooled checkpoint instead of starting from scratch."),
 		checkpointErrors:    reg.Counter("arbalestd_checkpoint_errors_total", "Checkpoints that failed to serialize or write, plus corrupt checkpoints dropped at recovery."),
-		jobsStalled:         reg.Counter("arbalestd_jobs_stalled_total", "Replays canceled by the watchdog after their progress heartbeats stopped advancing."),
-		watchdogRetries:     reg.Counter("arbalestd_watchdog_retries_total", "Stalled replays retried sequentially from their freshest checkpoint."),
 		journalTruncated:    reg.Counter("arbalestd_journal_truncated_records_total", "Torn or corrupt journal meta records dropped during recovery."),
 		traceCorruption:     reg.Counter("arbalestd_trace_corruption_total", "Uploads rejected because a framed trace failed its CRC or framing checks."),
 
@@ -175,8 +171,6 @@ type Snapshot struct {
 	CheckpointsWritten  int64 `json:"checkpointsWritten"`
 	CheckpointsRestored int64 `json:"checkpointsRestored"`
 	CheckpointErrors    int64 `json:"checkpointErrors"`
-	JobsStalled         int64 `json:"jobsStalled"`
-	WatchdogRetries     int64 `json:"watchdogRetries"`
 	JournalTruncated    int64 `json:"journalTruncated"`
 }
 
@@ -198,8 +192,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		CheckpointsWritten:  int64(m.checkpointsWritten.Value()),
 		CheckpointsRestored: int64(m.checkpointsRestored.Value()),
 		CheckpointErrors:    int64(m.checkpointErrors.Value()),
-		JobsStalled:         int64(m.jobsStalled.Value()),
-		WatchdogRetries:     int64(m.watchdogRetries.Value()),
 		JournalTruncated:    int64(m.journalTruncated.Value()),
 	}
 }

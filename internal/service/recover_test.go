@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -196,10 +197,9 @@ func TestRecoverJobsAndSessionsInOneScan(t *testing.T) {
 
 // TestSettledSessionKeepsCountsAcrossRestart: a session that ended before a
 // restart reads after it as it did when it ended. A closed session and an
-// evicted one come back from the spool with the status, events and bytes
-// their view showed in the first life, and the closed one with its
-// findings. (An evicted session journals no result, so its findings do not
-// survive a restart.)
+// evicted one come back from the spool with the status, events, bytes and
+// findings their view showed in the first life, and serve the same
+// findings page.
 func TestSettledSessionKeepsCountsAcrossRestart(t *testing.T) {
 	tr := recordTrace(t, 22)
 	dir := t.TempDir()
@@ -227,6 +227,10 @@ func TestSettledSessionKeepsCountsAcrossRestart(t *testing.T) {
 	if err != nil || gone.Status != stream.StatusEvicted {
 		t.Fatalf("evicted session %+v (%v), want evicted", gone, err)
 	}
+	pages := map[string]string{}
+	for _, id := range []string{closed.ID, gone.ID} {
+		pages[id] = findingsPage(t, client, srv1.URL+"/v1/streams/"+id)
+	}
 	srv1.Close()
 	shutdownOrFail(t, s1)
 
@@ -238,6 +242,8 @@ func TestSettledSessionKeepsCountsAcrossRestart(t *testing.T) {
 	if _, err := s2.Recover(); err != nil {
 		t.Fatal(err)
 	}
+	srv2 := httptest.NewServer(s2.Handler())
+	defer srv2.Close()
 	for _, want := range []stream.View{closed, gone} {
 		got, ok := s2.Stream(want.ID)
 		if !ok {
@@ -247,10 +253,28 @@ func TestSettledSessionKeepsCountsAcrossRestart(t *testing.T) {
 			t.Errorf("recovered %s: status %s, %d events, %d bytes; before the restart %s, %d, %d",
 				want.ID, got.Status, got.Events, got.Bytes, want.Status, want.Events, want.Bytes)
 		}
-		if want.Status == stream.StatusDone && got.Findings != want.Findings {
+		if got.Findings != want.Findings {
 			t.Errorf("recovered %s: %d findings, %d before the restart", want.ID, got.Findings, want.Findings)
 		}
+		if page := findingsPage(t, client, srv2.URL+"/v1/streams/"+want.ID); page != pages[want.ID] {
+			t.Errorf("recovered %s: findings page\n%s\nbefore the restart\n%s", want.ID, page, pages[want.ID])
+		}
 	}
+}
+
+// findingsPage returns the body of a session's findings page.
+func findingsPage(t *testing.T, client *http.Client, url string) string {
+	t.Helper()
+	resp, err := client.Get(url + "/findings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("findings page %s: %d (%v)", url, resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 // TestRecoverMigratesLegacySessionSpool: a live session whose files carry

@@ -542,13 +542,11 @@ func TestChaosFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CheckpointEvery and StallTimeout run the full durability machinery
-	// under the same chaos: checkpoint writes that fail at 10% are
-	// non-fatal by design, and a spuriously tripped watchdog self-heals
-	// through its sequential retry — either way every job must still reach
-	// a terminal state exactly once.
+	// CheckpointEvery runs the full durability machinery under the same
+	// chaos: checkpoint writes that fail at 10% are non-fatal by design, so
+	// every job must still reach a terminal state exactly once.
 	s := New(Config{Workers: 8, QueueSize: 256, Journal: jnl, MaxFinishedJobs: -1,
-		CheckpointEvery: 1024, StallTimeout: 10 * time.Second})
+		CheckpointEvery: 1024})
 	s.Start()
 
 	faultinject.Enable("journal.append", faultinject.Fault{Err: errors.New("chaos: spool write error"), Prob: 0.15})

@@ -60,6 +60,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/report"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -94,9 +95,10 @@ type Config struct {
 	MaxEvents int
 	// MaxBodyBytes caps a single upload's size (default 64 MiB).
 	MaxBodyBytes int64
-	// ReplayTimeout bounds one job's replay wall time, in the pool and on a
-	// fleet worker's lease alike; the replay is canceled via context when it
-	// expires (default 0 = unlimited).
+	// ReplayTimeout is the one bound on a job's replay, in the pool and on a
+	// fleet worker's lease alike: at the deadline the job fails with an
+	// error naming it, without waiting for a replay that has not returned,
+	// and is not retried (tools.Run.Replay). 0 = unlimited.
 	ReplayTimeout time.Duration
 	// CheckpointEvery, when positive and a Journal is configured, asks
 	// each replay to checkpoint the analyzer's state roughly every this
@@ -106,11 +108,6 @@ type Config struct {
 	// tools.Checkpointer participate; the rest re-run from the start as
 	// before. 0 disables checkpointing.
 	CheckpointEvery uint64
-	// StallTimeout, when positive, arms a per-job watchdog: a replay
-	// whose progress heartbeats stop advancing for this long is canceled
-	// and retried once sequentially from its freshest checkpoint; if the
-	// retry stalls too, the job fails. 0 disables the watchdog.
-	StallTimeout time.Duration
 	// Journal, when non-nil, write-ahead journals every accepted job to
 	// its spool directory and makes Recover possible. Nil keeps jobs
 	// in-memory only.
@@ -174,9 +171,6 @@ type Config struct {
 	// heaviest-backlogged tenant is shed (failed before replay) and sheds
 	// accelerate until the delay recovers. 0 disables shedding.
 	ShedTarget time.Duration
-	// ShedInterval is the controller's initial interval (default
-	// 10*ShedTarget).
-	ShedInterval time.Duration
 	// GCInterval, when positive, also runs the retention GC on a background
 	// timer (it always runs inline as jobs finish and on submissions). The
 	// timer's first firing is staggered by a uniform random fraction of the
@@ -284,7 +278,7 @@ func New(cfg Config) *Service {
 		metrics: newMetrics(),
 		tenants: tenant.NewRegistry(cfg.TenantDefaults),
 		fq:      tenant.NewFairQueue[*record](),
-		codel:   tenant.CoDel{Target: cfg.ShedTarget, Interval: cfg.ShedInterval},
+		codel:   tenant.CoDel{Target: cfg.ShedTarget},
 		records: make(map[string]*record),
 		keys:    make(map[string]string),
 	}
@@ -437,6 +431,7 @@ func (s *Service) Recover() (int, error) {
 			settled:   true,
 		}
 		live := false
+		var kept []report.Report
 		switch st := rj.Status; {
 		case st == journal.StatusDone || st == journal.StatusFailed || (rj.Session && st == journal.StatusEvicted):
 			if len(rj.Result) > 0 {
@@ -445,6 +440,12 @@ func (s *Service) Recover() (int, error) {
 					j.result = &sum
 				} else {
 					s.jobLogger(j).Error("recovered result unmarshal failed",
+						"phase", "recovery", "err", err)
+				}
+			}
+			if len(rj.Findings) > 0 {
+				if err := json.Unmarshal(rj.Findings, &kept); err != nil {
+					s.jobLogger(j).Error("recovered findings unmarshal failed",
 						"phase", "recovery", "err", err)
 				}
 			}
@@ -467,7 +468,7 @@ func (s *Service) Recover() (int, error) {
 			s.recoverFailed(j, fmt.Sprintf("recovery: journaled status %q is not a %s status", st, kind))
 		}
 		if rj.Session && j.sess == nil {
-			j.sess = stream.Settled(j.id, stream.Status(j.status), j.result, uint64(rj.Events), rj.Accepted)
+			j.sess = stream.Settled(j.id, stream.Status(j.status), j.result, kept, uint64(rj.Events), rj.Accepted)
 		}
 
 		s.mu.Lock()
@@ -822,6 +823,34 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 	return j.viewLocked(), false, nil
 }
 
+// refuseEarly refuses an upload before its body is read when its tenant's
+// token bucket is empty or its concurrent-job slots are full, counting the
+// refusal as SubmitTrace would and spending nothing. A throttled flood then
+// costs no decode. An idempotency key naming a retained job is let
+// through, so that a retried upload is still answered with its job.
+func (s *Service) refuseEarly(tenantName, key string) error {
+	if key != "" {
+		s.mu.Lock()
+		_, known := s.records[s.keys[key]]
+		s.mu.Unlock()
+		if known {
+			return nil
+		}
+	}
+	tn := s.tenants.Get(tenant.Canonical(tenantName))
+	err := tn.CheckJob()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, tenant.ErrThrottled):
+		s.metrics.tenantThrottled.With(tn.Name()).Inc()
+	default:
+		s.metrics.tenantRejected.With(tn.Name(), "jobs").Inc()
+	}
+	s.countRejected()
+	return err
+}
+
 // countRejected is the single place submission rejections are counted, so
 // no code path can double-count one rejection (the HTTP layer counts
 // body/parse failures through it too, before Submit is ever reached).
@@ -924,10 +953,10 @@ func (s *Service) releaseSessions() {
 }
 
 // worker is one goroutine of the pool, the only local pool in either role.
-// It takes jobs off the fair queue until the queue is closed and drained.
-// With a coordinator attached it first offers each job to the fleet; a job
-// the fleet does not take (no live worker, no restart grace) runs here,
-// exactly as in standalone mode.
+// It takes jobs off the fair queue until the queue is closed and drained,
+// or until a simulated crash ends it. With a coordinator attached it first
+// offers each job to the fleet; a job the fleet does not take (no live
+// worker, no restart grace) runs here, exactly as in standalone mode.
 func (s *Service) worker(coord Coordinator) {
 	defer s.wg.Done()
 	for {
@@ -941,7 +970,9 @@ func (s *Service) worker(coord Coordinator) {
 		}) {
 			continue
 		}
-		s.runJob(j)
+		if !s.runJob(j) {
+			return
+		}
 	}
 }
 
@@ -1059,7 +1090,7 @@ func (s *Service) mark(j *record, status string, o outcome) {
 	}
 	var err error
 	if j.sess != nil {
-		err = s.cfg.Journal.MarkSession(j.id, status, o.err, o.result, o.events, o.bytes)
+		err = s.cfg.Journal.MarkSession(j.id, status, o.err, o.result, o.findings, o.events, o.bytes)
 	} else {
 		err = s.cfg.Journal.Mark(j.id, status, o.err, o.result)
 	}
@@ -1069,93 +1100,51 @@ func (s *Service) mark(j *record, status string, o outcome) {
 	}
 }
 
-// errStalled marks a replay whose progress heartbeats stopped advancing for
-// longer than Config.StallTimeout. runJob retries such a job once, from
-// its freshest checkpoint.
-var errStalled = errors.New("service: replay stalled: no progress within the stall timeout")
+// errWorkerCrash simulates the pool worker's process dying mid-job (the
+// worker.crash fault point): the job stays running in the journal, as
+// SIGKILL would leave it, for the next life to resume, and the pool worker
+// exits.
+var errWorkerCrash = errors.New("service: worker crashed (fault injection)")
 
 // runJob replays one job's trace through a fresh analyzer run and records
 // the outcome on the job, its span tree, and the metrics. An analyzer panic
 // is confined to this job by the run: it comes back as the job's failure,
 // with a stack fragment, and the worker goes on to its next job. A job
 // carrying a checkpoint (from a previous life of the daemon) resumes from
-// it; with Config.StallTimeout set, a watchdog cancels replays whose
-// heartbeats stop and retries them once.
-func (s *Service) runJob(j *record) {
+// it, and Config.ReplayTimeout bounds the replay (tools.Run.Replay). It
+// reports false after a simulated crash, which leaves the job running.
+func (s *Service) runJob(j *record) bool {
 	markStart, markEnd, ok := s.startRunning(j)
 	if !ok {
-		return
+		return true
 	}
-
 	var (
-		wall     time.Duration
-		sumStart time.Time
-		sumDur   time.Duration
-		summary  *tools.Summary
-		rstats   trace.ReplayStats
+		rstats                trace.ReplayStats
+		summary               *tools.Summary
+		replayStart, sumStart time.Time
+		wall, sumDur          time.Duration
+		rs                    *telemetry.Span
 	)
-	attempt := func() (err error) {
-		// Each attempt gets its own replay span, closed in the deferred
-		// epilogue below no matter how the attempt ends — success, failure,
-		// watchdog cancellation, or a confined panic. A job retried after a
-		// stall thus shows one failed replay span per lost attempt instead
-		// of silently dropping them from the tree. Each attempt resumes from
-		// the freshest checkpoint: a stalled attempt may have advanced it.
-		attemptStart := time.Now()
-		var replayStart time.Time
-		var rs *telemetry.Span
-		s.mu.Lock()
-		tr, ck := j.tr, j.ckpt
-		if j.span != nil {
-			rs = j.span.StartChild("replay", attemptStart)
-		}
-		s.mu.Unlock()
-		defer func() {
-			if errors.Is(err, tools.ErrPanicked) {
-				s.metrics.jobsPanicked.Inc()
-				s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "err", err)
-			}
-			s.mu.Lock()
-			if rs != nil {
-				rs.SetCount("events", int64(j.events))
-				rs.SetCount("epochs", int64(rstats.Epochs))
-				rs.SetCount("maxEpochAccesses", int64(rstats.MaxEpochAccesses))
-				if err != nil {
-					rs.SetError(err.Error())
-				}
-				if !replayStart.IsZero() {
-					// This attempt reached the replay: anchor the span to the
-					// measured interval so its duration equals the wall time
-					// the job view reports, exactly.
-					rs.Start = replayStart
-					rs.EndAt(replayStart.Add(wall))
-				} else {
-					// Failed before the replay began (fault injection): the
-					// span covers the attempt itself.
-					rs.EndAt(time.Time{})
-				}
-			}
-			s.publishTraceLocked(j)
-			s.mu.Unlock()
-		}()
-		if err := faultinject.Fire("worker.slow"); err != nil {
-			return err
-		}
-		ctx, cancel := context.WithCancelCause(context.Background())
-		defer cancel(nil)
+	s.mu.Lock()
+	tr, ck := j.tr, j.ckpt
+	if j.span != nil {
+		rs = j.span.StartChild("replay", time.Now())
+	}
+	s.mu.Unlock()
+	err := faultinject.Fire("worker.slow")
+	var run *tools.Run
+	if err == nil {
 		ro := tools.RunOptions{
 			Options: tools.Options{Stats: s.cfg.AnalyzerStats},
 			ID:      j.id, From: ck, Timeout: s.cfg.ReplayTimeout,
-			Checkpoint: s.checkpointFunc(ctx, j),
-			Progress:   trace.NewReplayProgress(),
+			Checkpoint: s.checkpointFunc(j),
 		}
 		if s.cfg.Journal != nil {
 			ro.CheckpointEvery = s.cfg.CheckpointEvery
 		}
-		run, err := tools.NewRun(j.tool, ro)
-		if err != nil {
-			return err
-		}
+		run, err = tools.NewRun(j.tool, ro)
+	}
+	if err == nil {
 		if run.RestoreErr != nil {
 			s.metrics.checkpointErrors.Inc()
 			s.jobLogger(j).Error("checkpoint restore failed; replaying from scratch",
@@ -1165,39 +1154,23 @@ func (s *Service) runJob(j *record) {
 			s.jobLogger(j).Info("resuming from checkpoint",
 				"phase", "replay", "resume_event", run.Start, "events", tr.Len())
 		}
-
 		replayStart = time.Now()
-		if s.cfg.StallTimeout > 0 {
-			rstats, err = s.replayWithWatchdog(ctx, cancel, j, run, tr, ro.Progress)
-		} else {
-			rstats, err = run.Replay(ctx, tr)
-		}
+		rstats, err = run.Replay(context.Background(), tr)
 		wall = time.Since(replayStart)
 		s.metrics.replaySeconds.ObserveDuration(wall)
-		if err == nil {
-			s.metrics.eventsReplayed.Add(uint64(tr.Len()) - run.Start)
-			sumStart = time.Now()
-			summary, err = run.Finish()
-			sumDur = time.Since(sumStart)
-		}
-		return err
 	}
-
-	err := attempt()
-	if errors.Is(err, errStalled) {
-		s.metrics.watchdogRetries.Inc()
-		s.mu.Lock()
-		retryCkpt := j.ckpt
-		s.mu.Unlock()
-		var resume uint64
-		if retryCkpt != nil {
-			resume = retryCkpt.NextEvent
-		}
-		delay := watchdogRetryDelay(s.cfg.StallTimeout)
-		s.jobLogger(j).Warn("retrying stalled replay",
-			"phase", "replay", "resume_event", resume, "delay", delay)
-		time.Sleep(delay)
-		err = attempt()
+	if errors.Is(err, errWorkerCrash) {
+		return false
+	}
+	if err == nil {
+		s.metrics.eventsReplayed.Add(uint64(tr.Len()) - run.Start)
+		sumStart = time.Now()
+		summary, err = run.Finish()
+		sumDur = time.Since(sumStart)
+	}
+	if errors.Is(err, tools.ErrPanicked) {
+		s.metrics.jobsPanicked.Inc()
+		s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "err", err)
 	}
 
 	o := outcome{wall: wall}
@@ -1214,6 +1187,23 @@ func (s *Service) runJob(j *record) {
 		encDur = time.Since(encStart)
 	}
 	s.finish(j, o, func(root *telemetry.Span) {
+		if rs != nil {
+			rs.SetCount("events", int64(j.events))
+			rs.SetCount("epochs", int64(rstats.Epochs))
+			rs.SetCount("maxEpochAccesses", int64(rstats.MaxEpochAccesses))
+			if err != nil {
+				rs.SetError(err.Error())
+			}
+			if !replayStart.IsZero() {
+				// The replay ran: anchor the span to the measured interval so
+				// its duration equals the wall time the job view reports.
+				rs.Start = replayStart
+				rs.EndAt(replayStart.Add(wall))
+			} else {
+				// Failed before the replay began (fault injection).
+				rs.EndAt(time.Time{})
+			}
+		}
 		if !markStart.IsZero() {
 			root.StartChild("mark", markStart).EndAt(markEnd)
 		}
@@ -1228,32 +1218,17 @@ func (s *Service) runJob(j *record) {
 			root.StartChild("encode", encStart).EndAt(encStart.Add(encDur))
 		}
 	})
-}
-
-// watchdogRetryDelay is the full-jitter pause before a stalled replay's
-// retry: uniform in [0, StallTimeout/2]. Stalls usually share a
-// cause (an overloaded disk, a CPU-starved host, a slow shared dependency),
-// so a fleet of jobs whose watchdogs all fired together must not retry in
-// lockstep and re-create the very contention that stalled them.
-func watchdogRetryDelay(stall time.Duration) time.Duration {
-	if stall <= 0 {
-		return 0
-	}
-	return time.Duration(rand.Int64N(int64(stall/2) + 1))
+	return true
 }
 
 // checkpointFunc builds the run's checkpoint callback for one job: take
 // the run's checkpoint at the epoch boundary and hand it to
-// storeCheckpoint, which keeps it for a watchdog retry and spools it.
-// Serialization and spool failures are counted and logged but never fail
-// the replay — a checkpoint is an optimization. A canceled context
-// (watchdog) aborts the replay instead of writing a checkpoint the
-// cancellation has already outdated.
-func (s *Service) checkpointFunc(ctx context.Context, j *record) func(func() (*trace.Checkpoint, error)) error {
+// storeCheckpoint, which keeps it and spools it. Serialization and spool
+// failures are counted and logged but never fail the replay — a
+// checkpoint is an optimization. Once a checkpoint is stored, an armed
+// worker.crash ends the replay with errWorkerCrash.
+func (s *Service) checkpointFunc(j *record) func(func() (*trace.Checkpoint, error)) error {
 	return func(take func() (*trace.Checkpoint, error)) error {
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
 		ck, err := take()
 		if err != nil {
 			s.metrics.checkpointErrors.Inc()
@@ -1264,77 +1239,10 @@ func (s *Service) checkpointFunc(ctx context.Context, j *record) func(func() (*t
 			return nil
 		}
 		if err := faultinject.Fire("worker.crash"); err != nil {
-			// Simulated hard crash: exit the goroutine without unwinding, so
-			// the journal keeps the job "running" exactly as SIGKILL would
-			// and the next Recover resumes it from the checkpoint above.
 			s.jobLogger(j).Error("fault injection: crashing after checkpoint", "phase", "replay", "err", err)
-			runtime.Goexit()
+			return errWorkerCrash
 		}
 		return nil
-	}
-}
-
-// replayWithWatchdog runs the replay on a child goroutine while sampling
-// its progress heartbeats. If no heartbeat lands for Config.StallTimeout
-// the replay is canceled with errStalled; a replay that then fails to
-// acknowledge the cancellation within a further stall timeout is abandoned
-// (its goroutine parks until the analyzer code returns, if ever) so the
-// worker can move on. The run confines a panic on the replay goroutine to
-// the error it returns.
-func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *record, run *tools.Run, tr *trace.Trace, progress *trace.ReplayProgress) (trace.ReplayStats, error) {
-	type result struct {
-		stats trace.ReplayStats
-		err   error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		var res result
-		defer func() { resCh <- res }()
-		res.stats, res.err = run.Replay(ctx, tr)
-	}()
-
-	interval := s.cfg.StallTimeout / 4
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	lastSum := progress.Sum()
-	lastBeat := time.Now()
-	for {
-		select {
-		case res := <-resCh:
-			return res.stats, res.err
-		case <-ticker.C:
-			if sum := progress.Sum(); sum != lastSum {
-				lastSum, lastBeat = sum, time.Now()
-				continue
-			}
-			if time.Since(lastBeat) < s.cfg.StallTimeout {
-				continue
-			}
-			// Stalled: no event was dispatched for a full stall timeout.
-			s.metrics.jobsStalled.Inc()
-			s.jobLogger(j).Warn("replay made no progress; canceling",
-				"phase", "replay", "events_done", lastSum, "stall_timeout", s.cfg.StallTimeout)
-			cancel(errStalled)
-			select {
-			case res := <-resCh:
-				if res.err == nil || errors.Is(res.err, tools.ErrPanicked) {
-					// The replay finished, or panicked, in a race with the
-					// cancellation.
-					return res.stats, res.err
-				}
-				return res.stats, fmt.Errorf("%w (%v)", errStalled, res.err)
-			case <-time.After(s.cfg.StallTimeout):
-				// The replay never reached a cancellation check: it is
-				// wedged inside analyzer code. Abandon the goroutine — the
-				// buffered channel lets it exit whenever it wakes up.
-				s.jobLogger(j).Error("stalled replay did not acknowledge cancellation; abandoning it",
-					"phase", "replay")
-				return trace.ReplayStats{}, errStalled
-			}
-		}
 	}
 }
 

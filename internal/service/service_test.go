@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dracc"
+	"repro/internal/faultinject"
 	"repro/internal/omp"
 	"repro/internal/tools"
 	"repro/internal/trace"
@@ -224,6 +225,41 @@ func TestReplayTimeout(t *testing.T) {
 	if got := s.Metrics().Snapshot(); got.JobsFailed != 1 || got.JobsCompleted != 0 {
 		t.Errorf("metrics %+v, want 1 failed, 0 completed", got)
 	}
+}
+
+// TestReplayTimeoutBoundsStalledReplay: the replay timeout starts before
+// the worker.replay fault point and does not wait for a replay that has not
+// returned. A replay held 3 s there under a 150 ms bound fails within a
+// second with the deadline in its error, and the job behind it on the same
+// one-worker pool runs without waiting out the delay.
+func TestReplayTimeoutBoundsStalledReplay(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := recordTrace(t, 22)
+	want := oneShot(t, tr, "arbalest")
+
+	s := New(Config{Workers: 1, QueueSize: 8, ReplayTimeout: 150 * time.Millisecond})
+	faultinject.Enable("worker.replay", faultinject.Fault{Delay: 3 * time.Second, Count: 1})
+	s.Start()
+	defer shutdownOrFail(t, s)
+	start := time.Now()
+	stalled, err := s.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitSettled(t, s, stalled.ID)
+	if d := time.Since(start); got.Status != StatusFailed || !strings.Contains(got.Error, "deadline") || d > time.Second {
+		t.Fatalf("stalled job: status %s (%s) after %v, want failed with the deadline within 1s", got.Status, got.Error, d)
+	}
+	got = waitSettled(t, s, next.ID)
+	if d := time.Since(start); got.Status != StatusDone || d >= 3*time.Second {
+		t.Fatalf("job behind the stall: status %s (%s) after %v, want done before the 3s delay ends", got.Status, got.Error, d)
+	}
+	assertSameFindings(t, "job behind the stall", got.Result, want)
 }
 
 // TestSubmitValidation: unknown tools and oversized traces are rejected.

@@ -205,7 +205,7 @@ func (s *Service) CloseStream(id string) (stream.View, error) {
 	case errors.Is(err, stream.ErrTerminal):
 		return s.viewOf(j), err
 	case errors.Is(err, tools.ErrPanicked):
-		s.finish(j, outcome{err: err.Error(), events: p.Events, bytes: p.Bytes}, stopSpans(j, p, nil))
+		s.finish(j, outcome{err: err.Error(), events: p.Events, bytes: p.Bytes, findings: keptFindings(j.sess)}, stopSpans(j, p, nil))
 		s.streamLogger(j).Error("analyzer panicked", "phase", "close", "err", err)
 		return s.viewOf(j), nil
 	case err != nil:
@@ -269,8 +269,16 @@ func (s *Service) endStream(j *record, status stream.Status, errMsg string) bool
 	if err != nil {
 		return false
 	}
-	s.finish(j, outcome{err: errMsg, evicted: status == stream.StatusEvicted, events: p.Events, bytes: p.Bytes}, stopSpans(j, p, nil))
+	s.finish(j, outcome{err: errMsg, evicted: status == stream.StatusEvicted, events: p.Events, bytes: p.Bytes,
+		findings: keptFindings(j.sess)}, stopSpans(j, p, nil))
 	return true
+}
+
+// keptFindings is the findings page of a session stopped failed or
+// evicted, as its terminal mark journals it.
+func keptFindings(sess *stream.Session) json.RawMessage {
+	b, _ := json.Marshal(sess.Findings(0).Reports)
+	return b
 }
 
 // stopSpans is finish's annotate for a session: it closes the ingest span

@@ -66,6 +66,65 @@ func retryAfterHeader(t *testing.T, resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// countingBody is a request body that counts the bytes read from it.
+type countingBody struct {
+	r *bytes.Reader
+	n int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.n += n
+	return n, err
+}
+
+// TestRefusedUploadIsNotRead: an upload its tenant would refuse — an empty
+// token bucket (mallory), or every concurrent-job slot taken (carol) — is
+// answered 429 with the Retry-After it would get after the upload, before
+// a byte of its body is read, and the refusal spends no token. An
+// idempotent retry of a retained job still answers 200 with the job.
+func TestRefusedUploadIsNotRead(t *testing.T) {
+	var buf bytes.Buffer
+	if err := recordTrace(t, 22).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// Never started: admitted jobs stay queued and hold their slots.
+	s := New(Config{Workers: 1, QueueSize: 8, TenantLimits: map[string]tenant.Limits{
+		"mallory": {Rate: 0.001, Burst: 1},
+		"carol":   {Rate: 0.001, Burst: 2, MaxJobs: 1},
+	}})
+	h := s.Handler()
+	submit := func(tenantName, key string) (*httptest.ResponseRecorder, int) {
+		body := &countingBody{r: bytes.NewReader(data)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs?tool=arbalest", body)
+		req.ContentLength = int64(len(data))
+		req.Header.Set(tenant.Header, tenantName)
+		req.Header.Set(retry.IdempotencyHeader, key)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec, body.n
+	}
+	for name, retryAfter := range map[string]string{"mallory": "1000", "carol": "1"} {
+		if rec, n := submit(name, name+"-1"); rec.Code != http.StatusAccepted || n != len(data) {
+			t.Fatalf("%s's first upload: %d after reading %d of %d bytes, want 202 after all of them", name, rec.Code, n, len(data))
+		}
+		rec, n := submit(name, name+"-2")
+		if rec.Code != http.StatusTooManyRequests || n != 0 {
+			t.Fatalf("%s's refused upload: %d after reading %d of %d bytes, want 429 after none", name, rec.Code, n, len(data))
+		}
+		if got := rec.Header().Get("Retry-After"); got != retryAfter {
+			t.Errorf("%s's refusal: Retry-After %q, want %q", name, got, retryAfter)
+		}
+		if rec, _ := submit(name, name+"-1"); rec.Code != http.StatusOK {
+			t.Fatalf("%s's idempotent retry: %d, want 200 with the job", name, rec.Code)
+		}
+	}
+	if err := s.Tenants().Get("carol").Admit(); err != nil {
+		t.Fatalf("carol's refusal spent her second token: %v", err)
+	}
+}
+
 // TestTenantThrottledSubmitBacksOff: with tenant "hog" limited to a burst
 // of one submission, its second upload is throttled with a Retry-After
 // hint; retried with the client's policy it backs off at least that long

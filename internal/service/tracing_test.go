@@ -1,6 +1,6 @@
 // Tests for the daemon-side tracing surface: the /v1/traces query API, the
 // standalone degradation of /v1/fleet/status, the disabled-tracing path, and
-// span survival on failed and watchdog-cancelled replay attempts.
+// span survival on failed and timed-out replays.
 package service
 
 import (
@@ -156,7 +156,7 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestFailedAttemptSpansSurvive: a panicked analyzer and a watchdog-killed
+// TestFailedAttemptSpansSurvive: a panicked analyzer and a timed-out
 // replay both end their replay span with error status instead of dropping
 // it — the failure is visible in the trace, not a hole.
 func TestFailedAttemptSpansSurvive(t *testing.T) {
@@ -193,7 +193,7 @@ func TestFailedAttemptSpansSurvive(t *testing.T) {
 	}
 	shutdownOrFail(t, s)
 
-	// Watchdog: a nanosecond replay budget cancels the attempt; the span
+	// Timeout: a nanosecond replay budget ends the replay; the span
 	// records the deadline error.
 	s2 := New(Config{Workers: 1, ReplayTimeout: time.Nanosecond})
 	s2.Start()

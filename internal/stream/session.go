@@ -93,9 +93,10 @@ func New(id, tool string, opts tools.Options, ck *trace.Checkpoint, o Options) (
 
 // Settled rebuilds a session that ended in an earlier life of the daemon:
 // it takes no ingest, reports the events and bytes it had when it stopped,
-// and serves the findings of its journaled summary, if it has one.
-func Settled(id string, status Status, sum *tools.Summary, events uint64, bytes int64) *Session {
-	return &Session{id: id, status: status, summary: sum, events: events, bytes: bytes, notify: make(chan struct{})}
+// and serves the findings it kept: a done session's summary, a failed or
+// evicted one's reports.
+func Settled(id string, status Status, sum *tools.Summary, reports []report.Report, events uint64, bytes int64) *Session {
+	return &Session{id: id, status: status, summary: sum, reports: reports, events: events, bytes: bytes, notify: make(chan struct{})}
 }
 
 // ID returns the session's identifier.

@@ -186,13 +186,23 @@ func (t *Tenant) refillLocked(now time.Time) {
 func (t *Tenant) Admit() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.throttledLocked(); err != nil {
+		return err
+	}
+	if t.lim.Rate > 0 {
+		t.tokens--
+	}
+	return nil
+}
+
+// throttledLocked refills the bucket and returns the *ThrottledError a
+// request would get now, nil when a whole token is there.
+func (t *Tenant) throttledLocked() error {
 	if t.lim.Rate <= 0 {
 		return nil
 	}
-	now := t.now()
-	t.refillLocked(now)
+	t.refillLocked(t.now())
 	if t.tokens >= 1 {
-		t.tokens--
 		return nil
 	}
 	wait := time.Duration((1 - t.tokens) / t.lim.Rate * float64(time.Second))
@@ -202,14 +212,36 @@ func (t *Tenant) Admit() error {
 	return &ThrottledError{Tenant: t.name, RetryAfter: wait}
 }
 
+// CheckJob reports, spending no token and taking no slot, why a job
+// submission would be refused now: an empty token bucket (the
+// *ThrottledError Admit would return) or full concurrent-job slots
+// (ErrJobQuota). nil promises nothing; Admit and AcquireJob still decide.
+func (t *Tenant) CheckJob() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.throttledLocked(); err != nil {
+		return err
+	}
+	return t.jobSlotLocked()
+}
+
+// jobSlotLocked returns ErrJobQuota when every concurrent-job slot is
+// taken.
+func (t *Tenant) jobSlotLocked() error {
+	if t.lim.MaxJobs > 0 && t.jobs >= t.lim.MaxJobs {
+		return fmt.Errorf("tenant %q: %w (%d live)", t.name, ErrJobQuota, t.jobs)
+	}
+	return nil
+}
+
 // AcquireJob reserves one concurrent-job slot and nbytes of the byte quota,
 // atomically — on failure nothing is held. Pair with ReleaseJob(nbytes)
 // when the job reaches a terminal state.
 func (t *Tenant) AcquireJob(nbytes int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.lim.MaxJobs > 0 && t.jobs >= t.lim.MaxJobs {
-		return fmt.Errorf("tenant %q: %w (%d live)", t.name, ErrJobQuota, t.jobs)
+	if err := t.jobSlotLocked(); err != nil {
+		return err
 	}
 	if t.lim.MaxBytes > 0 && t.bytes+nbytes > t.lim.MaxBytes {
 		return fmt.Errorf("tenant %q: %w (%d + %d > %d)", t.name, ErrByteQuota, t.bytes, nbytes, t.lim.MaxBytes)

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/report"
@@ -114,5 +116,62 @@ func TestRunConfinesPanics(t *testing.T) {
 	if sum, err := run.Finish(); sum != nil || !errors.Is(err, tools.ErrPanicked) ||
 		!strings.Contains(err.Error(), "analyzer panicked: broken sink") {
 		t.Fatalf("summary panic came back as %v, %v", sum, err)
+	}
+}
+
+// TestRunTimeoutAbandonsReplay: a run's timeout starts before the
+// worker.replay fault point, and a replay held there past its deadline
+// comes back as an error wrapping context.DeadlineExceeded without waiting
+// for the hold to end. A checkpoint callback that outlasts the deadline is
+// the run's last. A panic on the replay's own goroutine is confined as on
+// the caller's.
+func TestRunTimeoutAbandonsReplay(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	tr := loadDRACC023(t)
+	const timeout = 50 * time.Millisecond
+
+	run, err := tools.NewRun("arbalest", tools.RunOptions{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable("worker.replay", faultinject.Fault{Delay: 6 * timeout, Count: 1})
+	start := time.Now()
+	_, err = run.Replay(context.Background(), tr)
+	if d := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || d >= 6*timeout {
+		t.Fatalf("held replay: %v after %v, want the deadline before the hold ends", err, d)
+	}
+
+	var offered atomic.Int64
+	woke := make(chan struct{})
+	run, err = tools.NewRun("arbalest", tools.RunOptions{
+		Timeout: timeout, CheckpointEvery: 1,
+		Checkpoint: func(take func() (*trace.Checkpoint, error)) error {
+			if offered.Add(1) == 1 {
+				time.Sleep(2 * timeout)
+				close(woke)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = run.Replay(context.Background(), tr); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("replay past its deadline came back as %v", err)
+	}
+	<-woke
+	time.Sleep(timeout) // the abandoned replay runs on to its next check
+	if n := offered.Load(); n != 1 {
+		t.Fatalf("%d checkpoints offered, want only the one that outlasted the deadline", n)
+	}
+
+	run, err = tools.NewRun("arbalest", tools.RunOptions{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable("worker.replay", faultinject.Fault{Panic: "injected", Count: 1})
+	if _, err = run.Replay(context.Background(), tr); !errors.Is(err, tools.ErrPanicked) {
+		t.Fatalf("replay panic under a timeout came back as %v", err)
 	}
 }

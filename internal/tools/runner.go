@@ -43,10 +43,11 @@ func Resume(name string, opts Options, ck *trace.Checkpoint) (a Analyzer, start 
 
 // RunOptions configures NewRun. ID names the record (job or stream session)
 // the run's checkpoints are of, and From is the checkpoint to resume from.
-// Timeout, when positive, bounds Replay. Every CheckpointEvery events, at the
-// next epoch boundary (trace.DurableOptions), a Checkpointer's run calls
-// Checkpoint with take, which serializes the analyzer into the run's
-// checkpoint record; an error from Checkpoint aborts the replay.
+// Timeout, when positive, bounds Replay (see there). Every CheckpointEvery
+// events, at the next epoch boundary (trace.DurableOptions), a
+// Checkpointer's run calls Checkpoint with take, which serializes the
+// analyzer into the run's checkpoint record; an error from Checkpoint
+// aborts the replay.
 type RunOptions struct {
 	Options
 	ID              string
@@ -54,7 +55,6 @@ type RunOptions struct {
 	Timeout         time.Duration
 	CheckpointEvery uint64
 	Checkpoint      func(take func() (*trace.Checkpoint, error)) error
-	Progress        *trace.ReplayProgress
 }
 
 // Run is one analysis: the analyzer a runner drives, only through it, and
@@ -73,6 +73,9 @@ type Run struct {
 	// events is the length of the trace Replay replays, which checkpoints
 	// carry; a stream's carry the events up to their boundary.
 	events uint64
+	// deadline is the context a bounded Replay runs under, nil without a
+	// timeout: no checkpoint is offered once it is done.
+	deadline context.Context
 }
 
 // NewRun builds the named tool, restores opts.From into it (Resume) and
@@ -84,7 +87,7 @@ func NewRun(name string, opts RunOptions) (r *Run, err error) {
 	if r.Analyzer, r.Start, r.RestoreErr, err = Resume(name, opts.Options, opts.From); err != nil {
 		return nil, err
 	}
-	dopts := trace.DurableOptions{StartEvent: r.Start, Progress: opts.Progress}
+	dopts := trace.DurableOptions{StartEvent: r.Start}
 	if _, ok := r.Analyzer.(Checkpointer); ok && opts.Checkpoint != nil {
 		dopts.CheckpointEvery, dopts.Checkpoint = opts.CheckpointEvery, r.checkpoint
 	}
@@ -93,8 +96,12 @@ func NewRun(name string, opts RunOptions) (r *Run, err error) {
 }
 
 // checkpoint is the driver's callback: it offers RunOptions.Checkpoint the
-// record of the analyzer's state at boundary next, built when taken.
+// record of the analyzer's state at boundary next, built when taken, unless
+// the run's deadline has passed.
 func (r *Run) checkpoint(next uint64) error {
+	if r.deadline != nil && r.deadline.Err() != nil {
+		return r.deadline.Err()
+	}
 	return r.opts.Checkpoint(func() (*trace.Checkpoint, error) {
 		state, err := r.Analyzer.(Checkpointer).CheckpointState()
 		if err != nil {
@@ -107,19 +114,46 @@ func (r *Run) checkpoint(next uint64) error {
 	})
 }
 
-// Replay replays tr whole within the run's timeout, after the worker.replay
-// fault point. An analyzer panic comes back as an error (ErrPanicked).
-func (r *Run) Replay(ctx context.Context, tr *trace.Trace) (st trace.ReplayStats, err error) {
+// Replay replays tr whole, after the worker.replay fault point. A positive
+// RunOptions.Timeout bounds both: the replay then runs on a goroutine of its
+// own, and at the deadline Replay returns an error wrapping
+// context.DeadlineExceeded without waiting for it. A replay left running
+// past its deadline stops at its next cancellation check and offers no more
+// checkpoints. Without a timeout the replay runs on the caller's goroutine.
+// An analyzer panic comes back as an error (ErrPanicked).
+func (r *Run) Replay(ctx context.Context, tr *trace.Trace) (trace.ReplayStats, error) {
+	r.events = uint64(tr.Len())
+	if r.opts.Timeout <= 0 {
+		return r.replay(ctx, tr)
+	}
+	ctx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
+	defer cancel()
+	r.deadline = ctx
+	type result struct {
+		st  trace.ReplayStats
+		err error
+	}
+	// Buffered, so an abandoned replay exits whenever it returns; nothing
+	// waits for it.
+	done := make(chan result, 1)
+	go func() {
+		st, err := r.replay(ctx, tr)
+		done <- result{st, err}
+	}()
+	select {
+	case res := <-done:
+		return res.st, res.err
+	case <-ctx.Done():
+		return trace.ReplayStats{}, fmt.Errorf("tools: replay abandoned (timeout %v): %w", r.opts.Timeout, ctx.Err())
+	}
+}
+
+// replay is Replay's body, on whichever goroutine replays.
+func (r *Run) replay(ctx context.Context, tr *trace.Trace) (st trace.ReplayStats, err error) {
 	defer confine(&err)
 	if err := faultinject.Fire("worker.replay"); err != nil {
 		return st, err
 	}
-	if r.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
-		defer cancel()
-	}
-	r.events = uint64(tr.Len())
 	return r.Driver.Replay(ctx, tr)
 }
 

@@ -10,10 +10,6 @@
 // analyzer state it serializes is exactly the state after that prefix.
 // Boundaries follow checkpointDue, a rule over event indices only. Second,
 // resume: StartEvent skips the already-analyzed prefix.
-//
-// Progress heartbeats (ReplayProgress) let a watchdog distinguish a slow
-// replay from a wedged one: a monotone Sum() that stops advancing means no
-// event has been dispatched.
 package trace
 
 import (
@@ -21,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/ompt"
 )
@@ -39,33 +34,6 @@ type ReplayStats struct {
 	MaxEpochAccesses uint64
 }
 
-// ReplayProgress is a monotone heartbeat counter shared between a replay
-// and a watchdog. Its methods are safe for concurrent use and nil-safe (a
-// nil progress records nothing).
-type ReplayProgress struct {
-	events atomic.Uint64
-}
-
-// NewReplayProgress returns a zeroed progress tracker.
-func NewReplayProgress() *ReplayProgress { return &ReplayProgress{} }
-
-// Add records n dispatched events.
-func (p *ReplayProgress) Add(n uint64) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.events.Add(n)
-}
-
-// Sum returns the heartbeat count. A watchdog samples it; two equal samples
-// an interval apart mean no event was dispatched in between.
-func (p *ReplayProgress) Sum() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.events.Load()
-}
-
 // DurableOptions configures a Replayer and ReplayDurable. The zero value is
 // a plain replay.
 type DurableOptions struct {
@@ -80,8 +48,6 @@ type DurableOptions struct {
 	// Checkpoint is called at each checkpoint boundary with the index of the
 	// first event NOT yet dispatched. A non-nil error aborts the replay.
 	Checkpoint func(nextEvent uint64) error
-	// Progress, when non-nil, receives heartbeats as events are dispatched.
-	Progress *ReplayProgress
 }
 
 // checkpointDue is the index-only checkpoint rule: boundary is the index
@@ -128,11 +94,10 @@ func NewReplayer(opts DurableOptions, toolList ...ompt.Tool) *Replayer {
 }
 
 // ReplayDurable drives the trace through the given tools, in recorded
-// order, on the calling goroutine, with optional checkpointing, resume, and
-// progress heartbeats. It stops early when ctx is canceled or its deadline
-// passes; the returned error then wraps ctx.Err(). Stats cover only the
-// events dispatched by this call: a resumed replay reports the suffix it
-// replayed.
+// order, on the calling goroutine, with optional checkpointing and resume.
+// It stops early when ctx is canceled or its deadline passes; the returned
+// error then wraps ctx.Err(). Stats cover only the events dispatched by
+// this call: a resumed replay reports the suffix it replayed.
 //
 // Events are validated when a trace is loaded (LoadLimited) or decoded
 // (PushDecoder); the hot loop here only rejects a barrier that carries no
@@ -210,7 +175,6 @@ func (r *Replayer) replay(ctx context.Context, c *accessCols, from int, base uin
 				chunk := min(run-off, accessBatchCap)
 				b := c.view(lo+off, lo+off+chunk)
 				d.AccessBatch(&b)
-				opts.Progress.Add(uint64(chunk))
 				off += chunk
 				sinceCheck += chunk
 				if sinceCheck >= replayCheckInterval && off < run {
@@ -235,7 +199,6 @@ func (r *Replayer) replay(ctx context.Context, c *accessCols, from int, base uin
 			return st, i, err
 		}
 		st.Events++
-		opts.Progress.Add(1)
 		sinceCheck++
 		i++
 		k++

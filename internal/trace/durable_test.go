@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dracc"
 	"repro/internal/mem"
@@ -185,28 +185,6 @@ func TestCheckpointWithThreadClocksRestores(t *testing.T) {
 	assertSameReports(t, fmt.Sprintf("resume@%d with thread clocks", ck.next), resumeFrom(t, tr, ck), want)
 }
 
-// TestReplayProgressCountsEveryEvent: after a completed replay the heartbeat
-// total equals the event count, so a watchdog can use Sum() as a dispatch
-// odometer.
-func TestReplayProgressCountsEveryEvent(t *testing.T) {
-	b := dracc.ByID(22)
-	if b == nil {
-		t.Fatal("DRACC_OMP_022 missing")
-	}
-	tr := recordDRACC(t, b)
-	a, err := tools.New("arbalest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := trace.NewReplayProgress()
-	if _, err := tr.ReplayDurable(context.Background(), trace.DurableOptions{Progress: prog}, a); err != nil {
-		t.Fatal(err)
-	}
-	if got := prog.Sum(); got != uint64(len(tr.Events)) {
-		t.Errorf("progress sum %d, want %d", got, len(tr.Events))
-	}
-}
-
 // TestResumeBeyondEndRejected: a checkpoint from a longer trace must not
 // silently "resume" past the end of a shorter one.
 func TestResumeBeyondEndRejected(t *testing.T) {
@@ -240,9 +218,19 @@ func syntheticAccessTrace(n int) *trace.Trace {
 	return rec.Trace()
 }
 
+// inFlight is a tool that closes started at the first access it is
+// dispatched: the replay is then in flight.
+type inFlight struct {
+	ompt.NopTool
+	once    sync.Once
+	started chan struct{}
+}
+
+func (f *inFlight) OnAccess(ompt.AccessEvent) { f.once.Do(func() { close(f.started) }) }
+
 // TestDurableReplayCancellation covers both cancellation shapes the service
 // relies on: a context canceled before the replay starts, and one canceled
-// while the replay is mid-flight (the watchdog's stall path).
+// while the replay is mid-flight (a run's timeout).
 func TestDurableReplayCancellation(t *testing.T) {
 	tr := syntheticAccessTrace(200_000)
 
@@ -265,15 +253,13 @@ func TestDurableReplayCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := trace.NewReplayProgress()
+		f := &inFlight{started: make(chan struct{})}
 		done := make(chan error, 1)
 		go func() {
-			_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{Progress: prog}, a)
+			_, rerr := tr.ReplayDurable(ctx, trace.DurableOptions{}, a, f)
 			done <- rerr
 		}()
-		for prog.Sum() == 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
+		<-f.started
 		cancel()
 		if rerr := <-done; rerr != nil && !strings.Contains(rerr.Error(), "canceled") {
 			t.Fatalf("err %v, want cancellation or clean finish", rerr)
