@@ -187,11 +187,13 @@ func BenchmarkGranularityAblation(b *testing.B) {
 	b.Run("region", func(b *testing.B) { run(b, core.GranularityRegion) })
 }
 
-// BenchmarkArbalestPerAccess isolates the detector's per-access cost
-// (shadow lookup + VSM transition + CAS) on a tight host loop. The
-// stats-off and stats-on variants bound the telemetry overhead: with
-// collection disabled the instrumented paths are nil-checked no-ops, so
-// the two stats-off cells must match within noise.
+// BenchmarkArbalestPerAccess isolates the detector's per-access cost on a
+// tight host loop: the runtime's append of the access to its pending run,
+// plus the access's share of the batch kernel's pass over that run (region
+// memo, shadow tag transition, metadata store). The stats-off and stats-on
+// variants bound the telemetry overhead: with collection disabled the
+// instrumented paths are nil-checked no-ops, so the two stats-off cells
+// must match within noise.
 func BenchmarkArbalestPerAccess(b *testing.B) {
 	run := func(b *testing.B, enableStats bool) {
 		a := core.New(core.Options{})

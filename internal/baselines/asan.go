@@ -64,10 +64,25 @@ func (a *ASan) OnDataOp(e ompt.DataOpEvent) {
 
 // OnAccess implements ompt.Tool: the redzone check.
 func (a *ASan) OnAccess(e ompt.AccessEvent) {
-	b := a.blocks.find(e.Addr)
-	if b != nil && b.contains(e.Addr, e.Size) {
-		return
+	if b := a.blocks.find(e.Addr); b == nil || !b.contains(e.Addr, e.Size) {
+		a.report(e, b)
 	}
+}
+
+// OnAccessBatch implements ompt.BatchTool: the redzone check row by row,
+// rebuilding an event only to report it.
+func (a *ASan) OnAccessBatch(r *ompt.AccessBatch) {
+	sizes := r.Sizes[:r.Len()]
+	for i, addr := range r.Addrs {
+		if b := a.blocks.find(addr); b == nil || !b.contains(addr, sizes[i]) {
+			a.report(r.At(i), b)
+		}
+	}
+}
+
+// report records an access outside every live block; b is the block
+// containing its first byte, if any.
+func (a *ASan) report(e ompt.AccessEvent, b *block) {
 	detail := "Access is outside every live allocation (redzone hit)."
 	if b != nil {
 		detail = fmt.Sprintf("Access straddles the end of the %d-byte block %q.", b.bytes, b.tag)

@@ -107,8 +107,43 @@ func (v *Memcheck) OnDataOp(e ompt.DataOpEvent) {
 // OnAccess implements ompt.Tool: A-bit (addressability) check on every
 // access, V-bit (validity) check on host loads.
 func (v *Memcheck) OnAccess(e ompt.AccessEvent) {
+	if b, bad := v.check(e.Addr, e.Size, e.Write); bad {
+		v.report(e, b)
+	}
+}
+
+// OnAccessBatch implements ompt.BatchTool: the checks row by row,
+// rebuilding an event only to report it.
+func (v *Memcheck) OnAccessBatch(r *ompt.AccessBatch) {
+	n := r.Len()
+	sizes, writes := r.Sizes[:n], r.Writes[:n]
+	for i, addr := range r.Addrs {
+		if b, bad := v.check(addr, sizes[i], writes[i]); bad {
+			v.report(r.At(i), b)
+		}
+	}
+}
+
+// check charges one access's translation work and applies it: a store
+// defines its bytes. It reports whether the access is invalid or a use of
+// uninitialised host memory, with the block containing addr, if any.
+func (v *Memcheck) check(addr mem.Addr, size uint64, write bool) (*block, bool) {
 	v.dbiWork()
-	b := v.blocks.find(e.Addr)
+	b := v.blocks.find(addr)
+	if b == nil || !b.contains(addr, size) {
+		return b, true
+	}
+	if write {
+		b.markDefined(addr, size, true)
+		return b, false
+	}
+	// V-bit check: only host memory has meaningful V bits here, and — as in
+	// real memcheck — a use of uninitialized data is reported at the load.
+	return b, mem.SpaceIndexOf(addr) == -1 && !b.allDefined(addr, size)
+}
+
+// report records the invalid access or uninitialised load check found.
+func (v *Memcheck) report(e ompt.AccessEvent, b *block) {
 	if b == nil || !b.contains(e.Addr, e.Size) {
 		detail := "Invalid access: address is not within any live heap block."
 		if b != nil {
@@ -128,28 +163,20 @@ func (v *Memcheck) OnAccess(e ompt.AccessEvent) {
 		})
 		return
 	}
-	if e.Write {
-		b.markDefined(e.Addr, e.Size, true)
-		return
-	}
-	// V-bit check: only host memory has meaningful V bits here, and — as in
-	// real memcheck — a use of uninitialized data is reported at the load.
-	if mem.SpaceIndexOf(e.Addr) == -1 && !b.allDefined(e.Addr, e.Size) {
-		v.sink.AddAt(e.Clock, &report.Report{
-			Tool:       v.Name(),
-			Kind:       report.UUM,
-			Var:        e.Tag,
-			Addr:       e.Addr,
-			Size:       e.Size,
-			Write:      false,
-			Device:     e.Device,
-			Thread:     e.Thread,
-			Loc:        e.Loc,
-			Detail:     "Use of uninitialised value.",
-			AllocLoc:   b.loc,
-			AllocBytes: b.bytes,
-		})
-	}
+	v.sink.AddAt(e.Clock, &report.Report{
+		Tool:       v.Name(),
+		Kind:       report.UUM,
+		Var:        e.Tag,
+		Addr:       e.Addr,
+		Size:       e.Size,
+		Write:      false,
+		Device:     e.Device,
+		Thread:     e.Thread,
+		Loc:        e.Loc,
+		Detail:     "Use of uninitialised value.",
+		AllocLoc:   b.loc,
+		AllocBytes: b.bytes,
+	})
 }
 
 var _ ompt.Tool = (*Memcheck)(nil)

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/ompt"
 	"repro/internal/report"
 )
@@ -76,19 +77,44 @@ func (m *MSan) OnDataOp(e ompt.DataOpEvent) {
 
 // OnAccess implements ompt.Tool: the poison check.
 func (m *MSan) OnAccess(e ompt.AccessEvent) {
-	b := m.blocks.find(e.Addr)
-	if b == nil || !b.contains(e.Addr, e.Size) {
+	if b := m.check(e.Addr, e.Size, e.Write); b != nil {
+		m.report(e, b)
+	}
+}
+
+// OnAccessBatch implements ompt.BatchTool: the poison check row by row,
+// rebuilding an event only to report it.
+func (m *MSan) OnAccessBatch(r *ompt.AccessBatch) {
+	n := r.Len()
+	sizes, writes := r.Sizes[:n], r.Writes[:n]
+	for i, addr := range r.Addrs {
+		if b := m.check(addr, sizes[i], writes[i]); b != nil {
+			m.report(r.At(i), b)
+		}
+	}
+}
+
+// check applies one access: a store unpoisons its bytes. It returns the
+// block of a load that touches poisoned bytes, nil otherwise.
+func (m *MSan) check(addr mem.Addr, size uint64, write bool) *block {
+	b := m.blocks.find(addr)
+	if b == nil || !b.contains(addr, size) {
 		// Out of bounds: MSan has no redzone concept and its shadow for
 		// unrelated memory reads as defined — silently ignored.
-		return
+		return nil
 	}
-	if e.Write {
-		b.markDefined(e.Addr, e.Size, true)
-		return
+	if write {
+		b.markDefined(addr, size, true)
+		return nil
 	}
-	if b.allDefined(e.Addr, e.Size) {
-		return
+	if b.allDefined(addr, size) {
+		return nil
 	}
+	return b
+}
+
+// report records a load of poisoned bytes of block b.
+func (m *MSan) report(e ompt.AccessEvent, b *block) {
 	m.sink.AddAt(e.Clock, &report.Report{
 		Tool:       m.Name(),
 		Kind:       report.UUM,

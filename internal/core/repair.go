@@ -13,9 +13,11 @@ import (
 // *omp.Runtime implements it.
 //
 // The detector calls RepairTransfer only from inside its access callback.
-// The runtime then delivers the repair's data-op in line, on the goroutine
-// that already holds its tool lock, so the detector sees that event
-// re-enter OnDataOp before the access callback returns.
+// With a repairer attached it reports InlineAccess, so the live runtime
+// delivers each access alone, before its load executes, rather than in
+// runs. The runtime then delivers the repair's data-op in line, on the
+// goroutine that already holds its tool lock, so the detector sees that
+// event re-enter OnDataOp before the access callback returns.
 type Repairer interface {
 	RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID) bool
 }
@@ -27,7 +29,7 @@ type Repairer interface {
 // implementation. Uses of uninitialized memory cannot be repaired and are
 // reported as usual.
 //
-// Attach the repairer after constructing the runtime:
+// Attach the repairer after constructing the runtime and before Run:
 //
 //	a := core.New(core.Options{})
 //	rt := omp.NewRuntime(cfg, a)
@@ -35,6 +37,11 @@ type Repairer interface {
 func (a *Arbalest) AttachRepairer(r Repairer) {
 	a.repairer = r
 }
+
+// InlineAccess tells the live runtime whether the detector needs each
+// access as it happens: a repair must run before the stale read's load
+// executes, so it does once a repairer is attached.
+func (a *Arbalest) InlineAccess() bool { return a.repairer != nil }
 
 // repairStale issues the missing transfer for the aligned word the stale
 // read touches. It reports whether the repair happened. The instrumentation

@@ -93,7 +93,7 @@ func (c *Context) access(b *Buffer, i int, size uint64, write bool, val uint64) 
 		c.rt.unifiedPages.touch(addr, c.device)
 	}
 	if !c.rt.tools.Empty() {
-		c.rt.tools.Access(ompt.AccessEvent{
+		c.rt.tools.Access(&ompt.AccessEvent{
 			Addr:   addr,
 			Size:   size,
 			Write:  write,

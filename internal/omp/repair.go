@@ -19,9 +19,12 @@ import (
 // returns false when no mapping covers the span (nothing to repair — e.g. a
 // use of uninitialized memory, which no transfer can fix).
 //
-// Call it only from inside an access callback: the calling goroutine then
-// holds the runtime's tool lock, and the repair's data-op is delivered in
-// line on that goroutine, with the next position in the event order.
+// Call it only from inside an access callback of a tool whose InlineAccess
+// method reports true when Run starts (core.Arbalest's does once a
+// repairer is attached). The runtime then delivers each access alone, as
+// it happens and before its load executes, and the calling goroutine holds
+// the runtime's tool lock: the repair's data-op is delivered in line on
+// that goroutine, with the position after the access in the event order.
 func (rt *Runtime) RepairTransfer(dev ompt.DeviceID, hostAddr mem.Addr, bytes uint64, toDevice bool, task ompt.TaskID) bool {
 	if int(dev) < 0 || int(dev) >= len(rt.devices) {
 		return false

@@ -18,7 +18,8 @@
 // are written against Context accessors (LoadF64, StoreI64, ...) which stand
 // in for compiler-instrumented loads and stores. The runtime is the only
 // owner of concurrency: however many threads the program runs, it
-// delivers the callbacks one at a time, in one global order (see toolBus).
+// delivers the callbacks one at a time, in one global order, accesses in
+// runs (see toolBus).
 package omp
 
 import (
@@ -192,9 +193,11 @@ func (rt *Runtime) Run(body func(c *Context) error) error {
 		thread: rt.newThreadID(),
 	}
 	c := &Context{rt: rt, task: t, device: ompt.HostDevice, space: rt.host}
+	rt.tools.begin()
 	rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskBegin, Task: t.id, Thread: t.thread})
 	err := body(c)
-	// Implicit barrier at program end: join outstanding children.
+	// Implicit barrier at program end: join outstanding children. The
+	// task end then delivers the last pending run of accesses.
 	c.TaskWait()
 	rt.tools.Sync(ompt.SyncEvent{Kind: ompt.SyncTaskEnd, Task: t.id, Thread: t.thread})
 	if err != nil {
@@ -208,27 +211,76 @@ func (rt *Runtime) Run(body func(c *Context) error) error {
 
 // toolBus delivers the runtime's tool callbacks. The program's threads are
 // goroutines that emit events concurrently; the bus takes one lock per
-// callback, so every tool sees every event one at a time, in one global
+// event, so every tool sees every event one at a time, in one global
 // order, and tools keep no locks of their own. It stamps each access and
 // data operation with Clock = its position in that order plus one, the
 // clock replay derives from a recording's sequence numbers, so a live run
 // and the replay of its recording analyze identical streams.
+//
+// An access gets its clock as it happens but is not delivered then: the
+// bus appends it to a pending run, and delivers the run through
+// Dispatcher.AccessBatch before the next non-access callback, once it
+// holds runCap accesses, and so before Run returns, whose last callback is
+// a task end. Tools therefore see the same events with the same clocks in
+// the same order, only grouped, and analyze them with the batch kernels
+// replay uses. The one exception is a registered inlineTool that asks for
+// each access before its load executes (§III-C repair): every run is then
+// one access long and delivered at once.
 type toolBus struct {
-	mu  sync.Mutex
-	pos uint64 // callbacks delivered so far
-	d   ompt.Dispatcher
+	mu     sync.Mutex
+	pos    uint64 // events so far
+	d      ompt.Dispatcher
+	run    ompt.AccessBatch // accesses not yet delivered
+	inline bool             // deliver each access alone (see begin)
 }
+
+// inlineTool is implemented by tools that may act on the program from an
+// access callback, before the access's load executes: core.Arbalest with
+// a repairer attached issues the missing transfer there (paper §III-C).
+// While a registered tool's InlineAccess reports true, the bus delivers
+// every access alone, at the moment it happens.
+type inlineTool interface {
+	InlineAccess() bool
+}
+
+// runCap bounds a pending run, as it bounds a stream session's batch: long
+// enough to amortize a dispatch, short enough that the run's columns stay
+// in cache while the tools stream through them.
+const runCap = 256
 
 // Empty reports whether no tool is registered (native runs skip
 // instrumentation entirely). Tools are registered at construction only.
 func (b *toolBus) Empty() bool { return b.d.Empty() }
 
-// enter takes the bus lock for one callback and returns the callback's
-// clock: its position in the global order plus one.
+// begin derives, at the start of Run, whether accesses go out one at a
+// time: a repairer is attached to its tool after the runtime is built.
+func (b *toolBus) begin() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.inline = false
+	for _, t := range b.d.Tools() {
+		if it, ok := t.(inlineTool); ok && it.InlineAccess() {
+			b.inline = true
+		}
+	}
+}
+
+// enter takes the bus lock for one non-access callback, delivers the
+// pending run, and returns the callback's clock: its position in the
+// global order plus one.
 func (b *toolBus) enter() uint64 {
 	b.mu.Lock()
+	b.flush()
 	b.pos++
 	return b.pos
+}
+
+// flush delivers the pending run. The caller holds b.mu.
+func (b *toolBus) flush() {
+	if b.run.Len() > 0 {
+		b.d.AccessBatch(&b.run)
+		b.run.Reset()
+	}
 }
 
 // DeviceInit delivers a DeviceInitEvent.
@@ -260,19 +312,26 @@ func (b *toolBus) DataOp(e ompt.DataOpEvent) {
 }
 
 // dataOpHeld delivers a data-mapping operation on the goroutine that
-// already holds b.mu: a repair transfer, issued from inside the access
-// callback that detected the stale read.
+// already holds b.mu: a repair transfer, issued from inside the delivery
+// of the one-access run that detected the stale read.
 func (b *toolBus) dataOpHeld(e ompt.DataOpEvent) {
 	b.pos++
 	e.Clock = b.pos
 	b.d.DataOp(e)
 }
 
-// Access delivers an application memory access.
-func (b *toolBus) Access(e ompt.AccessEvent) {
-	e.Clock = b.enter()
+// Access stamps an application memory access with its clock and appends
+// it to the pending run, delivering the run when it is full or when
+// accesses go out one at a time.
+func (b *toolBus) Access(e *ompt.AccessEvent) {
+	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.d.Access(e)
+	b.pos++
+	e.Clock = b.pos
+	b.run.Append(e)
+	if b.inline || b.run.Len() == runCap {
+		b.flush()
+	}
 }
 
 // Sync delivers a synchronization event.

@@ -10,11 +10,12 @@
 // implicit global-variable mappings and the synchronous/asynchronous flavour
 // of each target region.
 //
-// Replay delivers accesses in runs between barrier events, as AccessBatch
-// views of a trace's pointer-free access columns plus its site table of
-// distinct (Tag, Loc) pairs. Tools implementing BatchTool consume a run
-// whole; AccessBatch.At rebuilds one event from the columns for the others
-// and for slow paths such as reports.
+// Every event source delivers accesses in runs, as AccessBatch columns
+// plus a site table of distinct (Tag, Loc) pairs: replay as views of a
+// trace's access columns between barrier events, the live runtime as runs
+// it builds while the program executes (see Tool). Tools implementing
+// BatchTool consume a run whole; AccessBatch.At rebuilds one event from
+// the columns for the others and for slow paths such as reports.
 package ompt
 
 import (
@@ -269,10 +270,19 @@ func itoa(n int) string {
 // Every event source delivers callbacks one at a time, in one global
 // order: the live runtime under its tool lock, the replay driver on one
 // goroutine. Tools therefore keep their state with plain loads and stores
-// and need no synchronization of their own. Because the live runtime holds
-// its lock for the length of a callback, a callback must not block on the
-// program's threads or call back into the runtime; the one exception is
-// the repair transfer (core.Repairer), which the runtime delivers in line.
+// and need no synchronization of their own. Accesses arrive in runs
+// through Dispatcher.AccessBatch, each access stamped with its clock (its
+// position in the order plus one), and a run is delivered before any later
+// non-access callback, so a tool sees the same events with the same clocks
+// in the same order as if each came alone. The live runtime delivers a run
+// when the next non-access event happens, when the run is full, and before
+// the program ends; so an access's analysis may follow its load, unless a
+// registered tool asks for each access alone through an InlineAccess
+// method, as core.Arbalest does with a repairer attached. Because the live
+// runtime holds its lock for the length of a callback, a callback must not
+// block on the program's threads or call back into the runtime; the one
+// exception is the repair transfer (core.Repairer), which the runtime
+// delivers in line.
 type Tool interface {
 	// Name returns the tool's short name for reports and tables.
 	Name() string
@@ -283,7 +293,8 @@ type Tool interface {
 	OnTargetEnd(TargetEvent)
 	// OnDataOp fires for every mapping operation.
 	OnDataOp(DataOpEvent)
-	// OnAccess fires for every instrumented application access.
+	// OnAccess fires for every instrumented application access, row by
+	// row of each run for a tool that does not implement BatchTool.
 	OnAccess(AccessEvent)
 	// OnSync fires at task synchronization points.
 	OnSync(SyncEvent)
@@ -362,13 +373,6 @@ func (d *Dispatcher) TargetEnd(e TargetEvent) {
 func (d *Dispatcher) DataOp(e DataOpEvent) {
 	for _, t := range d.tools {
 		t.OnDataOp(e)
-	}
-}
-
-// Access dispatches an application memory access.
-func (d *Dispatcher) Access(e AccessEvent) {
-	for _, t := range d.tools {
-		t.OnAccess(e)
 	}
 }
 

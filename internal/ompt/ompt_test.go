@@ -36,8 +36,10 @@ func TestDispatcherFansOut(t *testing.T) {
 	d.TargetBegin(TargetEvent{})
 	d.TargetEnd(TargetEvent{})
 	d.DataOp(DataOpEvent{})
-	d.Access(AccessEvent{})
-	d.Access(AccessEvent{})
+	var run AccessBatch
+	run.Append(&AccessEvent{})
+	run.Append(&AccessEvent{})
+	d.AccessBatch(&run)
 	d.Sync(SyncEvent{})
 	d.Alloc(AllocEvent{})
 	for _, c := range []*capture{a, b} {
@@ -125,5 +127,37 @@ func TestAccessEventFields(t *testing.T) {
 	e := AccessEvent{Addr: mem.Addr(0x1000), Size: 8, Write: true, Device: HostDevice, Base: mem.Addr(0x1000), Tag: "x"}
 	if e.Device != HostDevice || !e.Write || e.Tag != "x" {
 		t.Errorf("AccessEvent literal mangled: %+v", e)
+	}
+}
+
+// TestAppendBuildsRun: a run built with Append rebuilds every event with
+// At, interns each distinct site once, and keeps its site table, and so
+// every ordinal a consumer cached, across Reset.
+func TestAppendBuildsRun(t *testing.T) {
+	loc := SourceLoc{File: "k.c", Line: 3, Func: "kernel"}
+	evs := []AccessEvent{
+		{Addr: 0x10, Size: 8, Write: true, Device: 0, Task: 2, Thread: 3, Base: 0x10, Tag: "a", Loc: loc, Clock: 5},
+		{Addr: 0x18, Size: 4, Device: HostDevice, Task: 1, Thread: 1, Base: 0x10, Tag: "b", Loc: loc, Clock: 6},
+		{Addr: 0x20, Size: 8, Device: 0, Task: 2, Thread: 3, Base: 0x10, Tag: "a", Loc: loc, Clock: 7},
+	}
+	var b AccessBatch
+	for i := range evs {
+		b.Append(&evs[i])
+	}
+	if b.Len() != len(evs) || len(b.SiteTags) != 2 || len(b.SiteLocs) != 2 {
+		t.Fatalf("len %d with %d sites, want 3 with 2", b.Len(), len(b.SiteTags))
+	}
+	for i, want := range evs {
+		if got := b.At(i); got != want {
+			t.Errorf("At(%d) = %+v, want %+v", i, got, want)
+		}
+	}
+	b.Reset()
+	if b.Len() != 0 || len(b.SiteTags) != 2 {
+		t.Fatalf("after Reset: len %d with %d sites, want 0 with 2", b.Len(), len(b.SiteTags))
+	}
+	b.Append(&evs[1])
+	if b.Sites[0] != 1 || b.At(0) != evs[1] {
+		t.Errorf("site %d after Reset, want the ordinal it had before (1)", b.Sites[0])
 	}
 }

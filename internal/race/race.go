@@ -294,19 +294,19 @@ type Detector struct {
 	sites   []siteKey
 	siteIDs map[siteKey]uint32
 
-	// One-entry memos in front of the task-clock lookup (invalidated on
+	// One-entry memo in front of the task-clock lookup (invalidated on
 	// every OnSync, because SyncTaskCreate installs a fresh clock and bumps
-	// the parent's) and the site interner.
+	// the parent's).
 	memoTask  ompt.TaskID
 	memoTC    *vclock
 	memoClock uint64
-	sitesMemo siteMemo
 
 	// Interned-ID translation of the last batch site table. Views of one
 	// trace share a single table, so interning it once covers every batch
-	// of a replay; the cache is keyed on the table's identity, which is
-	// sound because holding siteTabTags pins the backing array against
-	// reuse.
+	// of a replay (a live runtime's runs share one table too, interned
+	// again whenever it has grown); the cache is keyed on the table's
+	// identity, which is sound because holding siteTabTags pins the
+	// backing array against reuse and no table entry ever changes.
 	siteTabTags []string
 	siteTabIDs  []uint32
 
@@ -350,44 +350,6 @@ func (d *Detector) ShadowBytes() uint64 {
 		n += uint64(pg.used) * 96
 	}
 	return n + uint64(len(d.live)+len(d.ended))*48
-}
-
-// siteMemoN is the slot count of the direct-mapped site memo: larger than
-// the number of distinct access sites in a typical innermost loop body so
-// line numbers rarely collide.
-const siteMemoN = 32
-
-// siteMemo is a small direct-mapped cache in front of the interner, so a
-// loop cycling through a few sites resolves each with one indexed compare
-// instead of touching the map or its lock. Slots are keyed by line number
-// and the tag's first and last bytes — a kernel body's accesses share one
-// line but touch differently-named buffers, often sharing a prefix (a
-// coordinate triple kx/ky/kz), so the tag bytes are what separate them —
-// and the string equality check short-circuits on pointer-equal headers
-// (recorded traces reuse one string per site).
-type siteMemo struct {
-	entries [siteMemoN]struct {
-		tag string
-		loc ompt.SourceLoc
-		id  uint32
-		ok  bool
-	}
-}
-
-// lookup resolves (tag, loc) through the memo, falling back to d's
-// interner. A collision simply replaces the slot.
-func (m *siteMemo) lookup(d *Detector, tag string, loc ompt.SourceLoc) uint32 {
-	h := loc.Line * 7
-	if n := len(tag); n > 0 {
-		h += int(tag[0])*131 + int(tag[n-1])*31 + n
-	}
-	e := &m.entries[h&(siteMemoN-1)]
-	if e.ok && e.loc.Line == loc.Line && e.tag == tag && e.loc == loc {
-		return e.id
-	}
-	id := d.siteID(tag, loc)
-	e.tag, e.loc, e.id, e.ok = tag, loc, id, true
-	return id
 }
 
 // siteTableIDs interns a batch site table, returning interned IDs indexed
@@ -521,7 +483,7 @@ func (d *Detector) OnSync(e ompt.SyncEvent) {
 // OnAccess implements ompt.Tool.
 func (d *Detector) OnAccess(e ompt.AccessEvent) {
 	d.check(e.Addr.Align(), accessRecord{
-		task: e.Task, write: e.Write, site: d.sitesMemo.lookup(d, e.Tag, e.Loc),
+		task: e.Task, write: e.Write, site: d.siteID(e.Tag, e.Loc),
 		device: e.Device, thread: e.Thread, seq: e.Clock,
 	})
 }

@@ -174,6 +174,10 @@ func (a *ArbalestFull) OnAccessBatch(b *ompt.AccessBatch) {
 	a.race.OnAccessBatch(b)
 }
 
+// InlineAccess tells the live runtime whether the VSM component needs each
+// access as it happens, as it does when a repairer is attached to it.
+func (a *ArbalestFull) InlineAccess() bool { return a.vsm.InlineAccess() }
+
 // Release implements Releaser: the VSM component's shadow slabs go back
 // to the arena and the race detector's cell pages to their pool, ready
 // for the next job.

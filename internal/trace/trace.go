@@ -123,6 +123,20 @@ func (r *Recorder) OnAccess(e ompt.AccessEvent) {
 	r.add(Event{Kind: KindAccess, Access: &e})
 }
 
+// OnAccessBatch implements ompt.BatchTool: one event per row, as OnAccess
+// stores it, under one lock for the run.
+func (r *Recorder) OnAccessBatch(b *ompt.AccessBatch) {
+	acc := make([]ompt.AccessEvent, b.Len())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range acc {
+		acc[i] = b.At(i)
+		acc[i].Clock = 0
+		r.events = append(r.events, Event{Kind: KindAccess, Seq: r.seq, Access: &acc[i]})
+		r.seq++
+	}
+}
+
 // OnSync implements ompt.Tool.
 func (r *Recorder) OnSync(e ompt.SyncEvent) {
 	r.add(Event{Kind: KindSync, Sync: &e})
@@ -149,7 +163,10 @@ func (r *Recorder) Trace() *Trace {
 	return &Trace{Events: out}
 }
 
-var _ ompt.Tool = (*Recorder)(nil)
+var (
+	_ ompt.Tool      = (*Recorder)(nil)
+	_ ompt.BatchTool = (*Recorder)(nil)
+)
 
 // Trace is a recorded event stream.
 type Trace struct {

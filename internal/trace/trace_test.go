@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dracc"
 	"repro/internal/omp"
+	"repro/internal/ompt"
 	"repro/internal/specaccel"
 	"repro/internal/tools"
 	"repro/internal/trace"
@@ -36,9 +37,9 @@ func record(t *testing.T, id int, online tools.Analyzer) *trace.Trace {
 
 // assertReplayMatchesOnline replays tr into offline and requires the same
 // report kinds and count as online, which analyzed the recorded execution
-// live. The live runtime is an independent path: it dispatches callbacks one
-// at a time with live clocks, where replay dispatches column batches with
-// replay clocks.
+// live. The live runtime is an independent path: it stamps clocks as the
+// program runs and builds its own runs of accesses, where replay
+// dispatches views of the trace's columns with replay clocks.
 func assertReplayMatchesOnline(t *testing.T, tr *trace.Trace, online, offline tools.Analyzer) {
 	t.Helper()
 	if err := tr.Replay(offline); err != nil {
@@ -190,6 +191,38 @@ func TestReplayIntoMultipleTools(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := trace.Load(bytes.NewBufferString("not json\n")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestRecorderTakesRuns: a recorder fed a run records what one fed the
+// same rows through OnAccess records: one event per row, in order, with
+// Clock zero, numbered on from the events before it.
+func TestRecorderTakesRuns(t *testing.T) {
+	loc := ompt.SourceLoc{File: "k.c", Line: 9, Func: "kernel"}
+	rows := []ompt.AccessEvent{
+		{Addr: 0x1000, Size: 8, Write: true, Device: 0, Task: 2, Thread: 3, Base: 0x1000, Tag: "a", Loc: loc},
+		{Addr: 0x2008, Size: 4, Device: ompt.HostDevice, Task: 1, Thread: 1, Base: 0x2000, Tag: "b", Loc: loc},
+		{Addr: 0x1008, Size: 8, Device: 0, Task: 2, Thread: 4, Base: 0x1000, Tag: "a", Loc: loc},
+	}
+	sync := ompt.SyncEvent{Kind: ompt.SyncTaskBegin, Task: 1, Thread: 1}
+	perRow, perRun := trace.NewRecorder(), trace.NewRecorder()
+	var run ompt.AccessBatch
+	perRow.OnSync(sync)
+	perRun.OnSync(sync)
+	for i, e := range rows {
+		e.Clock = uint64(i + 2)
+		perRow.OnAccess(e)
+		run.Append(&e)
+	}
+	perRun.OnAccessBatch(&run)
+	perRow.OnSync(sync)
+	perRun.OnSync(sync)
+	got, want := perRun.Trace().Events, perRow.Trace().Events
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recording fed a run differs from one fed the rows:\n got %+v\nwant %+v", got, want)
+	}
+	if len(got) != len(rows)+2 {
+		t.Errorf("%d events recorded, want %d", len(got), len(rows)+2)
 	}
 }
 
